@@ -2,8 +2,8 @@ use super::ddf::{self, SlotCondition};
 use super::{draw, BiasPolicy, BlockCursor, Engine, EngineCounters, EngineSession, SessionTuning};
 use crate::config::{RaidGroupConfig, Redundancy, SparePolicy};
 use crate::events::{DdfEvent, GroupHistory};
-use raidsim_dists::kernel::{Forcing, MathMode, Tilt};
-use raidsim_dists::rng::SimRng;
+use raidsim_dists::kernel::{DrawSource, Forcing, MathMode, Tilt};
+use raidsim_dists::rng::{DrawCursor, SimRng};
 use raidsim_dists::{KernelCache, SampleKernel};
 
 /// Tracks the on-site spare pool for [`SparePolicy::Finite`].
@@ -132,7 +132,7 @@ struct Slot {
     /// Time of the drive's most recent forced resample
     /// (`NEG_INFINITY` when never forced). A drive whose previous
     /// forcing window still covers the present is skipped by later
-    /// triggers — the refractory rule in [`DesSession::force_critical`].
+    /// triggers — the refractory rule in [`DesState::force_critical`].
     forced_at: f64,
     /// Time of the next operational-process event.
     next_op: f64,
@@ -150,16 +150,33 @@ struct Slot {
 
 /// Persistent per-worker session for [`DesEngine`].
 ///
-/// Owns the sampling kernels lowered once from the configuration's
-/// distributions plus every piece of per-group scratch (slot vector,
-/// spare pool, output history), so the group loop performs no heap
-/// allocation in the steady state. The event-processing code below is
-/// the *only* implementation of the DES semantics — the stateless
-/// [`Engine::simulate_group`] entry point delegates here through a
-/// throwaway session, which makes session/one-shot bit-identity
-/// structural rather than merely tested.
+/// Owns the simulation state ([`DesState`]) and, under block tuning,
+/// the prefetching [`DrawCursor`] every event-loop draw reads through.
+/// The event-processing code in [`DesState`] is the *only*
+/// implementation of the DES semantics, generic over where its words
+/// come from — the stateless [`Engine::simulate_group`] entry point
+/// delegates here through a throwaway session, and the scalar tuning
+/// runs the same loop straight off the caller's RNG, which makes both
+/// bit-identities structural rather than merely tested.
 #[derive(Debug)]
 struct DesSession {
+    state: DesState,
+    /// `Some` under block tuning: the event loop draws through this
+    /// cursor, which [`DrawCursor::finish`] rewinds so the caller's RNG
+    /// ends where the scalar path leaves it. `None` is the cursor-free
+    /// scalar path, kept as the equivalence tests' oracle.
+    prefetch: Option<DrawCursor>,
+}
+
+/// Everything a [`DesSession`] owns except its draw cursor, split out
+/// so the event loop can borrow both at once.
+///
+/// Holds the sampling kernels lowered once from the configuration's
+/// distributions plus every piece of per-group scratch (slot vector,
+/// spare pool, output history), so the group loop performs no heap
+/// allocation in the steady state.
+#[derive(Debug)]
+struct DesState {
     n: usize,
     mission: f64,
     redundancy: Redundancy,
@@ -189,8 +206,9 @@ struct DesSession {
     /// Whether the mission-start init loop draws its slot lifetimes as
     /// one block: requires the tuning's consent and that every
     /// participating kernel consumes exactly one word per draw. The
-    /// init site is the only fixed-word-count draw site in this engine
-    /// — every event-loop draw is data-dependent and stays scalar.
+    /// init site is the only fixed-word-count draw site in this engine;
+    /// the data-dependent event-loop draws go through the session's
+    /// prefetching cursor instead.
     block_init: bool,
     /// Kernel evaluation mode for block transforms.
     math_mode: MathMode,
@@ -203,6 +221,20 @@ impl DesSession {
     }
 
     fn new_cached(
+        cfg: &RaidGroupConfig,
+        bias: BiasPolicy,
+        tuning: SessionTuning,
+        kernels: &mut KernelCache,
+    ) -> Self {
+        DesSession {
+            state: DesState::new(cfg, bias, tuning, kernels),
+            prefetch: tuning.block_draws.then(DrawCursor::new),
+        }
+    }
+}
+
+impl DesState {
+    fn new(
         cfg: &RaidGroupConfig,
         bias: BiasPolicy,
         tuning: SessionTuning,
@@ -260,7 +292,13 @@ impl DesSession {
     /// the identical (history-measurable) schedule. Slots whose pending
     /// time ties `t` are skipped so atom-carrying lifetime
     /// distributions stay correct under the strict conditioning.
-    fn force_critical(&mut self, t: f64, ddf_block_until: f64, budget: &mut u32, rng: &mut SimRng) {
+    fn force_critical<R: DrawSource>(
+        &mut self,
+        t: f64,
+        ddf_block_until: f64,
+        budget: &mut u32,
+        rng: &mut R,
+    ) {
         let Some((forcing, window)) = self.force else {
             return;
         };
@@ -329,9 +367,28 @@ fn force_budget_for(forcing: Forcing) -> u32 {
 
 impl EngineSession for DesSession {
     fn simulate_group(&mut self, rng: &mut SimRng) -> &GroupHistory {
-        let mission = self.mission;
-        let ld_enabled = self.ttld.is_some();
+        let state = &mut self.state;
+        state.start_group(rng);
+        match self.prefetch.as_mut() {
+            Some(cursor) => {
+                cursor.begin(rng);
+                state.run_events(cursor);
+                cursor.finish(rng);
+            }
+            None => state.run_events(rng),
+        }
+        &self.state.history
+    }
 
+    fn counters(&self) -> EngineCounters {
+        self.state.counters
+    }
+}
+
+impl DesState {
+    /// Resets the per-group scratch and draws every slot's initial
+    /// lifetimes straight from `rng` (as one block when eligible).
+    fn start_group(&mut self, rng: &mut SimRng) {
         // Reset the scratch: clear-and-refill keeps every allocation.
         self.history.ddfs.clear();
         self.history.op_failures = 0;
@@ -398,7 +455,13 @@ impl EngineSession for DesSession {
                 });
             }
         }
+    }
 
+    /// Runs the event loop to the end of the mission, drawing every
+    /// lazy lifetime from `rng`.
+    fn run_events<R: DrawSource>(&mut self, rng: &mut R) {
+        let mission = self.mission;
+        let ld_enabled = self.ttld.is_some();
         // Rule 5: no DDF can be recorded before this time.
         let mut ddf_block_until = 0.0f64;
         // Forced-redraw budget for this group (see `force_critical`).
@@ -438,7 +501,7 @@ impl EngineSession for DesSession {
                         None => t,
                     };
                     self.counters.samples_drawn += 1;
-                    let restore_at = start + self.ttr.sample(rng);
+                    let restore_at = start + rng.plain(&self.ttr);
                     debug_assert!(
                         restore_at.is_finite(),
                         "restore time must be finite, got {restore_at}"
@@ -566,7 +629,7 @@ impl EngineSession for DesSession {
                     s.next_ld = match &self.ttscrub {
                         Some(d) => {
                             self.counters.samples_drawn += 1;
-                            t + d.sample(rng)
+                            t + rng.plain(d)
                         }
                         None => f64::INFINITY, // never scrubbed
                     };
@@ -582,11 +645,6 @@ impl EngineSession for DesSession {
             self.ddfs_cap = self.history.ddfs.capacity();
             self.counters.scratch_grows += 1;
         }
-        &self.history
-    }
-
-    fn counters(&self) -> EngineCounters {
-        self.counters
     }
 }
 
@@ -635,6 +693,7 @@ mod tests {
     use crate::config::{RaidGroupConfig, Redundancy, TransitionDistributions};
     use raidsim_dists::rng::stream;
     use raidsim_dists::{Exponential, Weibull3};
+    use rand::Rng;
     use std::sync::Arc;
 
     fn run_one(cfg: &RaidGroupConfig, seed: u64) -> GroupHistory {
@@ -747,6 +806,53 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn prefetched_group_leaves_the_rng_on_the_scalar_word() {
+        // Latent defects off: groups draw 0, 2, 4, … event-loop words
+        // (a restore and a replacement lifetime per failure), so the
+        // refill schedule 2, 4, 8, … meets every ending below; the base
+        // case adds long groups that span several full refills.
+        let base = RaidGroupConfig::paper_base_case().unwrap();
+        let oponly = RaidGroupConfig {
+            dists: TransitionDistributions::weibull_both().unwrap(),
+            ..base.clone()
+        };
+        let scalar_tuning = SessionTuning {
+            block_draws: false,
+            ..SessionTuning::default()
+        };
+        let (mut no_draws, mut exact_fill, mut mid_block) = (0, 0, 0);
+        for cfg in [&oponly, &base] {
+            let init_draws = (cfg.drives * if cfg.dists.ttld.is_some() { 2 } else { 1 }) as u64;
+            let mut prefetched = DesSession::new(cfg, BiasPolicy::None, SessionTuning::default());
+            let mut scalar = DesSession::new(cfg, BiasPolicy::None, scalar_tuning);
+            for seed in 0..200 {
+                let mut a = stream(seed, 0);
+                let mut b = stream(seed, 0);
+                let drawn = prefetched.counters().samples_drawn;
+                let history = prefetched.simulate_group(&mut a).clone();
+                assert_eq!(&history, scalar.simulate_group(&mut b));
+                assert_eq!(
+                    a.next_u64(),
+                    b.next_u64(),
+                    "seed {seed}: the rewound RNG is off the scalar path's word"
+                );
+                let loop_draws = prefetched.counters().samples_drawn - drawn - init_draws;
+                let pending = prefetched.prefetch.as_ref().map_or(0, DrawCursor::pending);
+                match (loop_draws, pending) {
+                    (0, _) => no_draws += 1,
+                    (_, 0) => exact_fill += 1,
+                    _ => mid_block += 1,
+                }
+            }
+        }
+        assert!(
+            no_draws > 0 && exact_fill > 0 && mid_block > 0,
+            "endings not all covered: {no_draws} without draws, \
+             {exact_fill} exact fills, {mid_block} mid-block"
+        );
     }
 
     #[test]

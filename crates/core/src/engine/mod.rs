@@ -25,7 +25,7 @@ pub use timeline::TimelineEngine;
 
 use crate::config::RaidGroupConfig;
 use crate::events::GroupHistory;
-use raidsim_dists::kernel::{Forcing, MathMode, Tilt};
+use raidsim_dists::kernel::{DrawSource, Forcing, MathMode, Tilt};
 use raidsim_dists::rng::{fill_uniforms, SimRng};
 use raidsim_dists::{KernelCache, SampleKernel};
 
@@ -174,13 +174,19 @@ fn tilt_for(theta: f64) -> Option<Tilt> {
 /// Performance tuning for an engine session — knobs that must never
 /// change *what* is simulated, only how fast.
 ///
-/// `block_draws` (default **on**) lets sessions evaluate fixed-shape
-/// sampling sites as whole buffers (see [`BlockCursor`]); the block
-/// path is draw-for-draw bit-identical to the scalar path, so this is
-/// purely an A/B lever for benchmarks and equivalence tests.
+/// `block_draws` (default **on**) lets sessions draw ahead of demand:
+/// fixed-shape sampling sites are evaluated as whole buffers (see
+/// [`BlockCursor`]), and the discrete-event loop's lazy draws read
+/// through a prefetching, rewindable
+/// [`DrawCursor`](raidsim_dists::rng::DrawCursor). Both are
+/// draw-for-draw bit-identical to the scalar path and leave the
+/// caller's RNG on the same word, so this is purely an A/B lever for
+/// benchmarks; `block_draws: false` is the cursor-free scalar path the
+/// equivalence tests use as their oracle.
 ///
 /// `fast_math` (default **off**) additionally switches the block
-/// transforms to [`MathMode::Fast`], permitting float-op-reordering
+/// transforms (not the prefetched event-loop draws, which stay exact)
+/// to [`MathMode::Fast`], permitting float-op-reordering
 /// rewrites with documented tolerance instead of bit-identity. Because
 /// results can differ in the last bits, fast-math runs carry a
 /// perturbed checkpoint fingerprint
@@ -188,7 +194,8 @@ fn tilt_for(theta: f64) -> Option<Tilt> {
 /// into, or merge with, exact runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SessionTuning {
-    /// Evaluate eligible sampling sites in blocks.
+    /// Evaluate fixed-shape sampling sites in blocks and prefetch the
+    /// discrete-event loop's lazy draws.
     pub block_draws: bool,
     /// Allow non-bit-identical algebraic rewrites in block transforms.
     pub fast_math: bool,
@@ -233,6 +240,12 @@ impl SessionTuning {
 /// lanes are bit-identical to the scalar interleaved loop and the RNG
 /// ends at the same position. Buffers are retained across groups, so
 /// the steady-state loop stays allocation-free once warmed up.
+///
+/// Sites whose word count is data-dependent — the discrete-event
+/// loop's lazy draws — cannot fill a buffer up front; they read through
+/// a prefetching [`DrawCursor`](raidsim_dists::rng::DrawCursor)
+/// instead, which fetches words speculatively and rewinds the RNG to
+/// the consumed position at the end of the group.
 #[derive(Debug, Default)]
 pub(crate) struct BlockCursor {
     uniforms: Vec<f64>,
@@ -322,18 +335,18 @@ impl BlockCursor {
 /// Draws from `kernel`, tilted when a tilt is present (accumulating the
 /// draw's log-likelihood-ratio into `log_weight`), plain otherwise.
 ///
-/// The `None` arm calls [`raidsim_dists::SampleKernel::sample`]
-/// directly, so unbiased sessions keep their bit-identity contract.
+/// The `None` arm is a plain draw ([`DrawSource::plain`]), so unbiased
+/// sessions keep their bit-identity contract.
 #[inline]
-pub(crate) fn draw(
-    kernel: &raidsim_dists::SampleKernel,
+pub(crate) fn draw<R: DrawSource>(
+    kernel: &SampleKernel,
     tilt: Option<Tilt>,
     log_weight: &mut f64,
-    rng: &mut SimRng,
+    rng: &mut R,
 ) -> f64 {
     match tilt {
         Some(t) => kernel.sample_tilted(t, log_weight, rng),
-        None => kernel.sample(rng),
+        None => rng.plain(kernel),
     }
 }
 

@@ -8,18 +8,20 @@
 //!   to the one an unsharded run writes — per-group RNG streams are a
 //!   pure function of `(seed, index)` and `StreamStats` partials are
 //!   exact integers with an associative, commutative merge.
-//! * The default session tuning (block draws on, exact math) is
-//!   draw-for-draw bit-identical to the fully scalar path, for both
-//!   engines, with and without importance-sampling tilts.
+//! * The default session tuning (block draws and prefetched event-loop
+//!   draws on, exact math) is draw-for-draw bit-identical to the fully
+//!   scalar path, for both engines, across a configuration matrix and
+//!   every importance-sampling policy.
 //! * Merges refuse mismatched shards with typed errors instead of
 //!   silently producing wrong statistics.
 
 use raidsim_core::checkpoint::{
     merge_shards, CheckpointError, DriverState, SimCheckpoint, FORMAT_VERSION,
 };
-use raidsim_core::config::{RaidGroupConfig, Redundancy};
+use raidsim_core::config::{RaidGroupConfig, Redundancy, SparePolicy, TransitionDistributions};
 use raidsim_core::engine::{BiasPolicy, SessionTuning, TimelineEngine};
 use raidsim_core::run::{shard_range, Simulator};
+use raidsim_dists::{CompetingRisks, Degenerate, Exponential, Lognormal, Mixture, Weibull3};
 use std::sync::Arc;
 
 fn base() -> RaidGroupConfig {
@@ -181,41 +183,125 @@ fn merge_refuses_mismatched_shards() {
     ));
 }
 
+/// Configurations that reach every kind of event-loop draw site: the
+/// base case plus variable-word and composite kernels, a point-mass
+/// scrub, a finite spare pool, and defect reset on replacement.
+fn equivalence_configs() -> Vec<(&'static str, RaidGroupConfig)> {
+    let dists = base().dists;
+    let with_dists = |dists: TransitionDistributions| RaidGroupConfig { dists, ..base() };
+    vec![
+        ("base", base()),
+        (
+            "mixture ttop",
+            with_dists(TransitionDistributions {
+                ttop: Arc::new(
+                    Mixture::new(vec![
+                        (
+                            0.2,
+                            Arc::new(Weibull3::two_param(40_000.0, 0.8).unwrap()) as _,
+                        ),
+                        (0.8, Arc::clone(&dists.ttop)),
+                    ])
+                    .unwrap(),
+                ),
+                ..dists.clone()
+            }),
+        ),
+        (
+            "competing ttop",
+            with_dists(TransitionDistributions {
+                ttop: Arc::new(
+                    CompetingRisks::new(vec![
+                        Arc::clone(&dists.ttop),
+                        Arc::new(Exponential::from_mean(150_000.0).unwrap()) as _,
+                    ])
+                    .unwrap(),
+                ),
+                ..dists.clone()
+            }),
+        ),
+        (
+            "lognormal ttr",
+            with_dists(TransitionDistributions {
+                ttr: Arc::new(Lognormal::new(6.0, 12.0f64.ln(), 0.6).unwrap()),
+                ..dists.clone()
+            }),
+        ),
+        (
+            "degenerate ttscrub",
+            with_dists(TransitionDistributions {
+                ttscrub: Some(Arc::new(Degenerate::new(168.0).unwrap())),
+                ..dists.clone()
+            }),
+        ),
+        (
+            "finite spares",
+            RaidGroupConfig {
+                spares: SparePolicy::Finite {
+                    pool: 1,
+                    replenish_hours: 336.0,
+                },
+                ..base()
+            },
+        ),
+        (
+            "defect reset",
+            RaidGroupConfig {
+                defect_reset_on_replacement: true,
+                ..base()
+            },
+        ),
+    ]
+}
+
 #[test]
 fn default_block_tuning_is_bit_identical_to_scalar_for_both_engines() {
     let scalar = SessionTuning {
         block_draws: false,
         ..SessionTuning::default()
     };
-    for bias in [
-        BiasPolicy::None,
-        BiasPolicy::HazardTilt {
-            op_theta: 0.5,
-            latent_theta: 0.3,
-        },
-    ] {
-        // Discrete-event engine (default): blocked init draws.
-        let des_block = Simulator::new(base()).with_bias(bias);
-        let des_scalar = Simulator::new(base()).with_bias(bias).with_tuning(scalar);
-        assert_eq!(
-            des_block.run_streaming(150, 42, 1),
-            des_scalar.run_streaming(150, 42, 1),
-            "DES block path diverged from scalar under {bias:?}"
-        );
+    for (name, cfg) in equivalence_configs() {
+        for bias in [
+            BiasPolicy::None,
+            BiasPolicy::HazardTilt {
+                op_theta: 0.5,
+                latent_theta: 0.3,
+            },
+            BiasPolicy::ForcedCritical {
+                fraction: 0.3,
+                window_hours: 48.0,
+            },
+        ] {
+            // Discrete-event engine (default): blocked init draws, and
+            // every event-loop draw through the prefetching cursor.
+            let des_block = Simulator::new(cfg.clone()).with_bias(bias);
+            let des_scalar = Simulator::new(cfg.clone())
+                .with_bias(bias)
+                .with_tuning(scalar);
+            assert_eq!(
+                des_block.run_streaming(150, 42, 1),
+                des_scalar.run_streaming(150, 42, 1),
+                "DES block path diverged from scalar for {name} under {bias:?}"
+            );
 
-        // Pairwise-timeline engine: blocked phase-3 chain seeds.
-        let tl_block = Simulator::new(base())
-            .with_engine(Arc::new(TimelineEngine::new()))
-            .with_bias(bias);
-        let tl_scalar = Simulator::new(base())
-            .with_engine(Arc::new(TimelineEngine::new()))
-            .with_bias(bias)
-            .with_tuning(scalar);
-        assert_eq!(
-            tl_block.run_streaming(150, 42, 1),
-            tl_scalar.run_streaming(150, 42, 1),
-            "timeline block path diverged from scalar under {bias:?}"
-        );
+            // Pairwise-timeline engine: blocked phase-3 chain seeds.
+            // Forcing is DES-only.
+            if matches!(bias, BiasPolicy::ForcedCritical { .. }) {
+                continue;
+            }
+            let tl_block = Simulator::new(cfg.clone())
+                .with_engine(Arc::new(TimelineEngine::new()))
+                .with_bias(bias);
+            let tl_scalar = Simulator::new(cfg.clone())
+                .with_engine(Arc::new(TimelineEngine::new()))
+                .with_bias(bias)
+                .with_tuning(scalar);
+            assert_eq!(
+                tl_block.run_streaming(150, 42, 1),
+                tl_scalar.run_streaming(150, 42, 1),
+                "timeline block path diverged from scalar for {name} under {bias:?}"
+            );
+        }
     }
 }
 
@@ -229,10 +315,10 @@ fn block_tuning_is_scheduling_invariant() {
 
 #[test]
 fn forced_critical_bias_stays_scalar_but_completes_under_block_tuning() {
-    // ForcedCritical draws are per-event and data-dependent; the block
-    // cursor must leave them untouched. The run completing with the
-    // same result as the explicit scalar tuning proves the block paths
-    // never desynchronize the stream.
+    // ForcedCritical redraws are per-event and data-dependent; under
+    // block tuning they read raw words through the prefetching cursor.
+    // The run completing with the same result as the explicit scalar
+    // tuning proves the cursor never desynchronizes the stream.
     let bias = BiasPolicy::ForcedCritical {
         fraction: 0.3,
         window_hours: 48.0,

@@ -20,13 +20,15 @@
 //!
 //! * hoisting pure recomputed subexpressions (`1/β` feeds the same
 //!   `powf` it always did — division is deterministic, so the hoisted
-//!   value is the bit pattern the `dyn` path computed inline), and
+//!   value is the bit pattern the `dyn` path computed inline),
 //! * inlining the exact float-op sequence of the concrete overrides
 //!   (including each family's choice of `ln_1p` vs `ln`, and the
 //!   trait-default conditional inversion where a family does not
-//!   override it).
+//!   override it), and
+//! * skipping `powf` for a unit exponent: `powf` is faithfully rounded,
+//!   so `x.powf(1.0)` returns `x` exactly.
 //!
-//! Algebraic rewrites that change the op sequence — e.g. `sqrt` in
+//! Algebraic rewrites that change the result bits — e.g. `sqrt` in
 //! place of `powf(0.5)` for β = 2 — are **excluded**: they are faster
 //! but not bit-equal. The `kernel_equivalence` property suite enforces
 //! the contract for every variant over random parameters and seeds.
@@ -43,6 +45,7 @@
 //! | [`crate::CompetingRisks`] | [`SampleKernel::Competing`] | children lowered recursively; conditional delegates to the source object |
 //! | anything else | [`SampleKernel::Boxed`] | full fallback to the `dyn` methods (e.g. future empirical resampling distributions — [`crate::empirical`] currently defines estimators, not `LifeDistribution`s) |
 
+use crate::rng::{DrawCursor, SimRng};
 use crate::{rng_f64, DistError, LifeDistribution};
 use rand::Rng;
 use std::sync::Arc;
@@ -193,9 +196,10 @@ impl Forcing {
 /// Numerical-evaluation mode for the block sampling paths.
 ///
 /// [`MathMode::Exact`] keeps every block draw bit-identical to the
-/// scalar path — the default everywhere. [`MathMode::Fast`] permits
-/// algebraic rewrites that change the float-op sequence (`sqrt` for
-/// `powf(0.5)`, squaring for `powf(2.0)`, identity for `powf(1.0)`),
+/// scalar path — the default everywhere. (Both modes skip `powf` for a
+/// unit exponent: `x.powf(1.0)` is exactly `x`, so that shortcut costs
+/// no bits.) [`MathMode::Fast`] permits algebraic rewrites that change
+/// the result bits (`sqrt` for `powf(0.5)`, squaring for `powf(2.0)`),
 /// trading bit-identity for throughput; the relative error per draw is
 /// bounded by a few ULPs (the equivalence suite enforces `< 1e-12`
 /// relative). Fast mode is opt-in (the CLI's `--fast-math`) and
@@ -210,6 +214,29 @@ pub enum MathMode {
     /// with [`MathMode::Exact`] to within documented tolerance, not
     /// bit-for-bit.
     Fast,
+}
+
+/// A word source for plain draws: an RNG itself (word by word) or a
+/// prefetching [`DrawCursor`] over one. Both yield the same words in
+/// the same order and bit-identical plain draws, so a draw site written
+/// against `DrawSource` runs unchanged on either.
+pub trait DrawSource: Rng {
+    /// One plain (untilted, unconditional) draw from `kernel`.
+    fn plain(&mut self, kernel: &SampleKernel) -> f64;
+}
+
+impl DrawSource for SimRng {
+    #[inline]
+    fn plain(&mut self, kernel: &SampleKernel) -> f64 {
+        kernel.sample(self)
+    }
+}
+
+impl DrawSource for DrawCursor {
+    #[inline]
+    fn plain(&mut self, kernel: &SampleKernel) -> f64 {
+        kernel.sample_prefetched(self)
+    }
 }
 
 /// A lifetime distribution lowered to a monomorphic sampling kernel.
@@ -356,6 +383,32 @@ impl SampleKernel {
                 .map(|k| k.sample(rng))
                 .fold(f64::INFINITY, f64::min),
             SampleKernel::Boxed { source } => source.sample(rng),
+        }
+    }
+
+    /// Draws one lifetime from a prefetching cursor; bit-identical to
+    /// [`SampleKernel::sample`] on the same stream.
+    ///
+    /// `Weibull3` finishes the quantile from the cursor's `e` lane
+    /// (`γ + η·e^{1/β}`, with `e = 0` standing for the `u = 0` endpoint
+    /// the quantile maps to `γ`); every other variant reads raw words
+    /// through the cursor's [`Rng`] impl.
+    #[inline]
+    pub fn sample_prefetched(&self, cursor: &mut DrawCursor) -> f64 {
+        match self {
+            SampleKernel::Weibull3 {
+                gamma,
+                eta,
+                inv_beta,
+                ..
+            } => {
+                let e = cursor.next_exp();
+                if e == 0.0 {
+                    return *gamma;
+                }
+                gamma + eta * powf_mode(e, *inv_beta, MathMode::Exact)
+            }
+            _ => self.sample(cursor),
         }
     }
 
@@ -944,9 +997,8 @@ fn weibull_quantile(gamma: f64, eta: f64, inv_beta: f64, p: f64) -> f64 {
 /// [`weibull_quantile`] with a selectable evaluation mode: `Exact`
 /// reproduces the scalar op sequence bit-for-bit; `Fast` specializes
 /// the `powf` for the exponents that admit a cheaper exact-algebra
-/// form (`0.5` → `sqrt`, `1.0` → identity, `2.0` → square), which
-/// reorders float ops and is therefore only reachable through the
-/// opt-in fast-math paths.
+/// form (`0.5` → `sqrt`, `2.0` → square), which reorders float ops and
+/// is therefore only reachable through the opt-in fast-math paths.
 #[inline]
 fn weibull_quantile_mode(gamma: f64, eta: f64, inv_beta: f64, p: f64, mode: MathMode) -> f64 {
     if p <= 0.0 {
@@ -957,21 +1009,18 @@ fn weibull_quantile_mode(gamma: f64, eta: f64, inv_beta: f64, p: f64, mode: Math
 }
 
 /// `x.powf(e)` with [`MathMode::Fast`] exponent specialization.
+///
+/// Both modes return `x` itself for `e == 1.0`. That shortcut is exact:
+/// `powf` is faithfully rounded (error under 1 ULP), so when the true
+/// result `x¹ = x` is representable it comes back unchanged — the
+/// `unit_shape_powf_is_the_identity` property test pins this down.
 #[inline]
 fn powf_mode(x: f64, e: f64, mode: MathMode) -> f64 {
     match mode {
-        MathMode::Exact => x.powf(e),
-        MathMode::Fast => {
-            if e == 0.5 {
-                x.sqrt()
-            } else if e == 1.0 {
-                x
-            } else if e == 2.0 {
-                x * x
-            } else {
-                x.powf(e)
-            }
-        }
+        MathMode::Fast if e == 0.5 => x.sqrt(),
+        MathMode::Fast if e == 2.0 => x * x,
+        _ if e == 1.0 => x,
+        _ => x.powf(e),
     }
 }
 
@@ -982,7 +1031,7 @@ fn weibull_sf(gamma: f64, eta: f64, beta: f64, t: f64) -> f64 {
         return 1.0;
     }
     let z = ((t - gamma) / eta).max(0.0);
-    (-z.powf(beta)).exp()
+    (-powf_mode(z, beta, MathMode::Exact)).exp()
 }
 
 /// The exact float-op sequence of `Weibull3::cdf`.
@@ -992,7 +1041,7 @@ fn weibull_cdf(gamma: f64, eta: f64, beta: f64, t: f64) -> f64 {
         return 0.0;
     }
     let z = ((t - gamma) / eta).max(0.0);
-    -(-z.powf(beta)).exp_m1()
+    -(-powf_mode(z, beta, MathMode::Exact)).exp_m1()
 }
 
 /// The exact float-op sequence of `Lognormal::quantile`.

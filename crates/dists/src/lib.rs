@@ -181,8 +181,14 @@ pub trait LifeDistribution: std::fmt::Debug + Send + Sync {
 /// `rand`'s ergonomic helpers require `Sized` RNGs; this helper keeps the
 /// [`LifeDistribution`] trait object-safe.
 pub(crate) fn rng_f64(rng: &mut dyn Rng) -> f64 {
-    // 53 random mantissa bits, the standard conversion used by `rand`.
-    (rng.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+    unit_f64(rng.next_u64())
+}
+
+/// The uniform `[0, 1)` variate of one RNG word: 53 random mantissa
+/// bits, the standard conversion used by `rand`.
+#[inline]
+pub(crate) fn unit_f64(word: u64) -> f64 {
+    (word >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
 }
 
 #[cfg(test)]

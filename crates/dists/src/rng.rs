@@ -7,7 +7,7 @@
 //! scheduling.
 
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 /// The RNG used throughout the simulation ([`StdRng`], currently
 /// xoshiro256++ — fast, high-quality, and deterministic per seed).
@@ -56,6 +56,150 @@ pub fn stream(master: u64, index: u64) -> SimRng {
 pub fn fill_uniforms(rng: &mut dyn rand::Rng, out: &mut [f64]) {
     for u in out.iter_mut() {
         *u = crate::rng_f64(rng);
+    }
+}
+
+/// Largest [`DrawCursor`] refill, in RNG words.
+const MAX_REFILL: usize = 16;
+
+/// First [`DrawCursor`] refill after [`DrawCursor::begin`], in RNG
+/// words. Refills then double up to [`MAX_REFILL`], so a group that
+/// draws only a couple of samples fetches (and rewinds) only a couple
+/// of spare words.
+const FIRST_REFILL: usize = 2;
+
+/// A prefetching, rewindable view of an RNG stream for lazy draw sites
+/// — sites whose word count is not known before the first draw, such
+/// as a discrete-event loop.
+///
+/// The cursor block-fills RNG words ahead of demand and, for each word,
+/// also evaluates `e = −ln(1 − u)` (as `-(-u).ln_1p()`, with `u` the
+/// word's 53-bit uniform) — exactly the subexpression every plain
+/// Weibull quantile evaluates. A plain Weibull draw then costs only
+/// `γ + η·e^{1/β}` at its site
+/// ([`crate::SampleKernel::sample_prefetched`]), and the refill's
+/// logarithms are independent of one another, so they overlap instead
+/// of forming one serial chain through the event loop. Every other
+/// consumer reads raw words through the [`rand::Rng`] impl, so the
+/// word order is exactly the caller's stream.
+///
+/// Refills start at [`FIRST_REFILL`] words per [`DrawCursor::begin`]
+/// and double up to [`MAX_REFILL`]. Before each refill the cursor keeps
+/// a copy of the RNG state, so [`DrawCursor::finish`] can rewind the
+/// caller's RNG to the exact position a word-by-word consumer would
+/// have left it at: the unconsumed tail of the last refill is never
+/// part of the stream.
+#[derive(Debug, Clone)]
+pub struct DrawCursor {
+    words: [u64; MAX_REFILL],
+    /// `e` lane: `exps[i] = -(-u_i).ln_1p()` for `words[i]`.
+    exps: [f64; MAX_REFILL],
+    /// Next unconsumed index into `words`/`exps`.
+    pos: usize,
+    /// Words fetched by the last refill.
+    len: usize,
+    /// Size of the next refill.
+    next_refill: usize,
+    /// The stream position just past the last fetched word.
+    live: SimRng,
+    /// The stream position before the last refill — the rewind point.
+    saved: SimRng,
+}
+
+impl Default for DrawCursor {
+    fn default() -> Self {
+        DrawCursor::new()
+    }
+}
+
+impl DrawCursor {
+    /// Creates an idle cursor; call [`DrawCursor::begin`] before
+    /// drawing.
+    pub fn new() -> Self {
+        let placeholder = SimRng::seed_from_u64(0);
+        DrawCursor {
+            words: [0; MAX_REFILL],
+            exps: [0.0; MAX_REFILL],
+            pos: 0,
+            len: 0,
+            next_refill: FIRST_REFILL,
+            live: placeholder.clone(),
+            saved: placeholder,
+        }
+    }
+
+    /// Starts drawing from `rng`'s current position, discarding any
+    /// words left from a previous run.
+    pub fn begin(&mut self, rng: &SimRng) {
+        self.live.clone_from(rng);
+        self.pos = 0;
+        self.len = 0;
+        self.next_refill = FIRST_REFILL;
+    }
+
+    /// Leaves `rng` exactly where a word-by-word consumer of the same
+    /// draws would have left it: just past the last word consumed since
+    /// [`DrawCursor::begin`].
+    pub fn finish(&self, rng: &mut SimRng) {
+        if self.pos == self.len {
+            // Nothing buffered is left over (this includes "nothing was
+            // ever fetched"), so the live position is the answer.
+            rng.clone_from(&self.live);
+        } else {
+            rng.clone_from(&self.saved);
+            for _ in 0..self.pos {
+                rng.next_u64();
+            }
+        }
+    }
+
+    /// Words fetched by the last refill but not yet consumed.
+    pub fn pending(&self) -> usize {
+        self.len - self.pos
+    }
+
+    /// Consumes the next word and returns its `e` lane value
+    /// `-(-u).ln_1p()`, bit-identical to evaluating it from
+    /// the word's uniform at the draw site. `e == 0.0` exactly when
+    /// the uniform is `0.0`.
+    #[inline]
+    pub fn next_exp(&mut self) -> f64 {
+        let i = self.advance();
+        self.exps[i]
+    }
+
+    /// Consumes one buffered word, refilling first when none is left,
+    /// and returns its index.
+    #[inline]
+    fn advance(&mut self) -> usize {
+        if self.pos == self.len {
+            self.refill();
+        }
+        self.pos += 1;
+        self.pos - 1
+    }
+
+    /// Fetches the next block of words and evaluates their `e` lane.
+    fn refill(&mut self) {
+        let n = self.next_refill;
+        self.saved.clone_from(&self.live);
+        for w in &mut self.words[..n] {
+            *w = self.live.next_u64();
+        }
+        for (e, &w) in self.exps[..n].iter_mut().zip(&self.words[..n]) {
+            *e = -(-crate::unit_f64(w)).ln_1p();
+        }
+        self.pos = 0;
+        self.len = n;
+        self.next_refill = (n * 2).min(MAX_REFILL);
+    }
+}
+
+impl Rng for DrawCursor {
+    #[inline]
+    fn next_u64(&mut self) -> u64 {
+        let i = self.advance();
+        self.words[i]
     }
 }
 

@@ -12,9 +12,16 @@
 //! tolerance: per-draw relative error below `1e-12` against the exact
 //! path, with the `powf`-specializable shapes (`1/β ∈ {0.5, 1, 2}`)
 //! covered deliberately.
+//!
+//! The prefetching [`DrawCursor`] is held to the same contract for lazy
+//! draw sites: any sequence of draws through it matches the bare stream
+//! bit for bit, and its rewind leaves the stream on the scalar path's
+//! word. The unit-shape `powf` shortcut is pinned to its basis, a
+//! faithfully rounded `powf`.
 
 use proptest::prelude::*;
-use raidsim_dists::kernel::{Forcing, MathMode, Tilt};
+use raidsim_dists::kernel::{DrawSource, Forcing, MathMode, Tilt};
+use raidsim_dists::rng::DrawCursor;
 use raidsim_dists::{
     CompetingRisks, Degenerate, Exponential, LifeDistribution, Lognormal, Mixture, SampleKernel,
     Weibull3,
@@ -135,6 +142,134 @@ fn weibull_params() -> impl Strategy<Value = (f64, f64, f64)> {
     (0.0..48.0f64, 1.0..1.0e6f64, 0.3..5.0f64)
 }
 
+/// The unit-shape rule behind the `powf` shortcut both math modes take
+/// for β = 1: `powf` is faithfully rounded, so the representable result
+/// `x¹ = x` must come back with the same bits.
+fn assert_unit_powf_is_identity(x: f64) {
+    // A runtime exponent, so the libm call runs rather than a fold.
+    let y = x.powf(std::hint::black_box(1.0));
+    assert_eq!(y.to_bits(), x.to_bits(), "{x:e}.powf(1.0) returned {y:e}");
+}
+
+#[test]
+fn unit_shape_powf_is_the_identity_at_the_edges() {
+    let edges = [
+        0.0,
+        f64::from_bits(1),                     // smallest subnormal
+        f64::from_bits(0x000F_FFFF_FFFF_FFFF), // largest subnormal
+        f64::MIN_POSITIVE,
+        f64::EPSILON,
+        1.0 - f64::EPSILON / 2.0,
+        1.0 + f64::EPSILON,
+        f64::MAX,
+        f64::INFINITY,
+    ];
+    // Powers of two sit where a 1-ULP error could land on the nearer
+    // lower neighbor, so cover every one: subnormal, then normal.
+    let subnormal_powers = (0..52).map(|j| f64::from_bits(1u64 << j));
+    let normal_powers = (1..2047u64).map(|k| f64::from_bits(k << 52));
+    for x in edges
+        .into_iter()
+        .chain(subnormal_powers)
+        .chain(normal_powers)
+    {
+        assert_unit_powf_is_identity(x);
+    }
+}
+
+/// A prefetching cursor and the bare stream must agree draw for draw:
+/// the same kernel sequence drawn through [`DrawCursor`] (plain draws
+/// through the `e` lane, every other form through raw words) and
+/// straight from the RNG gives bit-identical values and log-weights,
+/// and [`DrawCursor::finish`] leaves the RNG on the scalar path's word.
+fn assert_prefetch_bit_identical(
+    kernels: &[SampleKernel],
+    seed: u64,
+    groups: &[Vec<(usize, usize)>],
+) {
+    let tilt = Tilt::new(0.35).unwrap();
+    let forcing = Forcing::new(0.3).unwrap();
+    let mut rng_scalar = rand::rngs::StdRng::seed_from_u64(seed);
+    let mut rng_cursor = rand::rngs::StdRng::seed_from_u64(seed);
+    let mut cursor = DrawCursor::new();
+    let mut lw_scalar = 0.0f64;
+    let mut lw_cursor = 0.0f64;
+    for ops in groups {
+        cursor.begin(&rng_cursor);
+        for (i, &(form, k)) in ops.iter().enumerate() {
+            let kernel = &kernels[k % kernels.len()];
+            let t0 = 5.0 * i as f64;
+            let (a, b) = match form {
+                0 => (rng_scalar.plain(kernel), cursor.plain(kernel)),
+                1 => (
+                    kernel.sample_tilted(tilt, &mut lw_scalar, &mut rng_scalar),
+                    kernel.sample_tilted(tilt, &mut lw_cursor, &mut cursor),
+                ),
+                2 => (
+                    kernel.sample_conditional(t0, &mut rng_scalar),
+                    kernel.sample_conditional(t0, &mut cursor),
+                ),
+                3 => (
+                    kernel.sample_conditional_tilted(t0, tilt, &mut lw_scalar, &mut rng_scalar),
+                    kernel.sample_conditional_tilted(t0, tilt, &mut lw_cursor, &mut cursor),
+                ),
+                _ => (
+                    kernel.sample_conditional_forced(
+                        t0,
+                        24.0,
+                        forcing,
+                        &mut lw_scalar,
+                        &mut rng_scalar,
+                    ),
+                    kernel.sample_conditional_forced(
+                        t0,
+                        24.0,
+                        forcing,
+                        &mut lw_cursor,
+                        &mut cursor,
+                    ),
+                ),
+            };
+            assert_eq!(
+                a.to_bits(),
+                b.to_bits(),
+                "draw #{i} (form {form}) diverged for {kernel:?}: scalar {a}, cursor {b}"
+            );
+            assert_eq!(lw_scalar.to_bits(), lw_cursor.to_bits());
+        }
+        cursor.finish(&mut rng_cursor);
+        assert_eq!(
+            rng_scalar.clone().next_u64(),
+            rng_cursor.clone().next_u64(),
+            "rewind left the stream off the scalar position after {} draws",
+            ops.len()
+        );
+    }
+}
+
+/// One kernel of every variant, with a unit-shape Weibull among them.
+fn kernel_menu((g, e, b): (f64, f64, f64), mean: f64) -> Vec<SampleKernel> {
+    let weibull = Arc::new(Weibull3::new(g, e, b).unwrap());
+    let exponential = Arc::new(Exponential::from_mean(mean).unwrap());
+    let dists: Vec<Arc<dyn LifeDistribution>> = vec![
+        weibull.clone(),
+        Arc::new(Weibull3::new(g, e, 1.0).unwrap()),
+        exponential.clone(),
+        Arc::new(Lognormal::new(g, 3.0, 0.8).unwrap()),
+        Arc::new(Degenerate::new(g + 1.0).unwrap()),
+        Arc::new(Mixture::new(vec![(0.3, weibull.clone() as _), (0.7, exponential as _)]).unwrap()),
+        Arc::new(
+            CompetingRisks::new(vec![
+                weibull as _,
+                Arc::new(Exponential::from_mean(2.0 * mean).unwrap()) as _,
+            ])
+            .unwrap(),
+        ),
+        Arc::new(Shifted(Exponential::from_mean(mean).unwrap(), g)),
+    ];
+    dists.iter().map(SampleKernel::lower).collect()
+}
+
 fn t0_fracs() -> impl Strategy<Value = Vec<f64>> {
     proptest::collection::vec(0.0..0.9f64, 4)
 }
@@ -160,6 +295,43 @@ impl LifeDistribution for Shifted {
 }
 
 proptest! {
+    #[test]
+    fn unit_shape_powf_is_the_identity(bits in any::<u64>()) {
+        // Any finite x ≥ 0: a clear sign bit, and the non-finite
+        // exponent folded onto the largest finite value.
+        assert_unit_powf_is_identity(f64::from_bits(bits >> 1).min(f64::MAX));
+    }
+
+    #[test]
+    fn prefetched_draws_are_bit_identical_and_rewind_exactly(
+        params in weibull_params(),
+        mean in 1.0..1.0e6f64,
+        seed in any::<u64>(),
+        // Several groups of (draw form, kernel) sequences, from empty
+        // through several maximal refills.
+        groups in proptest::collection::vec(
+            proptest::collection::vec((0usize..5, 0usize..8), 0..70),
+            1..4,
+        ),
+    ) {
+        assert_prefetch_bit_identical(&kernel_menu(params, mean), seed, &groups);
+    }
+
+    /// Groups made only of plain draws: every kernel variant through
+    /// the `e` lane or the raw-word fallback, at every draw count that
+    /// ends a refill exactly (2, 6, 14, 30, 46) and around it.
+    #[test]
+    fn prefetched_plain_draws_rewind_at_every_count(
+        params in weibull_params(),
+        mean in 1.0..1.0e6f64,
+        seed in any::<u64>(),
+        k in 0usize..8,
+        n in 0usize..50,
+    ) {
+        let plain = vec![vec![(0usize, k); n]];
+        assert_prefetch_bit_identical(&kernel_menu(params, mean), seed, &plain);
+    }
+
     #[test]
     fn weibull_blocks_are_bit_identical(
         (g, e, b) in weibull_params(),
