@@ -2,7 +2,7 @@ use super::ddf::{self, SlotCondition};
 use super::{draw, BiasPolicy, BlockCursor, Engine, EngineCounters, EngineSession, SessionTuning};
 use crate::config::{RaidGroupConfig, Redundancy, SparePolicy};
 use crate::events::{DdfEvent, GroupHistory};
-use raidsim_dists::kernel::{DrawSource, Forcing, MathMode, Tilt};
+use raidsim_dists::kernel::{DrawSource, Forcing, MathMode, Tilt, NO_CUT};
 use raidsim_dists::rng::{DrawCursor, SimRng};
 use raidsim_dists::{KernelCache, SampleKernel};
 
@@ -210,6 +210,13 @@ struct DesState {
     /// the data-dependent event-loop draws go through the session's
     /// prefetching cursor instead.
     block_init: bool,
+    /// Horizon cut for the blocked mission-start TTOp draws
+    /// ([`SampleKernel::horizon_cut`] at the mission; [`NO_CUT`] when
+    /// the init site is not blocked). A pending failure beyond the
+    /// mission is only ever compared against event times `≤ mission`
+    /// (as `< t` in the min-scan, as `<= t` in `force_critical`), so it
+    /// may read any other value beyond the mission instead.
+    op_cut: f64,
     /// Kernel evaluation mode for block transforms.
     math_mode: MathMode,
     cursor: BlockCursor,
@@ -244,6 +251,11 @@ impl DesState {
         let ttop = kernels.lower(&dists.ttop);
         let ttld = dists.ttld.as_ref().map(|d| kernels.lower(d));
         let block_init = tuning.block_draws && BlockCursor::eligible(&[Some(&ttop), ttld.as_ref()]);
+        let op_cut = if block_init {
+            ttop.horizon_cut(cfg.mission_hours)
+        } else {
+            NO_CUT
+        };
         Self {
             n: cfg.drives,
             mission: cfg.mission_hours,
@@ -265,6 +277,7 @@ impl DesState {
             ddfs_cap: 0,
             counters: EngineCounters::default(),
             block_init,
+            op_cut,
             math_mode: tuning.math_mode(),
             cursor: BlockCursor::new(),
         }
@@ -407,13 +420,16 @@ impl DesState {
             // uniforms can be filled up front and transformed densely —
             // bit-identical to the scalar loop below by the
             // `BlockCursor` contract, which the block/scalar full-run
-            // equivalence tests enforce.
+            // equivalence tests enforce. TTOp draws past the horizon
+            // cut read `BEYOND_HORIZON`: dead, like the lifetime they
+            // stand for.
             let ld = self.ttld.as_ref().map(|d| (d, self.latent_tilt));
             let has_ld = ld.is_some();
             let (ops, lds) = self.cursor.draw_interleaved(
                 self.n,
                 &self.ttop,
                 self.op_tilt,
+                self.op_cut,
                 ld,
                 self.math_mode,
                 &mut self.history.log_weight,

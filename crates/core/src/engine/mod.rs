@@ -175,27 +175,34 @@ fn tilt_for(theta: f64) -> Option<Tilt> {
 /// change *what* is simulated, only how fast.
 ///
 /// `block_draws` (default **on**) lets sessions draw ahead of demand:
-/// fixed-shape sampling sites are evaluated as whole buffers (see
-/// [`BlockCursor`]), and the discrete-event loop's lazy draws read
-/// through a prefetching, rewindable
-/// [`DrawCursor`](raidsim_dists::rng::DrawCursor). Both are
-/// draw-for-draw bit-identical to the scalar path and leave the
-/// caller's RNG on the same word, so this is purely an A/B lever for
-/// benchmarks; `block_draws: false` is the cursor-free scalar path the
+/// the discrete-event engine's mission-start lifetimes are evaluated as
+/// one buffer (see [`BlockCursor`]), and every other draw of both
+/// engines — the event loop, the timeline engine's renewal chains and
+/// its lazy latent-defect chains — reads through a prefetching,
+/// rewindable [`DrawCursor`](raidsim_dists::rng::DrawCursor). Each
+/// session also computes its TTOp kernel's horizon cut
+/// ([`SampleKernel::horizon_cut`]) for the mission once at open: a
+/// mission-start TTOp draw whose uniform lies beyond the cut still
+/// consumes its word but skips the quantile, since a lifetime beyond
+/// the mission is never observed. All of it is bit-identical in the
+/// results to the scalar path and leaves the caller's RNG on the same
+/// word, so this is purely an A/B lever for benchmarks;
+/// `block_draws: false` is the cursor-free, cut-free scalar path the
 /// equivalence tests use as their oracle.
 ///
-/// `fast_math` (default **off**) additionally switches the block
-/// transforms (not the prefetched event-loop draws, which stay exact)
-/// to [`MathMode::Fast`], permitting float-op-reordering
-/// rewrites with documented tolerance instead of bit-identity. Because
+/// `fast_math` (default **off**) additionally switches the
+/// discrete-event engine's mission-start block transform (not the
+/// prefetched draws, which stay exact) to [`MathMode::Fast`],
+/// permitting float-op-reordering rewrites with documented tolerance
+/// instead of bit-identity. Because
 /// results can differ in the last bits, fast-math runs carry a
 /// perturbed checkpoint fingerprint
 /// ([`crate::checkpoint::tuned_fingerprint`]) so they never resume
 /// into, or merge with, exact runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SessionTuning {
-    /// Evaluate fixed-shape sampling sites in blocks and prefetch the
-    /// discrete-event loop's lazy draws.
+    /// Block-draw the mission-start lifetimes, prefetch every lazy draw,
+    /// and skip the quantile of mission-start draws beyond the horizon.
     pub block_draws: bool,
     /// Allow non-bit-identical algebraic rewrites in block transforms.
     pub fast_math: bool,
@@ -221,7 +228,8 @@ impl SessionTuning {
     }
 }
 
-/// Per-worker scratch for block-drawn sampling sites.
+/// Per-worker scratch for the discrete-event engine's mission-start
+/// draws — its one block-drawn sampling site.
 ///
 /// A sampling site is *block-eligible* when it draws a fixed number of
 /// RNG words per item — each participating kernel reports
@@ -234,18 +242,24 @@ impl SessionTuning {
 /// 2. de-interleaves them into per-kernel lanes,
 /// 3. applies any tilt warps **in scalar element order**, so the
 ///    log-weight accumulates with the identical association, and
-/// 4. runs each kernel's pure dense transform over its lane.
+/// 4. runs each kernel's pure dense transform over its lane, with lane
+///    `a`'s horizon cut ([`SampleKernel::horizon_cut`]) mapping warped
+///    uniforms at or above the cut straight to
+///    [`BEYOND_HORIZON`](raidsim_dists::kernel::BEYOND_HORIZON).
 ///
 /// Steps 3–4 touch no RNG state, so under [`MathMode::Exact`] the
-/// lanes are bit-identical to the scalar interleaved loop and the RNG
+/// lanes are bit-identical to the scalar interleaved loop — except that
+/// a cut element reads `BEYOND_HORIZON` where the scalar loop computes
+/// some lifetime beyond the horizon, which the caller must treat alike — and the RNG
 /// ends at the same position. Buffers are retained across groups, so
 /// the steady-state loop stays allocation-free once warmed up.
 ///
-/// Sites whose word count is data-dependent — the discrete-event
-/// loop's lazy draws — cannot fill a buffer up front; they read through
-/// a prefetching [`DrawCursor`](raidsim_dists::rng::DrawCursor)
-/// instead, which fetches words speculatively and rewinds the RNG to
-/// the consumed position at the end of the group.
+/// Sites whose word count is data-dependent — the event loops of both
+/// engines and the timeline engine's phases — cannot fill a buffer up
+/// front; they read through a prefetching
+/// [`DrawCursor`](raidsim_dists::rng::DrawCursor) instead, which fetches
+/// words speculatively and rewinds the RNG to the consumed position at
+/// the end of the group.
 #[derive(Debug, Default)]
 pub(crate) struct BlockCursor {
     uniforms: Vec<f64>,
@@ -271,8 +285,11 @@ impl BlockCursor {
     /// (when `b` is present) by one draw from `b`, bit-identical to the
     /// scalar loop
     /// `for _ in 0..n { draw(a, tilt_a, ..); draw(b, tilt_b, ..); }`
-    /// under [`MathMode::Exact`]. Returns the two lanes of results
-    /// (`lane_b` is empty when `b` is `None`).
+    /// under [`MathMode::Exact`], except that an `a` draw whose (warped)
+    /// uniform is at or above `cut_a` yields
+    /// [`BEYOND_HORIZON`](raidsim_dists::kernel::BEYOND_HORIZON) — pass
+    /// [`NO_CUT`](raidsim_dists::kernel::NO_CUT) for none. Returns the
+    /// two lanes of results (`lane_b` is empty when `b` is `None`).
     ///
     /// Every participating kernel must satisfy
     /// `words_per_sample() == Some(1)` — check
@@ -285,6 +302,7 @@ impl BlockCursor {
         n: usize,
         a: &SampleKernel,
         tilt_a: Option<Tilt>,
+        cut_a: f64,
         b: Option<(&SampleKernel, Option<Tilt>)>,
         mode: MathMode,
         log_weight: &mut f64,
@@ -324,7 +342,7 @@ impl BlockCursor {
                 }
             }
         }
-        a.samples_from_uniforms(mode, &mut self.lane_a);
+        a.samples_from_uniforms_cut(mode, cut_a, &mut self.lane_a);
         if let Some((kb, _)) = b {
             kb.samples_from_uniforms(mode, &mut self.lane_b);
         }

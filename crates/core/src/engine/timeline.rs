@@ -1,9 +1,9 @@
 use super::ddf::{self, SlotCondition};
-use super::{draw, BiasPolicy, BlockCursor, Engine, EngineCounters, EngineSession, SessionTuning};
+use super::{draw, BiasPolicy, Engine, EngineCounters, EngineSession, SessionTuning};
 use crate::config::{RaidGroupConfig, Redundancy};
 use crate::events::{DdfEvent, GroupHistory};
-use raidsim_dists::kernel::{MathMode, Tilt};
-use raidsim_dists::rng::SimRng;
+use raidsim_dists::kernel::{DrawSource, Tilt, NO_CUT};
+use raidsim_dists::rng::{DrawCursor, SimRng};
 use raidsim_dists::{KernelCache, SampleKernel};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -65,29 +65,29 @@ struct LdChain {
 }
 
 /// Samples the scrub completion for a defect opening at `defect_at`.
-fn schedule_clear(
+fn schedule_clear<R: DrawSource>(
     defect_at: f64,
     ttscrub: Option<&SampleKernel>,
     samples: &mut u64,
-    rng: &mut SimRng,
+    rng: &mut R,
 ) -> f64 {
     match ttscrub {
         Some(d) => {
             *samples += 1;
-            defect_at + d.sample(rng)
+            defect_at + rng.plain(d)
         }
         None => f64::INFINITY,
     }
 }
 
 impl LdChain {
-    fn new(
+    fn new<R: DrawSource>(
         ttld: Option<&SampleKernel>,
         ttscrub: Option<&SampleKernel>,
         tilt: Option<Tilt>,
         samples: &mut u64,
         log_weight: &mut f64,
-        rng: &mut SimRng,
+        rng: &mut R,
     ) -> Self {
         let mut chain = LdChain {
             defect_at: f64::INFINITY,
@@ -107,7 +107,7 @@ impl LdChain {
     /// reports whether a defect is pending at `t`. Defect/scrub counts
     /// are accumulated (up to the mission bound) as intervals retire.
     #[allow(clippy::too_many_arguments)]
-    fn defective_at(
+    fn defective_at<R: DrawSource>(
         &mut self,
         t: f64,
         mission: f64,
@@ -116,7 +116,7 @@ impl LdChain {
         tilt: Option<Tilt>,
         samples: &mut u64,
         log_weight: &mut f64,
-        rng: &mut SimRng,
+        rng: &mut R,
     ) -> bool {
         let Some(ttld) = ttld else {
             return false;
@@ -143,7 +143,7 @@ impl LdChain {
     /// write errors created *during* the reconstruction remain latent
     /// (Section 4.2). Not counted as a scrub.
     #[allow(clippy::too_many_arguments)]
-    fn clear_by_restore(
+    fn clear_by_restore<R: DrawSource>(
         &mut self,
         ddf_time: f64,
         restore: f64,
@@ -153,7 +153,7 @@ impl LdChain {
         tilt: Option<Tilt>,
         samples: &mut u64,
         log_weight: &mut f64,
-        rng: &mut SimRng,
+        rng: &mut R,
     ) {
         let Some(ttld) = ttld else { return };
         if self.defect_at <= ddf_time && restore < self.clear_at {
@@ -170,7 +170,7 @@ impl LdChain {
     /// Counts the remaining defects/scrubs between the chain's current
     /// position and the mission end.
     #[allow(clippy::too_many_arguments)]
-    fn finalize_counts(
+    fn finalize_counts<R: DrawSource>(
         &mut self,
         mission: f64,
         ttld: Option<&SampleKernel>,
@@ -178,7 +178,7 @@ impl LdChain {
         tilt: Option<Tilt>,
         samples: &mut u64,
         log_weight: &mut f64,
-        rng: &mut SimRng,
+        rng: &mut R,
     ) {
         let Some(ttld) = ttld else { return };
         while self.defect_at <= mission {
@@ -198,16 +198,33 @@ impl LdChain {
 
 /// Persistent per-worker session for [`TimelineEngine`].
 ///
-/// Owns the lowered sampling kernels and every phase's scratch buffer
+/// Owns the simulation state ([`TimelineState`]) and, under block
+/// tuning, the prefetching [`DrawCursor`] every draw of the group reads
+/// through. As with the DES engine, the phases in [`TimelineState`] are
+/// the *only* implementation of the semantics, generic over where their
+/// words come from — the stateless [`Engine::simulate_group`] delegates
+/// through a throwaway session, and the scalar tuning runs the same
+/// phases straight off the caller's RNG.
+#[derive(Debug)]
+struct TimelineSession {
+    state: TimelineState,
+    /// `Some` under block tuning: every draw of the group reads through
+    /// this cursor, which [`DrawCursor::finish`] rewinds so the caller's
+    /// RNG ends where the scalar path leaves it. `None` is the
+    /// cursor-free scalar path, kept as the equivalence tests' oracle.
+    prefetch: Option<DrawCursor>,
+}
+
+/// Everything a [`TimelineSession`] owns except its draw cursor, split
+/// out so the phases can borrow both at once.
+///
+/// Holds the lowered sampling kernels and every phase's scratch buffer
 /// (per-slot span vectors, the merged failure list, the k-way merge
 /// heap, latent-defect chains, the pairwise-condition buffer and the
 /// output history). All buffers are cleared-and-refilled per group, so
-/// the steady-state loop performs no heap allocation. As with the DES
-/// engine, this is the *only* implementation of the semantics — the
-/// stateless [`Engine::simulate_group`] delegates through a throwaway
-/// session.
+/// the steady-state loop performs no heap allocation.
 #[derive(Debug)]
-struct TimelineSession {
+struct TimelineState {
     n: usize,
     mission: f64,
     redundancy: Redundancy,
@@ -220,6 +237,12 @@ struct TimelineSession {
     op_tilt: Option<Tilt>,
     /// Importance-sampling tilt on TTLd draws.
     latent_tilt: Option<Tilt>,
+    /// Horizon cut for each slot's first (mission-start) TTOp draw
+    /// ([`SampleKernel::horizon_cut`] at the mission). A first failure
+    /// beyond the mission only ends the slot's chain, so it may read
+    /// `BEYOND_HORIZON`. [`NO_CUT`] under the scalar tuning and for
+    /// tilted TTOp.
+    op_cut: f64,
     timelines: Vec<Vec<DownSpan>>,
     /// Merged `(fail, slot, restore)` events, time-ordered.
     failures: Vec<(f64, usize, f64)>,
@@ -239,12 +262,6 @@ struct TimelineSession {
     failures_cap: usize,
     spans_cap: usize,
     counters: EngineCounters,
-    /// Whether phase 3 may draw its chain seeds in one block (requires
-    /// every participating kernel to consume exactly one RNG word per
-    /// sample, so the block consumes the same words as the scalar loop).
-    block_chains: bool,
-    math_mode: MathMode,
-    cursor: BlockCursor,
 }
 
 impl TimelineSession {
@@ -269,39 +286,63 @@ impl TimelineSession {
         );
         let dists = &cfg.dists;
         let n = cfg.drives;
-        let ttld = dists.ttld.as_ref().map(|d| kernels.lower(d));
-        let ttscrub = dists.ttscrub.as_ref().map(|d| kernels.lower(d));
-        let block_chains =
-            tuning.block_draws && BlockCursor::eligible(&[ttld.as_ref(), ttscrub.as_ref()]);
-        Self {
-            n,
-            mission: cfg.mission_hours,
-            redundancy: cfg.redundancy,
-            ttop: kernels.lower(&dists.ttop),
-            ttr: kernels.lower(&dists.ttr),
-            ttld,
-            ttscrub,
-            op_tilt: bias.op_tilt(),
-            latent_tilt: bias.latent_tilt(),
-            timelines: std::iter::repeat_with(Vec::new).take(n).collect(),
-            failures: Vec::new(),
-            merge_heap: BinaryHeap::with_capacity(n),
-            chains: Vec::with_capacity(n),
-            conditions: Vec::with_capacity(n.saturating_sub(1)),
-            history: GroupHistory::default(),
-            ddfs_cap: 0,
-            failures_cap: 0,
-            spans_cap: 0,
-            counters: EngineCounters::default(),
-            block_chains,
-            math_mode: tuning.math_mode(),
-            cursor: BlockCursor::new(),
+        let ttop = kernels.lower(&dists.ttop);
+        let op_tilt = bias.op_tilt();
+        let op_cut = if tuning.block_draws && op_tilt.is_none() {
+            ttop.horizon_cut(cfg.mission_hours)
+        } else {
+            NO_CUT
+        };
+        TimelineSession {
+            state: TimelineState {
+                n,
+                mission: cfg.mission_hours,
+                redundancy: cfg.redundancy,
+                ttop,
+                ttr: kernels.lower(&dists.ttr),
+                ttld: dists.ttld.as_ref().map(|d| kernels.lower(d)),
+                ttscrub: dists.ttscrub.as_ref().map(|d| kernels.lower(d)),
+                op_tilt,
+                latent_tilt: bias.latent_tilt(),
+                op_cut,
+                timelines: std::iter::repeat_with(Vec::new).take(n).collect(),
+                failures: Vec::new(),
+                merge_heap: BinaryHeap::with_capacity(n),
+                chains: Vec::with_capacity(n),
+                conditions: Vec::with_capacity(n.saturating_sub(1)),
+                history: GroupHistory::default(),
+                ddfs_cap: 0,
+                failures_cap: 0,
+                spans_cap: 0,
+                counters: EngineCounters::default(),
+            },
+            prefetch: tuning.block_draws.then(DrawCursor::new),
         }
     }
 }
 
 impl EngineSession for TimelineSession {
     fn simulate_group(&mut self, rng: &mut SimRng) -> &GroupHistory {
+        let state = &mut self.state;
+        match self.prefetch.as_mut() {
+            Some(cursor) => {
+                cursor.begin(rng);
+                state.run_phases(cursor);
+                cursor.finish(rng);
+            }
+            None => state.run_phases(rng),
+        }
+        &self.state.history
+    }
+
+    fn counters(&self) -> EngineCounters {
+        self.state.counters
+    }
+}
+
+impl TimelineState {
+    /// Simulates one group, drawing every lifetime from `rng`.
+    fn run_phases<R: DrawSource>(&mut self, rng: &mut R) {
         let n = self.n;
         let mission = self.mission;
 
@@ -311,26 +352,30 @@ impl EngineSession for TimelineSession {
 
         // Phase 1 — generate each slot's operational renewal timeline
         // ("The operating and failure times are accumulated until a
-        // specified mission time is exceeded", Section 5).
-        //
-        // This phase stays scalar by design: each slot's chain has a
-        // data-dependent length (draw until the mission is exceeded), so
-        // the number of RNG words it consumes is unknown up front. Any
-        // speculative block pre-fill would consume words that the next
-        // phase of the SAME per-group stream was due to see, breaking
-        // the bit-identity contract (DESIGN.md §18). Only
-        // fixed-word-count sites are blocked.
+        // specified mission time is exceeded", Section 5). Each chain's
+        // length is data-dependent, which is why the phases draw through
+        // a prefetching cursor rather than a pre-filled block.
         for spans in &mut self.timelines {
             spans.clear();
             let mut t = 0.0f64;
+            // Only the draw from t = 0 may be cut: the cut is taken at
+            // the mission, not at the mission minus a later start.
+            let mut cut = self.op_cut;
             loop {
                 self.counters.samples_drawn += 1;
-                let fail = t + draw(&self.ttop, self.op_tilt, &mut self.history.log_weight, rng);
+                let life = match self.op_tilt {
+                    Some(tilt) => self
+                        .ttop
+                        .sample_tilted(tilt, &mut self.history.log_weight, rng),
+                    None => rng.plain_cut(&self.ttop, cut),
+                };
+                let fail = t + life;
                 if fail > mission {
                     break;
                 }
+                cut = NO_CUT;
                 self.counters.samples_drawn += 1;
-                let restore = fail + self.ttr.sample(rng);
+                let restore = fail + rng.plain(&self.ttr);
                 debug_assert!(
                     fail.is_finite() && restore.is_finite(),
                     "timeline spans must be finite, got fail = {fail}, restore = {restore}"
@@ -366,50 +411,17 @@ impl EngineSession for TimelineSession {
             }
         }
 
-        // Phase 3 — lazily-advanced latent-defect chains. Seeding the
-        // chains draws a fixed number of words — n × (ttld[, ttscrub]),
-        // interleaved per slot — so when every kernel consumes exactly
-        // one word per sample the seeds can be drawn as one block. The
-        // scrub draw is never tilted (`schedule_clear` uses the plain
-        // sampler), matching the `None` tilt on lane b. Chain *advances*
-        // inside phase 4 remain scalar: they are lazy and data-dependent.
+        // Phase 3 — seed the lazily-advanced latent-defect chains.
         self.chains.clear();
-        if let (true, Some(ttld)) = (self.block_chains && n > 0, self.ttld.as_ref()) {
-            let scrub = self.ttscrub.as_ref().map(|k| (k, None));
-            let has_scrub = scrub.is_some();
-            let (defects, scrubs) = self.cursor.draw_interleaved(
-                n,
-                ttld,
+        for _ in 0..n {
+            self.chains.push(LdChain::new(
+                self.ttld.as_ref(),
+                self.ttscrub.as_ref(),
                 self.latent_tilt,
-                scrub,
-                self.math_mode,
+                &mut self.counters.samples_drawn,
                 &mut self.history.log_weight,
                 rng,
-            );
-            for i in 0..n {
-                self.counters.samples_drawn += 1 + u64::from(has_scrub);
-                self.chains.push(LdChain {
-                    defect_at: defects[i],
-                    clear_at: if has_scrub {
-                        defects[i] + scrubs[i]
-                    } else {
-                        f64::INFINITY
-                    },
-                    created: 0,
-                    scrubbed: 0,
-                });
-            }
-        } else {
-            for _ in 0..n {
-                self.chains.push(LdChain::new(
-                    self.ttld.as_ref(),
-                    self.ttscrub.as_ref(),
-                    self.latent_tilt,
-                    &mut self.counters.samples_drawn,
-                    &mut self.history.log_weight,
-                    rng,
-                ));
-            }
+            ));
         }
 
         // Phase 4 — the pairwise comparisons of Figure 5.
@@ -515,11 +527,6 @@ impl EngineSession for TimelineSession {
             self.spans_cap = spans_cap;
             self.counters.scratch_grows += 1;
         }
-        &self.history
-    }
-
-    fn counters(&self) -> EngineCounters {
-        self.counters
     }
 }
 
@@ -568,6 +575,7 @@ mod tests {
     use crate::config::{RaidGroupConfig, TransitionDistributions};
     use crate::engine::DesEngine;
     use raidsim_dists::rng::stream;
+    use rand::Rng;
 
     fn run_many(
         engine: &dyn Engine,
@@ -660,6 +668,57 @@ mod tests {
             let reused = session.simulate_group(&mut b);
             assert_eq!(&fresh, reused, "group {i} diverged");
         }
+    }
+
+    #[test]
+    fn prefetched_group_leaves_the_rng_on_the_scalar_word() {
+        // Latent defects off: a group draws one TTOp word per slot plus
+        // a restore and a replacement lifetime per failure, 8 + 2f
+        // words, against refills of 2, 4, 8, 16, 16, … that are used
+        // up after 2, 6, 14, 30, … words. A group without failures ends
+        // mid-refill and one with three failures uses its last refill
+        // up exactly; the base case adds latent-defect chains that span
+        // many refills.
+        let base = RaidGroupConfig::paper_base_case().unwrap();
+        let oponly = RaidGroupConfig {
+            dists: TransitionDistributions::weibull_both().unwrap(),
+            ..base.clone()
+        };
+        let scalar_tuning = SessionTuning {
+            block_draws: false,
+            ..SessionTuning::default()
+        };
+        let (mut no_failures, mut exact_fill, mut mid_block) = (0, 0, 0);
+        for cfg in [&oponly, &base] {
+            let mut prefetched =
+                TimelineSession::new(cfg, BiasPolicy::None, SessionTuning::default());
+            let mut scalar = TimelineSession::new(cfg, BiasPolicy::None, scalar_tuning);
+            for seed in 0..300 {
+                let mut a = stream(seed, 0);
+                let mut b = stream(seed, 0);
+                let history = prefetched.simulate_group(&mut a).clone();
+                assert_eq!(&history, scalar.simulate_group(&mut b));
+                assert_eq!(
+                    a.next_u64(),
+                    b.next_u64(),
+                    "seed {seed}: the rewound RNG is off the scalar path's word"
+                );
+                if history.op_failures == 0 {
+                    no_failures += 1;
+                }
+                match prefetched.prefetch.as_ref().map_or(0, DrawCursor::pending) {
+                    0 => exact_fill += 1,
+                    _ => mid_block += 1,
+                }
+            }
+            // A cut draw still consumes and counts its word.
+            assert_eq!(prefetched.counters(), scalar.counters());
+        }
+        assert!(
+            no_failures > 0 && exact_fill > 0 && mid_block > 0,
+            "endings not all covered: {no_failures} without failures, \
+             {exact_fill} exact fills, {mid_block} mid-block"
+        );
     }
 
     #[test]

@@ -185,10 +185,21 @@ fn merge_refuses_mismatched_shards() {
 
 /// Configurations that reach every kind of event-loop draw site: the
 /// base case plus variable-word and composite kernels, a point-mass
-/// scrub, a finite spare pool, and defect reset on replacement.
+/// scrub, a finite spare pool, and defect reset on replacement. The
+/// horizon cut's edges ride along: a short mission and a TTOp location
+/// just under the mission (almost every mission-start lifetime cut), a
+/// location beyond the mission (every lifetime past it, outside the
+/// cut's domain) and a small-scale TTOp (a cut that never triggers).
 fn equivalence_configs() -> Vec<(&'static str, RaidGroupConfig)> {
     let dists = base().dists;
     let with_dists = |dists: TransitionDistributions| RaidGroupConfig { dists, ..base() };
+    let with_ttop = |gamma: f64, eta: f64| {
+        with_dists(TransitionDistributions {
+            ttop: Arc::new(Weibull3::new(gamma, eta, 1.12).unwrap()),
+            ..dists.clone()
+        })
+    };
+    let mission = base().mission_hours;
     vec![
         ("base", base()),
         (
@@ -251,6 +262,22 @@ fn equivalence_configs() -> Vec<(&'static str, RaidGroupConfig)> {
                 ..base()
             },
         ),
+        (
+            "short mission",
+            RaidGroupConfig {
+                mission_hours: 1_000.0,
+                ..base()
+            },
+        ),
+        (
+            "ttop location near mission",
+            with_ttop(mission - 600.0, 461_386.0),
+        ),
+        (
+            "ttop location beyond mission",
+            with_ttop(mission + 1_000.0, 461_386.0),
+        ),
+        ("small-scale ttop", with_ttop(0.0, 5_000.0)),
     ]
 }
 
@@ -272,8 +299,8 @@ fn default_block_tuning_is_bit_identical_to_scalar_for_both_engines() {
                 window_hours: 48.0,
             },
         ] {
-            // Discrete-event engine (default): blocked init draws, and
-            // every event-loop draw through the prefetching cursor.
+            // Discrete-event engine (default): blocked and cut init
+            // draws, and every event-loop draw through the cursor.
             let des_block = Simulator::new(cfg.clone()).with_bias(bias);
             let des_scalar = Simulator::new(cfg.clone())
                 .with_bias(bias)
@@ -284,8 +311,8 @@ fn default_block_tuning_is_bit_identical_to_scalar_for_both_engines() {
                 "DES block path diverged from scalar for {name} under {bias:?}"
             );
 
-            // Pairwise-timeline engine: blocked phase-3 chain seeds.
-            // Forcing is DES-only.
+            // Pairwise-timeline engine: every draw through the cursor,
+            // first phase-1 TTOp draws cut. Forcing is DES-only.
             if matches!(bias, BiasPolicy::ForcedCritical { .. }) {
                 continue;
             }

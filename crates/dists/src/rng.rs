@@ -168,6 +168,15 @@ impl DrawCursor {
         self.exps[i]
     }
 
+    /// Consumes the next word and returns its `e` lane value, or `None`
+    /// when the word's uniform is at or above `cut` — the horizon-cut
+    /// test of [`crate::SampleKernel::sample_prefetched_cut`].
+    #[inline]
+    pub fn next_exp_below(&mut self, cut: f64) -> Option<f64> {
+        let i = self.advance();
+        (crate::unit_f64(self.words[i]) < cut).then_some(self.exps[i])
+    }
+
     /// Consumes one buffered word, refilling first when none is left,
     /// and returns its index.
     #[inline]
