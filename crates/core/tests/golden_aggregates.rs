@@ -21,8 +21,10 @@
 
 use raidsim_core::checkpoint::{DriverState, SimCheckpoint, FORMAT_VERSION};
 use raidsim_core::config::{RaidGroupConfig, Redundancy, SparePolicy, TransitionDistributions};
-use raidsim_core::engine::TimelineEngine;
+use raidsim_core::engine::{BiasPolicy, DesEngine, Engine, SessionTuning, TimelineEngine};
+use raidsim_core::events::GroupHistory;
 use raidsim_core::run::Simulator;
+use raidsim_dists::rng::stream;
 use raidsim_dists::{
     CompetingRisks, Degenerate, Exponential, LifeDistribution, Lognormal, Mixture, Weibull3,
 };
@@ -198,4 +200,145 @@ fn precision_run_matches_pre_pool_golden_values() {
          confidence: 0.95, groups: 400, converged: false, criterion: GroupCap, \
          quarantined: 0 }",
     );
+}
+
+/// Folds `bytes` into an FNV-1a 64 state.
+fn fnv1a(hash: &mut u64, bytes: &[u8]) {
+    for &b in bytes {
+        *hash ^= u64::from(b);
+        *hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+}
+
+/// Hashes every field of a group history — DDF times and kinds, the
+/// event counts, and the downtime and log-weight bit patterns.
+fn hash_history(hash: &mut u64, h: &GroupHistory) {
+    fnv1a(hash, &(h.ddfs.len() as u64).to_le_bytes());
+    for e in &h.ddfs {
+        fnv1a(hash, &e.time.to_bits().to_le_bytes());
+        fnv1a(hash, &[e.kind as u8]);
+    }
+    for count in [
+        h.op_failures,
+        h.latent_defects,
+        h.scrubs_completed,
+        h.restores_completed,
+        h.downtime_hours.to_bits(),
+        h.log_weight.to_bits(),
+    ] {
+        fnv1a(hash, &count.to_le_bytes());
+    }
+}
+
+/// Lifetime configurations whose operational and latent events tie
+/// exactly — within a slot and across slots — so any change to the
+/// order the discrete-event loop processes simultaneous events shows
+/// up in the histories.
+fn tie_configs() -> Vec<(&'static str, TransitionDistributions)> {
+    let deg = |h: f64| -> Arc<dyn LifeDistribution> { Arc::new(Degenerate::new(h).unwrap()) };
+    let mix = || -> Arc<dyn LifeDistribution> {
+        let exp: Arc<dyn LifeDistribution> = Arc::new(Weibull3::new(0.0, 800.0, 1.0).unwrap());
+        Arc::new(Mixture::new(vec![(0.5, deg(500.0)), (0.5, exp)]).unwrap())
+    };
+    let scripted = |ttr| TransitionDistributions {
+        ttop: deg(1_000.0),
+        ttr,
+        ttld: Some(deg(500.0)),
+        ttscrub: Some(deg(500.0)),
+    };
+    let mixed = |ttr| TransitionDistributions {
+        ttop: mix(),
+        ttr,
+        ttld: Some(mix()),
+        ttscrub: Some(mix()),
+    };
+    vec![
+        ("degenerate, short restore", scripted(deg(10.0))),
+        ("degenerate, restore ties scrub", scripted(deg(500.0))),
+        ("atom mixtures, short restore", mixed(deg(10.0))),
+        ("atom mixtures, mixture restore", mixed(mix())),
+    ]
+}
+
+/// Pins the discrete-event engine's processing order for simultaneous
+/// events. Captured before the event loop split latent-only stretches
+/// into an inner loop, so it proves the two-level loop kept the
+/// single-scan `(time, slot, operational-before-latent)` order — the
+/// block-vs-scalar equivalence tests cannot, as both tunings run the
+/// same loop.
+#[test]
+fn des_tie_order_matches_single_scan_golden_values() {
+    let biases = [
+        BiasPolicy::None,
+        BiasPolicy::HazardTilt {
+            op_theta: 0.5,
+            latent_theta: 0.3,
+        },
+        BiasPolicy::ForcedCritical {
+            fraction: 0.3,
+            window_hours: 48.0,
+        },
+    ];
+    let tunings = [
+        SessionTuning::default(),
+        SessionTuning {
+            block_draws: false,
+            ..SessionTuning::default()
+        },
+    ];
+    let spares = [
+        SparePolicy::AlwaysAvailable,
+        SparePolicy::Finite {
+            pool: 1,
+            replenish_hours: 700.0,
+        },
+    ];
+    let expected = [
+        0x7b14_da8f_ae08_e511u64,
+        0x019b_5188_1297_3d61,
+        0xf4c8_dfe5_d471_b367,
+        0xdc5e_4357_f7f7_803f,
+    ];
+    let engine = DesEngine::new();
+    for ((label, dists), expected) in tie_configs().into_iter().zip(expected) {
+        let mut hash = 0xcbf2_9ce4_8422_2325u64;
+        for defect_reset_on_replacement in [false, true] {
+            for spares in spares {
+                let cfg = RaidGroupConfig {
+                    mission_hours: 20_000.0,
+                    dists: dists.clone(),
+                    defect_reset_on_replacement,
+                    spares,
+                    ..base()
+                };
+                cfg.validate().unwrap();
+                for bias in biases {
+                    for tuning in tunings {
+                        let mut session = engine.session_tuned(&cfg, bias, tuning);
+                        for g in 0..12 {
+                            hash_history(&mut hash, session.simulate_group(&mut stream(2007, g)));
+                        }
+                        let c = session.counters();
+                        for count in [
+                            c.groups,
+                            c.samples_drawn,
+                            c.events,
+                            c.loop_allocs,
+                            c.scratch_grows,
+                        ] {
+                            fnv1a(&mut hash, &count.to_le_bytes());
+                        }
+                    }
+                }
+            }
+        }
+        if std::env::var("GOLDEN_CAPTURE").is_ok() {
+            eprintln!("{label}: {hash:#018x}");
+            continue;
+        }
+        assert_eq!(
+            hash, expected,
+            "{label}: tie-order fingerprint {hash:#018x}, golden {expected:#018x}"
+        );
+    }
 }
