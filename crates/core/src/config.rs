@@ -295,8 +295,8 @@ impl RaidGroupConfig {
     /// # Errors
     ///
     /// Returns [`CoreError::InvalidConfig`] if the group has fewer than
-    /// 2 drives, fewer drives than the redundancy level supports, or a
-    /// non-positive mission.
+    /// 2 drives, fewer drives than the redundancy level supports, a
+    /// non-positive mission, or a renewal cycle of zero length.
     pub fn validate(&self) -> Result<(), CoreError> {
         if self.drives < 2 {
             return Err(CoreError::InvalidConfig {
@@ -325,6 +325,24 @@ impl RaidGroupConfig {
                 field: "dists.ttscrub",
                 reason: "scrub distribution given but latent defects disabled".into(),
             });
+        }
+        // Lifetimes are non-negative, so a zero mean is zero almost
+        // surely: a fail/restore (or defect/scrub) cycle of zero length
+        // would fire forever at one instant and the run would never end.
+        // A partial atom at zero still renews in positive time.
+        if self.dists.ttop.mean() + self.dists.ttr.mean() == 0.0 {
+            return Err(CoreError::InvalidConfig {
+                field: "dists.ttop",
+                reason: "failure and restore times are both zero".into(),
+            });
+        }
+        if let (Some(ttld), Some(ttscrub)) = (&self.dists.ttld, &self.dists.ttscrub) {
+            if ttld.mean() + ttscrub.mean() == 0.0 {
+                return Err(CoreError::InvalidConfig {
+                    field: "dists.ttld",
+                    reason: "defect and scrub times are both zero".into(),
+                });
+            }
         }
         if let SparePolicy::Finite {
             pool,
@@ -358,6 +376,9 @@ impl RaidGroupConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::{DesEngine, Engine, TimelineEngine};
+    use raidsim_dists::rng::stream;
+    use raidsim_dists::{Degenerate, Mixture};
 
     #[test]
     fn base_case_matches_table2() {
@@ -416,6 +437,62 @@ mod tests {
                 ..
             })
         ));
+    }
+
+    #[test]
+    fn validation_rejects_zero_length_renewal_cycles() {
+        let zero = || -> Arc<dyn LifeDistribution> { Arc::new(Degenerate::new(0.0).unwrap()) };
+        let base = RaidGroupConfig::paper_base_case().unwrap();
+
+        let mut cfg = base.clone();
+        cfg.dists.ttop = zero();
+        cfg.dists.ttr = zero();
+        assert!(matches!(
+            cfg.validate(),
+            Err(CoreError::InvalidConfig {
+                field: "dists.ttop",
+                ..
+            })
+        ));
+
+        let mut cfg = base.clone();
+        cfg.dists.ttld = Some(zero());
+        cfg.dists.ttscrub = Some(zero());
+        assert!(matches!(
+            cfg.validate(),
+            Err(CoreError::InvalidConfig {
+                field: "dists.ttld",
+                ..
+            })
+        ));
+
+        // Half the cycles still take positive time, so the run ends
+        // almost surely.
+        let atom = || -> Arc<dyn LifeDistribution> {
+            let exp: Arc<dyn LifeDistribution> = Arc::new(Exponential::from_mean(50.0).unwrap());
+            Arc::new(Mixture::new(vec![(0.5, zero()), (0.5, exp)]).unwrap())
+        };
+        let mut cfg = base.clone();
+        cfg.mission_hours = 2_000.0;
+        cfg.dists.ttop = atom();
+        cfg.dists.ttr = zero();
+        cfg.dists.ttld = Some(atom());
+        cfg.dists.ttscrub = Some(atom());
+        cfg.validate().unwrap();
+        let engines: [&dyn Engine; 2] = [&DesEngine::new(), &TimelineEngine::new()];
+        for engine in engines {
+            for g in 0..4 {
+                engine
+                    .simulate_group(&cfg, &mut stream(3, g))
+                    .assert_invariants(cfg.mission_hours);
+            }
+        }
+
+        // Zero-length defects that are never scrubbed stay open.
+        let mut cfg = base;
+        cfg.dists.ttld = Some(zero());
+        cfg.dists.ttscrub = None;
+        cfg.validate().unwrap();
     }
 
     #[test]

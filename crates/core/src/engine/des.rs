@@ -99,9 +99,12 @@ impl SparePool {
 ///
 /// Every slot carries two tiny state machines — the operational
 /// (up/down) and latent-defect (clean/defective) renewal processes —
-/// each exposing the time of its next event. The main loop repeatedly
-/// processes the globally earliest event until every next event lies
-/// beyond the mission.
+/// each exposing the time of its next event. Events fire in
+/// `(time, slot, operational-before-latent)` order until every next
+/// event lies beyond the mission. The loop is two-level: each outer
+/// iteration finds the earliest operational event, and an inner loop
+/// first fires every latent event that precedes it, scanning the latent
+/// clocks alone (see `DesState::run_events`).
 ///
 /// Sampling is lazy: a slot's next time-to-failure is drawn only when
 /// the previous period ends, exactly mirroring the sequential sampling
@@ -213,9 +216,11 @@ struct DesState {
     /// Horizon cut for the blocked mission-start TTOp draws
     /// ([`SampleKernel::horizon_cut`] at the mission; [`NO_CUT`] when
     /// the init site is not blocked). A pending failure beyond the
-    /// mission is only ever compared against event times `≤ mission`
-    /// (as `< t` in the min-scan, as `<= t` in `force_critical`), so it
-    /// may read any other value beyond the mission instead.
+    /// mission either loses to an event time `≤ mission` (in the
+    /// operational scan, as the latent stretch's bound, and as `<= t`
+    /// in `force_critical`) or is met only once every pending event
+    /// lies beyond the mission and the group ends, so it may read any
+    /// other value beyond the mission instead.
     op_cut: f64,
     /// Kernel evaluation mode for block transforms.
     math_mode: MathMode,
@@ -475,6 +480,16 @@ impl DesState {
 
     /// Runs the event loop to the end of the mission, drawing every
     /// lazy lifetime from `rng`.
+    ///
+    /// Events fire in `(time, slot, operational-before-latent)` order.
+    /// The loop is two-level because latent events (defect creations
+    /// and scrub completions) outnumber operational ones ~60:1 in the
+    /// paper's base case and never move an operational clock: each
+    /// outer iteration scans `next_op` once for the earliest
+    /// operational event, then an inner loop fires every latent event
+    /// that precedes it, scanning `next_ld` alone. A forced redraw
+    /// after a defect creation rewrites `next_op`, so it restarts the
+    /// outer scan.
     fn run_events<R: DrawSource>(&mut self, rng: &mut R) {
         let mission = self.mission;
         let ld_enabled = self.ttld.is_some();
@@ -483,21 +498,30 @@ impl DesState {
         // Forced-redraw budget for this group (see `force_critical`).
         let mut force_budget = self.force_budget_full;
 
-        loop {
-            // Find the earliest pending event.
-            let mut t = f64::INFINITY;
-            let mut idx = 0;
-            let mut is_op = true;
-            for (i, s) in self.slots.iter().enumerate() {
-                if s.next_op < t {
-                    t = s.next_op;
-                    idx = i;
-                    is_op = true;
-                }
-                if s.next_ld < t {
-                    t = s.next_ld;
-                    idx = i;
-                    is_op = false;
+        'group: loop {
+            let (t, idx) = earliest(&self.slots, |s| s.next_op);
+            // The latent-only stretch before operational event `(t,
+            // idx)`. A latent event at the same time precedes it only
+            // from an earlier slot: the single scan over both clocks
+            // visits slot by slot, operational before latent.
+            if ld_enabled {
+                loop {
+                    let (t_ld, j) = earliest(&self.slots, |s| s.next_ld);
+                    if !(t_ld < t || (t_ld == t && j < idx)) {
+                        break;
+                    }
+                    if t_ld > mission {
+                        break 'group;
+                    }
+                    debug_assert!(t_ld.is_finite(), "event time must be finite, got {t_ld}");
+                    self.counters.events += 1;
+                    if self.latent_event(t_ld, j, rng) && self.force.is_some() {
+                        // The exposure may have put the group on the
+                        // critical boundary; a forced redraw moves the
+                        // operational clocks, so rescan them.
+                        self.force_critical(t_ld, ddf_block_until, &mut force_budget, rng);
+                        continue 'group;
+                    }
                 }
             }
             if t > mission {
@@ -506,131 +530,103 @@ impl DesState {
             debug_assert!(t.is_finite(), "event time must be finite, got {t}");
             self.counters.events += 1;
 
-            if is_op {
-                if self.slots[idx].up {
-                    // Operational failure. Reconstruction starts when a
-                    // spare is on hand ("the delay time to physically
-                    // incorporate the spare HDD", Section 4.2).
-                    self.history.op_failures += 1;
-                    let start = match self.spares.as_mut() {
-                        Some(pool) => pool.acquire(t),
-                        None => t,
-                    };
-                    self.counters.samples_drawn += 1;
-                    let restore_at = start + rng.plain(&self.ttr);
-                    debug_assert!(
-                        restore_at.is_finite(),
-                        "restore time must be finite, got {restore_at}"
-                    );
-                    // Drive-hours down within the mission window.
-                    self.history.downtime_hours += restore_at.min(mission) - t;
+            if self.slots[idx].up {
+                // Operational failure. Reconstruction starts when a
+                // spare is on hand ("the delay time to physically
+                // incorporate the spare HDD", Section 4.2).
+                self.history.op_failures += 1;
+                let start = match self.spares.as_mut() {
+                    Some(pool) => pool.acquire(t),
+                    None => t,
+                };
+                self.counters.samples_drawn += 1;
+                let restore_at = start + rng.plain(&self.ttr);
+                debug_assert!(
+                    restore_at.is_finite(),
+                    "restore time must be finite, got {restore_at}"
+                );
+                // Drive-hours down within the mission window.
+                self.history.downtime_hours += restore_at.min(mission) - t;
 
-                    // Evaluate the DDF rules against the rest of the
-                    // group (rule 5: only outside the blocking window).
-                    if t >= ddf_block_until {
-                        let others = self
-                            .slots
-                            .iter()
-                            .enumerate()
-                            .filter(|(j, _)| *j != idx)
-                            .map(|(_, s)| {
-                                if !s.up {
-                                    SlotCondition::Down
-                                } else if s.defective {
-                                    SlotCondition::Defective
-                                } else {
-                                    SlotCondition::Clean
-                                }
-                            });
-                        let verdict = ddf::check(others, self.redundancy);
-                        if let Some(kind) = verdict.ddf {
-                            self.history.ddfs.push(DdfEvent { time: t, kind });
-                            ddf_block_until = restore_at;
-                            // Defective participants are rebuilt along
-                            // with the failed drive ("the TTR for the
-                            // failure is the same as the concomitant
-                            // operational failure time", Section 5):
-                            // their defect clears at this restoration.
-                            for (j, s) in self.slots.iter_mut().enumerate() {
-                                if j != idx && s.up && s.defective {
-                                    s.next_ld = restore_at;
-                                    s.clear_is_restore = true;
-                                }
+                // Evaluate the DDF rules against the rest of the
+                // group (rule 5: only outside the blocking window).
+                if t >= ddf_block_until {
+                    let others = self
+                        .slots
+                        .iter()
+                        .enumerate()
+                        .filter(|(j, _)| *j != idx)
+                        .map(|(_, s)| {
+                            if !s.up {
+                                SlotCondition::Down
+                            } else if s.defective {
+                                SlotCondition::Defective
+                            } else {
+                                SlotCondition::Clean
+                            }
+                        });
+                    let verdict = ddf::check(others, self.redundancy);
+                    if let Some(kind) = verdict.ddf {
+                        self.history.ddfs.push(DdfEvent { time: t, kind });
+                        ddf_block_until = restore_at;
+                        // Defective participants are rebuilt along
+                        // with the failed drive ("the TTR for the
+                        // failure is the same as the concomitant
+                        // operational failure time", Section 5):
+                        // their defect clears at this restoration.
+                        for (j, s) in self.slots.iter_mut().enumerate() {
+                            if j != idx && s.up && s.defective {
+                                s.next_ld = restore_at;
+                                s.clear_is_restore = true;
                             }
                         }
                     }
+                }
 
-                    // The failed drive goes down. Its own defect (if
-                    // any) dies with it; the drive counts as Down, not
-                    // Defective, until restored (rule 6).
-                    let defect_reset = self.defect_reset;
-                    let s = &mut self.slots[idx];
-                    s.up = false;
-                    s.next_op = restore_at;
-                    if s.defective {
-                        s.defective = false;
-                        // The pending scrub completion is moot.
-                        s.next_ld = if defect_reset {
-                            f64::INFINITY // re-armed at restore below
-                        } else {
-                            match &self.ttld {
-                                Some(d) => {
-                                    self.counters.samples_drawn += 1;
-                                    restore_at
-                                        + draw(
-                                            d,
-                                            self.latent_tilt,
-                                            &mut self.history.log_weight,
-                                            rng,
-                                        )
-                                }
-                                None => f64::INFINITY,
-                            }
-                        };
-                        s.clear_is_restore = false;
-                    } else if defect_reset && ld_enabled {
-                        // Freeze the pending defect-creation clock; a
-                        // fresh drive gets a fresh clock at restore.
-                        s.next_ld = f64::INFINITY;
-                    }
-                    // The failure may have put the group on the
-                    // critical boundary.
-                    self.force_critical(t, ddf_block_until, &mut force_budget, rng);
-                } else {
-                    // Restore completion: new drive, fresh clocks.
-                    self.history.restores_completed += 1;
-                    self.counters.samples_drawn += 1;
-                    let next_op =
-                        t + draw(&self.ttop, self.op_tilt, &mut self.history.log_weight, rng);
-                    let defect_reset = self.defect_reset;
-                    let s = &mut self.slots[idx];
-                    s.up = true;
-                    s.born_at = t;
-                    s.forced_at = f64::NEG_INFINITY;
-                    s.next_op = next_op;
-                    if defect_reset && ld_enabled {
-                        s.defective = false;
-                        s.next_ld = match &self.ttld {
+                // The failed drive goes down. Its own defect (if
+                // any) dies with it; the drive counts as Down, not
+                // Defective, until restored (rule 6).
+                let defect_reset = self.defect_reset;
+                let s = &mut self.slots[idx];
+                s.up = false;
+                s.next_op = restore_at;
+                if s.defective {
+                    s.defective = false;
+                    // The pending scrub completion is moot.
+                    s.next_ld = if defect_reset {
+                        f64::INFINITY // re-armed at restore below
+                    } else {
+                        match &self.ttld {
                             Some(d) => {
                                 self.counters.samples_drawn += 1;
-                                t + draw(d, self.latent_tilt, &mut self.history.log_weight, rng)
+                                restore_at
+                                    + draw(d, self.latent_tilt, &mut self.history.log_weight, rng)
                             }
                             None => f64::INFINITY,
-                        };
-                        s.clear_is_restore = false;
-                    }
+                        }
+                    };
+                    s.clear_is_restore = false;
+                } else if defect_reset && ld_enabled {
+                    // Freeze the pending defect-creation clock; a
+                    // fresh drive gets a fresh clock at restore.
+                    s.next_ld = f64::INFINITY;
                 }
+                // The failure may have put the group on the
+                // critical boundary.
+                self.force_critical(t, ddf_block_until, &mut force_budget, rng);
             } else {
+                // Restore completion: new drive, fresh clocks.
+                self.history.restores_completed += 1;
+                self.counters.samples_drawn += 1;
+                let next_op = t + draw(&self.ttop, self.op_tilt, &mut self.history.log_weight, rng);
+                let defect_reset = self.defect_reset;
                 let s = &mut self.slots[idx];
-                if s.defective {
-                    // Defect corrected (by scrub, or by a DDF-triggered
-                    // restoration).
+                s.up = true;
+                s.born_at = t;
+                s.forced_at = f64::NEG_INFINITY;
+                s.next_op = next_op;
+                if defect_reset && ld_enabled {
                     s.defective = false;
-                    if s.clear_is_restore {
-                        s.clear_is_restore = false;
-                    } else {
-                        self.history.scrubs_completed += 1;
-                    }
                     s.next_ld = match &self.ttld {
                         Some(d) => {
                             self.counters.samples_drawn += 1;
@@ -638,20 +634,7 @@ impl DesState {
                         }
                         None => f64::INFINITY,
                     };
-                } else {
-                    // Latent defect created.
-                    self.history.latent_defects += 1;
-                    s.defective = true;
-                    s.next_ld = match &self.ttscrub {
-                        Some(d) => {
-                            self.counters.samples_drawn += 1;
-                            t + rng.plain(d)
-                        }
-                        None => f64::INFINITY, // never scrubbed
-                    };
-                    // The exposure may have put the group on the
-                    // critical boundary.
-                    self.force_critical(t, ddf_block_until, &mut force_budget, rng);
+                    s.clear_is_restore = false;
                 }
             }
         }
@@ -662,6 +645,59 @@ impl DesState {
             self.counters.scratch_grows += 1;
         }
     }
+
+    /// Fires slot `j`'s latent event at time `t`: a scrub (or
+    /// DDF-triggered restoration) clears its defect and redraws TTLd,
+    /// or a defect appears and draws its TTScrub. Returns `true` for a
+    /// defect creation — the exposure that may need forcing.
+    fn latent_event<R: DrawSource>(&mut self, t: f64, j: usize, rng: &mut R) -> bool {
+        let s = &mut self.slots[j];
+        if s.defective {
+            // Defect corrected (by scrub, or by a DDF-triggered
+            // restoration).
+            s.defective = false;
+            if s.clear_is_restore {
+                s.clear_is_restore = false;
+            } else {
+                self.history.scrubs_completed += 1;
+            }
+            s.next_ld = match &self.ttld {
+                Some(d) => {
+                    self.counters.samples_drawn += 1;
+                    t + draw(d, self.latent_tilt, &mut self.history.log_weight, rng)
+                }
+                None => f64::INFINITY,
+            };
+            false
+        } else {
+            // Latent defect created.
+            self.history.latent_defects += 1;
+            s.defective = true;
+            s.next_ld = match &self.ttscrub {
+                Some(d) => {
+                    self.counters.samples_drawn += 1;
+                    t + rng.plain(d)
+                }
+                None => f64::INFINITY, // never scrubbed
+            };
+            true
+        }
+    }
+}
+
+/// The earliest `clock` over `slots` and its slot index, the first
+/// slot winning ties; `(INFINITY, 0)` when every clock is infinite.
+#[inline(always)]
+fn earliest(slots: &[Slot], clock: impl Fn(&Slot) -> f64) -> (f64, usize) {
+    let mut t = f64::INFINITY;
+    let mut idx = 0;
+    for (i, s) in slots.iter().enumerate() {
+        if clock(s) < t {
+            t = clock(s);
+            idx = i;
+        }
+    }
+    (t, idx)
 }
 
 impl Engine for DesEngine {
