@@ -72,6 +72,35 @@ const WEIGHT_TICKS_PER_UNIT: f64 = 4_294_967_296.0;
 /// `WEIGHT_TICKS_PER_UNIT` as the exact integer 2³².
 const WEIGHT_TICKS: u128 = 1 << 32;
 
+/// A group's importance weight `exp(log_weight)` quantized to 2⁻³²
+/// ticks, once per group (module docs): every weighted sum then
+/// accumulates an exact integer.
+///
+/// A zero log-weight — every group of an unbiased run — skips the
+/// `exp` call: `exp(±0)` is exactly 1, which quantizes to exactly 2³²
+/// ticks, so the result is the one [`exp_weight_ticks`] gives.
+#[inline]
+fn weight_ticks(log_weight: f64) -> u128 {
+    if log_weight == 0.0 {
+        return WEIGHT_TICKS;
+    }
+    exp_weight_ticks(log_weight)
+}
+
+/// [`weight_ticks`] through `exp` for every log-weight.
+fn exp_weight_ticks(log_weight: f64) -> u128 {
+    assert!(
+        log_weight.is_finite(),
+        "group log-weight must be finite, got {log_weight}"
+    );
+    let w_units = log_weight.exp() * WEIGHT_TICKS_PER_UNIT;
+    assert!(
+        w_units < u64::MAX as f64,
+        "group weight exp({log_weight}) overflows the 2⁻³² fixed-point range"
+    );
+    u128::from(w_units.round() as u64)
+}
+
 /// Adds with overflow detection: a weighted accumulator that wraps
 /// would silently corrupt every downstream estimate, so it aborts the
 /// run instead (checkpoints preserve the work up to the last batch).
@@ -329,25 +358,16 @@ impl StreamStats {
 
     /// Folds one group history into the aggregate.
     pub fn push(&mut self, h: &GroupHistory) {
+        self.push_with_weight(h, weight_ticks(h.log_weight));
+    }
+
+    /// [`StreamStats::push`] with the group's weight already quantized
+    /// to `w` ticks.
+    fn push_with_weight(&mut self, h: &GroupHistory, w: u128) {
         self.groups += 1;
         let d = h.ddf_count() as u64;
         self.ddf_sum += d;
         self.ddf_sum_sq += u128::from(d) * u128::from(d);
-        // Quantize the group's importance weight once (module docs);
-        // every weighted sum then accumulates an exact integer, and
-        // unit weights quantize to exactly 2³² ticks.
-        assert!(
-            h.log_weight.is_finite(),
-            "group log-weight must be finite, got {}",
-            h.log_weight
-        );
-        let w_units = h.log_weight.exp() * WEIGHT_TICKS_PER_UNIT;
-        assert!(
-            w_units < u64::MAX as f64,
-            "group weight exp({}) overflows the 2⁻³² fixed-point range",
-            h.log_weight
-        );
-        let w = u128::from(w_units.round() as u64);
         checked_acc(&mut self.weight_ticks, w, "weight");
         checked_acc(&mut self.weight_sq_ticks, w * w, "squared-weight");
         let wd = w * u128::from(d);
@@ -1179,6 +1199,24 @@ mod tests {
             s.weighted_mean_square_ddfs(),
             s.ddf_sum_sq as f64 / s.groups() as f64
         );
+    }
+
+    #[test]
+    fn unit_weight_fast_path_encodes_like_the_exp_path() {
+        let log_weights = [0.0, -0.0, 0.0, -0.7, 0.4, 0.0, 1e-300, -1.3, -0.0];
+        let mut fast = StreamStats::with_bins(1_000.0, 16);
+        let mut via_exp = StreamStats::with_bins(1_000.0, 16);
+        for (i, &lw) in log_weights.iter().enumerate() {
+            let h = weighted(&[i as f64 * 90.0 + 5.0, 950.0][..i % 3], lw);
+            fast.push(&h);
+            via_exp.push_with_weight(&h, exp_weight_ticks(lw));
+        }
+        assert_eq!(weight_ticks(0.0), exp_weight_ticks(0.0));
+        assert_eq!(weight_ticks(-0.0), exp_weight_ticks(-0.0));
+        let (mut a, mut b) = (Vec::new(), Vec::new());
+        fast.encode_into(&mut a);
+        via_exp.encode_into(&mut b);
+        assert_eq!(a, b);
     }
 
     #[test]

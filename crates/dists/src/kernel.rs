@@ -56,7 +56,7 @@
 //! | anything else | [`SampleKernel::Boxed`] | full fallback to the `dyn` methods (e.g. future empirical resampling distributions — [`crate::empirical`] currently defines estimators, not `LifeDistribution`s) |
 
 use crate::rng::{DrawCursor, SimRng};
-use crate::{rng_f64, DistError, LifeDistribution};
+use crate::{rng_f64, special::ln_1p, DistError, LifeDistribution};
 use rand::Rng;
 use std::sync::Arc;
 
@@ -118,7 +118,7 @@ impl Tilt {
     /// `v ∈ [0, 1)`, returning `(v, log-likelihood-ratio)` where the
     /// second component is `ln(f(v)/g(v))` for this single draw.
     pub fn warp(&self, u: f64) -> (f64, f64) {
-        let v = -(-u * self.scale).ln_1p() / self.theta;
+        let v = -ln_1p(-u * self.scale) / self.theta;
         (v, self.theta * v + self.log_norm)
     }
 }
@@ -389,7 +389,7 @@ impl SampleKernel {
 
     /// Draws one lifetime; bit-identical to
     /// [`LifeDistribution::sample`] on the source distribution.
-    pub fn sample(&self, rng: &mut dyn Rng) -> f64 {
+    pub fn sample<R: Rng>(&self, rng: &mut R) -> f64 {
         match self {
             SampleKernel::Weibull3 {
                 gamma,
@@ -465,7 +465,7 @@ impl SampleKernel {
     /// variant ignores the cut ([`SampleKernel::horizon_cut`] only ever
     /// cuts `Weibull3`). With [`NO_CUT`] this is exactly `sample`.
     #[inline]
-    pub fn sample_cut(&self, cut: f64, rng: &mut dyn Rng) -> f64 {
+    pub fn sample_cut<R: Rng>(&self, cut: f64, rng: &mut R) -> f64 {
         match self {
             SampleKernel::Weibull3 {
                 gamma,
@@ -563,7 +563,7 @@ impl SampleKernel {
             }
         }
         let cut = hi as f64 * step;
-        let e = -(-cut).ln_1p();
+        let e = -ln_1p(-cut);
         let power = powf_mode(e, inv_beta, MathMode::Exact);
         if e < f64::MIN_POSITIVE || power < f64::MIN_POSITIVE || eta * power < f64::MIN_POSITIVE {
             return NO_CUT;
@@ -574,7 +574,7 @@ impl SampleKernel {
     /// Draws a residual lifetime conditional on survival to `t0`;
     /// bit-identical to [`LifeDistribution::sample_conditional`] on the
     /// source distribution.
-    pub fn sample_conditional(&self, t0: f64, rng: &mut dyn Rng) -> f64 {
+    pub fn sample_conditional<R: Rng>(&self, t0: f64, rng: &mut R) -> f64 {
         match self {
             SampleKernel::Weibull3 {
                 gamma,
@@ -638,7 +638,7 @@ impl SampleKernel {
     ///   product over mechanisms;
     /// * `Boxed` falls back to the untilted `dyn` path with ratio 1 —
     ///   unknown families stay correct, just un-accelerated.
-    pub fn sample_tilted(&self, tilt: Tilt, log_weight: &mut f64, rng: &mut dyn Rng) -> f64 {
+    pub fn sample_tilted<R: Rng>(&self, tilt: Tilt, log_weight: &mut f64, rng: &mut R) -> f64 {
         match self {
             SampleKernel::Weibull3 {
                 gamma,
@@ -693,12 +693,12 @@ impl SampleKernel {
     /// identical density ratio as [`Tilt::warp`]. Composite and boxed
     /// kernels fall back to the untilted `dyn` conditional (ratio 1),
     /// mirroring [`SampleKernel::sample_conditional`].
-    pub fn sample_conditional_tilted(
+    pub fn sample_conditional_tilted<R: Rng>(
         &self,
         t0: f64,
         tilt: Tilt,
         log_weight: &mut f64,
-        rng: &mut dyn Rng,
+        rng: &mut R,
     ) -> f64 {
         match self {
             SampleKernel::Weibull3 {
@@ -753,13 +753,13 @@ impl SampleKernel {
     /// composite and boxed kernels fall back to the untilted `dyn`
     /// conditional with ratio 1, mirroring
     /// [`SampleKernel::sample_conditional_tilted`].
-    pub fn sample_conditional_forced(
+    pub fn sample_conditional_forced<R: Rng>(
         &self,
         t0: f64,
         window: f64,
         forcing: Forcing,
         log_weight: &mut f64,
-        rng: &mut dyn Rng,
+        rng: &mut R,
     ) -> f64 {
         match self {
             SampleKernel::Weibull3 {
@@ -920,7 +920,7 @@ impl SampleKernel {
             Some(_) => self.samples_from_uniforms(mode, out),
             None => {
                 for o in out.iter_mut() {
-                    *o = self.sample(rng);
+                    *o = self.sample(&mut &mut *rng);
                 }
             }
         }
@@ -1019,7 +1019,7 @@ impl SampleKernel {
             SampleKernel::Degenerate { value } => out.fill(*value),
             SampleKernel::Mixture { .. } | SampleKernel::Competing { .. } => {
                 for o in out.iter_mut() {
-                    *o = self.sample_tilted(tilt, log_weight, rng);
+                    *o = self.sample_tilted(tilt, log_weight, &mut &mut *rng);
                 }
             }
             SampleKernel::Boxed { source } => {
@@ -1192,7 +1192,7 @@ fn weibull_quantile_mode(gamma: f64, eta: f64, inv_beta: f64, p: f64, mode: Math
         return gamma;
     }
     assert!(p < 1.0, "quantile requires p in [0, 1), got {p}");
-    gamma + eta * powf_mode(-(-p).ln_1p(), inv_beta, mode)
+    gamma + eta * powf_mode(-ln_1p(-p), inv_beta, mode)
 }
 
 /// `x.powf(e)` with [`MathMode::Fast`] exponent specialization.

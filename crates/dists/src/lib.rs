@@ -176,11 +176,13 @@ pub trait LifeDistribution: std::fmt::Debug + Send + Sync {
     }
 }
 
-/// Uniform variate in `[0, 1)` from a dynamic RNG.
+/// Uniform variate in `[0, 1)` from any RNG, `dyn` included.
 ///
-/// `rand`'s ergonomic helpers require `Sized` RNGs; this helper keeps the
-/// [`LifeDistribution`] trait object-safe.
-pub(crate) fn rng_f64(rng: &mut dyn Rng) -> f64 {
+/// `rand`'s ergonomic helpers require `Sized` RNGs; this helper also
+/// serves the object-safe [`LifeDistribution`] methods, while the
+/// sampling kernels call it monomorphically.
+#[inline]
+pub(crate) fn rng_f64<R: Rng + ?Sized>(rng: &mut R) -> f64 {
     unit_f64(rng.next_u64())
 }
 

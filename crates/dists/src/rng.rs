@@ -53,7 +53,7 @@ pub fn stream(master: u64, index: u64) -> SimRng {
 /// produced floats unchanged relative to the one-at-a-time path. This
 /// is the foundation of the block-draw bit-identity contract (DESIGN.md
 /// §18).
-pub fn fill_uniforms(rng: &mut dyn rand::Rng, out: &mut [f64]) {
+pub fn fill_uniforms<R: Rng + ?Sized>(rng: &mut R, out: &mut [f64]) {
     for u in out.iter_mut() {
         *u = crate::rng_f64(rng);
     }
@@ -73,15 +73,16 @@ const FIRST_REFILL: usize = 2;
 /// as a discrete-event loop.
 ///
 /// The cursor block-fills RNG words ahead of demand and, for each word,
-/// also evaluates `e = −ln(1 − u)` (as `-(-u).ln_1p()`, with `u` the
-/// word's 53-bit uniform) — exactly the subexpression every plain
-/// Weibull quantile evaluates. A plain Weibull draw then costs only
-/// `γ + η·e^{1/β}` at its site
+/// also evaluates `e = −ln(1 − u)` (as `-ln_1p(-u)` through
+/// [`crate::special::ln_1p`], with `u` the word's 53-bit uniform) —
+/// exactly the subexpression every plain Weibull quantile evaluates. A
+/// plain Weibull draw then costs only `γ + η·e^{1/β}` at its site
 /// ([`crate::SampleKernel::sample_prefetched`]), and the refill's
-/// logarithms are independent of one another, so they overlap instead
-/// of forming one serial chain through the event loop. Every other
-/// consumer reads raw words through the [`rand::Rng`] impl, so the
-/// word order is exactly the caller's stream.
+/// logarithms are independent of one another, so they run as one
+/// vectorized batch ([`crate::special::ln_1p_batch`]) instead of one
+/// serial chain through the event loop. Every other consumer reads raw
+/// words through the [`rand::Rng`] impl, so the word order is exactly
+/// the caller's stream.
 ///
 /// Refills start at [`FIRST_REFILL`] words per [`DrawCursor::begin`]
 /// and double up to [`MAX_REFILL`]. Before each refill the cursor keeps
@@ -92,7 +93,7 @@ const FIRST_REFILL: usize = 2;
 #[derive(Debug, Clone)]
 pub struct DrawCursor {
     words: [u64; MAX_REFILL],
-    /// `e` lane: `exps[i] = -(-u_i).ln_1p()` for `words[i]`.
+    /// `e` lane: `exps[i] = -ln_1p(-u_i)` for `words[i]`.
     exps: [f64; MAX_REFILL],
     /// Next unconsumed index into `words`/`exps`.
     pos: usize,
@@ -159,7 +160,7 @@ impl DrawCursor {
     }
 
     /// Consumes the next word and returns its `e` lane value
-    /// `-(-u).ln_1p()`, bit-identical to evaluating it from
+    /// `-ln_1p(-u)`, bit-identical to evaluating it from
     /// the word's uniform at the draw site. `e == 0.0` exactly when
     /// the uniform is `0.0`.
     #[inline]
@@ -192,11 +193,14 @@ impl DrawCursor {
     fn refill(&mut self) {
         let n = self.next_refill;
         self.saved.clone_from(&self.live);
-        for w in &mut self.words[..n] {
+        let mut neg_u = [0.0; MAX_REFILL];
+        for (w, x) in self.words[..n].iter_mut().zip(&mut neg_u[..n]) {
             *w = self.live.next_u64();
+            *x = -crate::unit_f64(*w);
         }
-        for (e, &w) in self.exps[..n].iter_mut().zip(&self.words[..n]) {
-            *e = -(-crate::unit_f64(w)).ln_1p();
+        crate::special::ln_1p_batch(&neg_u[..n], &mut self.exps[..n]);
+        for e in &mut self.exps[..n] {
+            *e = -*e;
         }
         self.pos = 0;
         self.len = n;

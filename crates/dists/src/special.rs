@@ -1,7 +1,270 @@
-//! Special functions needed for Weibull moments and fitting.
+//! Special functions needed for Weibull moments, fitting and sampling.
 //!
-//! Only the gamma function family is required; we implement the Lanczos
-//! approximation rather than pulling in a numerics crate.
+//! The gamma function family uses the Lanczos approximation rather than
+//! a numerics crate. [`ln_1p`] and [`ln_1p_batch`] are the logarithm
+//! every Weibull inverse-CDF draw starts from; see their docs for where
+//! their bits come from.
+
+/// Whether [`ln_1p`] and [`ln_1p_batch`] run this crate's transcription
+/// of glibc's FMA `log1p` (x86-64 Linux glibc builds with `fma` and
+/// `avx2` code generation, which the repository's `.cargo/config.toml`
+/// turns on) rather than calling the platform's `f64::ln_1p`.
+pub const LN_1P_PORTED: bool = cfg!(all(
+    target_arch = "x86_64",
+    target_os = "linux",
+    target_env = "gnu",
+    target_feature = "fma",
+    target_feature = "avx2"
+));
+
+/// `ln(1 + x)`, bit-identical to `x.ln_1p()` on the hosts the port
+/// targets.
+///
+/// On x86-64 Linux glibc builds with `fma` and `avx2` code generation
+/// ([`LN_1P_PORTED`]), this is a literal transcription of the function
+/// glibc's `log1p` dispatches to on FMA+AVX2 CPUs: the fdlibm algorithm
+/// (`Lp1..Lp7`, `ln2_hi`/`ln2_lo`), with [`f64::mul_add`] exactly where
+/// that build fuses a multiply-add. Every other build calls
+/// `f64::ln_1p`. Either way the result is the platform libm's, bit for
+/// bit, on the hosts the goldens were captured on; the port only makes
+/// the evaluation visible to the optimizer (see [`ln_1p_batch`]).
+#[inline]
+pub fn ln_1p(x: f64) -> f64 {
+    log1p_impl::scalar(x)
+}
+
+/// `out[i] = ln_1p(xs[i])` for every element, bit-identical to
+/// [`ln_1p`] element by element.
+///
+/// Under [`LN_1P_PORTED`] the common lanes run one branch-free formula
+/// that the compiler vectorizes (the logarithms of a batch are
+/// independent), and the rare lanes the formula does not cover are
+/// patched through the scalar [`ln_1p`] afterwards.
+///
+/// # Panics
+///
+/// Panics if the slices differ in length.
+pub fn ln_1p_batch(xs: &[f64], out: &mut [f64]) {
+    assert_eq!(xs.len(), out.len(), "ln_1p_batch needs equal-length slices");
+    log1p_impl::batch(xs, out);
+}
+
+/// Every build but the port's calls the platform `log1p`.
+#[cfg(not(all(
+    target_arch = "x86_64",
+    target_os = "linux",
+    target_env = "gnu",
+    target_feature = "fma",
+    target_feature = "avx2"
+)))]
+mod log1p_impl {
+    #[inline]
+    pub(super) fn scalar(x: f64) -> f64 {
+        x.ln_1p()
+    }
+
+    pub(super) fn batch(xs: &[f64], out: &mut [f64]) {
+        for (o, &x) in out.iter_mut().zip(xs) {
+            *o = x.ln_1p();
+        }
+    }
+}
+
+/// The transcription behind [`ln_1p`] and [`ln_1p_batch`]: glibc 2.36's
+/// `__log1p_fma` (`sysdeps/ieee754/dbl-64/s_log1p.c` built with FMA
+/// contraction). The constants, comparisons and operation order follow
+/// that function's machine code; each `mul_add` stands for one of its
+/// `vfmadd`/`vfnmadd`/`vfmsub` instructions, and every other operation
+/// rounds separately, as in the original. DESIGN.md §18 describes how to
+/// re-derive it.
+#[cfg(all(
+    target_arch = "x86_64",
+    target_os = "linux",
+    target_env = "gnu",
+    target_feature = "fma",
+    target_feature = "avx2"
+))]
+mod log1p_impl {
+    const LN2_HI: f64 = f64::from_bits(0x3fe6_2e42_fee0_0000);
+    const LN2_LO: f64 = f64::from_bits(0x3dea_39ef_3579_3c76);
+    const TWO54: f64 = f64::from_bits(0x4350_0000_0000_0000);
+    const TWO_THIRDS: f64 = f64::from_bits(0x3fe5_5555_5555_5555);
+    const LP1: f64 = f64::from_bits(0x3fe5_5555_5555_5593);
+    const LP2: f64 = f64::from_bits(0x3fd9_9999_9997_fa04);
+    const LP3: f64 = f64::from_bits(0x3fd2_4924_9422_9359);
+    const LP4: f64 = f64::from_bits(0x3fcc_71c5_1d8e_78af);
+    const LP5: f64 = f64::from_bits(0x3fc7_4664_96cb_03de);
+    const LP6: f64 = f64::from_bits(0x3fc3_9a09_d078_c69f);
+    const LP7: f64 = f64::from_bits(0x3fc2_f112_df3e_5244);
+
+    /// The high 32 bits of `x`, as fdlibm's `GET_HIGH_WORD`.
+    #[inline(always)]
+    fn high_word(x: f64) -> i32 {
+        (x.to_bits() >> 32) as i32
+    }
+
+    /// `x` with its high 32 bits replaced, as fdlibm's `SET_HIGH_WORD`.
+    #[inline(always)]
+    fn with_high_word(x: f64, hi: i32) -> f64 {
+        f64::from_bits((u64::from(hi as u32) << 32) | (x.to_bits() & 0xffff_ffff))
+    }
+
+    /// `s·(hfsq + R)`, with `s = f/(2+f)` and `R` the degree-14
+    /// polynomial in `s`, evaluated in the original's order.
+    #[inline(always)]
+    fn tail(f: f64, hfsq: f64) -> f64 {
+        let s = f / (2.0 + f);
+        let z = s * s;
+        let r2 = z.mul_add(LP3, LP2);
+        let r3 = z.mul_add(LP5, LP4);
+        let r4 = z.mul_add(LP7, LP6);
+        let z2 = z * z;
+        let z4 = z2 * z2;
+        let z6 = z2 * z4;
+        let r = z6.mul_add(r4, z4.mul_add(r3, z.mul_add(LP1, z2 * r2)));
+        s * (hfsq + r)
+    }
+
+    /// The scalar function, every branch included.
+    pub(super) fn scalar(x: f64) -> f64 {
+        let hx = high_word(x);
+        let ax = hx & 0x7fff_ffff;
+        let mut k = 1;
+        let mut f = 0.0;
+        let mut hu = 1;
+        let mut c = 0.0;
+        if hx < 0x3fda_827a {
+            // x < 0.41422
+            if ax >= 0x3ff0_0000 {
+                // x <= -1.0, or NaN with the sign bit set.
+                if x == -1.0 {
+                    return -TWO54 / 0.0;
+                }
+                #[allow(clippy::eq_op)]
+                return (x - x) / (x - x);
+            }
+            if ax < 0x3e20_0000 {
+                // |x| < 2^-29
+                if ax < 0x3c90_0000 {
+                    return x;
+                }
+                return (-(x * x)).mul_add(0.5, x);
+            }
+            if hx > 0 || hx <= 0xbfd2_bec3_u32 as i32 {
+                // -0.2929 < x < 0.41422
+                k = 0;
+                f = x;
+            }
+        } else if hx >= 0x7ff0_0000 {
+            return x + x;
+        }
+        if k != 0 {
+            let mut u;
+            if hx < 0x4340_0000 {
+                u = 1.0 + x;
+                hu = high_word(u);
+                k = (hu >> 20) - 1023;
+                c = if k > 0 { 1.0 - (u - x) } else { x - (u - 1.0) };
+                c /= u;
+            } else {
+                u = x;
+                hu = high_word(u);
+                k = (hu >> 20) - 1023;
+                c = 0.0;
+            }
+            hu &= 0x000f_ffff;
+            if hu < 0x6a09e {
+                u = with_high_word(u, hu | 0x3ff0_0000);
+            } else {
+                k += 1;
+                u = with_high_word(u, hu | 0x3fe0_0000);
+                hu = (0x0010_0000 - hu) >> 2;
+            }
+            f = u - 1.0;
+        }
+        let hfsq = 0.5 * f * f;
+        if hu == 0 {
+            // |f| < 2^-20
+            if f == 0.0 {
+                if k == 0 {
+                    return 0.0;
+                }
+                let dk = f64::from(k);
+                return dk.mul_add(LN2_HI, dk.mul_add(LN2_LO, c));
+            }
+            let r = hfsq * (-f).mul_add(TWO_THIRDS, 1.0);
+            if k == 0 {
+                return f - r;
+            }
+            let dk = f64::from(k);
+            return dk.mul_add(LN2_HI, -((r - dk.mul_add(LN2_LO, c)) - f));
+        }
+        let t = tail(f, hfsq);
+        if k == 0 {
+            return f - (hfsq - t);
+        }
+        let dk = f64::from(k);
+        dk.mul_add(LN2_HI, -((hfsq - (t + dk.mul_add(LN2_LO, c))) - f))
+    }
+
+    /// One lane of the batch: [`scalar`] for `2⁻²⁹ ≤ |x|`, `x < 0.41422`
+    /// and `x > −1`, as a single branch-free formula, or NaN where that
+    /// formula does not apply.
+    ///
+    /// The two branches of [`scalar`]'s main path become one: the
+    /// `k ≠ 0` tail `fma(k, ln2_hi, −((hfsq − (t + fma(k, ln2_lo, c))) − f))`
+    /// with `k = 0` and `c = 0` is `−((hfsq − t) − f)`, which equals the
+    /// `k = 0` tail `f − (hfsq − t)` exactly because IEEE subtraction
+    /// is sign-symmetric (`f − a == −(a − f)`, and the final
+    /// `0·ln2_hi + (−0)` turns a `−0` back into `+0`). The lanes left
+    /// out — tiny `|x|`, the `hu == 0` path, a nonzero correction term
+    /// `c`, and everything outside `(−1, 0.41422)` — return NaN.
+    #[inline(always)]
+    fn lane(x: f64) -> f64 {
+        let hx = high_word(x);
+        let ax = hx & 0x7fff_ffff;
+        let k_zero = (hx > 0) | (hx <= 0xbfd2_bec3_u32 as i32);
+        let u = 1.0 + x;
+        let hu_full = high_word(u);
+        // The correction term before its division by `u`: the lane is
+        // covered only when it is zero, and then `c = 0/u = +0`.
+        let c_num = x - (u - 1.0);
+        let hm = hu_full & 0x000f_ffff;
+        let halve = hm >= 0x6a09e;
+        let k_main = (hu_full >> 20) - 1023 + i32::from(halve);
+        let hu_main = if halve { (0x0010_0000 - hm) >> 2 } else { hm };
+        let normalized = with_high_word(u, hm | if halve { 0x3fe0_0000 } else { 0x3ff0_0000 });
+        let f = if k_zero { x } else { normalized - 1.0 };
+        let k = if k_zero { 0 } else { k_main };
+        let rare = !(0x3e20_0000..0x3ff0_0000).contains(&ax)
+            | (hx >= 0x3fda_827a)
+            | (!k_zero & ((hu_main == 0) | (c_num != 0.0)));
+        let dk = f64::from(k);
+        let hfsq = 0.5 * f * f;
+        let t = tail(f, hfsq);
+        // `dk * LN2_LO` is `fma(dk, LN2_LO, c)` for `c = +0`.
+        let y = dk.mul_add(LN2_HI, -((hfsq - (t + dk * LN2_LO)) - f));
+        if rare {
+            f64::NAN
+        } else {
+            y
+        }
+    }
+
+    /// The batch: every lane through [`lane`], then every NaN lane
+    /// recomputed through [`scalar`] (which is exact for any input, so
+    /// a NaN from any cause is patched correctly).
+    pub(super) fn batch(xs: &[f64], out: &mut [f64]) {
+        for (o, &x) in out.iter_mut().zip(xs) {
+            *o = lane(x);
+        }
+        for (o, &x) in out.iter_mut().zip(xs) {
+            if o.is_nan() {
+                *o = scalar(x);
+            }
+        }
+    }
+}
 
 /// Natural log of the gamma function, `ln Γ(x)`, for `x > 0`.
 ///

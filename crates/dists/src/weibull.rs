@@ -1,4 +1,4 @@
-use crate::special::{weibull_mean, weibull_variance};
+use crate::special::{ln_1p, weibull_mean, weibull_variance};
 use crate::{rng_f64, DistError, LifeDistribution, SampleKernel};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -188,7 +188,9 @@ impl LifeDistribution for Weibull3 {
         // `1 - p` to 1.0 for p below ~1e-16 (the quantile collapses to
         // gamma, so B-lives of ultra-reliable tails read as the location
         // parameter) and loses relative precision for all small p.
-        self.gamma + self.eta * (-(-p).ln_1p()).powf(1.0 / self.beta)
+        // `special::ln_1p` is the logarithm the sampling kernels and the
+        // draw cursor use, so this path and theirs agree on every build.
+        self.gamma + self.eta * (-ln_1p(-p)).powf(1.0 / self.beta)
     }
 
     fn mean(&self) -> f64 {
