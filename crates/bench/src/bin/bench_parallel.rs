@@ -183,16 +183,13 @@ fn main() {
         eprintln!("[{}/{n_configs}] {name}: {n_groups} groups", ci + 1);
 
         // Block-vs-scalar check, single-threaded: the default session
-        // tuning lowers fixed-word-count draw sites onto block-drawn
-        // buffers, and that lowering must be draw-for-draw bit-identical
-        // to the scalar loops it replaces. Both paths are timed fresh so
+        // tuning prefetches lazy draws and horizon-cuts mission-start
+        // TTOp draws, and both must be draw-for-draw bit-identical to
+        // the scalar loops. Both paths are timed fresh so
         // the recorded delta is an honest like-for-like measurement, and
         // the statistics are asserted equal before anything is written —
         // `bit_identical` below is attested, not assumed.
-        let scalar_sim = Simulator::new(cfg).with_tuning(SessionTuning {
-            block_draws: false,
-            ..SessionTuning::default()
-        });
+        let scalar_sim = Simulator::new(cfg).with_tuning(SessionTuning { block_draws: false });
         let t0 = Instant::now();
         let block_stats = sim.run_streaming(n_groups, seed, 1);
         let block_per_group_ns = t0.elapsed().as_secs_f64() * 1e9 / n_groups as f64;
@@ -201,7 +198,7 @@ fn main() {
         let scalar_per_group_ns = t0.elapsed().as_secs_f64() * 1e9 / n_groups as f64;
         assert_eq!(
             block_stats, scalar_stats,
-            "{name}: block-drawn sampling diverged from the scalar path"
+            "{name}: default-tuned sampling diverged from the scalar path"
         );
         eprintln!(
             "  block check: scalar {scalar_per_group_ns:.0} ns/group, \

@@ -45,14 +45,22 @@ impl Args {
     /// Returns a message if the flag is present without a parseable
     /// value.
     pub fn num<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, String> {
-        self.consumed.borrow_mut().push(key.to_string());
-        match self.flags.get(key) {
-            None => Ok(default),
-            Some(None) => Err(format!("--{key} needs a value")),
-            Some(Some(v)) => v
-                .parse()
-                .map_err(|_| format!("--{key}: cannot parse '{v}'")),
-        }
+        Ok(self.opt_num(key)?.unwrap_or(default))
+    }
+
+    /// A numeric flag with no default (`None` when absent).
+    ///
+    /// # Errors
+    ///
+    /// Returns a message if the flag is present without a parseable
+    /// value.
+    pub fn opt_num<T: std::str::FromStr>(&self, key: &str) -> Result<Option<T>, String> {
+        self.string(key)?
+            .map(|v| {
+                v.parse()
+                    .map_err(|_| format!("--{key}: cannot parse '{v}'"))
+            })
+            .transpose()
     }
 
     /// A string flag (`None` when absent).

@@ -7,7 +7,7 @@ use raidsim::checkpoint::{merge_shards, CheckpointError, DriverState, SimCheckpo
 use raidsim::config::{params, RaidGroupConfig, Redundancy};
 use raidsim::dists::fit::{bootstrap_ci, mle, rank_regression};
 use raidsim::dists::Weibull3;
-use raidsim::engine::{BiasPolicy, SessionTuning};
+use raidsim::engine::BiasPolicy;
 use raidsim::hdd::scrub::ScrubPolicy;
 use raidsim::mttdl::{expected_ddfs, mttdl_from_mttf, HOURS_PER_YEAR};
 use raidsim::run::{CheckpointPlan, FusedSweep, PrecisionReport, Simulator, StopCriterion};
@@ -51,7 +51,7 @@ pub fn usage() -> String {
      \x20                 [--fault-spec OP:KIND,...]\n\
      \x20                 [--tilt-op THETA] [--tilt-latent THETA]\n\
      \x20                 [--force-fraction F --force-window HOURS]\n\
-     \x20                 [--shard I/N] [--fast-math]\n\
+     \x20                 [--shard I/N]\n\
      raidsim-cli merge    [--out merged.ckpt] SHARD.ckpt...\n\
      raidsim-cli mttdl    [--data-drives 7] [--mttf 461386] [--mttr 12]\n\
      \x20                 [--groups 1000] [--years 10]\n\
@@ -59,7 +59,7 @@ pub fn usage() -> String {
      \x20                 [--drives 8] [--raid6] [--mission-years 10]\n\
      \x20                 [--groups 2000] [--seed 42] [--threads N]\n\
      \x20                 [--claim-batch 64] [--engine des|timeline]\n\
-     \x20                 [--cache-dir DIR] [--fast-math]\n\
+     \x20                 [--cache-dir DIR]\n\
      raidsim-cli fit <life-data.csv>     rows: time_hours,failed(0|1)\n\
      raidsim-cli closedform [--drives 8] [--scrub 168|off] [--raid6]\n\
      \x20                 [--mission-years 10] [--ttop-eta N] [--ttop-beta B]\n\
@@ -90,12 +90,6 @@ pub fn usage() -> String {
      byte-for-byte, refusing shards from mismatched runs. Per-group\n\
      RNG streams make the merged result bit-identical to one\n\
      unsharded run at any shard count.\n\
-     \n\
-     --fast-math opts into float-reordering rewrites of the sampling\n\
-     kernels (e.g. sqrt for powf); results can differ from the exact\n\
-     path in the last bits (per-draw relative error < 1e-12), so\n\
-     fast-math checkpoints and shards carry a distinct fingerprint\n\
-     and never mix with exact ones.\n\
      \n\
      sweeps: `sweep` runs a scrub-frequency ladder (plus a no-scrub\n\
      scenario unless --skip-no-scrub) as one fused execution plan: a\n\
@@ -135,7 +129,7 @@ pub fn simulate(argv: &[String]) -> Result<CmdOutput, CliError> {
     let raid6 = args.switch("raid6");
     let scrub = args.string("scrub")?;
     let ttld = args.string("ttld-eta")?;
-    let precision: f64 = args.num("precision", 0.0)?;
+    let precision: Option<f64> = args.opt_num("precision")?;
     let csv_out = args.string("csv")?;
     let progress = args.switch("progress");
     let checkpoint = args.string("checkpoint")?;
@@ -150,7 +144,6 @@ pub fn simulate(argv: &[String]) -> Result<CmdOutput, CliError> {
     let force_fraction: f64 = args.num("force-fraction", 0.0)?;
     let force_window: f64 = args.num("force-window", 0.0)?;
     let shard_spec = args.string("shard")?;
-    let fast_math = args.switch("fast-math");
     args.reject_unknown()?;
 
     let shard = shard_spec
@@ -164,7 +157,7 @@ pub fn simulate(argv: &[String]) -> Result<CmdOutput, CliError> {
                 "--shard writes its slice as a snapshot; add --checkpoint <path>".into(),
             ));
         }
-        if precision > 0.0 {
+        if precision.is_some() {
             return Err(CliError::Usage(
                 "--shard needs a fixed group count; a precision-controlled stop \
                  depends on every earlier group, which a shard does not have"
@@ -191,6 +184,11 @@ pub fn simulate(argv: &[String]) -> Result<CmdOutput, CliError> {
     if checkpoint.is_some() && csv_out.is_some() {
         return Err(CliError::Usage(
             "--checkpoint works on the streamed path only; drop --csv".into(),
+        ));
+    }
+    if precision.is_some_and(|p| !(p > 0.0 && p.is_finite())) {
+        return Err(CliError::Usage(
+            "--precision must be a positive number".into(),
         ));
     }
     if !(checkpoint_secs > 0.0 && checkpoint_secs.is_finite()) {
@@ -300,12 +298,7 @@ pub fn simulate(argv: &[String]) -> Result<CmdOutput, CliError> {
     let threads = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(4);
-    let sim = Simulator::new(cfg)
-        .with_bias(bias)
-        .with_tuning(SessionTuning {
-            fast_math,
-            ..SessionTuning::default()
-        });
+    let sim = Simulator::new(cfg).with_bias(bias);
     let observer = CliObserver::new(progress);
 
     // Shard scatter: simulate only this shard's deterministic slice and
@@ -389,7 +382,7 @@ pub fn simulate(argv: &[String]) -> Result<CmdOutput, CliError> {
     let mut out = String::new();
     let mut interrupted = false;
     let summary = if let Some(path) = &csv_out {
-        let (result, note) = if precision > 0.0 {
+        let (result, note) = if let Some(precision) = precision {
             let (r, report) = sim.run_until_precision(
                 precision,
                 0.95,
@@ -414,7 +407,7 @@ pub fn simulate(argv: &[String]) -> Result<CmdOutput, CliError> {
         // pre-checkpoint CLI (so reports are identical), and fixed
         // runs use it as the interruption/checkpoint granularity.
         let batch = groups.clamp(100, 1_000) as u64;
-        let driver = if precision > 0.0 {
+        let driver = if let Some(precision) = precision {
             DriverState::precision(precision, 0.95, batch, groups as u64, seed)
         } else {
             DriverState::fixed(groups as u64, batch, seed)
@@ -469,7 +462,7 @@ pub fn simulate(argv: &[String]) -> Result<CmdOutput, CliError> {
                 other => other.into(),
             })?;
         interrupted = report.criterion == StopCriterion::Interrupted;
-        if precision > 0.0 {
+        if precision.is_some() {
             let _ = write!(out, "{}", precision_note(&report));
         }
         if interrupted {
@@ -566,7 +559,6 @@ pub fn sweep(argv: &[String]) -> Result<CmdOutput, CliError> {
     let claim_batch: u64 = args.num("claim-batch", raidsim::run::DEFAULT_CLAIM_BATCH)?;
     let engine = args.string("engine")?;
     let cache_dir = args.string("cache-dir")?;
-    let fast_math = args.switch("fast-math");
     args.reject_unknown()?;
 
     if threads == 0 {
@@ -627,12 +619,7 @@ pub fn sweep(argv: &[String]) -> Result<CmdOutput, CliError> {
         sc.cfg.validate().map_err(|e| e.to_string())?;
     }
 
-    let mut fused = FusedSweep::new(scenarios)
-        .with_claim_batch(claim_batch)
-        .with_tuning(SessionTuning {
-            fast_math,
-            ..SessionTuning::default()
-        });
+    let mut fused = FusedSweep::new(scenarios).with_claim_batch(claim_batch);
     fused = match engine.as_deref() {
         None | Some("des") => fused,
         Some("timeline") => fused.with_engine(Arc::new(raidsim::engine::TimelineEngine)),
@@ -1019,6 +1006,30 @@ mod tests {
         // Per-group CSV histories carry no weights.
         let err = simulate(&argv("--groups 10 --tilt-op 1.0 --csv out.csv")).unwrap_err();
         assert!(matches!(err, CliError::Usage(_)), "{err:?}");
+    }
+
+    #[test]
+    fn simulate_precision_must_be_finite_and_positive() {
+        // Each of these used to run a silent fixed-count job (or, for
+        // `inf`, stop after the first batch as if the target were met).
+        for bad in ["nan", "0", "-1", "inf"] {
+            let err = simulate(&argv(&format!("--groups 10 --precision {bad}"))).unwrap_err();
+            assert!(
+                matches!(&err, CliError::Usage(m) if m.contains("--precision")),
+                "--precision {bad}: {err:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn removed_float_rewrite_flag_is_unknown() {
+        for run in [simulate, sweep] {
+            let err = run(&argv("--groups 10 --fast-math")).unwrap_err();
+            assert!(
+                matches!(&err, CliError::Usage(m) if m == "unknown flag --fast-math"),
+                "{err:?}"
+            );
+        }
     }
 
     #[test]

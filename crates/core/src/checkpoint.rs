@@ -235,26 +235,6 @@ pub fn legacy_config_fingerprint_v1(cfg: &RaidGroupConfig, engine_name: &str) ->
     hash.finish()
 }
 
-/// Folds the session tuning into a run fingerprint.
-///
-/// The default tuning (block draws on, exact math) is draw-for-draw
-/// bit-identical to the scalar path, so it must **not** perturb the
-/// fingerprint — snapshots written before the block kernels existed
-/// still resume, and shards from tuned and untuned builds still merge.
-/// Fast math is the one knob that may change results (within the
-/// documented tolerance), so it gets its own fingerprint domain:
-/// exact-math artifacts never resume or merge across fast-math ones,
-/// in either direction.
-pub fn tuned_fingerprint(base: u64, fast_math: bool) -> u64 {
-    if !fast_math {
-        return base;
-    }
-    let mut hash = Fnv1a::new();
-    hash.write(&base.to_le_bytes());
-    hash.write(b"fast-math");
-    hash.finish()
-}
-
 /// The precision driver's bookkeeping, persisted so a resumed run
 /// evaluates its stopping rules on the same schedule with the same
 /// thresholds (a different batch size would check the criteria at
@@ -682,7 +662,7 @@ pub fn merge_shards(mut shards: Vec<SimCheckpoint>) -> Result<SimCheckpoint, Che
                 field: "fingerprint",
                 reason: format!(
                     "shard {i} has fingerprint {:016x}, shard 0 has {fingerprint:016x} — \
-                     shards must come from the same configuration, engine, bias, and math mode",
+                     shards must come from the same configuration, engine, and bias",
                     shard.fingerprint
                 ),
             });

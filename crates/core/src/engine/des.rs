@@ -1,8 +1,8 @@
 use super::ddf::{self, SlotCondition};
-use super::{draw, BiasPolicy, BlockCursor, Engine, EngineCounters, EngineSession, SessionTuning};
+use super::{draw, BiasPolicy, Engine, EngineCounters, EngineSession, SessionTuning};
 use crate::config::{RaidGroupConfig, Redundancy, SparePolicy};
 use crate::events::{DdfEvent, GroupHistory};
-use raidsim_dists::kernel::{DrawSource, Forcing, MathMode, Tilt, NO_CUT};
+use raidsim_dists::kernel::{DrawSource, Forcing, Tilt, NO_CUT};
 use raidsim_dists::rng::{DrawCursor, SimRng};
 use raidsim_dists::{KernelCache, SampleKernel};
 
@@ -206,25 +206,15 @@ struct DesState {
     /// High-water mark of `history.ddfs` capacity, for `scratch_grows`.
     ddfs_cap: usize,
     counters: EngineCounters,
-    /// Whether the mission-start init loop draws its slot lifetimes as
-    /// one block: requires the tuning's consent and that every
-    /// participating kernel consumes exactly one word per draw. The
-    /// init site is the only fixed-word-count draw site in this engine;
-    /// the data-dependent event-loop draws go through the session's
-    /// prefetching cursor instead.
-    block_init: bool,
-    /// Horizon cut for the blocked mission-start TTOp draws
-    /// ([`SampleKernel::horizon_cut`] at the mission; [`NO_CUT`] when
-    /// the init site is not blocked). A pending failure beyond the
-    /// mission either loses to an event time `≤ mission` (in the
-    /// operational scan, as the latent stretch's bound, and as `<= t`
-    /// in `force_critical`) or is met only once every pending event
-    /// lies beyond the mission and the group ends, so it may read any
-    /// other value beyond the mission instead.
+    /// Horizon cut for the mission-start TTOp draws
+    /// ([`SampleKernel::horizon_cut`] at the mission under block tuning
+    /// with untilted TTOp draws; [`NO_CUT`] otherwise). A pending
+    /// failure beyond the mission either loses to an event time
+    /// `≤ mission` (in the operational scan, as the latent stretch's
+    /// bound, and as `<= t` in `force_critical`) or is met only once
+    /// every pending event lies beyond the mission and the group ends,
+    /// so it may read any other value beyond the mission instead.
     op_cut: f64,
-    /// Kernel evaluation mode for block transforms.
-    math_mode: MathMode,
-    cursor: BlockCursor,
 }
 
 impl DesSession {
@@ -254,9 +244,8 @@ impl DesState {
     ) -> Self {
         let dists = &cfg.dists;
         let ttop = kernels.lower(&dists.ttop);
-        let ttld = dists.ttld.as_ref().map(|d| kernels.lower(d));
-        let block_init = tuning.block_draws && BlockCursor::eligible(&[Some(&ttop), ttld.as_ref()]);
-        let op_cut = if block_init {
+        let op_tilt = bias.op_tilt();
+        let op_cut = if tuning.block_draws && op_tilt.is_none() {
             ttop.horizon_cut(cfg.mission_hours)
         } else {
             NO_CUT
@@ -268,9 +257,9 @@ impl DesState {
             defect_reset: cfg.defect_reset_on_replacement,
             ttop,
             ttr: kernels.lower(&dists.ttr),
-            ttld,
+            ttld: dists.ttld.as_ref().map(|d| kernels.lower(d)),
             ttscrub: dists.ttscrub.as_ref().map(|d| kernels.lower(d)),
-            op_tilt: bias.op_tilt(),
+            op_tilt,
             latent_tilt: bias.latent_tilt(),
             force: bias.forced_critical(),
             force_budget_full: bias
@@ -281,10 +270,7 @@ impl DesState {
             history: GroupHistory::default(),
             ddfs_cap: 0,
             counters: EngineCounters::default(),
-            block_init,
             op_cut,
-            math_mode: tuning.math_mode(),
-            cursor: BlockCursor::new(),
         }
     }
 
@@ -405,7 +391,7 @@ impl EngineSession for DesSession {
 
 impl DesState {
     /// Resets the per-group scratch and draws every slot's initial
-    /// lifetimes straight from `rng` (as one block when eligible).
+    /// lifetimes straight from `rng`, before any cursor begins.
     fn start_group(&mut self, rng: &mut SimRng) {
         // Reset the scratch: clear-and-refill keeps every allocation.
         self.history.ddfs.clear();
@@ -419,62 +405,32 @@ impl DesState {
             pool.reset();
         }
         self.slots.clear();
-        if self.block_init && self.n > 0 {
-            // Block path: the init site draws exactly one word per
-            // kernel per slot (ttop then ttld, interleaved), so all its
-            // uniforms can be filled up front and transformed densely —
-            // bit-identical to the scalar loop below by the
-            // `BlockCursor` contract, which the block/scalar full-run
-            // equivalence tests enforce. TTOp draws past the horizon
-            // cut read `BEYOND_HORIZON`: dead, like the lifetime they
-            // stand for.
-            let ld = self.ttld.as_ref().map(|d| (d, self.latent_tilt));
-            let has_ld = ld.is_some();
-            let (ops, lds) = self.cursor.draw_interleaved(
-                self.n,
-                &self.ttop,
-                self.op_tilt,
-                self.op_cut,
-                ld,
-                self.math_mode,
-                &mut self.history.log_weight,
-                rng,
-            );
-            for i in 0..self.n {
-                self.counters.samples_drawn += 1 + u64::from(has_ld);
-                self.slots.push(Slot {
-                    up: true,
-                    born_at: 0.0,
-                    forced_at: f64::NEG_INFINITY,
-                    next_op: ops[i],
-                    defective: false,
-                    next_ld: if has_ld { lds[i] } else { f64::INFINITY },
-                    clear_is_restore: false,
-                });
-            }
-        } else {
-            for _ in 0..self.n {
-                // Sampling order per slot (ttop then ttld) matches the
-                // original collect-based construction bit for bit.
-                self.counters.samples_drawn += 1;
-                let next_op = draw(&self.ttop, self.op_tilt, &mut self.history.log_weight, rng);
-                let next_ld = match &self.ttld {
-                    Some(d) => {
-                        self.counters.samples_drawn += 1;
-                        draw(d, self.latent_tilt, &mut self.history.log_weight, rng)
-                    }
-                    None => f64::INFINITY,
-                };
-                self.slots.push(Slot {
-                    up: true,
-                    born_at: 0.0,
-                    forced_at: f64::NEG_INFINITY,
-                    next_op,
-                    defective: false,
-                    next_ld,
-                    clear_is_restore: false,
-                });
-            }
+        for _ in 0..self.n {
+            // Sampling order per slot (ttop then ttld) matches the
+            // original collect-based construction bit for bit. An
+            // untilted TTOp draw past the horizon cut reads
+            // `BEYOND_HORIZON`: dead, like the lifetime it stands for.
+            self.counters.samples_drawn += 1;
+            let next_op = match self.op_tilt {
+                None => rng.plain_cut(&self.ttop, self.op_cut),
+                Some(_) => draw(&self.ttop, self.op_tilt, &mut self.history.log_weight, rng),
+            };
+            let next_ld = match &self.ttld {
+                Some(d) => {
+                    self.counters.samples_drawn += 1;
+                    draw(d, self.latent_tilt, &mut self.history.log_weight, rng)
+                }
+                None => f64::INFINITY,
+            };
+            self.slots.push(Slot {
+                up: true,
+                born_at: 0.0,
+                forced_at: f64::NEG_INFINITY,
+                next_op,
+                defective: false,
+                next_ld,
+                clear_is_restore: false,
+            });
         }
     }
 
@@ -862,8 +818,10 @@ mod tests {
 
     #[test]
     fn prefetched_group_leaves_the_rng_on_the_scalar_word() {
-        // Latent defects off: groups draw 0, 2, 4, … event-loop words
-        // (a restore and a replacement lifetime per failure), so the
+        // The init words come straight from the RNG before the cursor
+        // begins, so only event-loop draws pass through it. Latent
+        // defects off: groups draw 0, 2, 4, … event-loop words (a
+        // restore and a replacement lifetime per failure), so the
         // refill schedule 2, 4, 8, … meets every ending below; the base
         // case adds long groups that span several full refills.
         let base = RaidGroupConfig::paper_base_case().unwrap();
@@ -871,10 +829,7 @@ mod tests {
             dists: TransitionDistributions::weibull_both().unwrap(),
             ..base.clone()
         };
-        let scalar_tuning = SessionTuning {
-            block_draws: false,
-            ..SessionTuning::default()
-        };
+        let scalar_tuning = SessionTuning { block_draws: false };
         let (mut no_draws, mut exact_fill, mut mid_block) = (0, 0, 0);
         for cfg in [&oponly, &base] {
             let init_draws = (cfg.drives * if cfg.dists.ttld.is_some() { 2 } else { 1 }) as u64;

@@ -25,8 +25,8 @@ pub use timeline::TimelineEngine;
 
 use crate::config::RaidGroupConfig;
 use crate::events::GroupHistory;
-use raidsim_dists::kernel::{DrawSource, Forcing, MathMode, Tilt};
-use raidsim_dists::rng::{fill_uniforms, SimRng};
+use raidsim_dists::kernel::{DrawSource, Forcing, Tilt};
+use raidsim_dists::rng::SimRng;
 use raidsim_dists::{KernelCache, SampleKernel};
 
 /// A change of sampling measure applied to an engine session's lifetime
@@ -171,182 +171,33 @@ fn tilt_for(theta: f64) -> Option<Tilt> {
     Tilt::new(theta).ok()
 }
 
-/// Performance tuning for an engine session — knobs that must never
+/// Performance tuning for an engine session — a knob that must never
 /// change *what* is simulated, only how fast.
 ///
 /// `block_draws` (default **on**) lets sessions draw ahead of demand:
-/// the discrete-event engine's mission-start lifetimes are evaluated as
-/// one buffer (see [`BlockCursor`]), and every other draw of both
-/// engines — the event loop, the timeline engine's renewal chains and
-/// its lazy latent-defect chains — reads through a prefetching,
-/// rewindable [`DrawCursor`](raidsim_dists::rng::DrawCursor). Each
-/// session also computes its TTOp kernel's horizon cut
-/// ([`SampleKernel::horizon_cut`]) for the mission once at open: a
-/// mission-start TTOp draw whose uniform lies beyond the cut still
-/// consumes its word but skips the quantile, since a lifetime beyond
-/// the mission is never observed. All of it is bit-identical in the
-/// results to the scalar path and leaves the caller's RNG on the same
-/// word, so this is purely an A/B lever for benchmarks;
-/// `block_draws: false` is the cursor-free, cut-free scalar path the
-/// equivalence tests use as their oracle.
-///
-/// `fast_math` (default **off**) additionally switches the
-/// discrete-event engine's mission-start block transform (not the
-/// prefetched draws, which stay exact) to [`MathMode::Fast`],
-/// permitting float-op-reordering rewrites with documented tolerance
-/// instead of bit-identity. Because
-/// results can differ in the last bits, fast-math runs carry a
-/// perturbed checkpoint fingerprint
-/// ([`crate::checkpoint::tuned_fingerprint`]) so they never resume
-/// into, or merge with, exact runs.
+/// every lazy draw of both engines — the event loop, the timeline
+/// engine's renewal chains and its lazy latent-defect chains — reads
+/// through a prefetching, rewindable
+/// [`DrawCursor`](raidsim_dists::rng::DrawCursor). Each session also
+/// computes its TTOp kernel's horizon cut
+/// ([`SampleKernel::horizon_cut`]) for the mission once at open, when
+/// TTOp draws are untilted: a mission-start TTOp draw whose uniform
+/// lies beyond the cut still consumes its word but skips the quantile,
+/// since a lifetime beyond the mission is never observed. Both are
+/// bit-identical in the results to the scalar path and leave the
+/// caller's RNG on the same word, so this is purely an A/B lever for
+/// benchmarks; `block_draws: false` is the cursor-free, cut-free
+/// scalar path the equivalence tests use as their oracle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SessionTuning {
-    /// Block-draw the mission-start lifetimes, prefetch every lazy draw,
-    /// and skip the quantile of mission-start draws beyond the horizon.
+    /// Prefetch every lazy draw and skip the quantile of mission-start
+    /// TTOp draws beyond the horizon.
     pub block_draws: bool,
-    /// Allow non-bit-identical algebraic rewrites in block transforms.
-    pub fast_math: bool,
 }
 
 impl Default for SessionTuning {
     fn default() -> Self {
-        SessionTuning {
-            block_draws: true,
-            fast_math: false,
-        }
-    }
-}
-
-impl SessionTuning {
-    /// The kernel evaluation mode this tuning implies.
-    pub fn math_mode(&self) -> MathMode {
-        if self.fast_math {
-            MathMode::Fast
-        } else {
-            MathMode::Exact
-        }
-    }
-}
-
-/// Per-worker scratch for the discrete-event engine's mission-start
-/// draws — its one block-drawn sampling site.
-///
-/// A sampling site is *block-eligible* when it draws a fixed number of
-/// RNG words per item — each participating kernel reports
-/// [`SampleKernel::words_per_sample`] `== Some(1)` — and is followed by
-/// further draws from the same per-group stream only after the site
-/// completes. The cursor then:
-///
-/// 1. fills all the site's uniforms at once
-///    ([`raidsim_dists::rng::fill_uniforms`], preserving word order),
-/// 2. de-interleaves them into per-kernel lanes,
-/// 3. applies any tilt warps **in scalar element order**, so the
-///    log-weight accumulates with the identical association, and
-/// 4. runs each kernel's pure dense transform over its lane, with lane
-///    `a`'s horizon cut ([`SampleKernel::horizon_cut`]) mapping warped
-///    uniforms at or above the cut straight to
-///    [`BEYOND_HORIZON`](raidsim_dists::kernel::BEYOND_HORIZON).
-///
-/// Steps 3–4 touch no RNG state, so under [`MathMode::Exact`] the
-/// lanes are bit-identical to the scalar interleaved loop — except that
-/// a cut element reads `BEYOND_HORIZON` where the scalar loop computes
-/// some lifetime beyond the horizon, which the caller must treat alike — and the RNG
-/// ends at the same position. Buffers are retained across groups, so
-/// the steady-state loop stays allocation-free once warmed up.
-///
-/// Sites whose word count is data-dependent — the event loops of both
-/// engines and the timeline engine's phases — cannot fill a buffer up
-/// front; they read through a prefetching
-/// [`DrawCursor`](raidsim_dists::rng::DrawCursor) instead, which fetches
-/// words speculatively and rewinds the RNG to the consumed position at
-/// the end of the group.
-#[derive(Debug, Default)]
-pub(crate) struct BlockCursor {
-    uniforms: Vec<f64>,
-    lane_a: Vec<f64>,
-    lane_b: Vec<f64>,
-}
-
-impl BlockCursor {
-    pub(crate) fn new() -> Self {
-        BlockCursor::default()
-    }
-
-    /// Whether a site whose items each draw once from every present
-    /// kernel (in a fixed order) can be block-drawn.
-    pub(crate) fn eligible(kernels: &[Option<&SampleKernel>]) -> bool {
-        kernels.iter().all(|k| match k {
-            Some(k) => k.words_per_sample() == Some(1),
-            None => true,
-        })
-    }
-
-    /// Draws `n` items, each consisting of one draw from `a` followed
-    /// (when `b` is present) by one draw from `b`, bit-identical to the
-    /// scalar loop
-    /// `for _ in 0..n { draw(a, tilt_a, ..); draw(b, tilt_b, ..); }`
-    /// under [`MathMode::Exact`], except that an `a` draw whose (warped)
-    /// uniform is at or above `cut_a` yields
-    /// [`BEYOND_HORIZON`](raidsim_dists::kernel::BEYOND_HORIZON) — pass
-    /// [`NO_CUT`](raidsim_dists::kernel::NO_CUT) for none. Returns the
-    /// two lanes of results (`lane_b` is empty when `b` is `None`).
-    ///
-    /// Every participating kernel must satisfy
-    /// `words_per_sample() == Some(1)` — check
-    /// [`BlockCursor::eligible`] first.
-    // One (kernel, tilt) lane pair per scalar-loop draw site; folding
-    // them into a struct would obscure the a/b lane symmetry.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn draw_interleaved(
-        &mut self,
-        n: usize,
-        a: &SampleKernel,
-        tilt_a: Option<Tilt>,
-        cut_a: f64,
-        b: Option<(&SampleKernel, Option<Tilt>)>,
-        mode: MathMode,
-        log_weight: &mut f64,
-        rng: &mut SimRng,
-    ) -> (&[f64], &[f64]) {
-        debug_assert!(
-            BlockCursor::eligible(&[Some(a), b.map(|(k, _)| k)]),
-            "block-drawn kernels must consume exactly one word per sample"
-        );
-        let lanes = 1 + usize::from(b.is_some());
-        self.uniforms.resize(n * lanes, 0.0);
-        fill_uniforms(rng, &mut self.uniforms);
-        self.lane_a.clear();
-        self.lane_b.clear();
-        if b.is_some() {
-            for pair in self.uniforms.chunks_exact(2) {
-                self.lane_a.push(pair[0]);
-                self.lane_b.push(pair[1]);
-            }
-        } else {
-            self.lane_a.extend_from_slice(&self.uniforms);
-        }
-        let tilt_b = b.and_then(|(_, t)| t);
-        if tilt_a.is_some() || tilt_b.is_some() {
-            // Warp in the scalar interleaved order (a₀, b₀, a₁, b₁, …)
-            // so the log-weight sum associates bit-identically.
-            for i in 0..n {
-                if let Some(t) = tilt_a {
-                    let (v, lw) = t.warp(self.lane_a[i]);
-                    *log_weight += lw;
-                    self.lane_a[i] = v;
-                }
-                if let Some(t) = tilt_b {
-                    let (v, lw) = t.warp(self.lane_b[i]);
-                    *log_weight += lw;
-                    self.lane_b[i] = v;
-                }
-            }
-        }
-        a.samples_from_uniforms_cut(mode, cut_a, &mut self.lane_a);
-        if let Some((kb, _)) = b {
-            kb.samples_from_uniforms(mode, &mut self.lane_b);
-        }
-        (&self.lane_a, &self.lane_b)
+        SessionTuning { block_draws: true }
     }
 }
 
@@ -452,12 +303,10 @@ pub trait Engine: std::fmt::Debug + Send + Sync {
     /// ([`SessionTuning`]).
     ///
     /// Under the default tuning the returned session is **identical**
-    /// to [`Engine::session`]'s: the default block path is
+    /// to [`Engine::session`]'s: the default prefetched path is
     /// draw-for-draw bit-identical to the scalar path, so there is no
     /// behavioral difference to opt out of. `block_draws: false` forces
-    /// the scalar path (the benchmark A/B lever), and `fast_math: true`
-    /// opts into the documented-tolerance rewrites of
-    /// [`MathMode::Fast`].
+    /// the scalar path (the benchmark A/B lever).
     ///
     /// The default implementation ignores the tuning and delegates to
     /// [`Engine::session`] — correct for any engine, since tuning may

@@ -684,10 +684,7 @@ mod tests {
             dists: TransitionDistributions::weibull_both().unwrap(),
             ..base.clone()
         };
-        let scalar_tuning = SessionTuning {
-            block_draws: false,
-            ..SessionTuning::default()
-        };
+        let scalar_tuning = SessionTuning { block_draws: false };
         let (mut no_failures, mut exact_fill, mut mid_block) = (0, 0, 0);
         for cfg in [&oponly, &base] {
             let mut prefetched =

@@ -97,8 +97,8 @@ pub(crate) struct PoolCtx<'a> {
     /// every session applies the same policy to the same per-group
     /// streams.
     pub bias: BiasPolicy,
-    /// Block-draw / math-mode tuning every worker session opens with;
-    /// the default tuning is bit-identical to the scalar path, so
+    /// Session tuning every worker session opens with; every tuning is
+    /// bit-identical to the scalar path, so
     /// scheduling invariance is preserved.
     pub tuning: SessionTuning,
     /// Base seed; group `i` uses RNG stream `i`.

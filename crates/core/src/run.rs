@@ -46,8 +46,7 @@
 //! checkpoint can resume bit-identically (see [`crate::checkpoint`]).
 
 use crate::checkpoint::{
-    config_fingerprint, legacy_config_fingerprint_v1, tuned_fingerprint, CheckpointError,
-    DriverState, SimCheckpoint,
+    config_fingerprint, legacy_config_fingerprint_v1, CheckpointError, DriverState, SimCheckpoint,
 };
 use crate::config::RaidGroupConfig;
 use crate::engine::{BiasPolicy, DesEngine, Engine, EngineCounters, EngineSession, SessionTuning};
@@ -483,12 +482,10 @@ impl Simulator {
         self.bias
     }
 
-    /// Replaces the session tuning (block draws, math mode). The
-    /// default tuning is bit-identical to the fully scalar path;
-    /// [`SessionTuning::fast_math`] is the only knob that may perturb
-    /// results (within the documented tolerance), and checkpoints
-    /// written under it carry a distinct fingerprint so exact and
-    /// fast-math artifacts never merge or resume across each other.
+    /// Replaces the session tuning. Every tuning is bit-identical to
+    /// the fully scalar path, so the tuning never enters the run
+    /// fingerprint: artifacts from tuned and untuned runs resume and
+    /// merge across each other.
     pub fn with_tuning(mut self, tuning: SessionTuning) -> Self {
         self.tuning = tuning;
         self
@@ -501,14 +498,10 @@ impl Simulator {
 
     /// The fingerprint this simulator stamps on checkpoints and shard
     /// snapshots: [`config_fingerprint`] over the configuration,
-    /// engine, and bias, folded with the tuning via
-    /// [`tuned_fingerprint`]. Artifacts merge or resume only when
-    /// these match.
+    /// engine, and bias. Artifacts merge or resume only when these
+    /// match.
     pub fn run_fingerprint(&self) -> u64 {
-        tuned_fingerprint(
-            config_fingerprint(&self.cfg, self.engine.name(), self.bias),
-            self.tuning.fast_math,
-        )
+        config_fingerprint(&self.cfg, self.engine.name(), self.bias)
     }
 
     /// The configuration being simulated.
@@ -1464,7 +1457,7 @@ impl FusedSweep {
     }
 
     /// The cache fingerprint of scenario `index` under this sweep's
-    /// engine, bias, and tuning — the first component of the
+    /// engine and bias — the first component of the
     /// [`SweepCache`] key, identical to what [`Simulator::run_fingerprint`]
     /// would stamp for the same setup.
     pub fn scenario_fingerprint(&self, index: usize) -> u64 {
@@ -1472,10 +1465,7 @@ impl FusedSweep {
     }
 
     fn fingerprint_of(&self, cfg: &RaidGroupConfig) -> u64 {
-        tuned_fingerprint(
-            config_fingerprint(cfg, self.engine.name(), self.bias),
-            self.tuning.fast_math,
-        )
+        config_fingerprint(cfg, self.engine.name(), self.bias)
     }
 
     /// Runs the sweep in streaming mode with a throwaway in-memory

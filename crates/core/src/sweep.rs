@@ -4,8 +4,8 @@
 //! A *sweep* simulates a labeled family of configurations (a scrub
 //! ladder, an ablation grid) under common random numbers. Two scenarios
 //! of a sweep — or of two different CLI invocations — are *the same
-//! experiment* exactly when their [`crate::checkpoint::tuned_fingerprint`]
-//! (configuration + engine + bias + math mode), group count, and seed
+//! experiment* exactly when their [`crate::checkpoint::config_fingerprint`]
+//! (configuration + engine + bias), group count, and seed
 //! all match: the fingerprint pins every input that can change a
 //! simulated history, and `(groups, seed)` pin the RNG streams drawn.
 //! That triple is therefore the cache key, and a cache hit may replay
@@ -67,7 +67,7 @@ impl SweepScenario {
 
 /// Fingerprint-keyed result cache for sweep scenarios.
 ///
-/// Keys are `(tuned_fingerprint, groups, seed)` — see the module
+/// Keys are `(config_fingerprint, groups, seed)` — see the module
 /// documentation for why that triple is exactly the identity of a
 /// scenario's result. Values are exact [`StreamStats`] encodings;
 /// [`SweepCache::lookup`] decodes a fresh copy per hit.

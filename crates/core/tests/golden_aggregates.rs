@@ -281,10 +281,7 @@ fn des_tie_order_matches_single_scan_golden_values() {
     ];
     let tunings = [
         SessionTuning::default(),
-        SessionTuning {
-            block_draws: false,
-            ..SessionTuning::default()
-        },
+        SessionTuning { block_draws: false },
     ];
     let spares = [
         SparePolicy::AlwaysAvailable,

@@ -1,5 +1,5 @@
 //! Shard-scatter/merge bit-identity, and full-run equivalence of the
-//! block-drawn sampling paths against the scalar loops they replace.
+//! prefetched and horizon-cut sampling paths against the scalar loops.
 //!
 //! The contracts under test (DESIGN.md §18):
 //!
@@ -8,8 +8,8 @@
 //!   to the one an unsharded run writes — per-group RNG streams are a
 //!   pure function of `(seed, index)` and `StreamStats` partials are
 //!   exact integers with an associative, commutative merge.
-//! * The default session tuning (block draws and prefetched event-loop
-//!   draws on, exact math) is draw-for-draw bit-identical to the fully
+//! * The default session tuning (horizon-cut init draws and prefetched
+//!   event-loop draws) is draw-for-draw bit-identical to the fully
 //!   scalar path, for both engines, across a configuration matrix and
 //!   every importance-sampling policy.
 //! * Merges refuse mismatched shards with typed errors instead of
@@ -146,20 +146,6 @@ fn merge_refuses_mismatched_shards() {
         })
     ));
 
-    // Fast math gets its own fingerprint domain.
-    let fast = Simulator::new(base()).with_tuning(SessionTuning {
-        fast_math: true,
-        ..SessionTuning::default()
-    });
-    let fast_shard = shard_snapshot(&fast, total, 1, 2, 7);
-    assert!(matches!(
-        merge_shards(vec![s0.clone(), fast_shard]),
-        Err(CheckpointError::ConfigMismatch {
-            field: "fingerprint",
-            ..
-        })
-    ));
-
     // Gap: [0, 30) + [45, 60).
     let quarter = shard_snapshot(&sim, total, 3, 4, 7);
     assert!(matches!(
@@ -283,10 +269,7 @@ fn equivalence_configs() -> Vec<(&'static str, RaidGroupConfig)> {
 
 #[test]
 fn default_block_tuning_is_bit_identical_to_scalar_for_both_engines() {
-    let scalar = SessionTuning {
-        block_draws: false,
-        ..SessionTuning::default()
-    };
+    let scalar = SessionTuning { block_draws: false };
     for (name, cfg) in equivalence_configs() {
         for bias in [
             BiasPolicy::None,
@@ -299,8 +282,8 @@ fn default_block_tuning_is_bit_identical_to_scalar_for_both_engines() {
                 window_hours: 48.0,
             },
         ] {
-            // Discrete-event engine (default): blocked and cut init
-            // draws, and every event-loop draw through the cursor.
+            // Discrete-event engine (default): cut init draws, and
+            // every event-loop draw through the cursor.
             let des_block = Simulator::new(cfg.clone()).with_bias(bias);
             let des_scalar = Simulator::new(cfg.clone())
                 .with_bias(bias)
@@ -353,27 +336,50 @@ fn forced_critical_bias_stays_scalar_but_completes_under_block_tuning() {
     let block = Simulator::new(base()).with_bias(bias);
     let scalar = Simulator::new(base())
         .with_bias(bias)
-        .with_tuning(SessionTuning {
-            block_draws: false,
-            ..SessionTuning::default()
-        });
+        .with_tuning(SessionTuning { block_draws: false });
     assert_eq!(
         block.run_streaming(100, 13, 1),
         scalar.run_streaming(100, 13, 1)
     );
 }
 
+/// The fingerprint the removed float-rewrite tuning stamped on its
+/// artifacts: FNV-1a over the exact fingerprint's little-endian bytes,
+/// then the tag below.
+fn legacy_tagged_fingerprint(base: u64) -> u64 {
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    for &b in base.to_le_bytes().iter().chain(b"fast-math") {
+        hash ^= u64::from(b);
+        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    hash
+}
+
 #[test]
-fn fast_math_changes_the_fingerprint_but_default_tuning_does_not() {
-    let exact = Simulator::new(base());
-    let fast = Simulator::new(base()).with_tuning(SessionTuning {
-        fast_math: true,
-        ..SessionTuning::default()
-    });
-    let scalar = Simulator::new(base()).with_tuning(SessionTuning {
-        block_draws: false,
-        ..SessionTuning::default()
-    });
-    assert_eq!(exact.run_fingerprint(), scalar.run_fingerprint());
-    assert_ne!(exact.run_fingerprint(), fast.run_fingerprint());
+fn leftover_rewrite_tagged_artifacts_get_a_typed_refusal() {
+    let sim = Simulator::new(base());
+    let scalar = Simulator::new(base()).with_tuning(SessionTuning { block_draws: false });
+    assert_eq!(sim.run_fingerprint(), scalar.run_fingerprint());
+
+    // A shard left on disk by a run under the removed tuning.
+    let total = 60u64;
+    let s0 = shard_snapshot(&sim, total, 0, 2, 7);
+    let mut tagged = shard_snapshot(&sim, total, 1, 2, 7);
+    tagged.fingerprint = legacy_tagged_fingerprint(sim.run_fingerprint());
+    assert_ne!(tagged.fingerprint, sim.run_fingerprint());
+    assert!(matches!(
+        merge_shards(vec![s0, tagged.clone()]),
+        Err(CheckpointError::ConfigMismatch {
+            field: "fingerprint",
+            ..
+        })
+    ));
+    // Resuming from it is refused before any simulation work.
+    assert!(matches!(
+        tagged.validate_for(sim.run_fingerprint(), &tagged.driver),
+        Err(CheckpointError::ConfigMismatch {
+            field: "config",
+            ..
+        })
+    ));
 }

@@ -203,27 +203,16 @@ impl Forcing {
     }
 }
 
-/// Numerical-evaluation mode for the block sampling paths.
+/// Numerical-evaluation mode of [`SampleKernel::sample_block`].
 ///
-/// [`MathMode::Exact`] keeps every block draw bit-identical to the
-/// scalar path — the default everywhere. (Both modes skip `powf` for a
-/// unit exponent: `x.powf(1.0)` is exactly `x`, so that shortcut costs
-/// no bits.) [`MathMode::Fast`] permits algebraic rewrites that change
-/// the result bits (`sqrt` for `powf(0.5)`, squaring for `powf(2.0)`),
-/// trading bit-identity for throughput; the relative error per draw is
-/// bounded by a few ULPs (the equivalence suite enforces `< 1e-12`
-/// relative). Fast mode is opt-in (the CLI's `--fast-math`) and
-/// perturbs checkpoint fingerprints so exact and fast runs never mix —
-/// see DESIGN.md §18.
+/// Only [`MathMode::Exact`] exists: every draw reproduces the scalar
+/// float-op sequence bit for bit. The parameter stays so block callers
+/// keep one signature.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum MathMode {
-    /// Bit-identical float-op sequences — the block-draw contract.
+    /// Bit-identical float-op sequences.
     #[default]
     Exact,
-    /// Allow exponent-specializing rewrites of `powf`; results agree
-    /// with [`MathMode::Exact`] to within documented tolerance, not
-    /// bit-for-bit.
-    Fast,
 }
 
 /// A word source for plain draws: an RNG itself (word by word) or a
@@ -294,15 +283,9 @@ const HORIZON_MAX_INV_BETA: f64 = 1e3;
 /// replace (see the module docs for the contract and the lowering
 /// table).
 ///
-/// The `*_block` methods evaluate a whole buffer of draws at once:
-/// uniforms are filled first ([`crate::rng::fill_uniforms`], preserving
-/// RNG word order), warps are applied in scalar order (preserving
-/// log-weight accumulation order), and the pure inverse-CDF transform
-/// then runs as a dense loop the autovectorizer can lift. Under
-/// [`MathMode::Exact`] every block method consumes exactly the same RNG
-/// words and produces bit-identical `f64`s to the equivalent sequence
-/// of scalar calls — enforced per variant by the `kernel_equivalence`
-/// property suite.
+/// Plain draws can also read through a prefetching
+/// [`DrawCursor`] ([`SampleKernel::sample_prefetched`]), which consumes
+/// the same words and produces bit-identical `f64`s.
 #[derive(Debug, Clone)]
 pub enum SampleKernel {
     /// Inlined three-parameter Weibull inverse CDF with `1/β`
@@ -453,7 +436,7 @@ impl SampleKernel {
                 if e == 0.0 {
                     return *gamma;
                 }
-                gamma + eta * powf_mode(e, *inv_beta, MathMode::Exact)
+                gamma + eta * powf(e, *inv_beta)
             }
             _ => self.sample(cursor),
         }
@@ -500,7 +483,7 @@ impl SampleKernel {
                 if e == 0.0 {
                     return *gamma;
                 }
-                gamma + eta * powf_mode(e, *inv_beta, MathMode::Exact)
+                gamma + eta * powf(e, *inv_beta)
             }
             _ => self.sample(cursor),
         }
@@ -564,7 +547,7 @@ impl SampleKernel {
         }
         let cut = hi as f64 * step;
         let e = -ln_1p(-cut);
-        let power = powf_mode(e, inv_beta, MathMode::Exact);
+        let power = powf(e, inv_beta);
         if e < f64::MIN_POSITIVE || power < f64::MIN_POSITIVE || eta * power < f64::MIN_POSITIVE {
             return NO_CUT;
         }
@@ -806,370 +789,11 @@ impl SampleKernel {
         }
     }
 
-    /// How many RNG words one draw from this kernel consumes, when that
-    /// count is a constant: `Some(1)` for the quantile families
-    /// (`Weibull3`, `Exponential`, `Lognormal`), `Some(0)` for
-    /// `Degenerate`, and `None` for the composite and boxed kernels,
-    /// whose consumption depends on the drawn values.
-    ///
-    /// Block consumers use this to decide eligibility: only kernels
-    /// with a fixed word count can be pre-filled from a shared uniform
-    /// buffer without shifting later draws in the stream.
-    pub fn words_per_sample(&self) -> Option<usize> {
-        match self {
-            SampleKernel::Weibull3 { .. }
-            | SampleKernel::Exponential { .. }
-            | SampleKernel::Lognormal { .. } => Some(1),
-            SampleKernel::Degenerate { .. } => Some(0),
-            SampleKernel::Mixture { .. }
-            | SampleKernel::Competing { .. }
-            | SampleKernel::Boxed { .. } => None,
-        }
-    }
-
-    /// Transforms a buffer of unit uniforms into lifetimes **in
-    /// place** — the dense, pure half of a block draw. Element `i` of
-    /// the output is exactly what [`SampleKernel::sample`] would have
-    /// produced from uniform `us[i]` (under [`MathMode::Exact`],
-    /// bit-for-bit).
-    ///
-    /// Only defined for kernels with a fixed word count
-    /// ([`SampleKernel::words_per_sample`] `!= None`): `Degenerate`
-    /// ignores the buffer contents and fills its point of support.
-    ///
-    /// # Panics
-    ///
-    /// Panics on composite or boxed kernels, whose draws cannot be
-    /// expressed as a pure transform of pre-filled uniforms.
-    pub fn samples_from_uniforms(&self, mode: MathMode, us: &mut [f64]) {
-        match self {
-            SampleKernel::Weibull3 {
-                gamma,
-                eta,
-                inv_beta,
-                ..
-            } => {
-                for u in us.iter_mut() {
-                    *u = weibull_quantile_mode(*gamma, *eta, *inv_beta, *u, mode);
-                }
-            }
-            SampleKernel::Exponential { rate } => {
-                for u in us.iter_mut() {
-                    *u = -(1.0 - *u).ln() / rate;
-                }
-            }
-            SampleKernel::Lognormal { gamma, mu, sigma } => {
-                for u in us.iter_mut() {
-                    *u = lognormal_quantile(*gamma, *mu, *sigma, *u);
-                }
-            }
-            SampleKernel::Degenerate { value } => us.fill(*value),
-            SampleKernel::Mixture { .. }
-            | SampleKernel::Competing { .. }
-            | SampleKernel::Boxed { .. } => panic!(
-                "samples_from_uniforms is undefined for {} kernels \
-                 (no fixed uniform-to-sample transform)",
-                self.variant_name()
-            ),
-        }
-    }
-
-    /// [`SampleKernel::samples_from_uniforms`] with a horizon cut: a
-    /// `Weibull3` element at or above `cut` becomes [`BEYOND_HORIZON`]
-    /// without evaluating the quantile (see
-    /// [`SampleKernel::sample_cut`]); other variants ignore the cut.
-    ///
-    /// # Panics
-    ///
-    /// Panics where [`SampleKernel::samples_from_uniforms`] does.
-    pub fn samples_from_uniforms_cut(&self, mode: MathMode, cut: f64, us: &mut [f64]) {
-        match self {
-            SampleKernel::Weibull3 {
-                gamma,
-                eta,
-                inv_beta,
-                ..
-            } if cut <= 1.0 => {
-                for u in us.iter_mut() {
-                    *u = if *u >= cut {
-                        BEYOND_HORIZON
-                    } else {
-                        weibull_quantile_mode(*gamma, *eta, *inv_beta, *u, mode)
-                    };
-                }
-            }
-            _ => self.samples_from_uniforms(mode, us),
-        }
-    }
-
-    /// Fills `out` with draws; equivalent to calling
-    /// [`SampleKernel::sample`] once per element. Under
-    /// [`MathMode::Exact`] the block consumes the same RNG words and
-    /// produces bit-identical `f64`s as the scalar loop.
-    ///
-    /// Quantile families fill their uniforms up front and then run the
-    /// dense transform; `Degenerate` consumes no words; composite and
-    /// boxed kernels fall back to the scalar loop (their word count is
-    /// data-dependent).
-    pub fn sample_block(&self, mode: MathMode, rng: &mut dyn Rng, out: &mut [f64]) {
-        match self.words_per_sample() {
-            Some(1) => {
-                crate::rng::fill_uniforms(rng, out);
-                self.samples_from_uniforms(mode, out);
-            }
-            Some(_) => self.samples_from_uniforms(mode, out),
-            None => {
-                for o in out.iter_mut() {
-                    *o = self.sample(&mut &mut *rng);
-                }
-            }
-        }
-    }
-
-    /// Fills `out` with residual lifetimes conditional on survival to
-    /// `t0`; equivalent to calling [`SampleKernel::sample_conditional`]
-    /// once per element, with the per-call invariants (`S(t0)`,
-    /// `F(t0)`) hoisted once per block. Under [`MathMode::Exact`] the
-    /// block is bit-identical to the scalar loop.
-    pub fn sample_conditional_block(
-        &self,
-        mode: MathMode,
-        t0: f64,
-        rng: &mut dyn Rng,
-        out: &mut [f64],
-    ) {
-        match self {
-            SampleKernel::Weibull3 {
-                gamma,
-                eta,
-                beta,
-                inv_beta,
-            } => {
-                let s0 = weibull_sf(*gamma, *eta, *beta, t0);
-                if s0 <= 0.0 {
-                    // The scalar path returns 0.0 without consuming a
-                    // word; replicate that for every element.
-                    out.fill(0.0);
-                    return;
-                }
-                let f0 = weibull_cdf(*gamma, *eta, *beta, t0);
-                crate::rng::fill_uniforms(rng, out);
-                for u in out.iter_mut() {
-                    let p = f0 + *u * s0;
-                    *u = (weibull_quantile_mode(*gamma, *eta, *inv_beta, p, mode) - t0).max(0.0);
-                }
-            }
-            SampleKernel::Exponential { rate } => {
-                crate::rng::fill_uniforms(rng, out);
-                for u in out.iter_mut() {
-                    *u = -(1.0 - *u).ln() / rate;
-                }
-            }
-            SampleKernel::Lognormal { gamma, mu, sigma } => {
-                let f0 = lognormal_cdf(*gamma, *mu, *sigma, t0);
-                let s0 = (1.0 - f0).max(0.0);
-                if s0 <= 0.0 {
-                    out.fill(0.0);
-                    return;
-                }
-                crate::rng::fill_uniforms(rng, out);
-                for u in out.iter_mut() {
-                    let p = f0 + *u * s0;
-                    *u = (lognormal_quantile(*gamma, *mu, *sigma, p) - t0).max(0.0);
-                }
-            }
-            SampleKernel::Degenerate { value } => out.fill((value - t0).max(0.0)),
-            SampleKernel::Mixture { source, .. }
-            | SampleKernel::Competing { source, .. }
-            | SampleKernel::Boxed { source } => {
-                for o in out.iter_mut() {
-                    *o = source.sample_conditional(t0, rng);
-                }
-            }
-        }
-    }
-
-    /// Fills `out` with tilted draws, accumulating each draw's
-    /// log-likelihood-ratio into `log_weight` in element order;
-    /// equivalent to calling [`SampleKernel::sample_tilted`] once per
-    /// element. Under [`MathMode::Exact`] the block is bit-identical to
-    /// the scalar loop: uniforms are filled in stream order, warps run
-    /// in element order (so the log-weight sum associates identically),
-    /// and the pure quantile transform is hoisted into a dense pass.
-    pub fn sample_tilted_block(
-        &self,
-        mode: MathMode,
-        tilt: Tilt,
-        log_weight: &mut f64,
-        rng: &mut dyn Rng,
-        out: &mut [f64],
-    ) {
-        match self {
-            SampleKernel::Weibull3 { .. }
-            | SampleKernel::Exponential { .. }
-            | SampleKernel::Lognormal { .. } => {
-                crate::rng::fill_uniforms(rng, out);
-                for u in out.iter_mut() {
-                    let (v, lw) = tilt.warp(*u);
-                    *log_weight += lw;
-                    *u = v;
-                }
-                self.samples_from_uniforms(mode, out);
-            }
-            SampleKernel::Degenerate { value } => out.fill(*value),
-            SampleKernel::Mixture { .. } | SampleKernel::Competing { .. } => {
-                for o in out.iter_mut() {
-                    *o = self.sample_tilted(tilt, log_weight, &mut &mut *rng);
-                }
-            }
-            SampleKernel::Boxed { source } => {
-                for o in out.iter_mut() {
-                    *o = source.sample(rng);
-                }
-            }
-        }
-    }
-
-    /// Fills `out` with tilted conditional draws; equivalent to calling
-    /// [`SampleKernel::sample_conditional_tilted`] once per element,
-    /// with `S(t0)`/`F(t0)` hoisted once per block. Bit-identical to
-    /// the scalar loop under [`MathMode::Exact`].
-    pub fn sample_conditional_tilted_block(
-        &self,
-        mode: MathMode,
-        t0: f64,
-        tilt: Tilt,
-        log_weight: &mut f64,
-        rng: &mut dyn Rng,
-        out: &mut [f64],
-    ) {
-        match self {
-            SampleKernel::Weibull3 {
-                gamma,
-                eta,
-                beta,
-                inv_beta,
-            } => {
-                let s0 = weibull_sf(*gamma, *eta, *beta, t0);
-                if s0 <= 0.0 {
-                    out.fill(0.0);
-                    return;
-                }
-                let f0 = weibull_cdf(*gamma, *eta, *beta, t0);
-                crate::rng::fill_uniforms(rng, out);
-                for u in out.iter_mut() {
-                    let (v, lw) = tilt.warp(*u);
-                    *log_weight += lw;
-                    let p = f0 + v * s0;
-                    *u = (weibull_quantile_mode(*gamma, *eta, *inv_beta, p, mode) - t0).max(0.0);
-                }
-            }
-            SampleKernel::Exponential { rate } => {
-                crate::rng::fill_uniforms(rng, out);
-                for u in out.iter_mut() {
-                    let (v, lw) = tilt.warp(*u);
-                    *log_weight += lw;
-                    *u = -(1.0 - v).ln() / rate;
-                }
-            }
-            SampleKernel::Lognormal { gamma, mu, sigma } => {
-                let f0 = lognormal_cdf(*gamma, *mu, *sigma, t0);
-                let s0 = (1.0 - f0).max(0.0);
-                if s0 <= 0.0 {
-                    out.fill(0.0);
-                    return;
-                }
-                crate::rng::fill_uniforms(rng, out);
-                for u in out.iter_mut() {
-                    let (v, lw) = tilt.warp(*u);
-                    *log_weight += lw;
-                    let p = f0 + v * s0;
-                    *u = (lognormal_quantile(*gamma, *mu, *sigma, p) - t0).max(0.0);
-                }
-            }
-            SampleKernel::Degenerate { value } => out.fill((value - t0).max(0.0)),
-            SampleKernel::Mixture { source, .. }
-            | SampleKernel::Competing { source, .. }
-            | SampleKernel::Boxed { source } => {
-                for o in out.iter_mut() {
-                    *o = source.sample_conditional(t0, rng);
-                }
-            }
-        }
-    }
-
-    /// Fills `out` with forced conditional draws; equivalent to calling
-    /// [`SampleKernel::sample_conditional_forced`] once per element,
-    /// with `S(t0)`/`F(t0)`/window mass `q` hoisted once per block.
-    /// Bit-identical to the scalar loop under [`MathMode::Exact`].
-    // Mirrors `sample_conditional_forced` plus the block mode/buffer;
-    // bundling the forcing args would diverge the two signatures.
-    #[allow(clippy::too_many_arguments)]
-    pub fn sample_conditional_forced_block(
-        &self,
-        mode: MathMode,
-        t0: f64,
-        window: f64,
-        forcing: Forcing,
-        log_weight: &mut f64,
-        rng: &mut dyn Rng,
-        out: &mut [f64],
-    ) {
-        match self {
-            SampleKernel::Weibull3 {
-                gamma,
-                eta,
-                beta,
-                inv_beta,
-            } => {
-                let s0 = weibull_sf(*gamma, *eta, *beta, t0);
-                if s0 <= 0.0 {
-                    out.fill(0.0);
-                    return;
-                }
-                let f0 = weibull_cdf(*gamma, *eta, *beta, t0);
-                let q = (weibull_cdf(*gamma, *eta, *beta, t0 + window) - f0) / s0;
-                crate::rng::fill_uniforms(rng, out);
-                for u in out.iter_mut() {
-                    let (v, lw) = forcing.warp(*u, q);
-                    *log_weight += lw;
-                    let p = f0 + v * s0;
-                    *u = (weibull_quantile_mode(*gamma, *eta, *inv_beta, p, mode) - t0).max(0.0);
-                }
-            }
-            SampleKernel::Exponential { rate } => {
-                let q = -(-rate * window).exp_m1();
-                crate::rng::fill_uniforms(rng, out);
-                for u in out.iter_mut() {
-                    let (v, lw) = forcing.warp(*u, q);
-                    *log_weight += lw;
-                    *u = -(1.0 - v).ln() / rate;
-                }
-            }
-            SampleKernel::Lognormal { gamma, mu, sigma } => {
-                let f0 = lognormal_cdf(*gamma, *mu, *sigma, t0);
-                let s0 = (1.0 - f0).max(0.0);
-                if s0 <= 0.0 {
-                    out.fill(0.0);
-                    return;
-                }
-                let q = (lognormal_cdf(*gamma, *mu, *sigma, t0 + window) - f0) / s0;
-                crate::rng::fill_uniforms(rng, out);
-                for u in out.iter_mut() {
-                    let (v, lw) = forcing.warp(*u, q);
-                    *log_weight += lw;
-                    let p = f0 + v * s0;
-                    *u = (lognormal_quantile(*gamma, *mu, *sigma, p) - t0).max(0.0);
-                }
-            }
-            SampleKernel::Degenerate { value } => out.fill((value - t0).max(0.0)),
-            SampleKernel::Mixture { source, .. }
-            | SampleKernel::Competing { source, .. }
-            | SampleKernel::Boxed { source } => {
-                for o in out.iter_mut() {
-                    *o = source.sample_conditional(t0, rng);
-                }
-            }
+    /// Fills `out` with draws: exactly the loop calling
+    /// [`SampleKernel::sample`] once per element.
+    pub fn sample_block<R: Rng>(&self, _mode: MathMode, rng: &mut R, out: &mut [f64]) {
+        for o in out.iter_mut() {
+            *o = self.sample(rng);
         }
     }
 }
@@ -1178,36 +802,23 @@ impl SampleKernel {
 /// reciprocal shape hoisted.
 #[inline]
 fn weibull_quantile(gamma: f64, eta: f64, inv_beta: f64, p: f64) -> f64 {
-    weibull_quantile_mode(gamma, eta, inv_beta, p, MathMode::Exact)
-}
-
-/// [`weibull_quantile`] with a selectable evaluation mode: `Exact`
-/// reproduces the scalar op sequence bit-for-bit; `Fast` specializes
-/// the `powf` for the exponents that admit a cheaper exact-algebra
-/// form (`0.5` → `sqrt`, `2.0` → square), which reorders float ops and
-/// is therefore only reachable through the opt-in fast-math paths.
-#[inline]
-fn weibull_quantile_mode(gamma: f64, eta: f64, inv_beta: f64, p: f64, mode: MathMode) -> f64 {
     if p <= 0.0 {
         return gamma;
     }
     assert!(p < 1.0, "quantile requires p in [0, 1), got {p}");
-    gamma + eta * powf_mode(-ln_1p(-p), inv_beta, mode)
+    gamma + eta * powf(-ln_1p(-p), inv_beta)
 }
 
-/// `x.powf(e)` with [`MathMode::Fast`] exponent specialization.
-///
-/// Both modes return `x` itself for `e == 1.0`. That shortcut is exact:
-/// `powf` is faithfully rounded (error under 1 ULP), so when the true
-/// result `x¹ = x` is representable it comes back unchanged — the
+/// `x.powf(e)`, returning `x` itself for `e == 1.0`. That shortcut is
+/// exact: `powf` is faithfully rounded (error under 1 ULP), so when the
+/// true result `x¹ = x` is representable it comes back unchanged — the
 /// `unit_shape_powf_is_the_identity` property test pins this down.
 #[inline]
-fn powf_mode(x: f64, e: f64, mode: MathMode) -> f64 {
-    match mode {
-        MathMode::Fast if e == 0.5 => x.sqrt(),
-        MathMode::Fast if e == 2.0 => x * x,
-        _ if e == 1.0 => x,
-        _ => x.powf(e),
+fn powf(x: f64, e: f64) -> f64 {
+    if e == 1.0 {
+        x
+    } else {
+        x.powf(e)
     }
 }
 
@@ -1218,7 +829,7 @@ fn weibull_sf(gamma: f64, eta: f64, beta: f64, t: f64) -> f64 {
         return 1.0;
     }
     let z = ((t - gamma) / eta).max(0.0);
-    (-powf_mode(z, beta, MathMode::Exact)).exp()
+    (-powf(z, beta)).exp()
 }
 
 /// The exact float-op sequence of `Weibull3::cdf`.
@@ -1228,7 +839,7 @@ fn weibull_cdf(gamma: f64, eta: f64, beta: f64, t: f64) -> f64 {
         return 0.0;
     }
     let z = ((t - gamma) / eta).max(0.0);
-    -(-powf_mode(z, beta, MathMode::Exact)).exp_m1()
+    -(-powf(z, beta)).exp_m1()
 }
 
 /// The exact float-op sequence of `Lognormal::quantile`.

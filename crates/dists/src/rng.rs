@@ -48,11 +48,8 @@ pub fn stream(master: u64, index: u64) -> SimRng {
 ///
 /// Element `i` is bit-identical to the `i`-th scalar uniform the
 /// sampling kernels would have drawn from the same RNG state (the
-/// 53-bit `next_u64` conversion), so block-filling a buffer and then
-/// transforming it densely leaves both the RNG stream position and the
-/// produced floats unchanged relative to the one-at-a-time path. This
-/// is the foundation of the block-draw bit-identity contract (DESIGN.md
-/// §18).
+/// 53-bit `next_u64` conversion), and the RNG ends where the
+/// one-at-a-time path leaves it.
 pub fn fill_uniforms<R: Rng + ?Sized>(rng: &mut R, out: &mut [f64]) {
     for u in out.iter_mut() {
         *u = crate::rng_f64(rng);

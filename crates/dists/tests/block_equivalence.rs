@@ -1,23 +1,17 @@
-//! Bit-equality property tests between the block-draw kernels and the
-//! scalar sampling loops they replace.
+//! Bit-equality property tests between the buffered and prefetched
+//! draw paths and the scalar sampling loops.
 //!
-//! The contract (documented on `SampleKernel` and in DESIGN.md §18) is
-//! that under [`MathMode::Exact`] every `*_block` method consumes
-//! exactly the same RNG words and produces bit-identical `f64`s as the
-//! corresponding scalar method called once per element — for **every**
-//! kernel variant, including the composite and boxed fallbacks and the
-//! tilted/forced importance-sampling draws (whose accumulated
-//! log-weights must also match to the bit, which pins the summation
-//! order). [`MathMode::Fast`] is exercised separately with an explicit
-//! tolerance: per-draw relative error below `1e-12` against the exact
-//! path, with the `powf`-specializable shapes (`1/β ∈ {0.5, 1, 2}`)
-//! covered deliberately.
+//! [`SampleKernel::sample_block`] must consume exactly the same RNG
+//! words and produce bit-identical `f64`s as [`SampleKernel::sample`]
+//! called once per element — for **every** kernel variant, including
+//! the composite and boxed fallbacks.
 //!
 //! The prefetching [`DrawCursor`] is held to the same contract for lazy
-//! draw sites: any sequence of draws through it matches the bare stream
-//! bit for bit, and its rewind leaves the stream on the scalar path's
-//! word. The unit-shape `powf` shortcut is pinned to its basis, a
-//! faithfully rounded `powf`.
+//! draw sites: any sequence of draws through it — plain, horizon-cut,
+//! tilted, conditional and forced, interleaved — matches the bare
+//! stream bit for bit, and its rewind leaves the stream on the scalar
+//! path's word. The unit-shape `powf` shortcut is pinned to its basis,
+//! a faithfully rounded `powf`.
 
 use proptest::prelude::*;
 use raidsim_dists::kernel::{DrawSource, Forcing, MathMode, Tilt};
@@ -31,106 +25,23 @@ use std::sync::Arc;
 
 const BLOCK: usize = 48;
 
-/// Runs every block method against its scalar loop on paired streams,
-/// asserting bit-equality of draws and log-weights plus final RNG
+/// Runs [`SampleKernel::sample_block`] against its scalar loop on
+/// paired streams, asserting bit-equality of draws plus final RNG
 /// lockstep.
-fn assert_block_bit_identical(dist: &Arc<dyn LifeDistribution>, seed: u64, fracs: &[f64]) {
+fn assert_block_bit_identical(dist: &Arc<dyn LifeDistribution>, seed: u64) {
     let kernel = SampleKernel::lower(dist);
-    let t0s: Vec<f64> = fracs.iter().map(|&f| dist.quantile(f)).collect();
-    let tilt = Tilt::new(0.35).unwrap();
-    let forcing = Forcing::new(0.3).unwrap();
     let mut rng_scalar = rand::rngs::StdRng::seed_from_u64(seed);
     let mut rng_block = rand::rngs::StdRng::seed_from_u64(seed);
     let mut block = [0.0f64; BLOCK];
-    let check = |label: &str, scalar: &[f64], block: &[f64]| {
-        for (i, (a, b)) in scalar.iter().zip(block).enumerate() {
-            assert_eq!(
-                a.to_bits(),
-                b.to_bits(),
-                "{label} #{i} diverged for {kernel:?}: scalar {a}, block {b}"
-            );
-        }
-    };
-
-    // Unconditional.
     let scalar: Vec<f64> = (0..BLOCK).map(|_| kernel.sample(&mut rng_scalar)).collect();
     kernel.sample_block(MathMode::Exact, &mut rng_block, &mut block);
-    check("sample", &scalar, &block);
-
-    // Conditional, at several survival ages.
-    for &t0 in &t0s {
-        let scalar: Vec<f64> = (0..BLOCK)
-            .map(|_| kernel.sample_conditional(t0, &mut rng_scalar))
-            .collect();
-        kernel.sample_conditional_block(MathMode::Exact, t0, &mut rng_block, &mut block);
-        check("sample_conditional", &scalar, &block);
-    }
-
-    // Tilted: draws and the accumulated log-weight must both match.
-    let mut lw_scalar = 0.25f64;
-    let mut lw_block = 0.25f64;
-    let scalar: Vec<f64> = (0..BLOCK)
-        .map(|_| kernel.sample_tilted(tilt, &mut lw_scalar, &mut rng_scalar))
-        .collect();
-    kernel.sample_tilted_block(
-        MathMode::Exact,
-        tilt,
-        &mut lw_block,
-        &mut rng_block,
-        &mut block,
-    );
-    check("sample_tilted", &scalar, &block);
-    assert_eq!(
-        lw_scalar.to_bits(),
-        lw_block.to_bits(),
-        "tilted log-weight diverged for {kernel:?}: scalar {lw_scalar}, block {lw_block}"
-    );
-
-    // Conditional tilted.
-    for &t0 in &t0s {
-        let scalar: Vec<f64> = (0..BLOCK)
-            .map(|_| kernel.sample_conditional_tilted(t0, tilt, &mut lw_scalar, &mut rng_scalar))
-            .collect();
-        kernel.sample_conditional_tilted_block(
-            MathMode::Exact,
-            t0,
-            tilt,
-            &mut lw_block,
-            &mut rng_block,
-            &mut block,
+    for (i, (a, b)) in scalar.iter().zip(&block).enumerate() {
+        assert_eq!(
+            a.to_bits(),
+            b.to_bits(),
+            "sample #{i} diverged for {kernel:?}: scalar {a}, block {b}"
         );
-        check("sample_conditional_tilted", &scalar, &block);
-        assert_eq!(lw_scalar.to_bits(), lw_block.to_bits());
     }
-
-    // Forced conditional, windows derived from the distribution scale.
-    let window = (dist.quantile(0.6) - dist.quantile(0.2)).max(1.0);
-    for &t0 in &t0s {
-        let scalar: Vec<f64> = (0..BLOCK)
-            .map(|_| {
-                kernel.sample_conditional_forced(
-                    t0,
-                    window,
-                    forcing,
-                    &mut lw_scalar,
-                    &mut rng_scalar,
-                )
-            })
-            .collect();
-        kernel.sample_conditional_forced_block(
-            MathMode::Exact,
-            t0,
-            window,
-            forcing,
-            &mut lw_block,
-            &mut rng_block,
-            &mut block,
-        );
-        check("sample_conditional_forced", &scalar, &block);
-        assert_eq!(lw_scalar.to_bits(), lw_block.to_bits());
-    }
-
-    // Lockstep: both streams must have consumed the same word count.
     assert_eq!(
         rng_scalar.next_u64(),
         rng_block.next_u64(),
@@ -142,8 +53,8 @@ fn weibull_params() -> impl Strategy<Value = (f64, f64, f64)> {
     (0.0..48.0f64, 1.0..1.0e6f64, 0.3..5.0f64)
 }
 
-/// The unit-shape rule behind the `powf` shortcut both math modes take
-/// for β = 1: `powf` is faithfully rounded, so the representable result
+/// The unit-shape rule behind the `powf` shortcut the kernels take for
+/// β = 1: `powf` is faithfully rounded, so the representable result
 /// `x¹ = x` must come back with the same bits.
 fn assert_unit_powf_is_identity(x: f64) {
     // A runtime exponent, so the libm call runs rather than a fold.
@@ -178,15 +89,19 @@ fn unit_shape_powf_is_the_identity_at_the_edges() {
 }
 
 /// A prefetching cursor and the bare stream must agree draw for draw:
-/// the same kernel sequence drawn through [`DrawCursor`] (plain draws
-/// through the `e` lane, every other form through raw words) and
-/// straight from the RNG gives bit-identical values and log-weights,
-/// and [`DrawCursor::finish`] leaves the RNG on the scalar path's word.
+/// the same kernel sequence drawn through [`DrawCursor`] (plain and
+/// horizon-cut draws through the `e` lane, every other form through raw
+/// words) and straight from the RNG gives bit-identical values and
+/// log-weights, and [`DrawCursor::finish`] leaves the RNG on the scalar
+/// path's word. Cut draws use each kernel's
+/// [`SampleKernel::horizon_cut`] at `horizon`.
 fn assert_prefetch_bit_identical(
     kernels: &[SampleKernel],
+    horizon: f64,
     seed: u64,
     groups: &[Vec<(usize, usize)>],
 ) {
+    let cuts: Vec<f64> = kernels.iter().map(|k| k.horizon_cut(horizon)).collect();
     let tilt = Tilt::new(0.35).unwrap();
     let forcing = Forcing::new(0.3).unwrap();
     let mut rng_scalar = rand::rngs::StdRng::seed_from_u64(seed);
@@ -198,9 +113,14 @@ fn assert_prefetch_bit_identical(
         cursor.begin(&rng_cursor);
         for (i, &(form, k)) in ops.iter().enumerate() {
             let kernel = &kernels[k % kernels.len()];
+            let cut = cuts[k % kernels.len()];
             let t0 = 5.0 * i as f64;
             let (a, b) = match form {
                 0 => (rng_scalar.plain(kernel), cursor.plain(kernel)),
+                5 => (
+                    rng_scalar.plain_cut(kernel, cut),
+                    cursor.plain_cut(kernel, cut),
+                ),
                 1 => (
                     kernel.sample_tilted(tilt, &mut lw_scalar, &mut rng_scalar),
                     kernel.sample_tilted(tilt, &mut lw_cursor, &mut cursor),
@@ -270,12 +190,8 @@ fn kernel_menu((g, e, b): (f64, f64, f64), mean: f64) -> Vec<SampleKernel> {
     dists.iter().map(SampleKernel::lower).collect()
 }
 
-fn t0_fracs() -> impl Strategy<Value = Vec<f64>> {
-    proptest::collection::vec(0.0..0.9f64, 4)
-}
-
 /// A distribution with no `lower_kernel` override: exercises the
-/// `Boxed` scalar fallback inside every block method.
+/// `Boxed` scalar fallback.
 #[derive(Debug)]
 struct Shifted(Exponential, f64);
 
@@ -310,11 +226,12 @@ proptest! {
         // Several groups of (draw form, kernel) sequences, from empty
         // through several maximal refills.
         groups in proptest::collection::vec(
-            proptest::collection::vec((0usize..5, 0usize..8), 0..70),
+            proptest::collection::vec((0usize..6, 0usize..8), 0..70),
             1..4,
         ),
     ) {
-        assert_prefetch_bit_identical(&kernel_menu(params, mean), seed, &groups);
+        let horizon = params.0 + params.1;
+        assert_prefetch_bit_identical(&kernel_menu(params, mean), horizon, seed, &groups);
     }
 
     /// Groups made only of plain draws: every kernel variant through
@@ -329,27 +246,26 @@ proptest! {
         n in 0usize..50,
     ) {
         let plain = vec![vec![(0usize, k); n]];
-        assert_prefetch_bit_identical(&kernel_menu(params, mean), seed, &plain);
+        let horizon = params.0 + params.1;
+        assert_prefetch_bit_identical(&kernel_menu(params, mean), horizon, seed, &plain);
     }
 
     #[test]
     fn weibull_blocks_are_bit_identical(
         (g, e, b) in weibull_params(),
         seed in any::<u64>(),
-        fracs in t0_fracs(),
     ) {
         let d: Arc<dyn LifeDistribution> = Arc::new(Weibull3::new(g, e, b).unwrap());
-        assert_block_bit_identical(&d, seed, &fracs);
+        assert_block_bit_identical(&d, seed);
     }
 
     #[test]
     fn exponential_blocks_are_bit_identical(
         mean in 1.0..1.0e6f64,
         seed in any::<u64>(),
-        fracs in t0_fracs(),
     ) {
         let d: Arc<dyn LifeDistribution> = Arc::new(Exponential::from_mean(mean).unwrap());
-        assert_block_bit_identical(&d, seed, &fracs);
+        assert_block_bit_identical(&d, seed);
     }
 
     #[test]
@@ -358,10 +274,9 @@ proptest! {
         mu in -2.0..12.0f64,
         sigma in 0.05..2.5f64,
         seed in any::<u64>(),
-        fracs in t0_fracs(),
     ) {
         let d: Arc<dyn LifeDistribution> = Arc::new(Lognormal::new(g, mu, sigma).unwrap());
-        assert_block_bit_identical(&d, seed, &fracs);
+        assert_block_bit_identical(&d, seed);
     }
 
     #[test]
@@ -370,11 +285,7 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let d: Arc<dyn LifeDistribution> = Arc::new(Degenerate::new(v).unwrap());
-        // Degenerate has no interior quantiles; condition at the point
-        // of support and below.
-        let kernel = SampleKernel::lower(&d);
-        prop_assert_eq!(kernel.words_per_sample(), Some(0));
-        assert_block_bit_identical(&d, seed, &[]);
+        assert_block_bit_identical(&d, seed);
     }
 
     #[test]
@@ -383,14 +294,12 @@ proptest! {
         mean in 1.0..1.0e6f64,
         w in 0.01..0.99f64,
         seed in any::<u64>(),
-        fracs in t0_fracs(),
     ) {
         let a = Arc::new(Weibull3::new(g1, e1, b1).unwrap());
         let b = Arc::new(Exponential::from_mean(mean).unwrap());
         let d: Arc<dyn LifeDistribution> =
             Arc::new(Mixture::new(vec![(w, a as _), (1.0 - w, b as _)]).unwrap());
-        prop_assert_eq!(SampleKernel::lower(&d).words_per_sample(), None);
-        assert_block_bit_identical(&d, seed, &fracs);
+        assert_block_bit_identical(&d, seed);
     }
 
     #[test]
@@ -398,13 +307,12 @@ proptest! {
         (g1, e1, b1) in weibull_params(),
         (g2, e2, b2) in weibull_params(),
         seed in any::<u64>(),
-        fracs in t0_fracs(),
     ) {
         let a = Arc::new(Weibull3::new(g1, e1, b1).unwrap());
         let b = Arc::new(Weibull3::new(g2, e2, b2).unwrap());
         let d: Arc<dyn LifeDistribution> =
             Arc::new(CompetingRisks::new(vec![a as _, b as _]).unwrap());
-        assert_block_bit_identical(&d, seed, &fracs);
+        assert_block_bit_identical(&d, seed);
     }
 
     #[test]
@@ -412,67 +320,10 @@ proptest! {
         mean in 1.0..1.0e6f64,
         shift in 0.0..100.0f64,
         seed in any::<u64>(),
-        fracs in t0_fracs(),
     ) {
         let d: Arc<dyn LifeDistribution> =
             Arc::new(Shifted(Exponential::from_mean(mean).unwrap(), shift));
         prop_assert!(matches!(SampleKernel::lower(&d), SampleKernel::Boxed { .. }));
-        assert_block_bit_identical(&d, seed, &fracs);
-    }
-
-    /// Fast math may reorder float ops but must stay within the
-    /// documented per-draw tolerance of the exact path — and must
-    /// consume exactly the same RNG words.
-    #[test]
-    fn fast_math_blocks_stay_within_tolerance(
-        // β ∈ {0.5, 1, 2} hit the specialized powf exponents 2, 1 and
-        // 0.5; the free range covers the generic fallback.
-        beta in prop_oneof![Just(0.5f64), Just(1.0f64), Just(2.0f64), 0.3..5.0f64],
-        eta in 1.0..1.0e6f64,
-        gamma in 0.0..48.0f64,
-        seed in any::<u64>(),
-    ) {
-        let d: Arc<dyn LifeDistribution> = Arc::new(Weibull3::new(gamma, eta, beta).unwrap());
-        let kernel = SampleKernel::lower(&d);
-        let mut rng_exact = rand::rngs::StdRng::seed_from_u64(seed);
-        let mut rng_fast = rand::rngs::StdRng::seed_from_u64(seed);
-        let mut exact = [0.0f64; BLOCK];
-        let mut fast = [0.0f64; BLOCK];
-        kernel.sample_block(MathMode::Exact, &mut rng_exact, &mut exact);
-        kernel.sample_block(MathMode::Fast, &mut rng_fast, &mut fast);
-        for (i, (a, b)) in exact.iter().zip(&fast).enumerate() {
-            let denom = a.abs().max(1e-300);
-            let rel = (a - b).abs() / denom;
-            prop_assert!(
-                rel < 1e-12,
-                "draw #{} rel error {} exceeds fast-math tolerance (exact {}, fast {})",
-                i, rel, a, b
-            );
-        }
-        prop_assert_eq!(rng_exact.next_u64(), rng_fast.next_u64());
-    }
-
-    /// The specializable exponents are *exactly* equal under fast math
-    /// when the rewrite is value-preserving (`powf(x, 1.0) == x`), and
-    /// within one ulp-scale tolerance for sqrt/square.
-    #[test]
-    fn fast_math_identity_exponent_is_bit_identical(
-        eta in 1.0..1.0e6f64,
-        gamma in 0.0..48.0f64,
-        seed in any::<u64>(),
-    ) {
-        // β = 1: inv_beta = 1.0, powf_mode returns x unchanged and the
-        // surrounding op sequence is untouched — bit-identical.
-        let d: Arc<dyn LifeDistribution> = Arc::new(Weibull3::new(gamma, eta, 1.0).unwrap());
-        let kernel = SampleKernel::lower(&d);
-        let mut rng_exact = rand::rngs::StdRng::seed_from_u64(seed);
-        let mut rng_fast = rand::rngs::StdRng::seed_from_u64(seed);
-        let mut exact = [0.0f64; BLOCK];
-        let mut fast = [0.0f64; BLOCK];
-        kernel.sample_block(MathMode::Exact, &mut rng_exact, &mut exact);
-        kernel.sample_block(MathMode::Fast, &mut rng_fast, &mut fast);
-        for (a, b) in exact.iter().zip(&fast) {
-            prop_assert_eq!(a.to_bits(), b.to_bits());
-        }
+        assert_block_bit_identical(&d, seed);
     }
 }

@@ -11,8 +11,8 @@
 //! outside the cut's domain reports "no cut".
 
 use proptest::prelude::*;
-use raidsim_dists::kernel::{DrawSource, MathMode, BEYOND_HORIZON, NO_CUT};
-use raidsim_dists::rng::{fill_uniforms, DrawCursor};
+use raidsim_dists::kernel::{DrawSource, BEYOND_HORIZON, NO_CUT};
+use raidsim_dists::rng::DrawCursor;
 use raidsim_dists::{
     CompetingRisks, Degenerate, Exponential, LifeDistribution, Lognormal, Mixture, SampleKernel,
     Weibull3,
@@ -110,25 +110,20 @@ proptest! {
         seed in any::<u64>(),
         runs in proptest::collection::vec(1usize..40, 1..6),
     ) {
-        // Scalar, prefetched and block cut draws agree bit for bit and
-        // consume the same words; the cursor rewinds onto the scalar
-        // path's word after each run.
+        // Scalar and prefetched cut draws agree bit for bit and consume
+        // the same words; the cursor rewinds onto the scalar path's
+        // word after each run.
         let kernel = weibull(gamma, eta, beta);
         let cut = kernel.horizon_cut(horizon);
         let mut scalar = rand::rngs::StdRng::seed_from_u64(seed);
         let mut prefetched = scalar.clone();
-        let mut block_rng = scalar.clone();
         let mut cursor = DrawCursor::new();
         for &len in &runs {
-            let mut block = vec![0.0; len];
-            fill_uniforms(&mut block_rng, &mut block);
-            kernel.samples_from_uniforms_cut(MathMode::Exact, cut, &mut block);
             cursor.begin(&prefetched);
-            for (i, b) in block.iter().enumerate() {
+            for i in 0..len {
                 let a = scalar.plain_cut(&kernel, cut);
                 let c = cursor.plain_cut(&kernel, cut);
                 prop_assert_eq!(a.to_bits(), c.to_bits(), "prefetched draw #{} diverged", i);
-                prop_assert_eq!(a.to_bits(), b.to_bits(), "block draw #{} diverged", i);
             }
             cursor.finish(&mut prefetched);
             prop_assert_eq!(scalar.clone().next_u64(), prefetched.clone().next_u64());
