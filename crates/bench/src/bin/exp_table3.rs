@@ -6,7 +6,7 @@
 //! (168 h quoted as > 360x in the text).
 //!
 //! The scrub ladder runs as one **fused sweep**: a single worker pool
-//! drains all five scenarios through a cross-scenario work queue, with
+//! drains all five scenarios as one job of per-scenario slices, with
 //! each row keeping its historical seed (`11_000 + i`) and its own
 //! per-scenario RNG streams — so every number here is bit-identical to
 //! the row-at-a-time loop this binary used to run (the core test suite

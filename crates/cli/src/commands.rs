@@ -93,8 +93,8 @@ pub fn usage() -> String {
      \n\
      sweeps: `sweep` runs a scrub-frequency ladder (plus a no-scrub\n\
      scenario unless --skip-no-scrub) as one fused execution plan: a\n\
-     single worker pool drains every scenario through a cross-scenario\n\
-     work queue, so threads steal work from the next scenario instead\n\
+     single worker pool drains every scenario as one job with a slice\n\
+     per scenario, so threads steal work from the next scenario instead\n\
      of idling at scenario boundaries. Every scenario uses the same\n\
      seed (common random numbers) and per-scenario results are\n\
      bit-identical to running each configuration alone. Identical\n\

@@ -13,7 +13,7 @@ use raidsim_core::sync_model::{check, ModelReport, Scenario};
 /// The scenario suite: bounded, exhaustive, and fast enough for CI
 /// (a couple of minutes in release mode, dominated by the
 /// multi-group-claim contention scenario). Mirrors
-/// `tests/pool_model.rs` and adds the fused-sweep scenarios.
+/// `tests/pool_model.rs` and adds the multi-slice sweep epochs.
 fn scenarios() -> Vec<(&'static str, Scenario)> {
     let mut suite = vec![
         ("w2_e2_claim1", Scenario::new(2, vec![(0, 2), (2, 4)], 1)),
@@ -68,10 +68,10 @@ fn scenarios() -> Vec<(&'static str, Scenario)> {
     let mut solo = Scenario::new(1, vec![(0, 2)], 1);
     solo.panic_at = Some(0);
     suite.push(("w1_panic_abort", solo));
-    // Fused-sweep coverage: the cross-scenario queue (publish-next
-    // while workers drain the previous scenario), workers parked at the
-    // scenario boundary, spurious wakeups while parked there, and
-    // mid-sweep deaths supervised to full coverage.
+    // Fused-sweep coverage: one epoch of several slices, all published
+    // at once — workers moving on to the next slice while peers still
+    // drain the previous one, spurious wakeups, and mid-sweep deaths
+    // supervised to full coverage.
     suite.push(("w2_sweep_2x2", Scenario::sweep(2, vec![2, 2], 1)));
     suite.push(("w2_sweep_ragged", Scenario::sweep(2, vec![2, 1], 1)));
     suite.push(("w3_sweep_1x1x1", Scenario::sweep(3, vec![1, 1, 1], 1)));

@@ -218,11 +218,7 @@ struct DesState {
 }
 
 impl DesSession {
-    fn new(cfg: &RaidGroupConfig, bias: BiasPolicy, tuning: SessionTuning) -> Self {
-        Self::new_cached(cfg, bias, tuning, &mut KernelCache::new())
-    }
-
-    fn new_cached(
+    fn new(
         cfg: &RaidGroupConfig,
         bias: BiasPolicy,
         tuning: SessionTuning,
@@ -658,30 +654,18 @@ fn earliest(slots: &[Slot], clock: impl Fn(&Slot) -> f64) -> (f64, usize) {
 
 impl Engine for DesEngine {
     fn simulate_group(&self, cfg: &RaidGroupConfig, rng: &mut SimRng) -> GroupHistory {
-        DesSession::new(cfg, BiasPolicy::None, SessionTuning::default())
-            .simulate_group(rng)
-            .clone()
+        DesSession::new(
+            cfg,
+            BiasPolicy::None,
+            SessionTuning::default(),
+            &mut KernelCache::new(),
+        )
+        .simulate_group(rng)
+        .clone()
     }
 
     fn name(&self) -> &'static str {
         "discrete-event"
-    }
-
-    fn session<'a>(
-        &'a self,
-        cfg: &'a RaidGroupConfig,
-        bias: BiasPolicy,
-    ) -> Box<dyn EngineSession + 'a> {
-        self.session_tuned(cfg, bias, SessionTuning::default())
-    }
-
-    fn session_tuned<'a>(
-        &'a self,
-        cfg: &'a RaidGroupConfig,
-        bias: BiasPolicy,
-        tuning: SessionTuning,
-    ) -> Box<dyn EngineSession + 'a> {
-        Box::new(DesSession::new(cfg, bias, tuning))
     }
 
     fn session_tuned_cached<'a>(
@@ -691,7 +675,7 @@ impl Engine for DesEngine {
         tuning: SessionTuning,
         kernels: &mut KernelCache,
     ) -> Box<dyn EngineSession + 'a> {
-        Box::new(DesSession::new_cached(cfg, bias, tuning, kernels))
+        Box::new(DesSession::new(cfg, bias, tuning, kernels))
     }
 }
 
@@ -833,8 +817,18 @@ mod tests {
         let (mut no_draws, mut exact_fill, mut mid_block) = (0, 0, 0);
         for cfg in [&oponly, &base] {
             let init_draws = (cfg.drives * if cfg.dists.ttld.is_some() { 2 } else { 1 }) as u64;
-            let mut prefetched = DesSession::new(cfg, BiasPolicy::None, SessionTuning::default());
-            let mut scalar = DesSession::new(cfg, BiasPolicy::None, scalar_tuning);
+            let mut prefetched = DesSession::new(
+                cfg,
+                BiasPolicy::None,
+                SessionTuning::default(),
+                &mut KernelCache::new(),
+            );
+            let mut scalar = DesSession::new(
+                cfg,
+                BiasPolicy::None,
+                scalar_tuning,
+                &mut KernelCache::new(),
+            );
             for seed in 0..200 {
                 let mut a = stream(seed, 0);
                 let mut b = stream(seed, 0);

@@ -253,14 +253,15 @@ pub trait Engine: std::fmt::Debug + Send + Sync {
     fn name(&self) -> &'static str;
 
     /// Opens a sampling session for repeated group simulations against
-    /// one configuration.
+    /// one configuration: [`Engine::session_tuned_cached`] under the
+    /// default tuning and a fresh kernel cache.
     ///
     /// A session owns per-worker scratch (slot vectors, timeline
     /// buffers, the output history) and the monomorphic sampling
     /// kernels lowered from the configuration's distributions, so the
     /// steady-state group loop allocates nothing. Sessions are **not**
-    /// `Send`: the batch runner creates one per worker thread and keeps
-    /// it alive for the whole run.
+    /// `Send`: the executor keeps one per (worker, scenario) for the
+    /// whole run.
     ///
     /// The contract is bit-identity: for any RNG state and
     /// `BiasPolicy::None`, `session.simulate_group(rng)` must return
@@ -272,21 +273,71 @@ pub trait Engine: std::fmt::Debug + Send + Sync {
     /// with the unbiased draws does not (the whole point is to visit
     /// different paths).
     ///
+    /// # Panics
+    ///
+    /// As [`Engine::session_tuned_cached`].
+    fn session<'a>(
+        &'a self,
+        cfg: &'a RaidGroupConfig,
+        bias: BiasPolicy,
+    ) -> Box<dyn EngineSession + 'a> {
+        self.session_tuned(cfg, bias, SessionTuning::default())
+    }
+
+    /// [`Engine::session`] with explicit performance tuning
+    /// ([`SessionTuning`]): [`Engine::session_tuned_cached`] with a
+    /// fresh kernel cache.
+    ///
+    /// Under the default tuning the returned session is **identical**
+    /// to [`Engine::session`]'s: the default prefetched path is
+    /// draw-for-draw bit-identical to the scalar path, so there is no
+    /// behavioral difference to opt out of. `block_draws: false` forces
+    /// the scalar path (the benchmark A/B lever).
+    ///
+    /// # Panics
+    ///
+    /// As [`Engine::session_tuned_cached`].
+    fn session_tuned<'a>(
+        &'a self,
+        cfg: &'a RaidGroupConfig,
+        bias: BiasPolicy,
+        tuning: SessionTuning,
+    ) -> Box<dyn EngineSession + 'a> {
+        self.session_tuned_cached(cfg, bias, tuning, &mut KernelCache::new())
+    }
+
+    /// The one session constructor engines implement: a session under
+    /// `bias` and `tuning` whose kernel lowering is memoized in
+    /// `kernels`.
+    ///
+    /// The executor keeps one [`KernelCache`] per worker, so a
+    /// distribution tree shared by several scenarios (a scrub ladder
+    /// varies one knob) lowers once per worker (by `Arc` identity), not
+    /// once per session. Cached lowering returns clones of the same
+    /// kernels a fresh lowering would build, so the session is
+    /// draw-for-draw bit-identical whichever cache it was opened with —
+    /// the cache may never change what is simulated, only how fast
+    /// sessions open.
+    ///
     /// The default implementation delegates to
     /// [`Engine::simulate_group`] per call (correct for any engine,
-    /// but allocating — it reports one `loop_allocs` per group) and
-    /// supports only [`BiasPolicy::None`].
+    /// but allocating — it reports one `loop_allocs` per group),
+    /// ignores the tuning and the cache, and supports only
+    /// [`BiasPolicy::None`].
     ///
     /// # Panics
     ///
     /// The default implementation panics when `bias` changes any draw,
     /// because it cannot thread the measure change into
     /// [`Engine::simulate_group`].
-    fn session<'a>(
+    fn session_tuned_cached<'a>(
         &'a self,
         cfg: &'a RaidGroupConfig,
         bias: BiasPolicy,
+        tuning: SessionTuning,
+        kernels: &mut KernelCache,
     ) -> Box<dyn EngineSession + 'a> {
+        let _ = (tuning, kernels);
         assert!(
             bias.is_unbiased(),
             "engine {} has no biased session support",
@@ -297,52 +348,6 @@ pub trait Engine: std::fmt::Debug + Send + Sync {
             last: GroupHistory::default(),
             counters: EngineCounters::default(),
         })
-    }
-
-    /// [`Engine::session`] with explicit performance tuning
-    /// ([`SessionTuning`]).
-    ///
-    /// Under the default tuning the returned session is **identical**
-    /// to [`Engine::session`]'s: the default prefetched path is
-    /// draw-for-draw bit-identical to the scalar path, so there is no
-    /// behavioral difference to opt out of. `block_draws: false` forces
-    /// the scalar path (the benchmark A/B lever).
-    ///
-    /// The default implementation ignores the tuning and delegates to
-    /// [`Engine::session`] — correct for any engine, since tuning may
-    /// never change what is simulated, only how fast.
-    fn session_tuned<'a>(
-        &'a self,
-        cfg: &'a RaidGroupConfig,
-        bias: BiasPolicy,
-        tuning: SessionTuning,
-    ) -> Box<dyn EngineSession + 'a> {
-        let _ = tuning;
-        self.session(cfg, bias)
-    }
-
-    /// [`Engine::session_tuned`] with memoized kernel lowering.
-    ///
-    /// A fused sweep opens one session per (worker, scenario); engines
-    /// that lower `dyn LifeDistribution` trees into [`SampleKernel`]s
-    /// route the lowering through `kernels` so each distinct tree
-    /// (by `Arc` identity) lowers once per worker per sweep. Cached
-    /// lowering returns clones of the same kernels a fresh lowering
-    /// would build, so the session is draw-for-draw bit-identical to
-    /// [`Engine::session_tuned`]'s — the cache may never change what
-    /// is simulated, only how fast sessions open.
-    ///
-    /// The default implementation ignores the cache and delegates,
-    /// which is correct for engines that do not lower kernels.
-    fn session_tuned_cached<'a>(
-        &'a self,
-        cfg: &'a RaidGroupConfig,
-        bias: BiasPolicy,
-        tuning: SessionTuning,
-        kernels: &mut KernelCache,
-    ) -> Box<dyn EngineSession + 'a> {
-        let _ = kernels;
-        self.session_tuned(cfg, bias, tuning)
     }
 }
 
@@ -403,7 +408,8 @@ impl EngineCounters {
     }
 }
 
-/// Compatibility session behind the default [`Engine::session`]: each
+/// Compatibility session behind the default
+/// [`Engine::session_tuned_cached`]: each
 /// call delegates to [`Engine::simulate_group`] and stores the result
 /// so a reference can be returned.
 struct OneShotSession<F> {

@@ -265,11 +265,7 @@ struct TimelineState {
 }
 
 impl TimelineSession {
-    fn new(cfg: &RaidGroupConfig, bias: BiasPolicy, tuning: SessionTuning) -> Self {
-        Self::new_cached(cfg, bias, tuning, &mut KernelCache::new())
-    }
-
-    fn new_cached(
+    fn new(
         cfg: &RaidGroupConfig,
         bias: BiasPolicy,
         tuning: SessionTuning,
@@ -532,30 +528,18 @@ impl TimelineState {
 
 impl Engine for TimelineEngine {
     fn simulate_group(&self, cfg: &RaidGroupConfig, rng: &mut SimRng) -> GroupHistory {
-        TimelineSession::new(cfg, BiasPolicy::None, SessionTuning::default())
-            .simulate_group(rng)
-            .clone()
+        TimelineSession::new(
+            cfg,
+            BiasPolicy::None,
+            SessionTuning::default(),
+            &mut KernelCache::new(),
+        )
+        .simulate_group(rng)
+        .clone()
     }
 
     fn name(&self) -> &'static str {
         "pairwise-timeline"
-    }
-
-    fn session<'a>(
-        &'a self,
-        cfg: &'a RaidGroupConfig,
-        bias: BiasPolicy,
-    ) -> Box<dyn EngineSession + 'a> {
-        self.session_tuned(cfg, bias, SessionTuning::default())
-    }
-
-    fn session_tuned<'a>(
-        &'a self,
-        cfg: &'a RaidGroupConfig,
-        bias: BiasPolicy,
-        tuning: SessionTuning,
-    ) -> Box<dyn EngineSession + 'a> {
-        Box::new(TimelineSession::new(cfg, bias, tuning))
     }
 
     fn session_tuned_cached<'a>(
@@ -565,7 +549,7 @@ impl Engine for TimelineEngine {
         tuning: SessionTuning,
         kernels: &mut KernelCache,
     ) -> Box<dyn EngineSession + 'a> {
-        Box::new(TimelineSession::new_cached(cfg, bias, tuning, kernels))
+        Box::new(TimelineSession::new(cfg, bias, tuning, kernels))
     }
 }
 
@@ -687,9 +671,18 @@ mod tests {
         let scalar_tuning = SessionTuning { block_draws: false };
         let (mut no_failures, mut exact_fill, mut mid_block) = (0, 0, 0);
         for cfg in [&oponly, &base] {
-            let mut prefetched =
-                TimelineSession::new(cfg, BiasPolicy::None, SessionTuning::default());
-            let mut scalar = TimelineSession::new(cfg, BiasPolicy::None, scalar_tuning);
+            let mut prefetched = TimelineSession::new(
+                cfg,
+                BiasPolicy::None,
+                SessionTuning::default(),
+                &mut KernelCache::new(),
+            );
+            let mut scalar = TimelineSession::new(
+                cfg,
+                BiasPolicy::None,
+                scalar_tuning,
+                &mut KernelCache::new(),
+            );
             for seed in 0..300 {
                 let mut a = stream(seed, 0);
                 let mut b = stream(seed, 0);

@@ -1,66 +1,74 @@
-//! Persistent worker pool behind the parallel batch runner.
+//! The executor: one group loop behind every run, shard and sweep.
 //!
-//! One pool is created per run — not per driver batch. Workers are
-//! spawned once, each opens one [`crate::engine::EngineSession`] whose
-//! scratch buffers and lowered sampling kernels live for the whole run,
-//! and driver batches are dispatched to the pool as *epochs* over a
-//! condition variable. The per-batch `thread::scope` spawn/join cycles
-//! of the previous runner are replaced by an epoch handshake:
+//! An executor is opened once per run (or per sweep) and serves *jobs*.
+//! A job is a list of *slices* — `{scenario, lo, hi, first_stream}`,
+//! group `i` of a slice simulated on RNG stream
+//! `i - lo + first_stream` of its scenario's seed — plus a sink: stream
+//! each group into the slice's [`StreamStats`] (quarantining a group
+//! whose simulation panics), or collect the histories. A precision or
+//! checkpointed run publishes one single-slice job per driver batch; a
+//! plain run or a shard is one single-slice job; a fused sweep is one
+//! job with a slice per scenario. Every slice has its own claim cursor.
 //!
-//! 1. the coordinator publishes a job (a claim cursor over `[lo, hi)`
-//!    plus the accumulation mode), bumps the epoch, and wakes every
-//!    worker;
-//! 2. workers drain the cursor, merge their local partials into the
-//!    epoch accumulator, and check out;
+//! With `threads == 1` the calling thread is the only worker and
+//! nothing is spawned. Otherwise workers are spawned once per executor
+//! and each job is one *epoch* of the pool's handshake:
+//!
+//! 1. the coordinator installs the job (every slice's cursor), bumps
+//!    the epoch, and wakes every worker;
+//! 2. each worker walks the slices in order, draining each cursor
+//!    before moving to the next (claiming from a later slice after an
+//!    earlier one ran dry is a counted *steal*), merges its partials
+//!    into the job's accumulators, and checks out;
 //! 3. the coordinator sleeps until the last worker has checked out.
 //!
-//! The checkout of the last worker is the quiesce point: every index in
-//! `[lo, hi)` has completed, so the finished set is still an exact
-//! prefix of the group-index space at every batch boundary — the same
-//! invariant the join barrier used to provide, which is what checkpoint
-//! resume depends on (see [`crate::checkpoint`]).
+//! The checkout of the last worker is the quiesce point: every index of
+//! every slice has completed, so at each driver-batch boundary the
+//! finished set is an exact prefix of the group-index space — what
+//! checkpoint resume depends on (see [`crate::checkpoint`]).
 //!
-//! The handshake itself — every guarded decision listed above — is not
-//! implemented here. It lives in [`crate::sync_model`] as pure
-//! transitions on [`PoolCore`], which this module executes through the
-//! [`SyncOps`] seam ([`StdSync`]: one mutex, two condvars) and which
-//! the model checker executes under a virtual scheduler, exhaustively,
-//! in `tests/pool_model.rs`. The split keeps exactly one copy of the
-//! protocol: what is proved is what runs. This module adds only the
-//! *data plane* — the claim cursor and the epoch accumulators — kept in
-//! a second mutex ([`EpochData`]) that is never held while sleeping.
-//! The two-lock split is safe because the data plane is only written by
-//! the coordinator while no epoch is in flight (`active == 0`, before
-//! publish / after quiesce) and by workers strictly before their own
-//! guarded check-out, so the protocol's quiesce point orders every
-//! access; the model checker verifies the ordering claims.
+//! Both kinds of executor run the same per-slice loop ([`Worker`]):
+//! one [`KernelCache`] per worker, sessions keyed by scenario and kept
+//! for the executor's life, a session lookup and sink dispatch per
+//! claimed range, and per group the RNG stream, the simulation (caught
+//! in stream mode), and the progress tick.
 //!
-//! Determinism is unchanged from the scoped runner: which worker
-//! simulates a group cannot affect its history (per-group RNG streams),
-//! [`StreamStats`] partials are exact-integer state that merges
-//! bit-identically in any order, and collected histories are
-//! reassembled in group-index order by the coordinator.
+//! The handshake itself is not implemented here. It lives in
+//! [`crate::sync_model`] as pure transitions on [`PoolCore`], which this
+//! module executes through the [`SyncOps`] seam ([`StdSync`]: one
+//! mutex, two condvars) and which the model checker executes under a
+//! virtual scheduler, exhaustively, in `tests/pool_model.rs`. There is
+//! one copy of the protocol: what is proved is what runs. This module
+//! adds only the *data plane* — the job's cursors and accumulators —
+//! behind a second mutex ([`Plane`]) that is never held while
+//! sleeping. The two-lock split is safe because the coordinator writes
+//! the plane only while no epoch is in flight (`active == 0`, before
+//! publish / after quiesce) and workers write it strictly before their
+//! own guarded check-out, so the quiesce point orders every access.
+//!
+//! Determinism: which worker simulates a group cannot affect its
+//! history (per-group RNG streams), [`StreamStats`] partials are
+//! exact-integer state that merges bit-identically in any order, and
+//! collected histories are reassembled in index order.
 //!
 //! Failure handling is *supervised* (see DESIGN.md §17):
 //!
 //! * In stream mode, a panic while simulating one group is caught and
 //!   the group **quarantined**: its index still counts toward the
-//!   completed watermark (so batch arithmetic and the prefix invariant
-//!   hold) but its statistics are excluded, the session is reopened,
-//!   and the run continues. Quarantined groups surface through
-//!   [`BatchRunner::drain_quarantine`] and make the run unresumable.
+//!   completed watermark but its statistics are excluded, the session's
+//!   counters are folded into the worker's total, the session is
+//!   reopened, and the run continues.
 //! * A panic that kills a whole worker (an observer callback, session
 //!   construction, a collect-mode group) trips its
-//!   [`SupervisionGuard`]: the worker's *unmerged* claimed ranges —
-//!   all of them, because its private accumulator dies with it — are
-//!   resubmitted through [`PoolCore::mark_lost`], and survivors pick
-//!   them up at their guarded check-out ([`PoolCore::check_out`]
-//!   refuses to let a worker leave while the queue is non-empty), so
-//!   no interleaving can quiesce the epoch with work unserved.
-//!   Aggregates stay bit-identical because per-group RNG streams make
-//!   redone work reproduce the dead worker's results exactly. (The
-//!   shared progress counter may over-count redone groups; it feeds
-//!   progress display only, never batch arithmetic.)
+//!   [`SupervisionGuard`]: the worker's *unmerged* claimed ranges are
+//!   resubmitted through [`PoolCore::mark_lost`], and survivors redo
+//!   them at their guarded check-out ([`PoolCore::check_out`] refuses
+//!   to let a worker leave while the queue is non-empty). Aggregates
+//!   stay bit-identical because per-group RNG streams make redone work
+//!   reproduce the dead worker's results exactly. (The shared progress
+//!   counter may over-count redone groups; it feeds progress display
+//!   only.) With `threads == 1` there is no survivor, so such a panic
+//!   propagates to the caller.
 //! * Losing the *last* worker degenerates to the unsupervised abort:
 //!   the pool latches `panicked` and the coordinator re-raises at its
 //!   quiesce wait instead of deadlocking.
@@ -72,13 +80,11 @@
 use crate::config::RaidGroupConfig;
 use crate::engine::{BiasPolicy, Engine, EngineCounters, EngineSession, SessionTuning};
 use crate::events::{GroupHistory, QuarantinedGroup};
-use crate::run::{
-    panic_message, BatchCursor, BatchRunner, Progress, StreamObserver, PROGRESS_STRIDE,
-};
+use crate::run::{panic_message, BatchCursor, Progress, StreamObserver, PROGRESS_STRIDE};
 use crate::stats::{SchedulerStats, StreamStats};
 use crate::sync_model::{
-    effective_claim, CheckOutcome, Cv, JobSpec, PoolCore, QuiescePoll, StdSync, SweepPoll, SyncOps,
-    Wake, WorkerPoll,
+    effective_claim, CheckOutcome, Cv, JobSpec, PoolCore, QuiescePoll, StdSync, SyncOps, Wake,
+    WorkerPoll,
 };
 use raidsim_dists::rng::stream;
 use raidsim_dists::KernelCache;
@@ -86,63 +92,294 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
-/// Everything a pool worker needs, borrowed from the driving run.
-pub(crate) struct PoolCtx<'a> {
-    /// Engine shared by all workers (each opens its own session).
-    pub engine: &'a dyn Engine,
-    /// Configuration being simulated.
+/// One scenario an executor serves.
+pub(crate) struct ScenarioRef<'a> {
+    /// Configuration simulated.
     pub cfg: &'a RaidGroupConfig,
-    /// Sampling-measure change each worker session applies (see
-    /// [`BiasPolicy`]); scheduling invariance is unaffected because
-    /// every session applies the same policy to the same per-group
-    /// streams.
-    pub bias: BiasPolicy,
-    /// Session tuning every worker session opens with; every tuning is
-    /// bit-identical to the scalar path, so
-    /// scheduling invariance is preserved.
-    pub tuning: SessionTuning,
-    /// Base seed; group `i` uses RNG stream `i`.
+    /// Master seed the scenario's per-group streams derive from.
     pub seed: u64,
-    /// Worker count (callers route `threads == 1` around the pool).
+}
+
+/// Everything an executor's workers share, borrowed from the driving
+/// run or sweep.
+pub(crate) struct ExecCtx<'a> {
+    /// Engine shared by all workers (each opens its own sessions).
+    pub engine: &'a dyn Engine,
+    /// Scenarios that slices refer to by index.
+    pub scenarios: Vec<ScenarioRef<'a>>,
+    /// Sampling-measure change every session applies (see
+    /// [`BiasPolicy`]).
+    pub bias: BiasPolicy,
+    /// Session tuning every session opens with; every tuning is
+    /// bit-identical to the scalar path.
+    pub tuning: SessionTuning,
+    /// Worker count; `1` runs on the calling thread.
     pub threads: usize,
-    /// Configured claim-batch size, clamped per epoch by
+    /// Configured claim-batch size, clamped per slice by
     /// [`effective_claim`].
     pub claim_batch: u64,
     /// Progress sink; called from worker threads.
     pub observer: &'a dyn StreamObserver,
-    /// Global completed-group counter (absolute, survives across
-    /// epochs; resumed runs start it at the checkpointed prefix).
+    /// Global completed-group counter (absolute; resumed runs start it
+    /// at the checkpointed prefix).
     pub done: &'a AtomicU64,
     /// Target group count reported in progress callbacks.
     pub target: u64,
 }
 
-/// The data plane of one epoch: the claim cursor workers drain and the
-/// accumulators they merge into. Guarded by its own mutex, held only
-/// for short non-blocking sections (install, cursor hand-out, merge,
-/// harvest) — all ordering between them is provided by the protocol in
-/// [`PoolCore`], never by this lock.
-struct EpochData {
-    /// Cursor of the current epoch, `Some` from install to harvest.
-    cursor: Option<Arc<BatchCursor>>,
-    /// Stream-mode epoch accumulator (`None` in collect mode).
-    stream_acc: Option<StreamStats>,
-    /// Collect-mode epoch accumulator: `(start_index, histories)` per
-    /// claimed batch, in arbitrary completion order.
-    collect_acc: Vec<(u64, Vec<GroupHistory>)>,
-    /// Stream-mode groups whose simulation panicked this epoch.
+/// Groups `[lo, hi)` of one scenario; group `i` uses RNG stream
+/// `i - lo + first_stream` of the scenario's seed. The slices of one
+/// job cover disjoint index ranges.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Slice {
+    /// Index into [`ExecCtx::scenarios`].
+    pub scenario: usize,
+    /// First group index (inclusive).
+    pub lo: u64,
+    /// One past the last group index.
+    pub hi: u64,
+    /// Stream of the slice's first group.
+    pub first_stream: u64,
+}
+
+impl Slice {
+    /// Groups `[lo, hi)` of scenario 0 on streams `lo..hi`: a driver
+    /// batch, a shard, or a whole single-configuration run.
+    pub(crate) fn range(lo: u64, hi: u64) -> Self {
+        Slice {
+            scenario: 0,
+            lo,
+            hi,
+            first_stream: lo,
+        }
+    }
+
+    fn stream_index(&self, i: u64) -> u64 {
+        i - self.lo + self.first_stream
+    }
+}
+
+/// A job's results, one entry per slice in slice order.
+#[derive(Default)]
+pub(crate) struct Harvest {
+    /// Stream sink: each slice's aggregate (empty in collect mode).
+    pub stats: Vec<StreamStats>,
+    /// Collect sink: each slice's histories in group order (empty in
+    /// stream mode).
+    pub histories: Vec<Vec<GroupHistory>>,
+    /// Quarantined groups as `(slice, group)`, the group's index being
+    /// its stream index, sorted by `(slice, index)`.
+    pub quarantine: Vec<(usize, QuarantinedGroup)>,
+}
+
+/// A published job: its slices, one claim cursor per slice, and its
+/// sink.
+struct Job {
+    slices: Vec<Slice>,
+    cursors: Vec<BatchCursor>,
+    collect: bool,
+}
+
+impl Job {
+    /// The slice holding a resubmitted range. A claimed range never
+    /// spans slices (each comes from one slice's cursor), so its start
+    /// pins it.
+    fn slice_of(&self, start: u64) -> usize {
+        self.slices
+            .iter()
+            .position(|s| start >= s.lo && start < s.hi)
+            .expect("a resubmitted range lies inside one of the job's slices")
+    }
+}
+
+/// One slice's share of a job's results, accumulated per worker and
+/// merged into the job's accumulator at check-out.
+#[derive(Default)]
+struct Part {
+    /// Stream sink: the aggregate, `None` until a group lands.
+    stats: Option<StreamStats>,
+    /// Stream sink: groups whose simulation panicked.
     quarantine: Vec<QuarantinedGroup>,
+    /// Collect sink: `(first index, histories)` per claimed range.
+    chunks: Vec<(u64, Vec<GroupHistory>)>,
+}
+
+impl Part {
+    fn merge(&mut self, other: Part) {
+        match (&mut self.stats, other.stats) {
+            (Some(acc), Some(stats)) => acc.merge(stats),
+            (acc, stats @ Some(_)) => *acc = stats,
+            (_, None) => {}
+        }
+        self.quarantine.extend(other.quarantine);
+        self.chunks.extend(other.chunks);
+    }
+}
+
+fn empty_parts(n: usize) -> Vec<Part> {
+    (0..n).map(|_| Part::default()).collect()
+}
+
+/// A worker's private state: one kernel cache, one session per
+/// scenario it has served, and its lifetime tallies.
+struct Worker<'a> {
+    kernels: KernelCache,
+    sessions: Vec<Option<Box<dyn EngineSession + 'a>>>,
+    /// Counters of sessions discarded after a quarantined panic.
+    retired: EngineCounters,
+    groups: u64,
+    steals: u64,
+    /// Last progress stride this worker reported.
+    last_bucket: u64,
+}
+
+impl<'a> Worker<'a> {
+    fn new(ctx: &ExecCtx<'a>) -> Self {
+        let mut sessions = Vec::new();
+        sessions.resize_with(ctx.scenarios.len(), || None);
+        Worker {
+            kernels: KernelCache::new(),
+            sessions,
+            retired: EngineCounters::default(),
+            groups: 0,
+            steals: 0,
+            // Stride accounting starts at the current global bucket so
+            // a resumed run does not re-report strides its checkpointed
+            // prefix already covered.
+            last_bucket: ctx.done.load(Ordering::Relaxed) / PROGRESS_STRIDE,
+        }
+    }
+
+    /// Walks the job's slices in order, draining each cursor, and
+    /// records every claimed range in `pending`.
+    fn drain(
+        &mut self,
+        ctx: &ExecCtx<'a>,
+        job: &Job,
+        parts: &mut [Part],
+        pending: &mut Vec<(u64, u64)>,
+    ) {
+        for (k, (slice, cursor)) in job.slices.iter().zip(&job.cursors).enumerate() {
+            // Opened on entry, claimed from or not, so the sessions a
+            // worker opens are a function of the jobs it serves, not of
+            // how the claims fell.
+            if self.sessions[slice.scenario].is_none() {
+                self.sessions[slice.scenario] = Some(self.open(ctx, slice.scenario));
+            }
+            let mut claimed = false;
+            while let Some(range) = cursor.claim() {
+                claimed = true;
+                pending.push((range.start, range.end));
+                self.run_range(ctx, job.collect, slice, range, &mut parts[k]);
+            }
+            if claimed && k > 0 {
+                self.steals += 1;
+            }
+        }
+    }
+
+    /// Simulates the claimed range of `slice` into its part.
+    fn run_range(
+        &mut self,
+        ctx: &ExecCtx<'a>,
+        collect: bool,
+        slice: &Slice,
+        range: std::ops::Range<u64>,
+        part: &mut Part,
+    ) {
+        let seed = ctx.scenarios[slice.scenario].seed;
+        let mut session = match self.sessions[slice.scenario].take() {
+            Some(session) => session,
+            None => self.open(ctx, slice.scenario),
+        };
+        if collect {
+            let mut batch = Vec::with_capacity((range.end - range.start) as usize);
+            let start = range.start;
+            for i in range {
+                let mut rng = stream(seed, slice.stream_index(i));
+                batch.push(session.simulate_group(&mut rng).clone());
+                self.tick(ctx);
+            }
+            part.chunks.push((start, batch));
+        } else {
+            let mission = ctx.scenarios[slice.scenario].cfg.mission_hours;
+            let stats = part.stats.get_or_insert_with(|| StreamStats::new(mission));
+            for i in range {
+                let mut rng = stream(seed, slice.stream_index(i));
+                // Unwind safety: `stats` is only mutated by `push`,
+                // which runs after `simulate_group` returned a complete
+                // history — a panic leaves it untouched. The session
+                // may be mid-update, so it is replaced; its counters
+                // are kept.
+                let outcome = catch_unwind(AssertUnwindSafe(|| {
+                    stats.push(session.simulate_group(&mut rng));
+                }));
+                if let Err(payload) = outcome {
+                    part.quarantine.push(QuarantinedGroup {
+                        index: slice.stream_index(i),
+                        message: panic_message(payload.as_ref()),
+                    });
+                    self.retired.merge(session.counters());
+                    session = self.open(ctx, slice.scenario);
+                }
+                self.tick(ctx);
+            }
+        }
+        self.sessions[slice.scenario] = Some(session);
+    }
+
+    fn open(&mut self, ctx: &ExecCtx<'a>, scenario: usize) -> Box<dyn EngineSession + 'a> {
+        let cfg = ctx.scenarios[scenario].cfg;
+        ctx.engine
+            .session_tuned_cached(cfg, ctx.bias, ctx.tuning, &mut self.kernels)
+    }
+
+    /// Counts a completed group and reports a progress stride if this
+    /// worker crossed into a new bucket — per-worker monotone by
+    /// construction.
+    fn tick(&mut self, ctx: &ExecCtx<'_>) {
+        self.groups += 1;
+        let completed = ctx.done.fetch_add(1, Ordering::Relaxed) + 1;
+        let bucket = completed / PROGRESS_STRIDE;
+        if bucket > self.last_bucket {
+            self.last_bucket = bucket;
+            ctx.observer.on_progress(Progress {
+                groups_done: completed,
+                groups_target: ctx.target,
+            });
+        }
+    }
+
+    /// Lifetime group count, steals, and the counters of every session
+    /// this worker opened.
+    fn tally(self) -> (u64, u64, EngineCounters) {
+        let mut counters = self.retired;
+        for session in self.sessions.into_iter().flatten() {
+            counters.merge(session.counters());
+        }
+        (self.groups, self.steals, counters)
+    }
+}
+
+/// The data plane: the job in flight and the accumulators its workers
+/// merge into, one per slice. Guarded by its own mutex, held only for
+/// short non-blocking sections (install, job hand-out, merge, harvest)
+/// — all ordering between them comes from the protocol in
+/// [`PoolCore`], never from this lock.
+struct Plane {
+    job: Option<Arc<Job>>,
+    parts: Vec<Part>,
 }
 
 struct Shared {
     /// Protocol state + condvars; all blocking goes through here.
     sync: StdSync,
-    /// Epoch data plane (see [`EpochData`]).
-    data: Mutex<EpochData>,
+    /// Data plane (see [`Plane`]).
+    plane: Mutex<Plane>,
 }
 
-fn lock_data(shared: &Shared) -> MutexGuard<'_, EpochData> {
-    shared.data.lock().unwrap_or_else(PoisonError::into_inner)
+fn lock_plane(shared: &Shared) -> MutexGuard<'_, Plane> {
+    shared.plane.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Requests worker shutdown when dropped, so the enclosing
@@ -162,8 +399,8 @@ impl Drop for ShutdownOnDrop<'_> {
 ///
 /// `pending` accumulates **every** range the worker claimed since its
 /// current serve began — completed ones included, because the worker's
-/// private accumulator (and with it the results of completed ranges)
-/// dies with the worker; only the merge publishes them. It is cleared
+/// private partials (and with them the results of completed ranges) die
+/// with the worker; only the merge publishes them. It is cleared
 /// immediately after the merge publishes, with no panic point in
 /// between, so no death can double-count or lose a range.
 ///
@@ -194,135 +431,6 @@ impl Drop for SupervisionGuard<'_> {
     }
 }
 
-/// Dispatches driver batches to the worker pool; implements
-/// [`BatchRunner`] for the drivers in [`crate::run`].
-pub(crate) struct PoolRunner<'env, 'p> {
-    ctx: &'p PoolCtx<'env>,
-    shared: &'p Shared,
-    /// Quarantined groups harvested from completed epochs, awaiting
-    /// [`BatchRunner::drain_quarantine`].
-    quarantined: Vec<QuarantinedGroup>,
-}
-
-impl PoolRunner<'_, '_> {
-    /// Publishes `[lo, hi)` as the next epoch, wakes the workers, and
-    /// blocks until the epoch quiesces. Returns the data guard so the
-    /// caller can take the epoch's accumulator.
-    ///
-    /// # Panics
-    ///
-    /// Re-raises (as a coordinator panic) when the pool lost every
-    /// worker — partial losses are supervised and do not surface here.
-    fn run_epoch(&mut self, lo: usize, hi: usize, collect: bool) -> MutexGuard<'_, EpochData> {
-        debug_assert!(lo <= hi);
-        let count = (hi - lo) as u64;
-        let claim = effective_claim(self.ctx.claim_batch, count, self.ctx.threads as u64);
-        let spec = JobSpec {
-            lo: lo as u64,
-            hi: hi as u64,
-            claim,
-            collect,
-        };
-        // Install the data plane first: workers cannot observe it until
-        // the guarded publish makes the epoch visible, and no worker
-        // from the previous epoch can still touch it (`active == 0`).
-        {
-            let mut data = lock_data(self.shared);
-            data.cursor = Some(Arc::new(BatchCursor::new(lo, hi, claim)));
-            data.stream_acc = (!collect).then(|| StreamStats::new(self.ctx.cfg.mission_hours));
-            data.collect_acc.clear();
-            data.quarantine.clear();
-        }
-        let wake = self.shared.sync.guarded(|core| core.publish(spec));
-        self.shared.sync.wake(wake);
-        let outcome = self
-            .shared
-            .sync
-            .poll_until(Cv::Quiesced, |core| match core.quiesce_poll() {
-                QuiescePoll::Wait => None,
-                other => Some(other),
-            });
-        self.shared.sync.guarded(PoolCore::retire);
-        if outcome == QuiescePoll::Panicked {
-            panic!("simulation worker panicked");
-        }
-        let mut data = lock_data(self.shared);
-        data.cursor = None;
-        data
-    }
-}
-
-impl BatchRunner for PoolRunner<'_, '_> {
-    fn stream_batch(&mut self, lo: usize, hi: usize) -> StreamStats {
-        let mut data = self.run_epoch(lo, hi, false);
-        let mut quarantined = std::mem::take(&mut data.quarantine);
-        let stats = data
-            .stream_acc
-            .take()
-            .expect("stream epochs publish an accumulator");
-        drop(data);
-        // Deterministic order for observers regardless of which worker
-        // hit which group first. The explicit comparator (not
-        // `sort_unstable_by_key`) keeps the float-discipline lint happy.
-        #[allow(clippy::unnecessary_sort_by)]
-        quarantined.sort_unstable_by(|a, b| a.index.cmp(&b.index));
-        self.quarantined.append(&mut quarantined);
-        stats
-    }
-
-    fn drain_quarantine(&mut self) -> Vec<QuarantinedGroup> {
-        std::mem::take(&mut self.quarantined)
-    }
-
-    fn collect_batch(&mut self, lo: usize, hi: usize) -> Vec<GroupHistory> {
-        let mut data = self.run_epoch(lo, hi, true);
-        let mut parts = std::mem::take(&mut data.collect_acc);
-        drop(data);
-        // Claim starts are unique within the epoch, so sorting by start
-        // (an integer index — no float ordering involved) and
-        // concatenating restores exact group-index order no matter
-        // which worker produced which batch. The explicit comparator is
-        // deliberate: the float-discipline lint bans the `_by_key` form
-        // in simulation crates because float keys cannot implement Ord.
-        #[allow(clippy::unnecessary_sort_by)]
-        parts.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-        let mut histories = Vec::with_capacity(hi - lo);
-        for (_, mut batch) in parts {
-            histories.append(&mut batch);
-        }
-        histories
-    }
-}
-
-/// Counts a completed group against the global counter and reports a
-/// progress stride if this worker crossed into a new bucket (the same
-/// per-worker monotone stride accounting the scoped runner used).
-fn note_progress(
-    observer: &dyn StreamObserver,
-    done: &AtomicU64,
-    target: u64,
-    last_bucket: &mut u64,
-) {
-    let completed = done.fetch_add(1, Ordering::Relaxed) + 1;
-    let bucket = completed / PROGRESS_STRIDE;
-    if bucket > *last_bucket {
-        *last_bucket = bucket;
-        observer.on_progress(Progress {
-            groups_done: completed,
-            groups_target: target,
-        });
-    }
-}
-
-fn note_group(ctx: &PoolCtx<'_>, last_bucket: &mut u64) {
-    note_progress(ctx.observer, ctx.done, ctx.target, last_bucket);
-}
-
-/// Claims the next cursor range as `[start, end)` group indices.
-fn claim_u64(cursor: &BatchCursor) -> Option<(u64, u64)> {
-    cursor.claim().map(|r| (r.start as u64, r.end as u64))
-}
-
 /// Runs the guarded check-out for a worker that has merged everything
 /// it claimed. Returns a resubmitted range if the check-out was refused
 /// (the worker stays serving and must redo it), or `None` once the
@@ -350,16 +458,10 @@ fn attempt_check_out(sync: &StdSync, guard: &mut SupervisionGuard<'_>) -> Option
     redo
 }
 
-/// Body of one pool worker: open a session once, then serve epochs
-/// until shutdown. Returns the worker's lifetime group count and its
-/// session's work counters.
-fn worker_loop(ctx: &PoolCtx<'_>, shared: &Shared) -> (u64, EngineCounters) {
-    let mut session = ctx.engine.session_tuned(ctx.cfg, ctx.bias, ctx.tuning);
-    let mut groups_done = 0u64;
-    // Stride accounting starts at the current global bucket so a
-    // resumed run does not re-report strides its checkpointed prefix
-    // already covered.
-    let mut last_bucket = ctx.done.load(Ordering::Relaxed) / PROGRESS_STRIDE;
+/// Body of one pool worker: serve epochs until shutdown. Returns the
+/// worker's [`Worker::tally`].
+fn serve(ctx: &ExecCtx<'_>, shared: &Shared) -> (u64, u64, EngineCounters) {
+    let mut worker = Worker::new(ctx);
     let mut guard = SupervisionGuard {
         sync: &shared.sync,
         armed: true,
@@ -374,653 +476,241 @@ fn worker_loop(ctx: &PoolCtx<'_>, shared: &Shared) -> (u64, EngineCounters) {
             .poll_until(Cv::Work, |core| match core.worker_poll(seen) {
                 WorkerPoll::Wait => None,
                 WorkerPoll::Shutdown => Some(None),
-                WorkerPoll::Job(spec, epoch) => Some(Some((spec, epoch))),
+                WorkerPoll::Job(_, epoch) => Some(Some(epoch)),
             });
-        let Some((job, epoch)) = poll else { break };
+        let Some(epoch) = poll else { break };
         guard.seen_epoch = epoch;
         guard.serving = true;
-        let cursor = lock_data(shared)
-            .cursor
+        let job = lock_plane(shared)
+            .job
             .clone()
-            .expect("a published epoch carries a cursor");
-        // Each round drains the claim source (the cursor, then any
-        // range the refused check-out handed back), merges, and
-        // attempts the guarded check-out. Merge-before-check-out: the
-        // check-out is what publishes this worker's merge to the
-        // coordinator's harvest, and `serving` clears inside the
-        // guarded section itself, so a death at any point is accounted
-        // exactly once.
-        let mut next = claim_u64(&cursor);
-        if job.collect {
-            loop {
-                let mut local: Vec<(u64, Vec<GroupHistory>)> = Vec::new();
-                while let Some((start, end)) = next {
-                    guard.pending.push((start, end));
-                    let mut batch = Vec::with_capacity((end - start) as usize);
-                    for i in start..end {
-                        let mut rng = stream(ctx.seed, i);
-                        batch.push(session.simulate_group(&mut rng).clone());
-                        groups_done += 1;
-                        note_group(ctx, &mut last_bucket);
-                    }
-                    local.push((start, batch));
-                    next = claim_u64(&cursor);
-                }
-                lock_data(shared).collect_acc.append(&mut local);
-                guard.pending.clear();
-                next = attempt_check_out(&shared.sync, &mut guard);
-                if next.is_none() {
-                    break;
+            .expect("a published epoch carries its job");
+        let mut parts = empty_parts(job.slices.len());
+        worker.drain(ctx, &job, &mut parts, &mut guard.pending);
+        // Merge, then attempt the guarded check-out; a refused
+        // check-out hands back a dead worker's range to redo first.
+        // `serving` clears inside the guarded section itself, so a
+        // death at any point is accounted exactly once.
+        loop {
+            {
+                let mut plane = lock_plane(shared);
+                for (acc, part) in plane.parts.iter_mut().zip(&mut parts) {
+                    acc.merge(std::mem::take(part));
                 }
             }
-        } else {
-            loop {
-                let mut stats = StreamStats::new(ctx.cfg.mission_hours);
-                let mut quarantined: Vec<QuarantinedGroup> = Vec::new();
-                while let Some((start, end)) = next {
-                    guard.pending.push((start, end));
-                    for i in start..end {
-                        let mut rng = stream(ctx.seed, i);
-                        // Unwind safety: `stats` is only mutated by
-                        // `push`, which runs after `simulate_group`
-                        // returned a complete history — a panic leaves
-                        // it untouched. The session may be mid-update,
-                        // so it is replaced.
-                        let outcome = catch_unwind(AssertUnwindSafe(|| {
-                            stats.push(session.simulate_group(&mut rng));
-                        }));
-                        if let Err(payload) = outcome {
-                            quarantined.push(QuarantinedGroup {
-                                index: i,
-                                message: panic_message(payload.as_ref()),
-                            });
-                            session = ctx.engine.session_tuned(ctx.cfg, ctx.bias, ctx.tuning);
-                        }
-                        groups_done += 1;
-                        note_group(ctx, &mut last_bucket);
-                    }
-                    next = claim_u64(&cursor);
-                }
-                {
-                    let mut data = lock_data(shared);
-                    data.stream_acc
-                        .as_mut()
-                        .expect("stream epochs publish an accumulator")
-                        .merge(stats);
-                    data.quarantine.append(&mut quarantined);
-                }
-                guard.pending.clear();
-                next = attempt_check_out(&shared.sync, &mut guard);
-                if next.is_none() {
-                    break;
-                }
-            }
+            guard.pending.clear();
+            let Some((start, end)) = attempt_check_out(&shared.sync, &mut guard) else {
+                break;
+            };
+            let k = job.slice_of(start);
+            worker.run_range(ctx, job.collect, &job.slices[k], start..end, &mut parts[k]);
         }
     }
     guard.armed = false;
-    (groups_done, session.counters())
+    worker.tally()
 }
 
-/// Spawns the pool, runs `body` against a [`PoolRunner`], shuts the
-/// workers down, and reports per-worker scheduling statistics
-/// (including how many workers died and were supervised out).
+enum Workers<'e, 'a> {
+    /// `threads == 1`: the calling thread's worker.
+    Serial(&'e mut Worker<'a>),
+    /// The spawned pool.
+    Pool(&'e Shared),
+}
+
+/// Serves jobs on the calling thread or the pool (see the module docs).
+pub(crate) struct Executor<'e, 'a> {
+    ctx: &'e ExecCtx<'a>,
+    workers: Workers<'e, 'a>,
+}
+
+impl Executor<'_, '_> {
+    /// Runs one job to completion: every group of every slice has been
+    /// simulated when this returns.
+    ///
+    /// # Panics
+    ///
+    /// Re-raises (as a coordinator panic) when the pool lost every
+    /// worker — partial losses are supervised and do not surface here.
+    /// With `threads == 1`, a panic outside a stream-mode group's
+    /// simulation propagates.
+    pub(crate) fn run(&mut self, slices: Vec<Slice>, collect: bool) -> Harvest {
+        let cursors = slices
+            .iter()
+            .map(|s| {
+                let claim =
+                    effective_claim(self.ctx.claim_batch, s.hi - s.lo, self.ctx.threads as u64);
+                BatchCursor::new(s.lo, s.hi, claim)
+            })
+            .collect();
+        let job = Arc::new(Job {
+            slices,
+            cursors,
+            collect,
+        });
+        let parts = match &mut self.workers {
+            Workers::Serial(worker) => {
+                let mut parts = empty_parts(job.slices.len());
+                worker.drain(self.ctx, &job, &mut parts, &mut Vec::new());
+                parts
+            }
+            Workers::Pool(shared) => publish(shared, &job),
+        };
+        harvest(self.ctx, &job, parts)
+    }
+}
+
+/// Publishes `job` as the next epoch, wakes the workers, blocks until
+/// the epoch quiesces, and takes the merged parts.
 ///
 /// # Panics
 ///
-/// Panics only when *every* worker died (total loss): the coordinator
-/// re-raises at its quiesce wait, after all threads have been joined so
-/// no worker outlives the borrowed context. Partial losses are
-/// supervised: survivors redo the dead workers' unmerged ranges and the
-/// run completes with bit-identical aggregates.
-pub(crate) fn run_with_pool<R>(
-    ctx: PoolCtx<'_>,
-    body: impl FnOnce(&mut dyn BatchRunner) -> R,
+/// Re-raises when the pool lost every worker.
+fn publish(shared: &Shared, job: &Arc<Job>) -> Vec<Part> {
+    let spec = JobSpec {
+        lo: job.slices.iter().map(|s| s.lo).min().unwrap_or(0),
+        hi: job.slices.iter().map(|s| s.hi).max().unwrap_or(0),
+        collect: job.collect,
+    };
+    // Install the data plane first: workers cannot observe it until the
+    // guarded publish makes the epoch visible, and no worker from the
+    // previous epoch can still touch it (`active == 0`).
+    {
+        let mut plane = lock_plane(shared);
+        plane.parts = empty_parts(job.slices.len());
+        plane.job = Some(Arc::clone(job));
+    }
+    let wake = shared.sync.guarded(|core| core.publish(spec));
+    shared.sync.wake(wake);
+    let outcome = shared
+        .sync
+        .poll_until(Cv::Quiesced, |core| match core.quiesce_poll() {
+            QuiescePoll::Wait => None,
+            other => Some(other),
+        });
+    shared.sync.guarded(PoolCore::retire);
+    if outcome == QuiescePoll::Panicked {
+        panic!("simulation worker panicked");
+    }
+    let mut plane = lock_plane(shared);
+    plane.job = None;
+    std::mem::take(&mut plane.parts)
+}
+
+/// Assembles a job's merged parts into per-slice results. Sorting by
+/// integer keys restores group order whichever worker produced what;
+/// the explicit comparators (not `sort_unstable_by_key`) keep the
+/// float-discipline lint, which bans the `_by_key` form in simulation
+/// crates, satisfied.
+#[allow(clippy::unnecessary_sort_by)]
+fn harvest(ctx: &ExecCtx<'_>, job: &Job, parts: Vec<Part>) -> Harvest {
+    let mut out = Harvest {
+        stats: Vec::new(),
+        histories: Vec::new(),
+        quarantine: Vec::new(),
+    };
+    for (k, (slice, mut part)) in job.slices.iter().zip(parts).enumerate() {
+        if job.collect {
+            // Claim starts are unique within a slice.
+            part.chunks.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+            let mut histories = Vec::with_capacity((slice.hi - slice.lo) as usize);
+            for (_, mut chunk) in part.chunks {
+                histories.append(&mut chunk);
+            }
+            out.histories.push(histories);
+        } else {
+            let mission = ctx.scenarios[slice.scenario].cfg.mission_hours;
+            out.stats
+                .push(part.stats.unwrap_or_else(|| StreamStats::new(mission)));
+            part.quarantine
+                .sort_unstable_by(|a, b| a.index.cmp(&b.index));
+            out.quarantine
+                .extend(part.quarantine.into_iter().map(|g| (k, g)));
+        }
+    }
+    out
+}
+
+/// Opens an executor for `ctx`, runs `body` against it, and reports the
+/// executor's scheduling statistics. Spawns `ctx.threads` workers once
+/// (none when `ctx.threads == 1`) and shuts them down after `body`.
+///
+/// # Panics
+///
+/// Panics if `ctx.threads == 0`, and when *every* worker died (total
+/// loss): the coordinator re-raises at its quiesce wait, after all
+/// threads have been joined so no worker outlives the borrowed context.
+/// Partial losses are supervised: survivors redo the dead workers'
+/// unmerged ranges and the run completes with bit-identical aggregates.
+pub(crate) fn execute<'a, R>(
+    ctx: ExecCtx<'a>,
+    body: impl FnOnce(&mut Executor<'_, 'a>) -> R,
 ) -> (R, SchedulerStats) {
-    debug_assert!(ctx.threads > 1, "serial runs bypass the pool");
+    assert!(ctx.threads > 0, "need at least one thread");
+    if ctx.threads == 1 {
+        let mut worker = Worker::new(&ctx);
+        let result = body(&mut Executor {
+            ctx: &ctx,
+            workers: Workers::Serial(&mut worker),
+        });
+        let (groups, _, counters) = worker.tally();
+        let sched = SchedulerStats {
+            worker_groups: vec![groups],
+            thread_spawns: 0,
+            workers_lost: 0,
+            // Moving on to the next slice on the only thread steals
+            // from nobody.
+            steals: 0,
+            counters,
+        };
+        return (result, sched);
+    }
     let shared = Shared {
         sync: StdSync::new(ctx.threads),
-        data: Mutex::new(EpochData {
-            cursor: None,
-            stream_acc: None,
-            collect_acc: Vec::new(),
-            quarantine: Vec::new(),
+        plane: Mutex::new(Plane {
+            job: None,
+            parts: Vec::new(),
         }),
     };
     std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(ctx.threads);
-        for _ in 0..ctx.threads {
-            let ctx = &ctx;
-            let shared = &shared;
-            handles.push(scope.spawn(move || worker_loop(ctx, shared)));
-        }
+        let handles: Vec<_> = (0..ctx.threads)
+            .map(|_| {
+                let (ctx, shared) = (&ctx, &shared);
+                scope.spawn(move || serve(ctx, shared))
+            })
+            .collect();
         let result = {
             // Shut the workers down even when `body` unwinds, so the
             // scope's implicit joins cannot deadlock.
             let _shutdown = ShutdownOnDrop(&shared.sync);
-            let mut runner = PoolRunner {
+            body(&mut Executor {
                 ctx: &ctx,
-                shared: &shared,
-                quarantined: Vec::new(),
-            };
-            body(&mut runner)
+                workers: Workers::Pool(&shared),
+            })
         };
-        let mut worker_groups = Vec::with_capacity(ctx.threads);
-        let mut counters = EngineCounters::default();
-        let mut workers_lost = 0u64;
+        let mut sched = SchedulerStats {
+            worker_groups: Vec::with_capacity(ctx.threads),
+            thread_spawns: ctx.threads as u64,
+            workers_lost: 0,
+            steals: 0,
+            counters: EngineCounters::default(),
+        };
         for h in handles {
             match h.join() {
-                Ok((groups, c)) => {
-                    worker_groups.push(groups);
-                    counters.merge(c);
+                Ok((groups, steals, counters)) => {
+                    sched.worker_groups.push(groups);
+                    sched.steals += steals;
+                    sched.counters.merge(counters);
                 }
                 // A supervised death: its guard already settled the
                 // accounting (resubmission or, on total loss, the
-                // coordinator's re-raise above), so the payload is
-                // spent — record the loss and move on.
+                // coordinator's re-raise), so the payload is spent —
+                // record the loss and move on.
                 Err(_) => {
-                    worker_groups.push(0);
-                    workers_lost += 1;
+                    sched.worker_groups.push(0);
+                    sched.workers_lost += 1;
                 }
             }
         }
-        let sched = SchedulerStats {
-            worker_groups,
-            thread_spawns: ctx.threads as u64,
-            workers_lost,
-            steals: 0,
-            counters,
-        };
         (result, sched)
-    })
-}
-
-// ---------------------------------------------------------------------------
-// Fused multi-scenario sweep executor
-// ---------------------------------------------------------------------------
-//
-// A sweep used to be a loop over independent runs: spawn a pool, drain
-// one scenario, quiesce, tear the pool down, repeat. Every scenario
-// boundary was a full barrier, so each scenario's tail (fewer remaining
-// groups than threads) starved the other workers. The fused executor
-// below keeps ONE pool alive for the whole sweep and publishes the
-// scenarios into a cross-scenario work queue: the coordinator opens the
-// sweep with [`PoolCore::publish_sweep`], appends each further scenario
-// with [`PoolCore::extend_sweep`] *while workers are still draining the
-// previous ones*, and closes the queue with [`PoolCore::seal_sweep`].
-// A worker that exhausts scenario `s` asks [`PoolCore::sweep_poll`]
-// whether scenario `s + 1` is published yet — if so it *steals* into it
-// immediately instead of idling at a quiesce barrier; only when the
-// queue is sealed and fully served does it check out. The protocol
-// extension is model-checked in `sync_model` (including a mutation test
-// that catches a lost wakeup at the scenario boundary) exactly like the
-// base epoch handshake.
-//
-// Determinism is scenario-local: scenario `k` covering global indices
-// `[lo, hi)` simulates its group `i` with RNG stream `i - lo` drawn
-// from the scenario's own seed, and merges into the scenario's own
-// [`StreamStats`] accumulator — so per-scenario aggregates are
-// bit-identical to a sequential per-scenario run at every thread count,
-// no matter which worker steals what. Supervision carries over
-// unchanged: a dead worker's unmerged ranges are resubmitted through
-// the same `mark_lost`/`check_out` queue, and survivors map each redone
-// range back to its scenario by the global-offset partition. One
-// difference from the single-scenario loop is merge granularity:
-// sweep workers merge and clear their pending set at every scenario
-// boundary, while the model merges only at check-out — production's
-// death-resubmit set is therefore a subset of the model's, and the
-// model proves coverage for the larger set, so production is a sound
-// refinement.
-//
-// Each worker owns one [`KernelCache`], so a distribution tree shared
-// by several scenarios (a scrub ladder varies one knob, the rest of the
-// config is identical) is lowered once per worker instead of once per
-// (worker, scenario). Sessions are opened lazily per (worker,
-// scenario): a worker that never touches scenario `k` never pays for
-// its session.
-
-/// One scenario of a fused sweep, planned into the sweep's global group
-/// index space by the caller: scenario groups occupy `[lo, hi)` and
-/// group `i` uses RNG stream `i - lo` of `seed`.
-pub(crate) struct PlannedScenario {
-    /// Configuration this scenario simulates.
-    pub cfg: Arc<RaidGroupConfig>,
-    /// The scenario's own master seed (streams are scenario-local).
-    pub seed: u64,
-    /// First global group index of this scenario.
-    pub lo: u64,
-    /// One past the last global group index of this scenario.
-    pub hi: u64,
-}
-
-/// Everything a sweep worker needs, borrowed from the driving sweep.
-pub(crate) struct SweepCtx<'a> {
-    /// Engine shared by all workers and scenarios.
-    pub engine: &'a dyn Engine,
-    /// Scenarios in publish order, with precomputed global offsets.
-    pub scenarios: &'a [PlannedScenario],
-    /// Sampling-measure change applied by every session (see
-    /// [`PoolCtx::bias`]).
-    pub bias: BiasPolicy,
-    /// Session tuning applied by every session (see [`PoolCtx::tuning`]).
-    pub tuning: SessionTuning,
-    /// Worker count (callers route `threads == 1` around the pool).
-    pub threads: usize,
-    /// Configured claim-batch size, clamped per scenario by
-    /// [`effective_claim`].
-    pub claim_batch: u64,
-    /// `true` to collect full histories, `false` to stream statistics.
-    pub collect: bool,
-    /// Progress sink; called from worker threads.
-    pub observer: &'a dyn StreamObserver,
-    /// Global completed-group counter across the whole sweep.
-    pub done: &'a AtomicU64,
-    /// Target group count reported in progress callbacks.
-    pub target: u64,
-}
-
-/// The sweep data plane: one cursor and one accumulator per published
-/// scenario, in scenario order. Guarded by its own mutex under the same
-/// discipline as [`EpochData`]: held only for short non-blocking
-/// sections, with all ordering provided by the protocol. The vectors
-/// only grow while the sweep is open; workers index them by scenario,
-/// and [`PoolCore::sweep_poll`] guarantees a scenario is published
-/// before any worker asks for its cursor.
-struct SweepData {
-    /// Claim cursor of each published scenario.
-    cursors: Vec<Arc<BatchCursor>>,
-    /// Stream-mode accumulator of each published scenario (empty in
-    /// collect mode).
-    stream_accs: Vec<StreamStats>,
-    /// Collect-mode accumulator of each published scenario (empty in
-    /// stream mode): `(start_index, histories)` per claimed batch.
-    collect_accs: Vec<Vec<(u64, Vec<GroupHistory>)>>,
-    /// Quarantined groups: `(scenario index, group)` with the group's
-    /// index *local to its scenario*.
-    quarantine: Vec<(usize, QuarantinedGroup)>,
-}
-
-struct SweepShared {
-    /// Protocol state + condvars; all blocking goes through here.
-    sync: StdSync,
-    /// Sweep data plane (see [`SweepData`]).
-    data: Mutex<SweepData>,
-}
-
-fn lock_sweep_data(shared: &SweepShared) -> MutexGuard<'_, SweepData> {
-    shared.data.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// Everything [`run_sweep_pool`] hands back to the sweep driver.
-pub(crate) struct SweepHarvest {
-    /// Per-scenario stream statistics, in scenario order (stream mode).
-    pub stream_accs: Vec<StreamStats>,
-    /// Per-scenario histories in group order (collect mode).
-    pub collect_accs: Vec<Vec<GroupHistory>>,
-    /// Quarantined groups as `(scenario index, group)` with
-    /// scenario-local indices, sorted by `(scenario, index)`.
-    pub quarantine: Vec<(usize, QuarantinedGroup)>,
-    /// Scheduling statistics for the whole sweep, including
-    /// [`SchedulerStats::steals`].
-    pub sched: SchedulerStats,
-}
-
-/// Maps a resubmitted global range back to the scenario that claimed
-/// it. Claimed ranges never span scenarios (each comes from one
-/// scenario's cursor), so the range's start pins it.
-fn scenario_of(scenarios: &[PlannedScenario], start: u64) -> usize {
-    scenarios
-        .iter()
-        .position(|sc| start >= sc.lo && start < sc.hi)
-        .expect("resubmitted range maps to a published scenario")
-}
-
-/// Body of one sweep worker: serve scenarios from the cross-scenario
-/// queue until it is sealed and drained, then check out. Returns the
-/// worker's lifetime group count, the number of cross-scenario steals
-/// it performed, and its sessions' merged work counters.
-fn sweep_worker_loop<'e>(ctx: &SweepCtx<'e>, shared: &SweepShared) -> (u64, u64, EngineCounters) {
-    // One kernel cache and one lazily-opened session per scenario, all
-    // private to this worker — no sync primitives touch them.
-    let mut kernels = KernelCache::new();
-    let mut sessions: Vec<Option<Box<dyn EngineSession + 'e>>> = Vec::new();
-    sessions.resize_with(ctx.scenarios.len(), || None);
-    let mut groups_done = 0u64;
-    let mut steals = 0u64;
-    let mut last_bucket = ctx.done.load(Ordering::Relaxed) / PROGRESS_STRIDE;
-    let mut guard = SupervisionGuard {
-        sync: &shared.sync,
-        armed: true,
-        seen_epoch: 0,
-        serving: false,
-        pending: Vec::new(),
-    };
-    loop {
-        let seen = guard.seen_epoch;
-        let poll = shared
-            .sync
-            .poll_until(Cv::Work, |core| match core.worker_poll(seen) {
-                WorkerPoll::Wait => None,
-                WorkerPoll::Shutdown => Some(None),
-                WorkerPoll::Job(spec, epoch) => Some(Some((spec, epoch))),
-            });
-        let Some((_job, epoch)) = poll else { break };
-        guard.seen_epoch = epoch;
-        guard.serving = true;
-        // Walk the scenario queue. `s` only moves forward once
-        // `sweep_poll` confirms the next scenario is published, so
-        // indexing the data-plane vectors by `s` is always in bounds.
-        let mut s: usize = 0;
-        loop {
-            let cursor = lock_sweep_data(shared)
-                .cursors
-                .get(s)
-                .cloned()
-                .expect("a published sweep scenario carries a cursor");
-            let sc = &ctx.scenarios[s];
-            let mut claimed_any = false;
-            if ctx.collect {
-                let mut local: Vec<(u64, Vec<GroupHistory>)> = Vec::new();
-                while let Some((start, end)) = claim_u64(&cursor) {
-                    claimed_any = true;
-                    guard.pending.push((start, end));
-                    let session = sessions[s].get_or_insert_with(|| {
-                        ctx.engine.session_tuned_cached(
-                            sc.cfg.as_ref(),
-                            ctx.bias,
-                            ctx.tuning,
-                            &mut kernels,
-                        )
-                    });
-                    let mut batch = Vec::with_capacity((end - start) as usize);
-                    for i in start..end {
-                        let mut rng = stream(sc.seed, i - sc.lo);
-                        batch.push(session.simulate_group(&mut rng).clone());
-                        groups_done += 1;
-                        note_progress(ctx.observer, ctx.done, ctx.target, &mut last_bucket);
-                    }
-                    local.push((start, batch));
-                }
-                if !local.is_empty() {
-                    lock_sweep_data(shared).collect_accs[s].append(&mut local);
-                }
-                guard.pending.clear();
-            } else {
-                let mut stats = StreamStats::new(sc.cfg.mission_hours);
-                let mut quarantined: Vec<(usize, QuarantinedGroup)> = Vec::new();
-                while let Some((start, end)) = claim_u64(&cursor) {
-                    claimed_any = true;
-                    guard.pending.push((start, end));
-                    for i in start..end {
-                        let mut rng = stream(sc.seed, i - sc.lo);
-                        let session = sessions[s].get_or_insert_with(|| {
-                            ctx.engine.session_tuned_cached(
-                                sc.cfg.as_ref(),
-                                ctx.bias,
-                                ctx.tuning,
-                                &mut kernels,
-                            )
-                        });
-                        // Unwind safety: as in `worker_loop`, `stats`
-                        // is only touched after `simulate_group`
-                        // returned. The session may be mid-update, so
-                        // it is dropped and reopened lazily.
-                        let outcome = catch_unwind(AssertUnwindSafe(|| {
-                            stats.push(session.simulate_group(&mut rng));
-                        }));
-                        if let Err(payload) = outcome {
-                            quarantined.push((
-                                s,
-                                QuarantinedGroup {
-                                    index: i - sc.lo,
-                                    message: panic_message(payload.as_ref()),
-                                },
-                            ));
-                            sessions[s] = None;
-                        }
-                        groups_done += 1;
-                        note_progress(ctx.observer, ctx.done, ctx.target, &mut last_bucket);
-                    }
-                }
-                if claimed_any {
-                    let mut data = lock_sweep_data(shared);
-                    data.stream_accs[s].merge(stats);
-                    data.quarantine.append(&mut quarantined);
-                }
-                guard.pending.clear();
-            }
-            // Claiming from any scenario after the first one this
-            // worker drained is a cross-scenario steal: without the
-            // fused queue the worker would have idled at the previous
-            // scenario's quiesce barrier instead.
-            if claimed_any && s > 0 {
-                steals += 1;
-            }
-            let served = s as u64;
-            let more = shared
-                .sync
-                .poll_until(Cv::Work, |core| match core.sweep_poll(served) {
-                    SweepPoll::Wait => None,
-                    SweepPoll::Next => Some(true),
-                    SweepPoll::Drained => Some(false),
-                });
-            if more {
-                s += 1;
-            } else {
-                break;
-            }
-        }
-        // The queue is sealed and drained; check out, redoing any
-        // ranges a dead worker left behind. Each redone range maps to
-        // exactly one scenario and replays its RNG streams, so the
-        // merge is bit-identical to the work the dead worker lost.
-        while let Some((start, end)) = attempt_check_out(&shared.sync, &mut guard) {
-            let s = scenario_of(ctx.scenarios, start);
-            let sc = &ctx.scenarios[s];
-            if ctx.collect {
-                let session = sessions[s].get_or_insert_with(|| {
-                    ctx.engine.session_tuned_cached(
-                        sc.cfg.as_ref(),
-                        ctx.bias,
-                        ctx.tuning,
-                        &mut kernels,
-                    )
-                });
-                let mut batch = Vec::with_capacity((end - start) as usize);
-                for i in start..end {
-                    let mut rng = stream(sc.seed, i - sc.lo);
-                    batch.push(session.simulate_group(&mut rng).clone());
-                    groups_done += 1;
-                    note_progress(ctx.observer, ctx.done, ctx.target, &mut last_bucket);
-                }
-                lock_sweep_data(shared).collect_accs[s].push((start, batch));
-                guard.pending.clear();
-            } else {
-                let mut stats = StreamStats::new(sc.cfg.mission_hours);
-                let mut quarantined: Vec<(usize, QuarantinedGroup)> = Vec::new();
-                for i in start..end {
-                    let mut rng = stream(sc.seed, i - sc.lo);
-                    let session = sessions[s].get_or_insert_with(|| {
-                        ctx.engine.session_tuned_cached(
-                            sc.cfg.as_ref(),
-                            ctx.bias,
-                            ctx.tuning,
-                            &mut kernels,
-                        )
-                    });
-                    let outcome = catch_unwind(AssertUnwindSafe(|| {
-                        stats.push(session.simulate_group(&mut rng));
-                    }));
-                    if let Err(payload) = outcome {
-                        quarantined.push((
-                            s,
-                            QuarantinedGroup {
-                                index: i - sc.lo,
-                                message: panic_message(payload.as_ref()),
-                            },
-                        ));
-                        sessions[s] = None;
-                    }
-                    groups_done += 1;
-                    note_progress(ctx.observer, ctx.done, ctx.target, &mut last_bucket);
-                }
-                {
-                    let mut data = lock_sweep_data(shared);
-                    data.stream_accs[s].merge(stats);
-                    data.quarantine.append(&mut quarantined);
-                }
-                guard.pending.clear();
-            }
-        }
-    }
-    guard.armed = false;
-    let mut counters = EngineCounters::default();
-    for session in sessions.into_iter().flatten() {
-        counters.merge(session.counters());
-    }
-    (groups_done, steals, counters)
-}
-
-/// Runs a fused sweep: one pool for all scenarios, published into the
-/// cross-scenario queue as fast as the coordinator can install their
-/// cursors, with workers stealing across scenario boundaries instead of
-/// quiescing at them. The single quiesce point is the end of the whole
-/// sweep.
-///
-/// # Panics
-///
-/// Panics only when *every* worker died (total loss), exactly as
-/// [`run_with_pool`] does.
-pub(crate) fn run_sweep_pool(ctx: SweepCtx<'_>) -> SweepHarvest {
-    debug_assert!(ctx.threads > 1, "serial sweeps bypass the pool");
-    debug_assert!(
-        !ctx.scenarios.is_empty(),
-        "a sweep publishes at least one scenario"
-    );
-    let n = ctx.scenarios.len();
-    let shared = SweepShared {
-        sync: StdSync::new(ctx.threads),
-        data: Mutex::new(SweepData {
-            cursors: Vec::with_capacity(n),
-            stream_accs: Vec::with_capacity(n),
-            collect_accs: Vec::with_capacity(n),
-            quarantine: Vec::new(),
-        }),
-    };
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(ctx.threads);
-        for _ in 0..ctx.threads {
-            let ctx = &ctx;
-            let shared = &shared;
-            handles.push(scope.spawn(move || sweep_worker_loop(ctx, shared)));
-        }
-        let (stream_accs, collect_parts, mut quarantine) = {
-            // Shut the workers down even when publishing or the
-            // quiesce wait unwinds, so the scope's joins cannot
-            // deadlock.
-            let _shutdown = ShutdownOnDrop(&shared.sync);
-            for (k, sc) in ctx.scenarios.iter().enumerate() {
-                debug_assert!(sc.lo < sc.hi, "scenarios cover at least one group");
-                let count = sc.hi - sc.lo;
-                let claim = effective_claim(ctx.claim_batch, count, ctx.threads as u64);
-                // Install the scenario's data plane before the guarded
-                // publish makes it claimable: the lock release below
-                // happens-before any worker's `sweep_poll` observes
-                // the scenario, so the cursor fetch cannot miss.
-                {
-                    let mut data = lock_sweep_data(&shared);
-                    data.cursors.push(Arc::new(BatchCursor::new(
-                        sc.lo as usize,
-                        sc.hi as usize,
-                        claim,
-                    )));
-                    if ctx.collect {
-                        data.collect_accs.push(Vec::new());
-                    } else {
-                        data.stream_accs
-                            .push(StreamStats::new(sc.cfg.mission_hours));
-                    }
-                }
-                let spec = JobSpec {
-                    lo: sc.lo,
-                    hi: sc.hi,
-                    claim,
-                    collect: ctx.collect,
-                };
-                let wake = shared.sync.guarded(|core| {
-                    if k == 0 {
-                        core.publish_sweep(spec)
-                    } else {
-                        // The fused sweep's defining transition:
-                        // appended while workers are active.
-                        core.extend_sweep(sc.hi)
-                    }
-                });
-                shared.sync.wake(wake);
-            }
-            let wake = shared.sync.guarded(PoolCore::seal_sweep);
-            shared.sync.wake(wake);
-            let outcome = shared
-                .sync
-                .poll_until(Cv::Quiesced, |core| match core.quiesce_poll() {
-                    QuiescePoll::Wait => None,
-                    other => Some(other),
-                });
-            shared.sync.guarded(PoolCore::retire);
-            if outcome == QuiescePoll::Panicked {
-                panic!("simulation worker panicked");
-            }
-            let mut data = lock_sweep_data(&shared);
-            data.cursors.clear();
-            (
-                std::mem::take(&mut data.stream_accs),
-                std::mem::take(&mut data.collect_accs),
-                std::mem::take(&mut data.quarantine),
-            )
-        };
-        let mut worker_groups = Vec::with_capacity(ctx.threads);
-        let mut counters = EngineCounters::default();
-        let mut workers_lost = 0u64;
-        let mut steals = 0u64;
-        for h in handles {
-            match h.join() {
-                Ok((groups, worker_steals, c)) => {
-                    worker_groups.push(groups);
-                    steals += worker_steals;
-                    counters.merge(c);
-                }
-                Err(_) => {
-                    worker_groups.push(0);
-                    workers_lost += 1;
-                }
-            }
-        }
-        // Deterministic order for observers (integer keys — see the
-        // comparator notes in `stream_batch`/`collect_batch`).
-        #[allow(clippy::unnecessary_sort_by)]
-        quarantine.sort_unstable_by(|a, b| (a.0, a.1.index).cmp(&(b.0, b.1.index)));
-        let collect_accs = collect_parts
-            .into_iter()
-            .map(|mut parts| {
-                #[allow(clippy::unnecessary_sort_by)]
-                parts.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-                let mut histories = Vec::new();
-                for (_, mut batch) in parts {
-                    histories.append(&mut batch);
-                }
-                histories
-            })
-            .collect();
-        SweepHarvest {
-            stream_accs,
-            collect_accs,
-            quarantine,
-            sched: SchedulerStats {
-                worker_groups,
-                thread_spawns: ctx.threads as u64,
-                workers_lost,
-                steals,
-                counters,
-            },
-        }
     })
 }

@@ -29,34 +29,31 @@
 //!
 //! # Worker lifecycle
 //!
-//! Parallel runs use one persistent worker pool per run (see
-//! `crate::pool`): workers are spawned once, each opens one
-//! [`crate::engine::EngineSession`] — reusable scratch plus sampling
-//! kernels lowered once from the configuration — and driver batches
-//! are dispatched to the pool as epochs. Serial runs (`threads == 1`)
-//! use one session on the calling thread and spawn nothing.
+//! Every entry point here is a thin wrapper over one executor (see
+//! `crate::pool`), opened once per run or sweep: workers are spawned
+//! once (none when `threads == 1`), each keeps one
+//! [`crate::engine::EngineSession`] per scenario — reusable scratch plus
+//! sampling kernels lowered once — and each driver batch, shard, whole
+//! run or fused sweep is one job of slices.
 //!
 //! Checkpoint compatibility is preserved because claiming happens
-//! *within* a driver batch: `run_batch(lo, hi)` returns only once every
-//! index in `[lo, hi)` has completed (the pool's epoch handshake — the
-//! coordinator sleeps until the last worker checks out of the epoch —
-//! is a quiesce point, exactly as the per-batch worker joins used to
-//! be), so at every batch boundary the completed set is still an exact
-//! prefix `[0, watermark)` of the index space — precisely the state a
-//! checkpoint can resume bit-identically (see [`crate::checkpoint`]).
+//! *within* a driver batch: a batch's job returns only once every index
+//! in `[lo, hi)` has completed (the coordinator sleeps until the last
+//! worker checks out of the epoch), so at every batch boundary the
+//! completed set is still an exact prefix `[0, watermark)` of the index
+//! space — precisely the state a checkpoint can resume bit-identically
+//! (see [`crate::checkpoint`]).
 
 use crate::checkpoint::{
     config_fingerprint, legacy_config_fingerprint_v1, CheckpointError, DriverState, SimCheckpoint,
 };
 use crate::config::RaidGroupConfig;
-use crate::engine::{BiasPolicy, DesEngine, Engine, EngineCounters, EngineSession, SessionTuning};
+use crate::engine::{BiasPolicy, DesEngine, Engine, EngineCounters, SessionTuning};
 use crate::events::{CheckpointDegraded, DdfKind, GroupHistory, QuarantinedGroup};
-use crate::pool::{self, PlannedScenario, PoolCtx, SweepCtx, SweepHarvest};
+use crate::pool::{self, ExecCtx, Executor, Harvest, ScenarioRef, Slice};
 use crate::stats::{SchedulerStats, StreamStats};
 use crate::store::{RetryBackoff, SnapshotStore};
 use crate::sweep::{validate_scenarios, SweepCache, SweepReport, SweepScenario};
-use raidsim_dists::rng::stream;
-use raidsim_dists::KernelCache;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::path::Path;
@@ -242,11 +239,11 @@ pub(crate) struct BatchCursor {
 }
 
 impl BatchCursor {
-    pub(crate) fn new(lo: usize, hi: usize, claim: u64) -> Self {
+    pub(crate) fn new(lo: u64, hi: u64, claim: u64) -> Self {
         debug_assert!(claim > 0, "claim batch must be positive");
         Self {
-            next: AtomicU64::new(lo as u64),
-            hi: hi as u64,
+            next: AtomicU64::new(lo),
+            hi,
             claim,
         }
     }
@@ -256,38 +253,18 @@ impl BatchCursor {
     ///
     /// `Relaxed` suffices: the cursor carries no data — a group's
     /// history is a pure function of `(seed, index)`, and per-worker
-    /// results only meet at the scope's join barrier, which is already
-    /// a synchronization point. Workers stop at the first `None`, so
+    /// results only meet at the merge before each worker's guarded
+    /// check-out, which is already a synchronization point. Workers
+    /// stop at the first `None`, so
     /// the cursor overshoots `hi` by at most `claim × workers`: far
     /// from `u64::MAX` for any reachable input.
-    pub(crate) fn claim(&self) -> Option<std::ops::Range<usize>> {
+    pub(crate) fn claim(&self) -> Option<std::ops::Range<u64>> {
         let start = self.next.fetch_add(self.claim, Ordering::Relaxed);
         // The range arithmetic is shared with the model checker
         // (`sync_model::claim_range`), which proves every index in
         // `[lo, hi)` is handed out exactly once across all claims.
         let (lo, end) = crate::sync_model::claim_range(start, self.hi, self.claim)?;
-        Some(lo as usize..end as usize)
-    }
-}
-
-/// A source of simulated batches for the drivers: either the serial
-/// in-thread runner or the persistent worker pool. Each call covers the
-/// half-open range `[lo, hi)` exactly once; calls must not overlap.
-pub(crate) trait BatchRunner {
-    /// Streams `[lo, hi)` into a fresh [`StreamStats`] aggregate.
-    fn stream_batch(&mut self, lo: usize, hi: usize) -> StreamStats;
-
-    /// Simulates `[lo, hi)` and returns the histories in group-index
-    /// order.
-    fn collect_batch(&mut self, lo: usize, hi: usize) -> Vec<GroupHistory>;
-
-    /// Takes the groups quarantined (per-group panic caught, group
-    /// skipped) since the last drain, in the order they were caught.
-    /// Streaming batches quarantine; collected batches propagate the
-    /// panic instead, because a hole in a returned history vector
-    /// cannot be represented. Default: nothing quarantines.
-    fn drain_quarantine(&mut self) -> Vec<QuarantinedGroup> {
-        Vec::new()
+        Some(lo..end)
     }
 }
 
@@ -302,83 +279,24 @@ pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// `threads == 1` runner: one engine session on the calling thread,
-/// persistent for the whole run, zero spawned threads.
-struct SerialRunner<'a> {
-    session: Box<dyn EngineSession + 'a>,
-    /// Engine, config, and bias are kept so a quarantined panic can
-    /// discard the (possibly wedged) session and open a fresh one.
-    engine: &'a dyn Engine,
-    cfg: &'a RaidGroupConfig,
-    bias: BiasPolicy,
-    tuning: SessionTuning,
-    mission_hours: f64,
-    seed: u64,
-    observer: &'a dyn StreamObserver,
-    done: &'a AtomicU64,
-    target: u64,
-    last_bucket: u64,
-    groups_done: u64,
-    quarantine: Vec<QuarantinedGroup>,
+/// Streams groups `[lo, hi)` of a single-configuration executor as one
+/// job; returns the aggregate and the quarantined groups.
+fn stream_range(
+    exec: &mut Executor<'_, '_>,
+    lo: u64,
+    hi: u64,
+) -> (StreamStats, Vec<QuarantinedGroup>) {
+    let mut harvest = exec.run(vec![Slice::range(lo, hi)], false);
+    let quarantine = harvest.quarantine.into_iter().map(|(_, g)| g).collect();
+    (harvest.stats.swap_remove(0), quarantine)
 }
 
-impl SerialRunner<'_> {
-    /// Same per-worker stride accounting as the pool workers (see the
-    /// module-level progress notes).
-    fn note_group(&mut self) {
-        self.groups_done += 1;
-        let completed = self.done.fetch_add(1, Ordering::Relaxed) + 1;
-        let bucket = completed / PROGRESS_STRIDE;
-        if bucket > self.last_bucket {
-            self.last_bucket = bucket;
-            self.observer.on_progress(Progress {
-                groups_done: completed,
-                groups_target: self.target,
-            });
-        }
-    }
-}
-
-impl BatchRunner for SerialRunner<'_> {
-    fn stream_batch(&mut self, lo: usize, hi: usize) -> StreamStats {
-        let mut stats = StreamStats::new(self.mission_hours);
-        for i in lo..hi {
-            let mut rng = stream(self.seed, i as u64);
-            // One group's panic must not abort a fleet-scale run: catch
-            // it, quarantine the index, and continue with a fresh
-            // session (the old one may hold torn scratch state). The
-            // accumulator is untouched on the panic path — `push` runs
-            // only after the group completed.
-            let session = &mut self.session;
-            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                stats.push(session.simulate_group(&mut rng));
-            }));
-            if let Err(payload) = outcome {
-                self.quarantine.push(QuarantinedGroup {
-                    index: i as u64,
-                    message: panic_message(payload.as_ref()),
-                });
-                self.session = self.engine.session_tuned(self.cfg, self.bias, self.tuning);
-                continue;
-            }
-            self.note_group();
-        }
-        stats
-    }
-
-    fn collect_batch(&mut self, lo: usize, hi: usize) -> Vec<GroupHistory> {
-        let mut histories = Vec::with_capacity(hi - lo);
-        for i in lo..hi {
-            let mut rng = stream(self.seed, i as u64);
-            histories.push(self.session.simulate_group(&mut rng).clone());
-            self.note_group();
-        }
-        histories
-    }
-
-    fn drain_quarantine(&mut self) -> Vec<QuarantinedGroup> {
-        std::mem::take(&mut self.quarantine)
-    }
+/// Simulates groups `[lo, hi)` of a single-configuration executor as
+/// one job; returns the histories in group-index order.
+fn collect_range(exec: &mut Executor<'_, '_>, lo: u64, hi: u64) -> Vec<GroupHistory> {
+    exec.run(vec![Slice::range(lo, hi)], true)
+        .histories
+        .swap_remove(0)
 }
 
 /// Runs batches of group simulations against one configuration.
@@ -514,17 +432,7 @@ impl Simulator {
     /// Group `i` uses RNG stream `i` of `seed`, so the result is a
     /// deterministic function of `(config, groups, seed)`.
     pub fn run(&self, groups: usize, seed: u64) -> SimulationResult {
-        let mut session = self.engine.session(&self.cfg, self.bias);
-        let histories = (0..groups)
-            .map(|i| {
-                let mut rng = stream(seed, i as u64);
-                session.simulate_group(&mut rng).clone()
-            })
-            .collect();
-        SimulationResult {
-            histories,
-            mission_hours: self.cfg.mission_hours,
-        }
+        self.run_parallel(groups, seed, 1)
     }
 
     /// Simulates `groups` independent RAID groups across `threads`
@@ -536,7 +444,14 @@ impl Simulator {
     ///
     /// Panics if `threads == 0`.
     pub fn run_parallel(&self, groups: usize, seed: u64, threads: usize) -> SimulationResult {
-        self.run_range(0, groups, seed, threads)
+        let done = AtomicU64::new(0);
+        let (histories, _sched) = self.execute(seed, threads, &(), &done, groups as u64, |exec| {
+            collect_range(exec, 0, groups as u64)
+        });
+        SimulationResult {
+            histories,
+            mission_hours: self.cfg.mission_hours,
+        }
     }
 
     /// Simulates `groups` independent RAID groups and returns only the
@@ -590,9 +505,10 @@ impl Simulator {
         observer: &dyn StreamObserver,
     ) -> (StreamStats, SchedulerStats) {
         let done = AtomicU64::new(0);
-        let (stats, sched) = self.with_runner(seed, threads, observer, &done, groups as u64, |r| {
-            r.stream_batch(0, groups)
-        });
+        let ((stats, _quarantine), sched) =
+            self.execute(seed, threads, observer, &done, groups as u64, |exec| {
+                stream_range(exec, 0, groups as u64)
+            });
         observer.on_progress(Progress {
             groups_done: groups as u64,
             groups_target: groups as u64,
@@ -600,78 +516,41 @@ impl Simulator {
         (stats, sched)
     }
 
-    /// Runs `body` against this run's [`BatchRunner`] — a persistent
-    /// serial session when `threads == 1`, the worker pool otherwise —
-    /// and reports the run's scheduler statistics.
+    /// Opens this run's executor — one scenario: this configuration on
+    /// `seed`'s streams — and runs `body` against it (see
+    /// `crate::pool`). A run spawns its workers once no matter how many
+    /// jobs it dispatches.
     ///
-    /// Every public entry point funnels through here, so a run spawns
-    /// its workers exactly once no matter how many driver batches it
-    /// dispatches. Statistics are bit-identical across runner choices:
-    /// per-group RNG streams are a pure function of `(seed, index)`,
-    /// stream partials are exact-integer state, and collected batches
-    /// are reassembled in group-index order.
-    ///
-    /// Progress: each worker (and the serial runner) keeps its own
-    /// last-reported stride bucket (`completed / PROGRESS_STRIDE`) and
-    /// reports whenever the global counter has crossed into a new
-    /// bucket since it last reported — per-worker monotone by
-    /// construction. Terminal sub-stride remainders are covered by the
-    /// guaranteed final callback every driver issues.
-    fn with_runner<R>(
+    /// Progress: each worker keeps its own last-reported stride bucket
+    /// (`completed / PROGRESS_STRIDE`) and reports whenever the global
+    /// counter has crossed into a new bucket since it last reported —
+    /// per-worker monotone by construction. Terminal sub-stride
+    /// remainders are covered by the guaranteed final callback every
+    /// driver issues.
+    fn execute<R>(
         &self,
         seed: u64,
         threads: usize,
         observer: &dyn StreamObserver,
         done: &AtomicU64,
         target: u64,
-        body: impl FnOnce(&mut dyn BatchRunner) -> R,
+        body: impl FnOnce(&mut Executor<'_, '_>) -> R,
     ) -> (R, SchedulerStats) {
-        assert!(threads > 0, "need at least one thread");
-        if threads == 1 {
-            let mut runner = SerialRunner {
-                session: self.engine.session_tuned(&self.cfg, self.bias, self.tuning),
-                engine: self.engine.as_ref(),
+        let ctx = ExecCtx {
+            engine: self.engine.as_ref(),
+            scenarios: vec![ScenarioRef {
                 cfg: &self.cfg,
-                bias: self.bias,
-                tuning: self.tuning,
-                mission_hours: self.cfg.mission_hours,
                 seed,
-                observer,
-                done,
-                target,
-                // Stride accounting starts at the current global bucket
-                // so a resumed run does not re-report strides the
-                // checkpointed prefix already covered.
-                last_bucket: done.load(Ordering::Relaxed) / PROGRESS_STRIDE,
-                groups_done: 0,
-                quarantine: Vec::new(),
-            };
-            let result = body(&mut runner);
-            let sched = SchedulerStats {
-                worker_groups: vec![runner.groups_done],
-                thread_spawns: 0,
-                workers_lost: 0,
-                steals: 0,
-                counters: runner.session.counters(),
-            };
-            (result, sched)
-        } else {
-            pool::run_with_pool(
-                PoolCtx {
-                    engine: self.engine.as_ref(),
-                    cfg: &self.cfg,
-                    bias: self.bias,
-                    tuning: self.tuning,
-                    seed,
-                    threads,
-                    claim_batch: self.claim_batch,
-                    observer,
-                    done,
-                    target,
-                },
-                body,
-            )
-        }
+            }],
+            bias: self.bias,
+            tuning: self.tuning,
+            threads,
+            claim_batch: self.claim_batch,
+            observer,
+            done,
+            target,
+        };
+        pool::execute(ctx, body)
     }
 }
 
@@ -796,31 +675,30 @@ impl Simulator {
             seed,
         );
         let done = AtomicU64::new(0);
-        let (report, _sched) =
-            self.with_runner(seed, threads, &(), &done, max_groups as u64, |runner| {
-                self.precision_driver(
-                    &driver,
-                    &mut stats,
-                    &(),
-                    &(),
-                    &mut None,
-                    &mut None,
-                    0,
-                    |sim, lo, hi| {
-                        // Extend deterministically: group i always uses
-                        // stream i. The histories are kept for the caller;
-                        // statistics come from the O(batch) accumulator,
-                        // never from a rescan of `result.histories`.
-                        let histories = runner.collect_batch(lo, hi);
-                        let mut batch_stats = StreamStats::new(sim.cfg.mission_hours);
-                        for h in &histories {
-                            batch_stats.push(h);
-                        }
-                        result.histories.extend(histories);
-                        (batch_stats, Vec::new())
-                    },
-                )
-            });
+        let (report, _sched) = self.execute(seed, threads, &(), &done, max_groups as u64, |exec| {
+            self.precision_driver(
+                &driver,
+                &mut stats,
+                &(),
+                &(),
+                &mut None,
+                &mut None,
+                0,
+                |sim, lo, hi| {
+                    // Extend deterministically: group i always uses
+                    // stream i. The histories are kept for the caller;
+                    // statistics come from the O(batch) accumulator,
+                    // never from a rescan of `result.histories`.
+                    let histories = collect_range(exec, lo, hi);
+                    let mut batch_stats = StreamStats::new(sim.cfg.mission_hours);
+                    for h in &histories {
+                        batch_stats.push(h);
+                    }
+                    result.histories.extend(histories);
+                    (batch_stats, Vec::new())
+                },
+            )
+        });
         (result, report)
     }
 
@@ -880,13 +758,8 @@ impl Simulator {
         );
         let mut stats = StreamStats::new(self.cfg.mission_hours);
         let done = AtomicU64::new(0);
-        let (report, _sched) = self.with_runner(
-            seed,
-            threads,
-            observer,
-            &done,
-            max_groups as u64,
-            |runner| {
+        let (report, _sched) =
+            self.execute(seed, threads, observer, &done, max_groups as u64, |exec| {
                 self.precision_driver(
                     &driver,
                     &mut stats,
@@ -895,13 +768,9 @@ impl Simulator {
                     &mut None,
                     &mut None,
                     0,
-                    |_sim, lo, hi| {
-                        let batch = runner.stream_batch(lo, hi);
-                        (batch, runner.drain_quarantine())
-                    },
+                    |_sim, lo, hi| stream_range(exec, lo, hi),
                 )
-            },
-        );
+            });
         (stats, report)
     }
 
@@ -990,22 +859,18 @@ impl Simulator {
         let max_groups = driver.max_groups;
         let done = AtomicU64::new(stats.groups());
         let mut plan_failure = None;
-        let (report, _sched) =
-            self.with_runner(seed, threads, observer, &done, max_groups, |runner| {
-                self.precision_driver(
-                    &driver,
-                    &mut stats,
-                    observer,
-                    control,
-                    &mut plan,
-                    &mut plan_failure,
-                    fingerprint,
-                    |_sim, lo, hi| {
-                        let batch = runner.stream_batch(lo, hi);
-                        (batch, runner.drain_quarantine())
-                    },
-                )
-            });
+        let (report, _sched) = self.execute(seed, threads, observer, &done, max_groups, |exec| {
+            self.precision_driver(
+                &driver,
+                &mut stats,
+                observer,
+                control,
+                &mut plan,
+                &mut plan_failure,
+                fingerprint,
+                |_sim, lo, hi| stream_range(exec, lo, hi),
+            )
+        });
         // A required checkpoint that could not be written aborts the
         // run with the write's error: the operator asked to fail fast
         // rather than continue unresumably.
@@ -1044,10 +909,8 @@ impl Simulator {
         assert!(lo <= hi, "shard range must satisfy lo <= hi");
         let span = hi - lo;
         let done = AtomicU64::new(0);
-        let (out, _sched) = self.with_runner(seed, threads, observer, &done, span, |runner| {
-            let stats = runner.stream_batch(lo as usize, hi as usize);
-            let quarantine = runner.drain_quarantine();
-            (stats, quarantine)
+        let (out, _sched) = self.execute(seed, threads, observer, &done, span, |exec| {
+            stream_range(exec, lo, hi)
         });
         observer.on_progress(Progress {
             groups_done: span,
@@ -1080,7 +943,7 @@ impl Simulator {
         plan: &mut Option<CheckpointPlan<'_>>,
         plan_failure: &mut Option<CheckpointError>,
         fingerprint: u64,
-        mut run_batch: impl FnMut(&Simulator, usize, usize) -> (StreamStats, Vec<QuarantinedGroup>),
+        mut run_batch: impl FnMut(&Simulator, u64, u64) -> (StreamStats, Vec<QuarantinedGroup>),
     ) -> PrecisionReport {
         if driver.precision_mode {
             assert!(
@@ -1175,8 +1038,8 @@ impl Simulator {
             if control.interrupted() {
                 break StopCriterion::Interrupted;
             }
-            let start = attempted as usize;
-            let take = driver.batch.min(driver.max_groups - attempted) as usize;
+            let start = attempted;
+            let take = driver.batch.min(driver.max_groups - attempted);
             let (batch_stats, batch_quarantine) = run_batch(self, start, start + take);
             stats.merge(batch_stats);
             for group in &batch_quarantine {
@@ -1258,22 +1121,6 @@ impl Simulator {
         );
         report(stats, criterion, quarantined)
     }
-
-    /// Simulates the half-open group-index range `[lo, hi)` using the
-    /// per-index RNG streams of `seed`. Workers claim index batches
-    /// dynamically; histories are reassembled in group-index order, so
-    /// the result is identical to a serial pass over `lo..hi`.
-    fn run_range(&self, lo: usize, hi: usize, seed: u64, threads: usize) -> SimulationResult {
-        let done = AtomicU64::new(0);
-        let count = (hi - lo) as u64;
-        let (histories, _sched) = self.with_runner(seed, threads, &(), &done, count, |r| {
-            r.collect_batch(lo, hi)
-        });
-        SimulationResult {
-            histories,
-            mission_hours: self.cfg.mission_hours,
-        }
-    }
 }
 
 /// Runs a labeled family of configurations under **common random
@@ -1337,19 +1184,19 @@ pub fn sweep_with_engine(
 }
 
 /// A fused multi-scenario sweep: one persistent worker pool serves
-/// *every* scenario through a cross-scenario work queue, instead of
-/// spawning and quiescing a pool per scenario.
+/// *every* scenario as one job, instead of spawning and quiescing a
+/// pool per scenario.
 ///
-/// The old per-scenario loop paid two costs at every scenario boundary:
-/// a full pool spawn/join cycle, and end-of-scenario starvation — once
-/// a scenario's tail holds fewer unclaimed batches than there are
+/// A per-scenario loop pays two costs at every scenario boundary: a
+/// full pool spawn/join cycle, and end-of-scenario starvation — once a
+/// scenario's tail holds fewer unclaimed batches than there are
 /// workers, the surplus workers idle at the quiesce barrier while the
-/// tail drains. The fused plan removes both: the coordinator publishes
-/// scenario `k + 1` into the queue while workers are still draining
-/// scenario `k`, so a worker that exhausts one scenario *steals* into
-/// the next immediately ([`SchedulerStats::steals`] counts these). The
-/// protocol extension is model-checked exhaustively in
-/// [`crate::sync_model`].
+/// tail drains. The fused plan removes both: every scenario is a slice
+/// of one epoch, all published at once, so a worker that exhausts one
+/// scenario's cursor *steals* into the next immediately
+/// ([`SchedulerStats::steals`] counts these). The epoch handshake is
+/// model-checked exhaustively in [`crate::sync_model`], multi-slice
+/// epochs included.
 ///
 /// Fusing is invisible in the statistics: each scenario keeps its own
 /// seeded RNG streams, its own lowered sampling kernels, and its own
@@ -1484,13 +1331,12 @@ impl FusedSweep {
     /// [`SweepCache`]: scenarios whose `(fingerprint, groups, seed)`
     /// identity hits the cache replay their stored aggregate
     /// byte-for-byte instead of simulating; the rest are fused into one
-    /// pool run and inserted afterwards (unless quarantined — a partial
+    /// job and inserted afterwards (unless quarantined — a partial
     /// aggregate is never cached).
     ///
     /// Per-scenario aggregates are bit-identical to a sequential
     /// [`Simulator::run_streaming`] per scenario, whatever mixture of
-    /// cache hits, serial fallback (`threads == 1`), and fused pool
-    /// execution produced them.
+    /// cache hits and thread counts produced them.
     ///
     /// # Panics
     ///
@@ -1541,7 +1387,6 @@ impl FusedSweep {
         // planned sibling's result.
         let mut results: Vec<Option<StreamStats>> = Vec::with_capacity(n);
         results.resize_with(n, || None);
-        let mut planned: Vec<PlannedScenario> = Vec::new();
         // Input index that owns each planned scenario.
         let mut planned_input: Vec<usize> = Vec::new();
         let mut owner_of: BTreeMap<(u64, u64), usize> = BTreeMap::new();
@@ -1555,58 +1400,23 @@ impl FusedSweep {
                 deferred.push((i, p));
                 continue;
             }
-            let lo = planned.len() as u64 * groups as u64;
-            owner_of.insert((keys[i], sc.seed), planned.len());
+            owner_of.insert((keys[i], sc.seed), planned_input.len());
             planned_input.push(i);
-            planned.push(PlannedScenario {
-                cfg: Arc::new(sc.cfg.clone()),
-                seed: sc.seed,
-                lo,
-                hi: lo + groups as u64,
-            });
         }
-        let simulated = planned.len() as u64;
-        let mut harvest = if planned.is_empty() {
-            SweepHarvest {
-                stream_accs: Vec::new(),
-                collect_accs: Vec::new(),
-                quarantine: Vec::new(),
-                sched: empty_sched(),
-            }
-        } else if threads == 1 {
-            run_sweep_serial(
-                self.engine.as_ref(),
-                &planned,
-                self.bias,
-                self.tuning,
-                false,
-            )
+        let simulated = planned_input.len() as u64;
+        let (harvest, sched) = if planned_input.is_empty() {
+            (Harvest::default(), empty_sched())
         } else {
-            let done = AtomicU64::new(0);
-            pool::run_sweep_pool(SweepCtx {
-                engine: self.engine.as_ref(),
-                scenarios: &planned,
-                bias: self.bias,
-                tuning: self.tuning,
-                threads,
-                claim_batch: self.claim_batch,
-                collect: false,
-                observer: &(),
-                done: &done,
-                target: simulated * groups as u64,
-            })
+            self.execute(&planned_input, groups, threads, false)
         };
         // A quarantined scenario's aggregate excludes groups its
         // watermark counts — refuse to cache it, exactly as the
         // checkpoint writer refuses to snapshot after a quarantine.
-        let mut tainted = vec![false; planned.len()];
+        let mut tainted = vec![false; planned_input.len()];
         for (p, _) in &harvest.quarantine {
             tainted[*p] = true;
         }
-        for (p, stats) in std::mem::take(&mut harvest.stream_accs)
-            .into_iter()
-            .enumerate()
-        {
+        for (p, stats) in harvest.stats.into_iter().enumerate() {
             let i = planned_input[p];
             if !tainted[p] {
                 cache.insert(keys[i], groups as u64, self.scenarios[i].seed, &stats);
@@ -1652,9 +1462,9 @@ impl FusedSweep {
             cache_hits: cache.hits() - hits_before,
             store_hits: cache.store_hits() - store_hits_before,
             simulated,
-            steals: harvest.sched.steals,
+            steals: sched.steals,
             quarantined,
-            sched: harvest.sched,
+            sched,
         }
     }
 
@@ -1687,40 +1497,11 @@ impl FusedSweep {
                 })
                 .collect();
         }
-        let planned: Vec<PlannedScenario> = self
-            .scenarios
-            .iter()
-            .enumerate()
-            .map(|(k, sc)| {
-                let lo = k as u64 * groups as u64;
-                PlannedScenario {
-                    cfg: Arc::new(sc.cfg.clone()),
-                    seed: sc.seed,
-                    lo,
-                    hi: lo + groups as u64,
-                }
-            })
-            .collect();
-        let harvest = if threads == 1 {
-            run_sweep_serial(self.engine.as_ref(), &planned, self.bias, self.tuning, true)
-        } else {
-            let done = AtomicU64::new(0);
-            pool::run_sweep_pool(SweepCtx {
-                engine: self.engine.as_ref(),
-                scenarios: &planned,
-                bias: self.bias,
-                tuning: self.tuning,
-                threads,
-                claim_batch: self.claim_batch,
-                collect: true,
-                observer: &(),
-                done: &done,
-                target: planned.len() as u64 * groups as u64,
-            })
-        };
+        let all: Vec<usize> = (0..self.scenarios.len()).collect();
+        let (harvest, _sched) = self.execute(&all, groups, threads, true);
         self.scenarios
             .iter()
-            .zip(harvest.collect_accs)
+            .zip(harvest.histories)
             .map(|(sc, histories)| {
                 (
                     sc.label.clone(),
@@ -1732,74 +1513,45 @@ impl FusedSweep {
             })
             .collect()
     }
-}
 
-/// Serial (`threads == 1`) fused sweep: the calling thread serves the
-/// scenario queue in order, sharing one [`KernelCache`] across
-/// scenarios exactly like a pool worker does. Spawns nothing and uses
-/// no sync; stream-mode quarantine semantics match the pool's.
-fn run_sweep_serial(
-    engine: &dyn Engine,
-    scenarios: &[PlannedScenario],
-    bias: BiasPolicy,
-    tuning: SessionTuning,
-    collect: bool,
-) -> SweepHarvest {
-    let mut kernels = KernelCache::new();
-    let mut stream_accs = Vec::new();
-    let mut collect_accs = Vec::new();
-    let mut quarantine = Vec::new();
-    let mut counters = EngineCounters::default();
-    let mut groups_done = 0u64;
-    for (s, sc) in scenarios.iter().enumerate() {
-        let count = sc.hi - sc.lo;
-        let mut session = engine.session_tuned_cached(sc.cfg.as_ref(), bias, tuning, &mut kernels);
-        if collect {
-            let mut histories = Vec::with_capacity(count as usize);
-            for i in 0..count {
-                let mut rng = stream(sc.seed, i);
-                histories.push(session.simulate_group(&mut rng).clone());
-                groups_done += 1;
-            }
-            collect_accs.push(histories);
-        } else {
-            let mut stats = StreamStats::new(sc.cfg.mission_hours);
-            for i in 0..count {
-                let mut rng = stream(sc.seed, i);
-                // Unwind safety: as in the pool workers — `stats` is
-                // only touched after `simulate_group` returned; the
-                // possibly-wedged session is discarded and reopened.
-                let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    stats.push(session.simulate_group(&mut rng));
-                }));
-                if let Err(payload) = outcome {
-                    quarantine.push((
-                        s,
-                        QuarantinedGroup {
-                            index: i,
-                            message: panic_message(payload.as_ref()),
-                        },
-                    ));
-                    session =
-                        engine.session_tuned_cached(sc.cfg.as_ref(), bias, tuning, &mut kernels);
-                }
-                groups_done += 1;
-            }
-            stream_accs.push(stats);
-        }
-        counters.merge(session.counters());
-    }
-    SweepHarvest {
-        stream_accs,
-        collect_accs,
-        quarantine,
-        sched: SchedulerStats {
-            worker_groups: vec![groups_done],
-            thread_spawns: 0,
-            workers_lost: 0,
-            steals: 0,
-            counters,
-        },
+    /// Simulates `groups` groups of each `planned` input scenario as
+    /// one fused job: a slice per scenario, on the scenario's own
+    /// streams `0..groups`.
+    fn execute(
+        &self,
+        planned: &[usize],
+        groups: usize,
+        threads: usize,
+        collect: bool,
+    ) -> (Harvest, SchedulerStats) {
+        let groups = groups as u64;
+        let slices = (0..planned.len() as u64)
+            .map(|p| Slice {
+                scenario: p as usize,
+                lo: p * groups,
+                hi: (p + 1) * groups,
+                first_stream: 0,
+            })
+            .collect();
+        let done = AtomicU64::new(0);
+        let ctx = ExecCtx {
+            engine: self.engine.as_ref(),
+            scenarios: planned
+                .iter()
+                .map(|&i| ScenarioRef {
+                    cfg: &self.scenarios[i].cfg,
+                    seed: self.scenarios[i].seed,
+                })
+                .collect(),
+            bias: self.bias,
+            tuning: self.tuning,
+            threads,
+            claim_batch: self.claim_batch,
+            observer: &(),
+            done: &done,
+            target: planned.len() as u64 * groups,
+        };
+        pool::execute(ctx, |exec| exec.run(slices, collect))
     }
 }
 

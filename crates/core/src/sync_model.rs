@@ -1,5 +1,13 @@
 //! Synchronization model of the worker pool: the [`SyncOps`] seam and
-//! an exhaustive interleaving checker for the epoch handshake.
+//! an exhaustive interleaving checker for the epoch handshake — the
+//! pool's one protocol.
+//!
+//! Every job the executor in [`crate::pool`] serves is one *epoch*: a
+//! list of slices whose claim cursors are all installed before the
+//! guarded publish. A driver batch is an epoch of one slice; a fused
+//! sweep is one epoch with a slice per scenario. A worker that drains a
+//! slice moves on to the next one locally, with no guarded step, and
+//! checks out after the last.
 //!
 //! The pool's correctness argument ("the last check-out is the quiesce
 //! point, so the finished set is always an exact prefix of the
@@ -23,7 +31,8 @@
 //!   virtual thread on its condition variable, and `wake` moves parked
 //!   threads back to runnable.
 //! * **[`check`]** runs a depth-first search over *every* scheduling
-//!   decision of a bounded [`Scenario`] (workers × epochs × claims),
+//!   decision of a bounded [`Scenario`] (workers × epochs × slices ×
+//!   claims),
 //!   pruning on exact encoded states (not lossy hashes, so pruning can
 //!   never mask a violation). At every state it asserts: no group index
 //!   is ever merged twice (no double-claimed batch), the simulated
@@ -79,22 +88,21 @@ pub enum Wake {
     Both,
 }
 
-/// Control metadata of one published epoch (one driver batch).
+/// Control metadata of one published epoch (one job: a driver batch,
+/// a shard, a whole run, or a fused sweep).
 ///
-/// Deliberately `Copy`: everything a worker needs to *decide* with. The
-/// shared claim cursor and the epoch accumulators are data, not
-/// control, and live outside [`PoolCore`] (behind a plain mutex in
-/// production, as bookkeeping in the model).
+/// Deliberately `Copy`. The job's slices, their claim cursors and the
+/// epoch accumulators are data, not control, and live outside
+/// [`PoolCore`] (behind a plain mutex in production, as bookkeeping in
+/// the model).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct JobSpec {
-    /// First group index of the epoch (inclusive).
+    /// Lowest group index of the job's slices (inclusive).
     pub lo: u64,
-    /// One past the last group index (exclusive).
+    /// One past the highest group index of the job's slices.
     pub hi: u64,
-    /// Effective claim size (see [`effective_claim`]).
-    pub claim: u64,
     /// `true`: collect per-batch histories; `false`: stream into the
-    /// epoch accumulator.
+    /// epoch accumulators.
     pub collect: bool,
 }
 
@@ -126,22 +134,6 @@ pub struct PoolCore {
     /// step as the check-out decision, so no interleaving can quiesce
     /// an epoch while resubmitted work is unserved.
     pub resubmit: Vec<(u64, u64)>,
-    /// Scenarios published into the current fused-sweep epoch; `0`
-    /// outside a sweep. A sweep is one epoch whose global index space
-    /// grows as the coordinator appends scenarios ([`extend_sweep`])
-    /// *while workers are active* — the cross-scenario queue that lets
-    /// a worker steal from scenario `k+1` the moment scenario `k`'s
-    /// cursor runs dry, instead of checking out and re-parking at a
-    /// per-scenario quiesce barrier.
-    ///
-    /// [`extend_sweep`]: PoolCore::extend_sweep
-    pub scenarios_published: u64,
-    /// Set once the coordinator has appended the sweep's last
-    /// scenario; workers that drain the final published cursor before
-    /// this is set must park ([`SweepPoll::Wait`]) rather than check
-    /// out, or a fast worker would quiesce the epoch while scenarios
-    /// are still coming.
-    pub sweep_sealed: bool,
     threads: usize,
 }
 
@@ -167,21 +159,6 @@ pub enum CheckOutcome {
     Redo((u64, u64)),
 }
 
-/// A sweep worker's scenario-boundary poll outcome
-/// ([`PoolCore::sweep_poll`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SweepPoll {
-    /// The next scenario's cursor is published: advance to it.
-    Next,
-    /// The worker has drained every published scenario and the sweep is
-    /// sealed (or shutting down): fall through to the normal
-    /// check-out/redo path.
-    Drained,
-    /// The worker is ahead of the coordinator: wait on [`Cv::Work`] for
-    /// the next scenario (or the seal).
-    Wait,
-}
-
 /// The coordinator's quiesce-poll outcome ([`PoolCore::quiesce_poll`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum QuiescePoll {
@@ -204,8 +181,6 @@ impl PoolCore {
             panicked: false,
             lost: 0,
             resubmit: Vec::new(),
-            scenarios_published: 0,
-            sweep_sealed: false,
             threads,
         }
     }
@@ -292,82 +267,6 @@ impl PoolCore {
     /// (reached normally or through a panic).
     pub fn retire(&mut self) {
         self.job = None;
-        self.scenarios_published = 0;
-        self.sweep_sealed = false;
-    }
-
-    /// Coordinator: publishes scenario 0 of a fused sweep as the next
-    /// epoch. Identical to [`PoolCore::publish`] — same quiesce
-    /// precondition, same arming of `active` — plus it opens the
-    /// scenario queue: the epoch's index space now covers only the
-    /// first scenario and [`PoolCore::extend_sweep`] will append the
-    /// rest while workers drain it.
-    pub fn publish_sweep(&mut self, spec: JobSpec) -> Wake {
-        debug_assert_eq!(
-            self.scenarios_published, 0,
-            "the previous sweep must be retired first"
-        );
-        let wake = self.publish(spec);
-        self.scenarios_published = 1;
-        self.sweep_sealed = false;
-        wake
-    }
-
-    /// Coordinator: appends the next scenario to the live sweep,
-    /// growing the epoch's global index space to `new_hi`. This is the
-    /// one transition deliberately legal with `active > 0` — it is the
-    /// entire point of the fused sweep: scenario `k+1` becomes
-    /// claimable while workers are still simulating scenario `k`, so
-    /// the pool never passes through a per-scenario quiesce barrier.
-    /// Always returns [`Wake::Work`]: a worker that drained scenario
-    /// `k` may be parked at the boundary waiting for exactly this.
-    pub fn extend_sweep(&mut self, new_hi: u64) -> Wake {
-        debug_assert!(
-            self.scenarios_published > 0 && !self.sweep_sealed,
-            "extend_sweep outside an open sweep"
-        );
-        if let Some(job) = self.job.as_mut() {
-            debug_assert!(new_hi >= job.hi, "sweep index space grows monotonically");
-            job.hi = new_hi;
-        }
-        self.scenarios_published += 1;
-        Wake::Work
-    }
-
-    /// Coordinator: marks the sweep's scenario list complete. Workers
-    /// parked at the boundary must be woken so they can observe
-    /// [`SweepPoll::Drained`] and proceed to check out — skipping this
-    /// wake is the scenario-boundary lost wakeup
-    /// [`Mutation::SkipScenarioWake`] proves the checker catches.
-    pub fn seal_sweep(&mut self) -> Wake {
-        debug_assert!(self.scenarios_published > 0, "seal_sweep outside a sweep");
-        self.sweep_sealed = true;
-        Wake::Work
-    }
-
-    /// Sweep worker: decides, under the lock, what to do after
-    /// draining the cursor of scenario `served` (0-based). Either the
-    /// next scenario is already published (advance), or the sweep is
-    /// sealed or shutting down (fall through to check-out, where any
-    /// resubmitted ranges are still served), or the worker is ahead of
-    /// the coordinator and waits on [`Cv::Work`].
-    ///
-    /// Shutdown forces `Drained` for the same reason
-    /// [`PoolCore::worker_poll`] puts shutdown first: a panicked pool
-    /// must drain its workers, and the check-out path is where a
-    /// serving worker accounts itself out of the epoch.
-    pub fn sweep_poll(&self, served: u64) -> SweepPoll {
-        if self.shutdown {
-            return SweepPoll::Drained;
-        }
-        if served + 1 < self.scenarios_published {
-            return SweepPoll::Next;
-        }
-        if self.sweep_sealed {
-            SweepPoll::Drained
-        } else {
-            SweepPoll::Wait
-        }
     }
 
     /// Coordinator (or its drop guard): requests worker shutdown.
@@ -604,11 +503,6 @@ pub enum Mutation {
     /// them — the lost-remainder bug the watermark invariant exists to
     /// catch.
     DropRemainder,
-    /// The coordinator appends the next sweep scenario (or seals the
-    /// sweep) but never delivers the [`Wake::Work`] the transition
-    /// requested: a worker parked at the scenario boundary sleeps
-    /// forever — the cross-scenario lost wakeup.
-    SkipScenarioWake,
 }
 
 /// A bounded pool schedule for the checker to exhaust.
@@ -616,20 +510,15 @@ pub enum Mutation {
 pub struct Scenario {
     /// Worker count (the coordinator is an additional virtual thread).
     pub workers: usize,
-    /// Driver batches, as `[lo, hi)` group-index ranges. The standard
-    /// scenarios use contiguous prefixes starting at 0, matching the
-    /// drivers in [`crate::run`]; overlapping ranges are accepted and
-    /// are caught as double-claim violations (a seeded-violation test).
-    /// Ignored when `sweep` is non-empty.
-    pub epochs: Vec<(u64, u64)>,
-    /// Non-empty selects fused-sweep mode: one epoch whose global
-    /// index space is the concatenation of these per-scenario group
-    /// counts, published incrementally (scenario `k+1` appended via
-    /// [`PoolCore::extend_sweep`] while workers drain scenario `k`,
-    /// then sealed). Each scenario gets its own cursor with its own
-    /// [`effective_claim`].
-    pub sweep: Vec<u64>,
-    /// Configured claim size; each epoch applies [`effective_claim`].
+    /// The published jobs in order, each a list of slices given as
+    /// `[lo, hi)` group-index ranges, all installed at publish with a
+    /// cursor each. The standard scenarios tile a prefix starting at 0,
+    /// matching the drivers in [`crate::run`] (a driver batch is one
+    /// slice; a fused sweep is one epoch with a slice per scenario);
+    /// overlapping ranges are accepted and are caught as double-claim
+    /// violations (a seeded-violation test).
+    pub epochs: Vec<Vec<(u64, u64)>>,
+    /// Configured claim size; each slice applies [`effective_claim`].
     pub claim: u64,
     /// If `Some(i)`, simulating group index `i` panics (after the
     /// indices claimed before it in the same batch completed). One-shot
@@ -647,12 +536,12 @@ pub struct Scenario {
 }
 
 impl Scenario {
-    /// A faithful scenario over contiguous prefix epochs.
+    /// A faithful scenario over contiguous prefix epochs of one slice
+    /// each (driver batches).
     pub fn new(workers: usize, epochs: Vec<(u64, u64)>, claim: u64) -> Self {
         Scenario {
             workers,
-            epochs,
-            sweep: Vec::new(),
+            epochs: epochs.into_iter().map(|e| vec![e]).collect(),
             claim,
             panic_at: None,
             sticky: false,
@@ -661,13 +550,20 @@ impl Scenario {
         }
     }
 
-    /// A faithful fused-sweep scenario: one epoch over the
-    /// concatenation of `counts`, published one scenario at a time.
+    /// A faithful fused-sweep scenario: one epoch with one slice per
+    /// entry of `counts`, the slices tiling `[0, Σ counts)` in order.
     pub fn sweep(workers: usize, counts: Vec<u64>, claim: u64) -> Self {
+        let mut lo = 0;
+        let slices = counts
+            .into_iter()
+            .map(|count| {
+                lo += count;
+                (lo - count, lo)
+            })
+            .collect();
         Scenario {
             workers,
-            epochs: Vec::new(),
-            sweep: counts,
+            epochs: vec![slices],
             claim,
             panic_at: None,
             sticky: false,
@@ -676,23 +572,17 @@ impl Scenario {
         }
     }
 
-    fn sweep_mode(&self) -> bool {
-        !self.sweep.is_empty()
-    }
-
-    /// Global `[lo, hi)` index range of sweep scenario `k`.
-    fn sweep_range(&self, k: usize) -> (u64, u64) {
-        let lo: u64 = self.sweep[..k].iter().sum();
-        (lo, lo + self.sweep[k])
+    /// One past the last index of epoch `k` (its last slice's `hi`).
+    fn epoch_hi(&self, k: usize) -> u64 {
+        self.epochs[k].last().map_or(0, |&(_, hi)| hi)
     }
 
     /// Total group count across all epochs (assumes prefix epochs).
     fn total(&self) -> u64 {
-        if self.sweep_mode() {
-            self.sweep.iter().sum()
-        } else {
-            self.epochs.last().map_or(0, |&(_, hi)| hi)
-        }
+        self.epochs
+            .len()
+            .checked_sub(1)
+            .map_or(0, |k| self.epoch_hi(k))
     }
 
     /// Whether the configured panic fault can actually fire.
@@ -726,7 +616,7 @@ pub struct ModelReport {
 }
 
 /// Virtual-thread program counter for one worker. Each variant's step
-/// mirrors one synchronization action of the production worker loop in
+/// mirrors one synchronization action of the production worker in
 /// [`crate::pool`] (see DESIGN.md §15 for the line-by-line map).
 #[derive(Debug, Clone, PartialEq, Eq)]
 enum WorkerPc {
@@ -745,13 +635,6 @@ enum WorkerPc {
     /// About to run the guarded merge-and-check-out step (which may
     /// hand back a resubmitted range instead of checking out).
     CheckOut,
-    /// Sweep mode: drained the current scenario's cursor (partial
-    /// already merged); about to run the guarded
-    /// [`PoolCore::sweep_poll`] (parks atomically on `Wait`).
-    SweepWait,
-    /// Sweep mode: parked on [`Cv::Work`] at a scenario boundary,
-    /// waiting for the coordinator to append or seal.
-    ParkedSweep,
     /// Check-out said this worker was last: deliver the quiesce wake.
     WakeQuiesced,
     /// Supervision guard, dying: about to run the guarded
@@ -768,21 +651,11 @@ enum WorkerPc {
 /// driver loop over `scenario.epochs` plus the shutdown/join tail.
 #[derive(Debug, Clone, PartialEq, Eq)]
 enum CoordPc {
-    /// About to install the epoch data and run the guarded publish
-    /// (sweep mode: installs scenario 0's cursor and runs
-    /// [`PoolCore::publish_sweep`]).
+    /// About to install the epoch data (every slice's cursor) and run
+    /// the guarded publish.
     Publish,
     /// About to deliver the publish wake.
     WakeWorkers,
-    /// Sweep mode: about to install scenario `k`'s cursor and run the
-    /// guarded [`PoolCore::extend_sweep`] — while workers are active.
-    PublishScenario { k: usize },
-    /// Sweep mode: about to deliver the extend wake for scenario `k`.
-    WakeScenario { k: usize },
-    /// Sweep mode: about to run the guarded [`PoolCore::seal_sweep`].
-    Seal,
-    /// Sweep mode: about to deliver the seal wake.
-    WakeSeal,
     /// About to run the quiesce poll (parks atomically on `Wait`).
     Await,
     /// Parked on [`Cv::Quiesced`].
@@ -803,12 +676,9 @@ enum CoordPc {
 #[derive(Debug, Clone)]
 struct ModelState {
     core: PoolCore,
-    /// Virtual claim cursor of the current epoch: `(next, hi, claim)`.
-    cursor: Option<(u64, u64, u64)>,
-    /// Sweep mode: one virtual cursor per *published* scenario, each
-    /// `(next, hi, claim)` over its global sub-range. Grows as the
-    /// coordinator appends scenarios.
-    sweep_cursors: Vec<(u64, u64, u64)>,
+    /// Virtual claim cursors of the current epoch, one per slice, each
+    /// `(next, hi, claim)`.
+    cursors: Vec<(u64, u64, u64)>,
     /// Whether `scenario.panic_at` can still fire (one-shot faults
     /// disarm at the first death; sticky faults never do).
     panic_armed: bool,
@@ -825,11 +695,10 @@ struct ModelState {
 struct WorkerState {
     pc: WorkerPc,
     seen_epoch: u64,
-    /// Sweep mode: index of the scenario this worker is draining,
-    /// reset to 0 each time it accepts an epoch (a re-armed sweep
-    /// epoch makes survivors skate over the exhausted cursors to the
-    /// redo queue).
-    scenario: u64,
+    /// Index of the slice this worker is draining, reset to 0 each
+    /// time it accepts an epoch (a re-armed epoch makes survivors skate
+    /// over the exhausted cursors to the redo queue).
+    slice: u64,
     /// Ranges claimed since this worker's current serve began, none of
     /// them merged yet (the production supervision guard's pending
     /// list). Resubmitted wholesale if the worker dies; cleared at the
@@ -846,8 +715,7 @@ impl ModelState {
     fn initial(scenario: &Scenario) -> Self {
         ModelState {
             core: PoolCore::new(scenario.workers),
-            cursor: None,
-            sweep_cursors: Vec::new(),
+            cursors: Vec::new(),
             panic_armed: scenario.panic_at.is_some(),
             epoch_idx: 0,
             coord: CoordPc::Publish,
@@ -855,7 +723,7 @@ impl ModelState {
                 WorkerState {
                     pc: WorkerPc::Idle,
                     seen_epoch: 0,
-                    scenario: 0,
+                    slice: 0,
                     pending: Vec::new(),
                     local: Vec::new(),
                 };
@@ -877,8 +745,6 @@ impl ModelState {
         out.push(u8::from(self.core.shutdown));
         out.push(u8::from(self.core.panicked));
         out.push(u8::from(self.panic_armed));
-        push(out, self.core.scenarios_published);
-        out.push(u8::from(self.core.sweep_sealed));
         push(out, self.core.resubmit.len() as u64);
         for &(lo, hi) in &self.core.resubmit {
             push(out, lo);
@@ -890,21 +756,11 @@ impl ModelState {
                 out.push(1);
                 push(out, spec.lo);
                 push(out, spec.hi);
-                push(out, spec.claim);
                 out.push(u8::from(spec.collect));
             }
         }
-        match self.cursor {
-            None => out.push(0),
-            Some((next, hi, claim)) => {
-                out.push(1);
-                push(out, next);
-                push(out, hi);
-                push(out, claim);
-            }
-        }
-        push(out, self.sweep_cursors.len() as u64);
-        for &(next, hi, claim) in &self.sweep_cursors {
+        push(out, self.cursors.len() as u64);
+        for &(next, hi, claim) in &self.cursors {
             push(out, next);
             push(out, hi);
             push(out, claim);
@@ -913,7 +769,7 @@ impl ModelState {
         encode_coord(&self.coord, out);
         for w in &self.workers {
             push(out, w.seen_epoch);
-            push(out, w.scenario);
+            push(out, w.slice);
             encode_worker(&w.pc, out);
             push(out, w.pending.len() as u64);
             for &(lo, hi) in &w.pending {
@@ -933,24 +789,19 @@ impl ModelState {
 }
 
 fn encode_coord(pc: &CoordPc, out: &mut Vec<u8>) {
-    let (tag, flag, k) = match pc {
-        CoordPc::Publish => (0u8, false, 0usize),
-        CoordPc::WakeWorkers => (1, false, 0),
-        CoordPc::Await => (2, false, 0),
-        CoordPc::ParkedQuiesced => (3, false, 0),
-        CoordPc::Retire { panicked } => (4, *panicked, 0),
-        CoordPc::Shutdown { panicked } => (5, *panicked, 0),
-        CoordPc::WakeShutdown { panicked } => (6, *panicked, 0),
-        CoordPc::Join { panicked } => (7, *panicked, 0),
-        CoordPc::Done { panicked } => (8, *panicked, 0),
-        CoordPc::PublishScenario { k } => (9, false, *k),
-        CoordPc::WakeScenario { k } => (10, false, *k),
-        CoordPc::Seal => (11, false, 0),
-        CoordPc::WakeSeal => (12, false, 0),
+    let (tag, flag) = match pc {
+        CoordPc::Publish => (0u8, false),
+        CoordPc::WakeWorkers => (1, false),
+        CoordPc::Await => (2, false),
+        CoordPc::ParkedQuiesced => (3, false),
+        CoordPc::Retire { panicked } => (4, *panicked),
+        CoordPc::Shutdown { panicked } => (5, *panicked),
+        CoordPc::WakeShutdown { panicked } => (6, *panicked),
+        CoordPc::Join { panicked } => (7, *panicked),
+        CoordPc::Done { panicked } => (8, *panicked),
     };
     out.push(tag);
     out.push(u8::from(flag));
-    out.extend_from_slice(&(k as u64).to_le_bytes());
 }
 
 fn encode_worker(pc: &WorkerPc, out: &mut Vec<u8>) {
@@ -968,8 +819,6 @@ fn encode_worker(pc: &WorkerPc, out: &mut Vec<u8>) {
         WorkerPc::WakeQuiesced => out.push(6),
         WorkerPc::MarkLost => out.push(7),
         WorkerPc::Exited => out.push(9),
-        WorkerPc::SweepWait => out.push(10),
-        WorkerPc::ParkedSweep => out.push(11),
         WorkerPc::WakeDeath { wake } => {
             out.push(8);
             out.push(match wake {
@@ -1092,7 +941,7 @@ impl Explorer<'_> {
         }
         for (i, w) in state.workers.iter().enumerate() {
             match w.pc {
-                WorkerPc::ParkedWork | WorkerPc::ParkedSweep => {
+                WorkerPc::ParkedWork => {
                     if self.scenario.spurious {
                         out.push(Decision::SpuriousWorker(i));
                     }
@@ -1108,14 +957,10 @@ impl Explorer<'_> {
     fn apply(&self, state: &mut ModelState, decision: Decision) -> Result<(), String> {
         match decision {
             Decision::SpuriousWorker(i) => {
-                // A spurious wake returns the worker to the poll it
-                // parked from; the predicate re-check is what makes
-                // spurious wakeups harmless.
-                state.workers[i].pc = if state.workers[i].pc == WorkerPc::ParkedSweep {
-                    WorkerPc::SweepWait
-                } else {
-                    WorkerPc::Idle
-                };
+                // A spurious wake returns the worker to its idle poll;
+                // the predicate re-check is what makes spurious
+                // wakeups harmless.
+                state.workers[i].pc = WorkerPc::Idle;
                 Ok(())
             }
             Decision::SpuriousCoordinator => {
@@ -1138,8 +983,6 @@ impl Explorer<'_> {
             for w in &mut state.workers {
                 if w.pc == WorkerPc::ParkedWork {
                     w.pc = WorkerPc::Idle;
-                } else if w.pc == WorkerPc::ParkedSweep {
-                    w.pc = WorkerPc::SweepWait;
                 }
             }
         }
@@ -1157,30 +1000,30 @@ impl Explorer<'_> {
                         state.core.active
                     ));
                 }
-                let (lo, hi) = if self.scenario.sweep_mode() {
-                    self.scenario.sweep_range(0)
-                } else {
-                    self.scenario.epochs[state.epoch_idx]
-                };
-                let claim =
-                    effective_claim(self.scenario.claim, hi - lo, self.scenario.workers as u64);
+                let slices = &self.scenario.epochs[state.epoch_idx];
+                let workers = self.scenario.workers as u64;
+                // Production installs every slice's cursor and
+                // accumulator (under the data mutex) before the guarded
+                // publish; folded into this step because workers cannot
+                // observe the data until the publish makes the epoch
+                // visible.
+                state.cursors = slices
+                    .iter()
+                    .map(|&(lo, hi)| {
+                        (
+                            lo,
+                            hi,
+                            effective_claim(self.scenario.claim, hi - lo, workers),
+                        )
+                    })
+                    .collect();
+                let lo = slices.first().map_or(0, |&(lo, _)| lo);
                 let spec = JobSpec {
                     lo,
-                    hi,
-                    claim,
+                    hi: slices.last().map_or(lo, |&(_, hi)| hi),
                     collect: false,
                 };
-                // Production installs the cursor and accumulators
-                // (under the data mutex) before the guarded publish;
-                // folded into this step because workers cannot observe
-                // the data until the publish makes the epoch visible.
-                let wake = if self.scenario.sweep_mode() {
-                    state.sweep_cursors = vec![(lo, hi, claim)];
-                    state.core.publish_sweep(spec)
-                } else {
-                    state.cursor = Some((lo, hi, claim));
-                    state.core.publish(spec)
-                };
+                let wake = state.core.publish(spec);
                 if self.scenario.mutation == Mutation::UnderCountActive {
                     state.core.active = state.core.active.saturating_sub(1);
                 }
@@ -1190,50 +1033,6 @@ impl Explorer<'_> {
             }
             CoordPc::WakeWorkers => {
                 if self.scenario.mutation != Mutation::SkipPublishWake {
-                    self.deliver(state, Wake::Work);
-                }
-                state.coord = if self.scenario.sweep_mode() {
-                    if self.scenario.sweep.len() > 1 {
-                        CoordPc::PublishScenario { k: 1 }
-                    } else {
-                        CoordPc::Seal
-                    }
-                } else {
-                    CoordPc::Await
-                };
-                Ok(())
-            }
-            CoordPc::PublishScenario { k } => {
-                // The fused sweep's defining transition: appended while
-                // workers are active — no quiesce precondition.
-                let (lo, hi) = self.scenario.sweep_range(k);
-                let claim =
-                    effective_claim(self.scenario.claim, hi - lo, self.scenario.workers as u64);
-                state.sweep_cursors.push((lo, hi, claim));
-                let wake = state.core.extend_sweep(hi);
-                debug_assert_eq!(wake, Wake::Work);
-                state.coord = CoordPc::WakeScenario { k };
-                Ok(())
-            }
-            CoordPc::WakeScenario { k } => {
-                if self.scenario.mutation != Mutation::SkipScenarioWake {
-                    self.deliver(state, Wake::Work);
-                }
-                state.coord = if k + 1 < self.scenario.sweep.len() {
-                    CoordPc::PublishScenario { k: k + 1 }
-                } else {
-                    CoordPc::Seal
-                };
-                Ok(())
-            }
-            CoordPc::Seal => {
-                let wake = state.core.seal_sweep();
-                debug_assert_eq!(wake, Wake::Work);
-                state.coord = CoordPc::WakeSeal;
-                Ok(())
-            }
-            CoordPc::WakeSeal => {
-                if self.scenario.mutation != Mutation::SkipScenarioWake {
                     self.deliver(state, Wake::Work);
                 }
                 state.coord = CoordPc::Await;
@@ -1255,14 +1054,9 @@ impl Explorer<'_> {
                     return Ok(());
                 }
                 // Quiesce-point watermark: the simulated set must be
-                // exactly the prefix [0, hi) of this epoch (in sweep
-                // mode, of the whole fused index space — a per-scenario
-                // shortfall shows up as a hole in the prefix).
-                let hi = if self.scenario.sweep_mode() {
-                    self.scenario.total()
-                } else {
-                    self.scenario.epochs[state.epoch_idx].1
-                };
+                // exactly the prefix [0, hi) of this epoch's last slice
+                // (a shortfall in any slice shows up as a hole).
+                let hi = self.scenario.epoch_hi(state.epoch_idx);
                 let expected: Vec<u64> = (0..hi).collect();
                 if state.simulated != expected {
                     return Err(format!(
@@ -1271,9 +1065,7 @@ impl Explorer<'_> {
                     ));
                 }
                 state.epoch_idx += 1;
-                let done =
-                    self.scenario.sweep_mode() || state.epoch_idx == self.scenario.epochs.len();
-                state.coord = if done {
+                state.coord = if state.epoch_idx == self.scenario.epochs.len() {
                     CoordPc::Shutdown { panicked: false }
                 } else {
                     CoordPc::Publish
@@ -1321,7 +1113,7 @@ impl Explorer<'_> {
                     WorkerPoll::Shutdown => state.workers[i].pc = WorkerPc::Exited,
                     WorkerPoll::Job(_, epoch) => {
                         state.workers[i].seen_epoch = epoch;
-                        state.workers[i].scenario = 0;
+                        state.workers[i].slice = 0;
                         state.workers[i].pc = WorkerPc::Claim;
                     }
                     WorkerPoll::Wait => {
@@ -1341,49 +1133,22 @@ impl Explorer<'_> {
                 Ok(())
             }
             WorkerPc::Claim => {
-                if self.scenario.sweep_mode() {
-                    let s = state.workers[i].scenario as usize;
-                    let &(next, hi, claim) = state
-                        .sweep_cursors
-                        .get(s)
-                        .ok_or("worker claiming an unpublished sweep scenario")?;
-                    state.sweep_cursors[s] = (next + claim, hi, claim);
-                    match claim_range(next, hi, claim) {
-                        Some((lo, end)) => {
-                            state.workers[i].pending.push((lo, end));
-                            state.workers[i].pc = WorkerPc::Simulate { cur: lo, end };
-                        }
-                        // Scenario drained: ask the queue what's next
-                        // instead of checking out of the epoch.
-                        None => state.workers[i].pc = WorkerPc::SweepWait,
-                    }
-                    return Ok(());
-                }
-                let (next, hi, claim) = state
-                    .cursor
+                let s = state.workers[i].slice as usize;
+                let &(next, hi, claim) = state
+                    .cursors
+                    .get(s)
                     .ok_or("worker claiming with no cursor installed")?;
-                state.cursor = Some((next + claim, hi, claim));
+                state.cursors[s] = (next + claim, hi, claim);
                 match claim_range(next, hi, claim) {
                     Some((lo, end)) => {
                         state.workers[i].pending.push((lo, end));
                         state.workers[i].pc = WorkerPc::Simulate { cur: lo, end };
                     }
+                    // Slice drained: move on to the next one locally,
+                    // no guarded step — every cursor was installed at
+                    // publish.
+                    None if s + 1 < state.cursors.len() => state.workers[i].slice += 1,
                     None => state.workers[i].pc = WorkerPc::CheckOut,
-                }
-                Ok(())
-            }
-            WorkerPc::SweepWait => {
-                // Production merges the drained scenario's partial
-                // *before* this guarded poll (the model's merge stays
-                // at check-out: merges commute, so coverage — which is
-                // what the invariants track — is unaffected).
-                match state.core.sweep_poll(state.workers[i].scenario) {
-                    SweepPoll::Next => {
-                        state.workers[i].scenario += 1;
-                        state.workers[i].pc = WorkerPc::Claim;
-                    }
-                    SweepPoll::Drained => state.workers[i].pc = WorkerPc::CheckOut,
-                    SweepPoll::Wait => state.workers[i].pc = WorkerPc::ParkedSweep,
                 }
                 Ok(())
             }
@@ -1480,7 +1245,7 @@ impl Explorer<'_> {
                 state.workers[i].pc = WorkerPc::Exited;
                 Ok(())
             }
-            WorkerPc::ParkedWork | WorkerPc::ParkedSweep | WorkerPc::Exited => {
+            WorkerPc::ParkedWork | WorkerPc::Exited => {
                 Err("scheduler stepped an unrunnable worker".into())
             }
         }
@@ -1636,7 +1401,6 @@ mod tests {
         let spec = JobSpec {
             lo: 0,
             hi: 4,
-            claim: 1,
             collect: false,
         };
         assert_eq!(core.publish(spec), Wake::Work);
@@ -1657,7 +1421,6 @@ mod tests {
         let _ = core.publish(JobSpec {
             lo: 0,
             hi: 1,
-            claim: 1,
             collect: false,
         });
         assert_eq!(core.mark_panicked(), Wake::Both);
@@ -1674,7 +1437,6 @@ mod tests {
         let spec = JobSpec {
             lo: 0,
             hi: 2,
-            claim: 1,
             collect: true,
         };
         let wake = sync.guarded(|c| c.publish(spec));
@@ -1708,82 +1470,53 @@ mod tests {
 
     #[test]
     fn every_mutation_is_caught() {
-        for mutation in [
-            Mutation::SkipPublishWake,
-            Mutation::SkipCheckoutWake,
-            Mutation::NonAtomicPark,
-            Mutation::UnderCountActive,
+        // Each mutation on driver batches (one slice per epoch) and on
+        // a fused sweep (one epoch of two slices).
+        for scenario in [
+            Scenario::new(2, vec![(0, 2), (2, 4)], 1),
+            Scenario::sweep(2, vec![2, 2], 1),
         ] {
-            let mut scenario = Scenario::new(2, vec![(0, 2), (2, 4)], 1);
-            scenario.mutation = mutation;
-            let report = check(&scenario);
-            assert!(
-                report.violation.is_some(),
-                "mutation {mutation:?} was not caught"
-            );
+            for mutation in [
+                Mutation::SkipPublishWake,
+                Mutation::SkipCheckoutWake,
+                Mutation::NonAtomicPark,
+                Mutation::UnderCountActive,
+            ] {
+                let mut scenario = scenario.clone();
+                scenario.mutation = mutation;
+                let report = check(&scenario);
+                assert!(
+                    report.violation.is_some(),
+                    "mutation {mutation:?} was not caught on {:?}",
+                    scenario.epochs
+                );
+            }
         }
         // The death-path mutations need a worker death to corrupt.
-        for mutation in [Mutation::SkipPanicWake, Mutation::DropRemainder] {
-            let mut scenario = Scenario::new(2, vec![(0, 2)], 1);
-            scenario.panic_at = Some(1);
-            scenario.mutation = mutation;
-            let report = check(&scenario);
-            assert!(
-                report.violation.is_some(),
-                "mutation {mutation:?} was not caught"
-            );
+        for scenario in [
+            Scenario::new(2, vec![(0, 2)], 1),
+            Scenario::sweep(2, vec![2, 2], 1),
+        ] {
+            for mutation in [Mutation::SkipPanicWake, Mutation::DropRemainder] {
+                let mut scenario = scenario.clone();
+                scenario.panic_at = Some(1);
+                scenario.mutation = mutation;
+                let report = check(&scenario);
+                assert!(
+                    report.violation.is_some(),
+                    "mutation {mutation:?} was not caught on {:?}",
+                    scenario.epochs
+                );
+            }
         }
-        // The scenario-boundary mutation needs a sweep to corrupt.
-        let mut scenario = Scenario::sweep(2, vec![2, 2], 1);
-        scenario.mutation = Mutation::SkipScenarioWake;
-        let report = check(&scenario);
-        assert!(
-            report.violation.is_some(),
-            "mutation SkipScenarioWake was not caught"
-        );
-    }
-
-    #[test]
-    fn sweep_core_transitions_follow_the_queue() {
-        let mut core = PoolCore::new(2);
-        let spec = JobSpec {
-            lo: 0,
-            hi: 2,
-            claim: 1,
-            collect: false,
-        };
-        assert_eq!(core.publish_sweep(spec), Wake::Work);
-        assert_eq!(core.scenarios_published, 1);
-        // A worker that drains scenario 0 before scenario 1 exists
-        // must wait, not check out.
-        assert_eq!(core.sweep_poll(0), SweepPoll::Wait);
-        // Appending is legal with workers active — the whole point.
-        assert_eq!(core.active, 2);
-        assert_eq!(core.extend_sweep(5), Wake::Work);
-        assert_eq!(core.job.unwrap().hi, 5);
-        assert_eq!(core.sweep_poll(0), SweepPoll::Next);
-        assert_eq!(core.sweep_poll(1), SweepPoll::Wait);
-        assert_eq!(core.seal_sweep(), Wake::Work);
-        assert_eq!(core.sweep_poll(1), SweepPoll::Drained);
-        // Check-out and quiesce are the classic epoch path.
-        assert_eq!(core.check_out(), CheckOutcome::Out(Wake::None));
-        assert_eq!(core.check_out(), CheckOutcome::Out(Wake::Quiesced));
-        assert_eq!(core.quiesce_poll(), QuiescePoll::Quiesced);
-        core.retire();
-        assert_eq!(core.scenarios_published, 0);
-        assert!(!core.sweep_sealed);
-        // Shutdown drains a boundary-parked worker straight through.
-        let _ = core.publish_sweep(spec);
-        let _ = core.request_shutdown();
-        assert_eq!(core.sweep_poll(0), SweepPoll::Drained);
     }
 
     #[test]
     fn sweep_scenarios_are_exhausted_without_violation() {
-        // Cross-scenario stealing in every interleaving: workers may
-        // drain scenario 0 and steal from scenario 1 before the seal,
-        // park at the boundary, or race the coordinator's appends —
-        // all schedules must cover the fused index space exactly.
+        // Cross-slice stealing in every interleaving: a worker that
+        // drains slice 0 moves on to slice 1 while its peers are still
+        // in slice 0 — all schedules must cover the fused index space
+        // exactly.
         for counts in [vec![2, 2], vec![2, 1], vec![1, 2], vec![1, 1, 1]] {
             let report = check(&Scenario::sweep(2, counts.clone(), 1));
             assert_eq!(report.violation, None, "sweep {counts:?}: {report:?}");
@@ -1796,6 +1529,8 @@ mod tests {
 
     #[test]
     fn sweep_survives_spurious_wakeups_at_the_boundary() {
+        // Only the idle poll parks; a sweep's slice boundaries are
+        // local, so spurious wakeups are exercised on the one epoch.
         let mut scenario = Scenario::sweep(2, vec![2, 1], 1);
         scenario.spurious = true;
         let report = check(&scenario);
@@ -1804,9 +1539,9 @@ mod tests {
 
     #[test]
     fn sweep_death_mid_sweep_is_supervised_to_full_coverage() {
-        // A worker dies simulating scenario 0 (index 1) or scenario 1
+        // A worker dies simulating slice 0 (index 1) or slice 1
         // (index 2): the survivor redoes the resubmitted ranges after
-        // the queue drains, and the fused watermark still holds.
+        // the slices drain, and the fused watermark still holds.
         for panic_at in [1u64, 2] {
             let mut scenario = Scenario::sweep(2, vec![2, 2], 1);
             scenario.panic_at = Some(panic_at);
@@ -1862,7 +1597,6 @@ mod tests {
         let _ = core.publish(JobSpec {
             lo: 0,
             hi: 2,
-            claim: 1,
             collect: false,
         });
         assert_eq!(core.check_out(), CheckOutcome::Out(Wake::None)); // B
@@ -1880,7 +1614,6 @@ mod tests {
         let _ = core.publish(JobSpec {
             lo: 0,
             hi: 2,
-            claim: 1,
             collect: false,
         });
         assert_eq!(core.check_out(), CheckOutcome::Out(Wake::None));
@@ -1892,7 +1625,6 @@ mod tests {
         let _ = core.publish(JobSpec {
             lo: 2,
             hi: 4,
-            claim: 1,
             collect: false,
         });
         assert_eq!(core.active, 1);
@@ -1906,7 +1638,6 @@ mod tests {
         let _ = core.publish(JobSpec {
             lo: 0,
             hi: 2,
-            claim: 1,
             collect: false,
         });
         assert_eq!(core.mark_lost(1, true, vec![(0, 1)]), Wake::None);
@@ -1926,7 +1657,6 @@ mod tests {
         let _ = core.publish(JobSpec {
             lo: 0,
             hi: 2,
-            claim: 1,
             collect: false,
         });
         assert_eq!(core.check_out(), CheckOutcome::Out(Wake::None)); // B
@@ -1947,7 +1677,6 @@ mod tests {
         let _ = core.publish(JobSpec {
             lo: 0,
             hi: 1,
-            claim: 1,
             collect: false,
         });
         assert_eq!(core.mark_lost(1, true, vec![(0, 1)]), Wake::Both);

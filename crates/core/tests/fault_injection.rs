@@ -22,8 +22,11 @@ use raidsim_core::checkpoint::{CheckpointError, DriverState, SimCheckpoint};
 use raidsim_core::config::RaidGroupConfig;
 use raidsim_core::engine::{DesEngine, Engine};
 use raidsim_core::events::{CheckpointDegraded, GroupHistory, QuarantinedGroup};
-use raidsim_core::run::{CheckpointPlan, EveryGroups, RunControl, Simulator, StreamObserver};
+use raidsim_core::run::{
+    CheckpointPlan, EveryGroups, FusedSweep, RunControl, Simulator, StreamObserver,
+};
 use raidsim_core::store::{AttemptBudget, FaultKind, FaultPlan, FaultStore, MemStore};
+use raidsim_core::sweep::SweepScenario;
 use raidsim_dists::rng::{stream, SimRng};
 use rand::Rng;
 use std::path::{Path, PathBuf};
@@ -450,6 +453,47 @@ fn stream_mode_quarantine_is_identical_across_thread_counts() {
     assert_eq!(
         legs[0], legs[1],
         "serial and pooled quarantine runs diverged"
+    );
+}
+
+/// A quarantined group discards its (possibly torn) session, but not
+/// the work that session counted: the engine counters cover every group
+/// that completed, at every thread count, on the single-configuration
+/// path and the fused-sweep path alike.
+#[test]
+fn quarantine_keeps_engine_counters_exact() {
+    let groups = 48;
+    let seed = 67;
+    let target = 31u64;
+    let engine = || Arc::new(PanicOnMarker::new(seed, target));
+    let mut loop_allocs = Vec::new();
+    for threads in [1usize, 2, 4] {
+        let (stats, sched) = Simulator::new(base())
+            .with_engine(engine())
+            .run_streaming_instrumented(groups, seed, threads, &());
+        assert_eq!(stats.groups(), groups as u64 - 1);
+        assert_eq!(
+            sched.counters.groups,
+            groups as u64 - 1,
+            "run at {threads} thread(s)"
+        );
+        let report = FusedSweep::new(vec![SweepScenario::new("base", base(), seed)])
+            .with_engine(engine())
+            .run_streaming(groups, threads);
+        assert_eq!(report.quarantined.len(), 1);
+        assert_eq!(
+            report.sched.counters.groups,
+            groups as u64 - 1,
+            "sweep at {threads} thread(s)"
+        );
+        loop_allocs.push((
+            sched.counters.loop_allocs,
+            report.sched.counters.loop_allocs,
+        ));
+    }
+    assert!(
+        loop_allocs.iter().all(|&a| a == loop_allocs[0]),
+        "loop_allocs depend on the thread count: {loop_allocs:?}"
     );
 }
 

@@ -7,10 +7,15 @@
 use proptest::prelude::*;
 use raidsim_core::checkpoint::{DriverState, SimCheckpoint};
 use raidsim_core::config::{RaidGroupConfig, Redundancy, SparePolicy, TransitionDistributions};
-use raidsim_core::run::{CheckpointPlan, EveryGroups, RunControl, Simulator};
+use raidsim_core::engine::{BiasPolicy, DesEngine, Engine, EngineSession, SessionTuning};
+use raidsim_core::events::GroupHistory;
+use raidsim_core::run::{CheckpointPlan, EveryGroups, FusedSweep, RunControl, Simulator};
 use raidsim_core::stats::StreamStats;
 use raidsim_core::store::{AttemptBudget, FsStore};
-use raidsim_dists::{LifeDistribution, Weibull3};
+use raidsim_core::sweep::SweepScenario;
+use raidsim_dists::rng::SimRng;
+use raidsim_dists::{KernelCache, LifeDistribution, Weibull3};
+use raidsim_hdd::scrub::ScrubPolicy;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -127,6 +132,69 @@ fn pool_instrumentation_invariants() {
             assert!(sched.counters.events > 0);
         }
     }
+}
+
+/// The discrete-event engine, counting the sessions opened on it.
+#[derive(Debug, Default)]
+struct CountingEngine {
+    inner: DesEngine,
+    opened: AtomicU64,
+}
+
+impl Engine for CountingEngine {
+    fn simulate_group(&self, cfg: &RaidGroupConfig, rng: &mut SimRng) -> GroupHistory {
+        self.inner.simulate_group(cfg, rng)
+    }
+    fn name(&self) -> &'static str {
+        self.inner.name()
+    }
+    fn session_tuned_cached<'a>(
+        &'a self,
+        cfg: &'a RaidGroupConfig,
+        bias: BiasPolicy,
+        tuning: SessionTuning,
+        kernels: &mut KernelCache,
+    ) -> Box<dyn EngineSession + 'a> {
+        self.opened.fetch_add(1, Ordering::Relaxed);
+        self.inner.session_tuned_cached(cfg, bias, tuning, kernels)
+    }
+}
+
+/// Sessions live as long as the executor: a worker opens one per
+/// scenario it serves, not one per driver batch or per job.
+#[test]
+fn sessions_open_once_per_worker_and_scenario() {
+    for threads in [1usize, 2] {
+        let engine = Arc::new(CountingEngine::default());
+        let sim =
+            Simulator::new(RaidGroupConfig::paper_base_case().unwrap()).with_engine(engine.clone());
+        // An unreachable precision target: every one of the 4 driver
+        // batches runs.
+        let (stats, _) = sim.run_until_precision_streaming(1e-9, 0.95, 50, 200, 3, threads);
+        assert_eq!(stats.groups(), 200);
+        assert_eq!(
+            engine.opened.load(Ordering::Relaxed),
+            threads as u64,
+            "{threads} thread(s)"
+        );
+    }
+    let engine = Arc::new(CountingEngine::default());
+    let ladder = [12.0, 48.0, 168.0].map(|hours| {
+        let cfg = RaidGroupConfig::paper_base_case()
+            .unwrap()
+            .with_scrub_policy(ScrubPolicy::with_characteristic_hours(hours))
+            .unwrap();
+        SweepScenario::new(format!("scrub {hours} h"), cfg, 5)
+    });
+    let report = FusedSweep::new(ladder.to_vec())
+        .with_engine(engine.clone())
+        .run_streaming(60, 2);
+    assert_eq!(report.simulated, 3);
+    let opened = engine.opened.load(Ordering::Relaxed);
+    assert!(
+        opened <= 6,
+        "{opened} sessions for 3 scenarios on 2 workers"
+    );
 }
 
 proptest! {

@@ -1,5 +1,5 @@
-//! Fused-sweep guarantees: fusing a family of scenarios into one
-//! cross-scenario work queue must be **invisible** in the statistics.
+//! Fused-sweep guarantees: fusing a family of scenarios into one job
+//! of per-scenario slices must be **invisible** in the statistics.
 //! For any scenario list, seeds, thread count, and claim-batch size,
 //! the fused runner's per-scenario aggregates must be byte-identical to
 //! a sequential single-threaded run of each scenario alone; repeated
