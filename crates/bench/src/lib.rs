@@ -31,11 +31,30 @@ pub fn threads() -> usize {
 /// Number of RAID groups per experiment, overridable via the
 /// `RAIDSIM_GROUPS` environment variable so CI can run the binaries
 /// quickly while full runs use the default.
+///
+/// A set value that is not a positive integer prints
+/// `error: RAIDSIM_GROUPS: …` and exits with status 2, the CLI's
+/// bad-argument code, rather than panicking later or silently running
+/// the default.
 pub fn groups(default: usize) -> usize {
-    std::env::var("RAIDSIM_GROUPS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(default)
+    let raw = std::env::var_os("RAIDSIM_GROUPS").map(|r| r.to_string_lossy().into_owned());
+    parse_groups(raw.as_deref(), default).unwrap_or_else(|err| {
+        eprintln!("error: RAIDSIM_GROUPS: {err}");
+        std::process::exit(2)
+    })
+}
+
+/// The group count `RAIDSIM_GROUPS` asks for: `default` when unset,
+/// otherwise a positive integer.
+fn parse_groups(raw: Option<&str>, default: usize) -> Result<usize, String> {
+    let Some(raw) = raw else {
+        return Ok(default);
+    };
+    match raw.parse::<usize>() {
+        Ok(0) => Err("must be a positive integer, got 0".to_string()),
+        Ok(n) => Ok(n),
+        Err(_) => Err(format!("cannot parse '{raw}' as a positive integer")),
+    }
 }
 
 /// Runs a configuration and returns its result, parallelized and
@@ -309,6 +328,16 @@ mod tests {
         // Default passes through when the variable is absent.
         std::env::remove_var("RAIDSIM_GROUPS");
         assert_eq!(groups(123), 123);
+    }
+
+    #[test]
+    fn parse_groups_takes_positive_integers_and_refuses_the_rest() {
+        assert_eq!(parse_groups(None, 123), Ok(123));
+        assert_eq!(parse_groups(Some("4000"), 123), Ok(4_000));
+        for bad in ["0", "-1", "abc", ""] {
+            let err = parse_groups(Some(bad), 123).unwrap_err();
+            assert!(err.contains("positive integer"), "{bad:?}: {err}");
+        }
     }
 
     #[test]

@@ -237,8 +237,9 @@ pub(crate) mod clone_audit {
 ///
 /// Unlike [`StreamStats`], this is **not** deterministic: which worker
 /// claims which batch depends on thread timing. It answers one question
-/// — how evenly did the scheduler spread the work — and feeds the
-/// `cargo xtask bench` harness's scheduler-efficiency columns.
+/// — how evenly did the scheduler spread the work — and feeds
+/// `raidbench`'s `pool.*` per-layer metrics (`pool.balance`,
+/// `pool.thread_spawns`).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SchedulerStats {
     /// Groups completed by each worker, one entry per worker (a single

@@ -14,8 +14,9 @@ use raidsim_core::stats::StreamStats;
 use raidsim_core::store::{AttemptBudget, FsStore};
 use raidsim_core::sweep::SweepScenario;
 use raidsim_dists::rng::SimRng;
-use raidsim_dists::{KernelCache, LifeDistribution, Weibull3};
+use raidsim_dists::{KernelCache, LifeDistribution, Mixture, Weibull3};
 use raidsim_hdd::scrub::ScrubPolicy;
+use raidsim_hdd::vintage::fig2_vintages;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -106,30 +107,69 @@ fn temp_ckpt(name: &str) -> PathBuf {
 /// is bypassed entirely), every group is accounted to some worker, the
 /// engine counters see every group exactly once, and the steady-state
 /// group loop of the scratch-reusing sessions performs no allocations.
+///
+/// The inputs span the base case, the shortest rung of the Table 3
+/// scrub ladder (12 h), and a skew-heavy fleet: the Figure 2 vintage
+/// mixture, whose three populations fail at rates up to six times
+/// apart, with a finite spare pool that serializes the repairs of the
+/// unlucky groups.
 #[test]
 fn pool_instrumentation_invariants() {
     use raidsim_core::engine::TimelineEngine;
-    for engine in [false, true] {
-        for threads in [1usize, 2, 4] {
-            let mut sim = Simulator::new(RaidGroupConfig::paper_base_case().unwrap());
-            if engine {
-                sim = sim.with_engine(Arc::new(TimelineEngine::new()));
+    let base = RaidGroupConfig::paper_base_case().unwrap();
+    let scrub_12h = base
+        .clone()
+        .with_scrub_policy(ScrubPolicy::with_characteristic_hours(12.0))
+        .unwrap();
+    let vintages = fig2_vintages();
+    let total: u64 = vintages.iter().map(|v| v.population()).sum();
+    let components: Vec<(f64, Arc<dyn LifeDistribution>)> = vintages
+        .iter()
+        .map(|v| {
+            (
+                v.population() as f64 / total as f64,
+                Arc::new(v.distribution().unwrap()) as _,
+            )
+        })
+        .collect();
+    let vintage_mix_finite_spares = RaidGroupConfig {
+        dists: TransitionDistributions {
+            ttop: Arc::new(Mixture::new(components).unwrap()),
+            ..TransitionDistributions::weibull_both().unwrap()
+        },
+        spares: SparePolicy::Finite {
+            pool: 2,
+            replenish_hours: 336.0,
+        },
+        ..base.clone()
+    };
+    for (label, cfg) in [
+        ("base case", base),
+        ("12 h scrub", scrub_12h),
+        ("vintage mix, finite spares", vintage_mix_finite_spares),
+    ] {
+        for engine in [false, true] {
+            for threads in [1usize, 2, 4, 8] {
+                let mut sim = Simulator::new(cfg.clone());
+                if engine {
+                    sim = sim.with_engine(Arc::new(TimelineEngine::new()));
+                }
+                let (stats, sched) = sim.run_streaming_instrumented(600, 9, threads, &());
+                assert_eq!(stats.groups(), 600);
+                assert_eq!(sched.total(), 600);
+                let expect_spawns = if threads == 1 { 0 } else { threads as u64 };
+                assert_eq!(sched.thread_spawns, expect_spawns);
+                let expect_workers = if threads == 1 { 1 } else { threads };
+                assert_eq!(sched.worker_groups.len(), expect_workers);
+                assert_eq!(sched.counters.groups, 600);
+                assert_eq!(
+                    sched.counters.loop_allocs, 0,
+                    "steady-state group loop must be allocation-free \
+                     ({label}, timeline engine: {engine}, threads: {threads})"
+                );
+                assert!(sched.counters.samples_drawn > 0);
+                assert!(sched.counters.events > 0);
             }
-            let (stats, sched) = sim.run_streaming_instrumented(600, 9, threads, &());
-            assert_eq!(stats.groups(), 600);
-            assert_eq!(sched.total(), 600);
-            let expect_spawns = if threads == 1 { 0 } else { threads as u64 };
-            assert_eq!(sched.thread_spawns, expect_spawns);
-            let expect_workers = if threads == 1 { 1 } else { threads };
-            assert_eq!(sched.worker_groups.len(), expect_workers);
-            assert_eq!(sched.counters.groups, 600);
-            assert_eq!(
-                sched.counters.loop_allocs, 0,
-                "steady-state group loop must be allocation-free \
-                 (timeline engine: {engine}, threads: {threads})"
-            );
-            assert!(sched.counters.samples_drawn > 0);
-            assert!(sched.counters.events > 0);
         }
     }
 }

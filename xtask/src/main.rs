@@ -33,10 +33,15 @@
 //! entries are themselves findings. Findings are also mirrored to
 //! `target/xtask-report.txt` so CI can attach them as an artifact.
 //!
+//! Three more commands drive the release CLI end to end: `smoke` (a
+//! streamed precision run), `smoke --resume` (kill and resume) and
+//! `torture` (injected checkpoint faults). Performance is not measured
+//! here: the standalone `raidbench` package under `raidbench/` times
+//! the CLI and gates its results (see its README).
+//!
 //! See DESIGN.md §15 ("Correctness tooling") for rationale.
 
 mod allowlist;
-mod bench;
 mod deps;
 mod determinism;
 mod float_discipline;
@@ -112,10 +117,6 @@ fn usage() -> &'static str {
        torture            sweep injected checkpoint faults through the release binary:\n\
      \x20                    bit-identical reports or typed refusals, double-SIGINT escape\n\
        torture --smoke    reduced fault grid, for CI\n\
-       bench              run the benchmark harnesses, validate BENCH_parallel.json,\n\
-     \x20                    BENCH_rareevent.json, and BENCH_sweep.json\n\
-     \x20                    (block-vs-scalar attestation), shard/merge round trip\n\
-       bench --smoke      same with tiny group counts, for CI\n\
        help               print this message"
 }
 
@@ -163,10 +164,6 @@ fn main() -> ExitCode {
         "torture" => run(
             torture::check(&root, args.iter().any(|a| a == "--smoke")),
             "torture",
-        ),
-        "bench" => run(
-            bench::check(&root, args.iter().any(|a| a == "--smoke")),
-            "bench",
         ),
         "help" | "--help" | "-h" => {
             println!("{}", usage());
