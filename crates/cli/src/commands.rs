@@ -66,8 +66,13 @@ pub fn usage() -> String {
      raidsim-cli table1\n\
      raidsim-cli help\n\
      \n\
-     checkpointing: --checkpoint snapshots the run so a killed process\n\
-     loses at most one batch; add --resume to continue from the file.\n\
+     checkpointing: --checkpoint snapshots the run every\n\
+     --checkpoint-every groups or --checkpoint-secs seconds, whichever\n\
+     comes first (checked after each batch of up to 1,000 groups), so\n\
+     a killed process loses at most the groups since the last\n\
+     snapshot; add --resume to continue from the file. Mid-run\n\
+     snapshots overwrite one of two checksummed slots of the file in\n\
+     place; a finished or interrupted run leaves one plain snapshot.\n\
      SIGINT/SIGTERM finish the in-flight batch, flush the checkpoint,\n\
      and print partial results; a second SIGINT/SIGTERM exits\n\
      immediately (code 5), even from a stalled checkpoint write.\n\
@@ -191,11 +196,12 @@ pub fn simulate(argv: &[String]) -> Result<CmdOutput, CliError> {
             "--precision must be a positive number".into(),
         ));
     }
-    if !(checkpoint_secs > 0.0 && checkpoint_secs.is_finite()) {
-        return Err(CliError::Usage(
-            "--checkpoint-secs must be a positive number".into(),
-        ));
-    }
+    let checkpoint_interval = Duration::try_from_secs_f64(checkpoint_secs)
+        .ok()
+        .filter(|_| checkpoint_secs > 0.0)
+        .ok_or_else(|| {
+            CliError::Usage("--checkpoint-secs must be a positive number of seconds".into())
+        })?;
     if checkpoint_retries == 0 {
         return Err(CliError::Usage(
             "--checkpoint-retries must be at least 1 (the first attempt counts)".into(),
@@ -424,8 +430,7 @@ pub fn simulate(argv: &[String]) -> Result<CmdOutput, CliError> {
             );
         }
         crate::signal::install();
-        let mut cadence =
-            CliCadence::new(checkpoint_every, Duration::from_secs_f64(checkpoint_secs));
+        let mut cadence = CliCadence::new(checkpoint_every, checkpoint_interval);
         // Transient write failures retry with wall-clock pauses, bounded
         // per write so a flapping disk cannot stall the simulation.
         let mut backoff = CliBackoff::new(checkpoint_retries, Duration::from_secs(10));
@@ -1040,6 +1045,12 @@ mod tests {
         assert!(matches!(err, CliError::Usage(_)), "{err:?}");
         let err = simulate(&argv(
             "--groups 10 --checkpoint a.ckpt --checkpoint-secs -1",
+        ))
+        .unwrap_err();
+        assert!(matches!(err, CliError::Usage(_)), "{err:?}");
+        // Finite but beyond what a `Duration` holds.
+        let err = simulate(&argv(
+            "--groups 10 --checkpoint a.ckpt --checkpoint-secs 1e20",
         ))
         .unwrap_err();
         assert!(matches!(err, CliError::Usage(_)), "{err:?}");

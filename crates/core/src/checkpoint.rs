@@ -36,7 +36,11 @@
 //! and therefore stops at the same group count with the same
 //! [`crate::run::StopCriterion`].
 //!
-//! # File format (version 2, little-endian throughout)
+//! # File formats (little-endian throughout)
+//!
+//! A checkpoint file is either a canonical image or a journal of them.
+//!
+//! ## Canonical image (format version 2)
 //!
 //! ```text
 //! offset  size  field
@@ -69,9 +73,57 @@
 //! validates them against [`legacy_config_fingerprint_v1`]. Writes are
 //! always version 2.
 //!
-//! Writes are atomic: the snapshot is written to a sibling temp file,
-//! fsynced, and renamed over the target, so a crash mid-write leaves
-//! either the previous checkpoint or the new one — never a torn file.
+//! This canonical image is what every finished or interrupted run, shard
+//! and cache entry leaves on disk. Its writes are atomic: the image goes
+//! to a sibling temp file, is fsynced, and is renamed over the target,
+//! so a crash mid-write leaves either the previous checkpoint or the new
+//! one — never a torn file.
+//!
+//! ## Journal (mid-run snapshots)
+//!
+//! While a checkpointed run is in flight, its periodic snapshots go to a
+//! two-slot journal at the same path instead, so each one costs one
+//! in-place write and `sync_data` rather than a temp file, `fsync`,
+//! rename and directory sync:
+//!
+//! ```text
+//! offset      size  field
+//! 0           8     magic "RAIDSIMJ"
+//! 8           4     journal version (u32, [`JOURNAL_VERSION`])
+//! 12          8     slot capacity C (u64, a multiple of 4096)
+//! 20          8     FNV-1a 64 checksum of bytes [0, 20)
+//! 28          4068  zero (the header fills one 4 KiB page)
+//! 4096        C     slot 0
+//! 4096 + C    C     slot 1
+//! ```
+//!
+//! Each slot:
+//!
+//! ```text
+//! 0       8     sequence number (u64; higher is newer)
+//! 8       8     image length N (u64)
+//! 16      N     a complete canonical "RAIDSIMC" image
+//! 16+N    …     zero padding
+//! C-8     8     FNV-1a 64 checksum of slot bytes [0, C-8)
+//! ```
+//!
+//! Slots start at 4 KiB-aligned offsets and span whole pages, so writing
+//! one never touches a page of the header or of the other slot. A run's
+//! first snapshot creates the journal atomically (image in slot 0); each
+//! later one overwrites, in place, the slot that does not hold the
+//! newest durable snapshot, with the next sequence number. A crash
+//! mid-write can therefore tear only that slot, and the other still
+//! holds the previous snapshot — the same "lose at most the groups since
+//! the last snapshot" bound as the atomic path. A snapshot too large for
+//! the slots re-creates the journal atomically. The run's final write
+//! (finish or interruption) replaces the journal atomically with the
+//! canonical image, so finished runs leave exactly the canonical bytes.
+//!
+//! [`SimCheckpoint::from_bytes`] reads both forms: from a journal it
+//! takes the intact slot with the higher sequence number (one intact
+//! slot is enough) and returns [`CheckpointError::Corrupt`] when neither
+//! is intact.
+//!
 //! Loads validate the magic, version, checksum, and every structural
 //! invariant of the payload, and return typed [`CheckpointError`]s
 //! instead of panicking or silently resuming the wrong run.
@@ -94,8 +146,24 @@ pub const FORMAT_VERSION: u32 = 2;
 /// The oldest format version [`SimCheckpoint::from_bytes`] still reads.
 pub const OLDEST_READABLE_VERSION: u32 = 1;
 
-/// Leading magic bytes of every checkpoint file.
+/// Leading magic bytes of every canonical checkpoint image.
 pub const MAGIC: [u8; 8] = *b"RAIDSIMC";
+
+/// Leading magic bytes of a mid-run checkpoint journal (see the module
+/// docs).
+pub const JOURNAL_MAGIC: [u8; 8] = *b"RAIDSIMJ";
+
+/// Journal container version; the images in its slots carry their own
+/// [`FORMAT_VERSION`].
+pub const JOURNAL_VERSION: u32 = 1;
+
+/// The journal's page size: its header fills one page and each slot
+/// spans whole pages.
+const PAGE: usize = 4096;
+
+/// Slot framing bytes: sequence and image length before the image, the
+/// checksum at the slot's end.
+const SLOT_FRAMING: usize = 24;
 
 /// Typed failures of checkpoint save, load, or resume validation.
 #[derive(Debug, Clone, PartialEq)]
@@ -436,15 +504,72 @@ impl SimCheckpoint {
         out
     }
 
-    /// Parses a checkpoint file image.
+    /// Parses a checkpoint file: a canonical image, or a journal whose
+    /// newest intact slot holds one.
     ///
     /// # Errors
     ///
     /// [`CheckpointError::Corrupt`] for a bad magic, torn length,
-    /// failed checksum, or invalid payload;
-    /// [`CheckpointError::VersionMismatch`] when the format version is
-    /// not [`FORMAT_VERSION`].
+    /// failed checksum, invalid payload, or a journal with no intact
+    /// slot; [`CheckpointError::VersionMismatch`] when the format or
+    /// journal version is not one this build reads.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, CheckpointError> {
+        if bytes.starts_with(&JOURNAL_MAGIC) {
+            return Self::from_journal(bytes);
+        }
+        Self::from_image(bytes)
+    }
+
+    /// Parses a journal: the newest intact slot whose image parses.
+    fn from_journal(bytes: &[u8]) -> Result<Self, CheckpointError> {
+        let corrupt = |reason: &str| CheckpointError::Corrupt {
+            reason: format!("journal: {reason}"),
+        };
+        let header = bytes
+            .get(..PAGE)
+            .ok_or_else(|| corrupt("shorter than its header page"))?;
+        let mut hash = Fnv1a::new();
+        hash.write(&header[..20]);
+        let mut r = Decoder::new(&header[8..]);
+        let (version, capacity, sum) = (
+            r.u32().map_err(|_| corrupt("header"))?,
+            r.u64().map_err(|_| corrupt("header"))?,
+            r.u64().map_err(|_| corrupt("header"))?,
+        );
+        if hash.finish() != sum {
+            return Err(corrupt("header checksum mismatch"));
+        }
+        if version != JOURNAL_VERSION {
+            return Err(CheckpointError::VersionMismatch {
+                found: version,
+                expected: JOURNAL_VERSION,
+            });
+        }
+        let capacity = usize::try_from(capacity)
+            .ok()
+            .filter(|&c| c >= PAGE && c % PAGE == 0)
+            .ok_or_else(|| corrupt("slot capacity is not a positive multiple of 4096"))?;
+        if capacity
+            .checked_mul(2)
+            .and_then(|slots| slots.checked_add(PAGE))
+            != Some(bytes.len())
+        {
+            return Err(corrupt("file length disagrees with the slot capacity"));
+        }
+        let mut slots: Vec<(u64, &[u8])> = bytes[PAGE..]
+            .chunks_exact(capacity)
+            .filter_map(intact_slot)
+            .collect();
+        slots.sort_by_key(|&(seq, _)| std::cmp::Reverse(seq));
+        slots
+            .into_iter()
+            .map(|(_, image)| Self::from_image(image))
+            .reduce(Result::or)
+            .unwrap_or_else(|| Err(corrupt("neither slot is intact")))
+    }
+
+    /// Parses a canonical checkpoint image.
+    fn from_image(bytes: &[u8]) -> Result<Self, CheckpointError> {
         let corrupt = |reason: String| CheckpointError::Corrupt { reason };
         let mut r = Decoder::new(bytes);
         let magic: [u8; 8] = r.take().map_err(|_| {
@@ -614,6 +739,86 @@ impl SimCheckpoint {
             return Err(CheckpointError::ConfigMismatch { field, reason });
         }
         Ok(())
+    }
+}
+
+/// The `(sequence, image)` of a journal slot whose checksum holds.
+fn intact_slot(slot: &[u8]) -> Option<(u64, &[u8])> {
+    let (body, sum) = slot.split_at(slot.len() - 8);
+    let mut hash = Fnv1a::new();
+    hash.write(body);
+    if sum != hash.finish().to_le_bytes() {
+        return None;
+    }
+    let mut r = Decoder::new(body);
+    let seq = r.u64().ok()?;
+    let len = usize::try_from(r.u64().ok()?).ok()?;
+    Some((seq, r.remaining().get(..len)?))
+}
+
+/// The writer's side of a checkpoint journal (module docs): which slot
+/// holds the newest durable snapshot, and its sequence number. A run
+/// keeps one for as long as the file at its path is the journal it
+/// created; a resumed run starts a fresh one.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Journal {
+    capacity: usize,
+    newest: usize,
+    seq: u64,
+}
+
+impl Journal {
+    /// A journal holding `image` in slot 0, and the whole file to write
+    /// atomically.
+    pub(crate) fn create(image: &[u8]) -> (Self, Vec<u8>) {
+        let capacity = (image.len() + SLOT_FRAMING).next_multiple_of(PAGE);
+        let journal = Journal {
+            capacity,
+            newest: 0,
+            seq: 1,
+        };
+        let mut file = Vec::with_capacity(PAGE + 2 * capacity);
+        file.extend_from_slice(&JOURNAL_MAGIC);
+        file.extend_from_slice(&JOURNAL_VERSION.to_le_bytes());
+        file.extend_from_slice(&(capacity as u64).to_le_bytes());
+        let mut hash = Fnv1a::new();
+        hash.write(&file);
+        file.extend_from_slice(&hash.finish().to_le_bytes());
+        file.resize(PAGE, 0);
+        file.extend_from_slice(&journal.slot(1, image));
+        file.resize(PAGE + 2 * capacity, 0);
+        (journal, file)
+    }
+
+    /// The in-place write that makes `image` the newest snapshot: the
+    /// byte offset of the slot not holding the newest durable one, and
+    /// that slot's full contents. `None` when `image` does not fit.
+    pub(crate) fn next_write(&self, image: &[u8]) -> Option<(u64, Vec<u8>)> {
+        if image.len() + SLOT_FRAMING > self.capacity {
+            return None;
+        }
+        let target = 1 - self.newest;
+        let offset = PAGE + target * self.capacity;
+        Some((offset as u64, self.slot(self.seq + 1, image)))
+    }
+
+    /// Records that the write [`Journal::next_write`] described is
+    /// durable.
+    pub(crate) fn committed(&mut self) {
+        self.newest = 1 - self.newest;
+        self.seq += 1;
+    }
+
+    fn slot(&self, seq: u64, image: &[u8]) -> Vec<u8> {
+        let mut slot = Vec::with_capacity(self.capacity);
+        slot.extend_from_slice(&seq.to_le_bytes());
+        slot.extend_from_slice(&(image.len() as u64).to_le_bytes());
+        slot.extend_from_slice(image);
+        slot.resize(self.capacity - 8, 0);
+        let mut hash = Fnv1a::new();
+        hash.write(&slot);
+        slot.extend_from_slice(&hash.finish().to_le_bytes());
+        slot
     }
 }
 
@@ -957,6 +1162,133 @@ mod tests {
             ckpt.validate_for(ckpt.fingerprint, &driver),
             Err(CheckpointError::ConfigMismatch { field: "mode", .. })
         ));
+    }
+
+    /// Snapshots of one run's growing completed prefix, as the driver
+    /// writes them.
+    fn snapshot_run() -> Vec<SimCheckpoint> {
+        let sim = Simulator::new(base());
+        let template = sample_checkpoint();
+        (1..=5)
+            .map(|k| SimCheckpoint {
+                stats: sim.run_streaming(10 * k, 9, 1),
+                ..template.clone()
+            })
+            .collect()
+    }
+
+    /// The journal after `snaps[0]` created it and each later snapshot
+    /// was written to its slot in place.
+    fn journal_of(snaps: &[SimCheckpoint]) -> (Journal, Vec<u8>) {
+        let (mut journal, mut file) = Journal::create(&snaps[0].to_bytes());
+        for snap in &snaps[1..] {
+            let (offset, slot) = journal.next_write(&snap.to_bytes()).unwrap();
+            let at = offset as usize;
+            file[at..at + slot.len()].copy_from_slice(&slot);
+            journal.committed();
+        }
+        (journal, file)
+    }
+
+    #[test]
+    fn journal_slots_are_page_aligned_and_read_back_the_newest() {
+        let snaps = snapshot_run();
+        for n in 1..=snaps.len() {
+            let (journal, file) = journal_of(&snaps[..n]);
+            assert_eq!(journal.capacity % PAGE, 0);
+            assert_eq!(file.len(), PAGE + 2 * journal.capacity);
+            assert_eq!(SimCheckpoint::from_bytes(&file).unwrap(), snaps[n - 1]);
+        }
+    }
+
+    #[test]
+    fn torn_slot_writes_fall_back_to_the_previous_snapshot() {
+        let snaps = snapshot_run();
+        for j in 1..snaps.len() {
+            let (journal, file) = journal_of(&snaps[..j]);
+            let (offset, slot) = journal.next_write(&snaps[j].to_bytes()).unwrap();
+            let at = offset as usize;
+            for tear in (0..slot.len()).step_by(512) {
+                let mut torn = file.clone();
+                torn[at..at + tear].copy_from_slice(&slot[..tear]);
+                assert_eq!(
+                    SimCheckpoint::from_bytes(&torn).unwrap(),
+                    snaps[j - 1],
+                    "write of snapshot {j} torn after {tear} bytes"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn one_intact_slot_is_enough_and_none_is_corrupt() {
+        let snaps = snapshot_run();
+        for j in 1..snaps.len() {
+            let (journal, file) = journal_of(&snaps[..=j]);
+            let cap = journal.capacity;
+            let (newest, older) = (PAGE + (j % 2) * cap, PAGE + ((j - 1) % 2) * cap);
+            for pos in (0..cap).step_by(509).chain([cap - 1]) {
+                let flip = |slots: &[usize]| {
+                    let mut bad = file.clone();
+                    for slot in slots {
+                        bad[slot + pos] ^= 0x40;
+                    }
+                    SimCheckpoint::from_bytes(&bad)
+                };
+                assert_eq!(flip(&[newest]).unwrap(), snaps[j - 1], "{j}: newest, {pos}");
+                assert_eq!(flip(&[older]).unwrap(), snaps[j], "{j}: older, {pos}");
+                assert!(
+                    matches!(flip(&[newest, older]), Err(CheckpointError::Corrupt { .. })),
+                    "{j}: both slots flipped at {pos}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn journal_header_damage_and_truncation_are_typed() {
+        let (_, file) = journal_of(&snapshot_run()[..2]);
+        for i in 0..28 {
+            let mut bad = file.clone();
+            bad[i] ^= 0x40;
+            assert!(
+                matches!(
+                    SimCheckpoint::from_bytes(&bad),
+                    Err(CheckpointError::Corrupt { .. })
+                ),
+                "header flip at byte {i}"
+            );
+        }
+        for len in (0..file.len()).step_by(1021) {
+            assert!(
+                matches!(
+                    SimCheckpoint::from_bytes(&file[..len]),
+                    Err(CheckpointError::Corrupt { .. })
+                ),
+                "{len}-byte prefix"
+            );
+        }
+        let mut future = file.clone();
+        future[8..12].copy_from_slice(&7u32.to_le_bytes());
+        let mut hash = Fnv1a::new();
+        hash.write(&future[..20]);
+        let sum = hash.finish();
+        future[20..28].copy_from_slice(&sum.to_le_bytes());
+        assert_eq!(
+            SimCheckpoint::from_bytes(&future),
+            Err(CheckpointError::VersionMismatch {
+                found: 7,
+                expected: JOURNAL_VERSION
+            })
+        );
+    }
+
+    #[test]
+    fn an_image_larger_than_a_slot_asks_for_a_new_journal() {
+        let (journal, _) = Journal::create(&[0; 100]);
+        assert_eq!(journal.capacity, PAGE);
+        assert!(journal.next_write(&[0; PAGE - SLOT_FRAMING]).is_some());
+        assert!(journal.next_write(&[0; PAGE - SLOT_FRAMING + 1]).is_none());
     }
 
     #[test]

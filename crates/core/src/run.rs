@@ -45,7 +45,8 @@
 //! (see [`crate::checkpoint`]).
 
 use crate::checkpoint::{
-    config_fingerprint, legacy_config_fingerprint_v1, CheckpointError, DriverState, SimCheckpoint,
+    config_fingerprint, legacy_config_fingerprint_v1, CheckpointError, DriverState, Journal,
+    SimCheckpoint,
 };
 use crate::config::RaidGroupConfig;
 use crate::engine::{BiasPolicy, DesEngine, Engine, EngineCounters, SessionTuning};
@@ -191,7 +192,10 @@ impl CheckpointCadence for EveryGroups {
 /// Where, when, and through what store a checkpointed run persists its
 /// snapshots — plus the retry policy and the failure stance.
 pub struct CheckpointPlan<'a> {
-    /// Target file, atomically replaced on every write.
+    /// Target file. Mid-run snapshots go to a two-slot journal here: the
+    /// run's first one creates it atomically, later ones overwrite one
+    /// slot in place. The run's final write atomically replaces it with
+    /// the canonical image (see [`crate::checkpoint`]'s file formats).
     pub path: &'a Path,
     /// Write schedule, consulted at each batch boundary.
     pub cadence: &'a mut dyn CheckpointCadence,
@@ -1011,7 +1015,9 @@ impl Simulator {
         // already holds this prefix, so there is nothing to flush until
         // new groups complete.
         let mut last_written = stats.groups();
-        let mut ever_wrote = false;
+        // The journal this run's mid-run snapshots overwrite in place,
+        // once the first of them has created it.
+        let mut journal = None;
         // Quarantined groups count toward the index watermark (their
         // streams were consumed) but not toward the statistics; resumed
         // checkpoints are always quarantine-free because writes are
@@ -1052,10 +1058,17 @@ impl Simulator {
             });
             if let Some(p) = plan.as_mut() {
                 if p.cadence.due(stats.groups(), stats.groups() - last_written) {
-                    match write_checkpoint(fingerprint, driver, stats, quarantined, p, observer) {
+                    match write_checkpoint(
+                        fingerprint,
+                        driver,
+                        stats,
+                        quarantined,
+                        p,
+                        Some(&mut journal),
+                        observer,
+                    ) {
                         Ok(()) => {
                             last_written = stats.groups();
-                            ever_wrote = true;
                             consecutive_failures = 0;
                             degraded = false;
                             p.cadence.on_write_outcome(true);
@@ -1094,22 +1107,21 @@ impl Simulator {
         // Final flush, so the file on disk always reflects the state
         // this run returned with — an interrupted run resumes from the
         // exact stopping point, and resuming a finished run re-reports
-        // without re-simulating. Forced when this run has written
-        // nothing yet: the plan's path must end up holding the final
-        // state even when the cadence never fired (or zero batches
-        // ran). Skipped when a required write already failed: the run
-        // is aborting with that error.
+        // without re-simulating. Always written, as the canonical image
+        // through the atomic path, even when the last mid-run snapshot
+        // already covered this count: that one sits in the journal,
+        // and a finished run leaves the canonical bytes. Skipped when a
+        // required write already failed: the run is aborting with that
+        // error.
         if plan_failure.is_none() {
             if let Some(p) = plan.as_mut() {
-                if !ever_wrote || last_written != stats.groups() {
-                    let outcome =
-                        write_checkpoint(fingerprint, driver, stats, quarantined, p, observer);
-                    p.cadence.on_write_outcome(outcome.is_ok());
-                    match outcome {
-                        Ok(()) => {}
-                        Err(error) if p.required => *plan_failure = Some(error),
-                        Err(_) => {}
-                    }
+                let outcome =
+                    write_checkpoint(fingerprint, driver, stats, quarantined, p, None, observer);
+                p.cadence.on_write_outcome(outcome.is_ok());
+                match outcome {
+                    Ok(()) => {}
+                    Err(error) if p.required => *plan_failure = Some(error),
+                    Err(_) => {}
                 }
             }
         }
@@ -1566,12 +1578,17 @@ impl FusedSweep {
 /// so a snapshot taken now would resume into different statistics than
 /// continuing produces. Any checkpoint already on disk predates the
 /// first quarantine and remains valid.
+///
+/// `journal` is `Some` for a mid-run snapshot, which goes to the run's
+/// journal (see [`persist`]), and `None` for the final write of the
+/// canonical image.
 fn write_checkpoint(
     fingerprint: u64,
     driver: &DriverState,
     stats: &StreamStats,
     quarantined: u64,
     plan: &mut CheckpointPlan<'_>,
+    mut journal: Option<&mut Option<Journal>>,
     observer: &dyn StreamObserver,
 ) -> Result<(), CheckpointError> {
     if quarantined > 0 {
@@ -1586,13 +1603,18 @@ fn write_checkpoint(
     }
     plan.backoff.begin();
     let attempts = plan.backoff.attempts().max(1);
+    // Serialized once, straight from the live accumulator: assembling a
+    // `SimCheckpoint` value here would clone the moment state on every
+    // write (and trip the driver's clone audit).
+    let image = SimCheckpoint::bytes_from_parts(fingerprint, driver, stats);
     let mut attempt = 0;
     loop {
         attempt += 1;
-        // Serialized straight from the live accumulator: assembling a
-        // `SimCheckpoint` value here would clone the moment state on
-        // every write (and trip the driver's clone audit).
-        match SimCheckpoint::save_parts_to(plan.store, plan.path, fingerprint, driver, stats) {
+        let outcome = match journal.as_deref_mut() {
+            Some(journal) => persist(plan.store, plan.path, &image, journal),
+            None => plan.store.write(plan.path, &image),
+        };
+        match outcome {
             Ok(()) => {
                 observer.on_checkpoint_saved(plan.path, stats.groups());
                 return Ok(());
@@ -1609,6 +1631,32 @@ fn write_checkpoint(
             }
         }
     }
+}
+
+/// One attempt at a mid-run snapshot: overwrite the journal's next slot
+/// in place, or create the journal atomically when this run has none or
+/// `image` outgrew its slots. A failed in-place write leaves `journal`
+/// as it was, so a retry targets the same slot with the same sequence
+/// number; a failed creation forgets the journal, since the file's
+/// state is then unknown.
+fn persist(
+    store: &mut dyn SnapshotStore,
+    path: &Path,
+    image: &[u8],
+    journal: &mut Option<Journal>,
+) -> Result<(), CheckpointError> {
+    if let Some(open) = journal.as_mut() {
+        if let Some((offset, slot)) = open.next_write(image) {
+            store.write_at(path, offset, &slot)?;
+            open.committed();
+            return Ok(());
+        }
+    }
+    let (created, file) = Journal::create(image);
+    *journal = None;
+    store.write(path, &file)?;
+    *journal = Some(created);
+    Ok(())
 }
 
 /// Two-sided z-score for the given confidence level, via the

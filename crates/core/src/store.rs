@@ -11,7 +11,8 @@
 //! * [`FsStore`] — the production path: write to a sibling temp file,
 //!   fsync, rename over the target, best-effort directory sync. A crash
 //!   mid-write leaves either the old snapshot or the new one, never a
-//!   torn file.
+//!   torn file. Its in-place `write_at` (open, seek, write,
+//!   `sync_data`) serves the checkpoint journal's slot writes.
 //! * [`MemStore`] — an in-memory map, used by tests and by callers that
 //!   want snapshot semantics without a filesystem.
 //! * [`FaultStore`] — a decorator that injects a **deterministic,
@@ -36,16 +37,22 @@
 use crate::checkpoint::CheckpointError;
 use std::collections::BTreeMap;
 use std::fmt;
-use std::io::Write as _;
+use std::io::{Seek as _, SeekFrom, Write as _};
 use std::path::Path;
 
-/// Abstract checkpoint I/O: one atomic snapshot write, one full read.
+/// Abstract checkpoint I/O: one atomic snapshot write, one in-place
+/// write, one full read.
 ///
 /// `write` must be atomic with respect to crashes of the *caller*: on
 /// `Ok(())` the snapshot at `path` is durably the given bytes; on
 /// `Err(_)` the previous snapshot (if any) must still be intact unless
 /// the error says otherwise (a torn destination reports a persistent
 /// error and is caught by the checkpoint checksum on load).
+///
+/// `write_at` is *not* atomic: a crash or failure may leave the range
+/// it covers torn. The checkpoint journal uses it only on a slot that
+/// does not hold the newest durable snapshot, and only on ranges its
+/// slot checksum covers (see [`crate::checkpoint`]).
 pub trait SnapshotStore {
     /// Atomically replaces the snapshot at `path` with `bytes`.
     ///
@@ -55,6 +62,15 @@ pub trait SnapshotStore {
     /// [`CheckpointError::transient`] tells the retry layer whether
     /// another attempt could succeed.
     fn write(&mut self, path: &Path, bytes: &[u8]) -> Result<(), CheckpointError>;
+
+    /// Overwrites the existing snapshot at `path` with `bytes` starting
+    /// at byte `offset`, then makes the written data durable.
+    ///
+    /// # Errors
+    ///
+    /// As [`SnapshotStore::write`]; also when nothing is stored at
+    /// `path` yet.
+    fn write_at(&mut self, path: &Path, offset: u64, bytes: &[u8]) -> Result<(), CheckpointError>;
 
     /// Reads the entire snapshot at `path`.
     ///
@@ -82,20 +98,32 @@ pub fn classify_io(path: &Path, e: &std::io::Error) -> CheckpointError {
     }
 }
 
-/// The production filesystem store: temp file + fsync + atomic rename.
+/// The production filesystem store: temp file + fsync + atomic rename
+/// for whole snapshots, open + seek + write + `sync_data` in place.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct FsStore;
+
+/// Writes `bytes` to the fresh file `tmp`, syncs it, and renames it over
+/// `path`.
+fn replace_via(tmp: &Path, path: &Path, bytes: &[u8]) -> Result<(), CheckpointError> {
+    let mut file = std::fs::File::create(tmp).map_err(|e| classify_io(tmp, &e))?;
+    file.write_all(bytes).map_err(|e| classify_io(tmp, &e))?;
+    file.sync_all().map_err(|e| classify_io(tmp, &e))?;
+    drop(file);
+    std::fs::rename(tmp, path).map_err(|e| classify_io(path, &e))
+}
 
 impl SnapshotStore for FsStore {
     fn write(&mut self, path: &Path, bytes: &[u8]) -> Result<(), CheckpointError> {
         let mut tmp = path.as_os_str().to_os_string();
         tmp.push(".tmp");
         let tmp = std::path::PathBuf::from(tmp);
-        let mut file = std::fs::File::create(&tmp).map_err(|e| classify_io(&tmp, &e))?;
-        file.write_all(bytes).map_err(|e| classify_io(&tmp, &e))?;
-        file.sync_all().map_err(|e| classify_io(&tmp, &e))?;
-        drop(file);
-        std::fs::rename(&tmp, path).map_err(|e| classify_io(path, &e))?;
+        if let Err(error) = replace_via(&tmp, path, bytes) {
+            // A leftover temp file would hold the space the write may
+            // have run out of; the write's own error is what matters.
+            let _ = std::fs::remove_file(&tmp);
+            return Err(error);
+        }
         // Durability of the rename itself needs the directory synced;
         // best-effort, since not every platform allows opening one.
         if let Some(parent) = path.parent().filter(|p| !p.as_os_str().is_empty()) {
@@ -104,6 +132,17 @@ impl SnapshotStore for FsStore {
             }
         }
         Ok(())
+    }
+
+    fn write_at(&mut self, path: &Path, offset: u64, bytes: &[u8]) -> Result<(), CheckpointError> {
+        let io = |e: std::io::Error| classify_io(path, &e);
+        let mut file = std::fs::OpenOptions::new()
+            .write(true)
+            .open(path)
+            .map_err(io)?;
+        file.seek(SeekFrom::Start(offset)).map_err(io)?;
+        file.write_all(bytes).map_err(io)?;
+        file.sync_data().map_err(io)
     }
 
     fn read(&mut self, path: &Path) -> Result<Vec<u8>, CheckpointError> {
@@ -130,6 +169,14 @@ impl MemStore {
             .get(&path.display().to_string())
             .map(Vec::as_slice)
     }
+
+    fn missing(path: &Path) -> CheckpointError {
+        CheckpointError::Io {
+            path: path.display().to_string(),
+            reason: "no snapshot stored at this path".to_string(),
+            transient: false,
+        }
+    }
 }
 
 impl SnapshotStore for MemStore {
@@ -139,38 +186,63 @@ impl SnapshotStore for MemStore {
         Ok(())
     }
 
+    /// Patches the stored image, zero-extending it as a file would be
+    /// when the range ends past its end.
+    fn write_at(&mut self, path: &Path, offset: u64, bytes: &[u8]) -> Result<(), CheckpointError> {
+        let image = self
+            .files
+            .get_mut(&path.display().to_string())
+            .ok_or_else(|| Self::missing(path))?;
+        let range = usize::try_from(offset)
+            .ok()
+            .and_then(|start| Some(start..start.checked_add(bytes.len())?))
+            .ok_or_else(|| CheckpointError::Io {
+                path: path.display().to_string(),
+                reason: format!("offset {offset} is beyond the address space"),
+                transient: false,
+            })?;
+        if image.len() < range.end {
+            image.resize(range.end, 0);
+        }
+        image[range].copy_from_slice(bytes);
+        Ok(())
+    }
+
     fn read(&mut self, path: &Path) -> Result<Vec<u8>, CheckpointError> {
         self.files
             .get(&path.display().to_string())
             .cloned()
-            .ok_or_else(|| CheckpointError::Io {
-                path: path.display().to_string(),
-                reason: "no snapshot stored at this path".to_string(),
-                transient: false,
-            })
+            .ok_or_else(|| Self::missing(path))
     }
 }
 
 /// One injectable storage fault. The taxonomy follows the failure modes
 /// a checkpoint writer actually meets (DESIGN.md §17): each kind states
-/// what the caller observes *and* what state the fault leaves behind.
+/// what the caller observes *and* what state the fault leaves behind,
+/// for an atomic [`SnapshotStore::write`] and for an in-place
+/// [`SnapshotStore::write_at`] (a journal slot).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultKind {
     /// `ENOSPC`: the write fails persistently; the destination is
-    /// untouched (the temp file never replaced it).
+    /// untouched (the temp file never replaced it; no slot byte is
+    /// written).
     Enospc,
     /// `EINTR`: the operation fails transiently; a retry may succeed.
+    /// Nothing is written.
     Eintr,
-    /// Short write: the temp file is torn but the rename never happens,
-    /// so the destination is untouched. Transient.
+    /// Short write, transient. Atomic: the temp file is torn but the
+    /// rename never happens, so the destination is untouched. In
+    /// place: the first half of the range is written, tearing the slot.
     PartialWrite,
     /// `fsync` failure: data may not be durable; the write is reported
-    /// failed (transient — a fresh temp file is retried from scratch)
-    /// and the destination is untouched.
+    /// failed (transient). Atomic: a fresh temp file is retried from
+    /// scratch and the destination is untouched. In place: the range is
+    /// written in full, with its durability unknown.
     FsyncFail,
-    /// Torn rename: the destination ends up with a truncated image and
-    /// the write reports a persistent failure. The torn image is
-    /// *detectable* — the checkpoint checksum refuses it on load — so
+    /// Torn destination, persistent. Atomic: the destination ends up
+    /// with a truncated image. In place: the first half of the range is
+    /// written, tearing the slot. Either way the torn bytes are
+    /// *detectable* — the checkpoint checksums refuse them on load — so
     /// this exercises the "never resume from a torn file" property.
     TornRename,
     /// Read corruption: the read "succeeds" but one byte is flipped,
@@ -225,8 +297,8 @@ impl fmt::Display for FaultKind {
 }
 
 /// A reproducible schedule of injected faults, keyed by the decorated
-/// store's operation index (each `write` or `read` attempt consumes one
-/// index, so "the third store operation fails" means the same thing on
+/// store's operation index (each `write`, `write_at` or `read` attempt
+/// consumes one index, so "the third store operation fails" means the same thing on
 /// every replay).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FaultPlan {
@@ -356,7 +428,7 @@ pub struct InjectedFault {
 
 /// Decorates any [`SnapshotStore`] with a deterministic fault schedule.
 ///
-/// Each `write`/`read` *attempt* consumes one operation index — a retry
+/// Each `write`/`write_at`/`read` *attempt* consumes one operation index — a retry
 /// is the next operation and may therefore succeed, which is exactly
 /// how transient faults behave in the wild and what the retry layer's
 /// tests rely on.
@@ -422,15 +494,17 @@ impl<S: SnapshotStore> FaultStore<S> {
         (op, self.plan.fault_for(op))
     }
 
-    fn injected_err(path: &Path, kind: FaultKind) -> CheckpointError {
-        let (reason, transient) = match kind {
-            FaultKind::Enospc => ("injected: no space left on device (ENOSPC)", false),
-            FaultKind::Eintr => ("injected: interrupted system call (EINTR)", true),
-            FaultKind::PartialWrite => ("injected: short write, temp file torn", true),
-            FaultKind::FsyncFail => ("injected: fsync failed, durability unknown", true),
-            FaultKind::TornRename => ("injected: rename torn, destination corrupt", false),
+    fn injected_err(path: &Path, kind: FaultKind, in_place: bool) -> CheckpointError {
+        let (reason, transient) = match (kind, in_place) {
+            (FaultKind::Enospc, _) => ("injected: no space left on device (ENOSPC)", false),
+            (FaultKind::Eintr, _) => ("injected: interrupted system call (EINTR)", true),
+            (FaultKind::PartialWrite, false) => ("injected: short write, temp file torn", true),
+            (FaultKind::PartialWrite, true) => ("injected: short write, slot torn", true),
+            (FaultKind::FsyncFail, _) => ("injected: fsync failed, durability unknown", true),
+            (FaultKind::TornRename, false) => ("injected: rename torn, destination corrupt", false),
+            (FaultKind::TornRename, true) => ("injected: write torn, slot corrupt", false),
             // Corruption and stalls do not produce errors.
-            FaultKind::ReadCorruption | FaultKind::Stall { .. } => unreachable!(),
+            (FaultKind::ReadCorruption | FaultKind::Stall { .. }, _) => unreachable!(),
         };
         CheckpointError::Io {
             path: path.display().to_string(),
@@ -438,42 +512,59 @@ impl<S: SnapshotStore> FaultStore<S> {
             transient,
         }
     }
-}
 
-impl<S: SnapshotStore> SnapshotStore for FaultStore<S> {
-    fn write(&mut self, path: &Path, bytes: &[u8]) -> Result<(), CheckpointError> {
+    /// One write operation, atomic (`in_place == false`) or in place,
+    /// with `put` performing it on the inner store. Leaves behind what
+    /// the scheduled fault's [`FaultKind`] documents.
+    fn faulted_write(
+        &mut self,
+        path: &Path,
+        bytes: &[u8],
+        in_place: bool,
+        mut put: impl FnMut(&mut S, &[u8]) -> Result<(), CheckpointError>,
+    ) -> Result<(), CheckpointError> {
         let (op, fault) = self.next_op();
-        let Some(kind) = fault else {
-            return self.inner.write(path, bytes);
-        };
-        match kind {
+        let kind = match fault {
             // Read-only fault: transparent on the write path.
-            FaultKind::ReadCorruption => return self.inner.write(path, bytes),
-            FaultKind::Stall { millis } => {
-                self.log.push(InjectedFault {
-                    op,
-                    kind,
-                    write: true,
-                });
-                if let Some(hook) = self.stall.as_mut() {
-                    hook(millis);
-                }
-                return self.inner.write(path, bytes);
-            }
-            _ => {}
-        }
+            None | Some(FaultKind::ReadCorruption) => return put(&mut self.inner, bytes),
+            Some(kind) => kind,
+        };
         self.log.push(InjectedFault {
             op,
             kind,
             write: true,
         });
-        if kind == FaultKind::TornRename {
-            // The destination really is replaced by a truncated image —
-            // the checkpoint checksum must catch it on load.
-            let torn = &bytes[..bytes.len() / 2];
-            self.inner.write(path, torn)?;
+        let torn = &bytes[..bytes.len() / 2];
+        let left_behind = match kind {
+            FaultKind::Stall { millis } => {
+                if let Some(hook) = self.stall.as_mut() {
+                    hook(millis);
+                }
+                return put(&mut self.inner, bytes);
+            }
+            // The destination really is torn — the checkpoint checksums
+            // must catch it on load.
+            FaultKind::TornRename => Some(torn),
+            FaultKind::PartialWrite if in_place => Some(torn),
+            FaultKind::FsyncFail if in_place => Some(bytes),
+            _ => None,
+        };
+        if let Some(written) = left_behind {
+            put(&mut self.inner, written)?;
         }
-        Err(Self::injected_err(path, kind))
+        Err(Self::injected_err(path, kind, in_place))
+    }
+}
+
+impl<S: SnapshotStore> SnapshotStore for FaultStore<S> {
+    fn write(&mut self, path: &Path, bytes: &[u8]) -> Result<(), CheckpointError> {
+        self.faulted_write(path, bytes, false, |inner, b| inner.write(path, b))
+    }
+
+    fn write_at(&mut self, path: &Path, offset: u64, bytes: &[u8]) -> Result<(), CheckpointError> {
+        self.faulted_write(path, bytes, true, |inner, b| {
+            inner.write_at(path, offset, b)
+        })
     }
 
     fn read(&mut self, path: &Path) -> Result<Vec<u8>, CheckpointError> {
@@ -673,6 +764,75 @@ mod tests {
         }
         assert_eq!(store.operations(), 5);
         assert_eq!(store.injected().len(), 5);
+    }
+
+    #[test]
+    fn failed_fs_write_removes_its_temp_file() {
+        // The rename target is a non-empty directory, so every step up
+        // to the rename succeeds and the rename itself fails.
+        let dir = std::env::temp_dir().join("raidsim_store_blocked");
+        let path = dir.join("blocked.ckpt");
+        std::fs::create_dir_all(path.join("occupant")).unwrap();
+        let err = FsStore.write(&path, b"snapshot").unwrap_err();
+        assert!(matches!(err, CheckpointError::Io { .. }), "{err:?}");
+        assert!(
+            !dir.join("blocked.ckpt.tmp").exists(),
+            "temp file left behind"
+        );
+        assert!(path.is_dir(), "the target is untouched");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn fs_write_at_overwrites_in_place() {
+        let dir = std::env::temp_dir().join("raidsim_store_write_at");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("journal");
+        FsStore.write(&path, b"aaaaaaaa").unwrap();
+        FsStore.write_at(&path, 2, b"bcd").unwrap();
+        assert_eq!(FsStore.read(&path).unwrap(), b"aabcdaaa");
+        std::fs::remove_file(&path).ok();
+        let missing = FsStore.write_at(&path, 0, b"x").unwrap_err();
+        assert!(!missing.transient(), "no file to patch is persistent");
+    }
+
+    #[test]
+    fn mem_write_at_patches_and_extends() {
+        let mut store = MemStore::new();
+        assert!(store.write_at(&p(), 0, b"x").is_err(), "nothing to patch");
+        store.write(&p(), b"abcd").unwrap();
+        store.write_at(&p(), 1, b"XY").unwrap();
+        assert_eq!(store.get(&p()).unwrap(), b"aXYd");
+        store.write_at(&p(), 6, b"Z").unwrap();
+        assert_eq!(store.get(&p()).unwrap(), b"aXYd\0\0Z");
+    }
+
+    #[test]
+    fn in_place_faults_leave_what_their_kind_documents() {
+        let old = b"oldoldoldold";
+        let new = b"NEWNEWNEWNEW";
+        let cases: [(FaultKind, &[u8], bool); 5] = [
+            (FaultKind::Enospc, old, false),
+            (FaultKind::Eintr, old, true),
+            (FaultKind::PartialWrite, b"NEWNEWoldold", true),
+            (FaultKind::FsyncFail, new, true),
+            (FaultKind::TornRename, b"NEWNEWoldold", false),
+        ];
+        for (kind, left, transient) in cases {
+            let mut store = FaultStore::new(MemStore::new(), FaultPlan::new().at(1, kind));
+            store.write(&p(), old).unwrap();
+            let err = store.write_at(&p(), 0, new).unwrap_err();
+            assert_eq!(err.transient(), transient, "{kind}");
+            assert_eq!(store.read(&p()).unwrap(), left, "{kind}");
+            assert_eq!(store.operations(), 3, "{kind}: each op counts once");
+        }
+        // Stalls and read-only faults write the range in full.
+        for kind in [FaultKind::Stall { millis: 1 }, FaultKind::ReadCorruption] {
+            let mut store = FaultStore::new(MemStore::new(), FaultPlan::new().at(1, kind));
+            store.write(&p(), old).unwrap();
+            store.write_at(&p(), 0, new).unwrap();
+            assert_eq!(store.into_inner().get(&p()).unwrap(), new, "{kind}");
+        }
     }
 
     #[test]

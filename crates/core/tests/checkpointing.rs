@@ -6,12 +6,13 @@
 //! rejected with a typed error, never silently resumed.
 
 use proptest::prelude::*;
+use raidsim_core::checkpoint::JOURNAL_MAGIC;
 use raidsim_core::checkpoint::{CheckpointError, DriverState, SimCheckpoint};
 use raidsim_core::config::{RaidGroupConfig, Redundancy, TransitionDistributions};
 use raidsim_core::run::{
     CheckpointPlan, EveryGroups, RunControl, Simulator, StopCriterion, StreamObserver,
 };
-use raidsim_core::store::{AttemptBudget, FsStore};
+use raidsim_core::store::{AttemptBudget, FaultKind, FaultPlan, FaultStore, FsStore, MemStore};
 use raidsim_dists::{LifeDistribution, Weibull3};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -343,4 +344,70 @@ fn unwritable_checkpoint_path_warns_and_continues() {
     // Three in-loop boundaries fail, and with no successful write the
     // final flush retries (and fails) once more.
     assert_eq!(recorder.failed.load(Ordering::Relaxed), 4);
+}
+
+/// Mid-run snapshots go to the journal, but a finished or interrupted
+/// run leaves exactly the canonical image of its final state.
+#[test]
+fn finished_and_interrupted_runs_leave_the_canonical_image() {
+    let sim = Simulator::new(RaidGroupConfig::paper_base_case().unwrap());
+    let driver = DriverState::fixed(200, 40, 13);
+    let path = PathBuf::from("mem://final.ckpt");
+    for control in [InterruptAfter::new(u64::MAX), InterruptAfter::new(3)] {
+        let mut store = MemStore::new();
+        let mut cadence = EveryGroups(1);
+        let mut backoff = AttemptBudget(1);
+        let plan = CheckpointPlan {
+            path: &path,
+            cadence: &mut cadence,
+            store: &mut store,
+            backoff: &mut backoff,
+            required: false,
+        };
+        let (stats, report) = sim
+            .run_checkpointed(driver, 2, &(), &control, Some(plan), None)
+            .unwrap();
+        let expected = SimCheckpoint::bytes_from_parts(sim.run_fingerprint(), &driver, &stats);
+        assert_eq!(
+            store.get(&path),
+            Some(expected.as_slice()),
+            "{:?} run",
+            report.criterion
+        );
+    }
+}
+
+/// A process that dies between snapshots leaves the journal: with every
+/// write from the fourth on failing, the file still holds the third
+/// snapshot, and resuming from it reaches the uninterrupted result.
+#[test]
+fn a_journal_left_mid_run_resumes_to_the_reference() {
+    let sim = Simulator::new(RaidGroupConfig::paper_base_case().unwrap());
+    let driver = DriverState::fixed(200, 40, 17);
+    let path = PathBuf::from("mem://killed.ckpt");
+    let mut store = FaultStore::new(
+        MemStore::new(),
+        FaultPlan::new().from_op(3, FaultKind::Enospc),
+    );
+    let mut cadence = EveryGroups(1);
+    let mut backoff = AttemptBudget(1);
+    let plan = CheckpointPlan {
+        path: &path,
+        cadence: &mut cadence,
+        store: &mut store,
+        backoff: &mut backoff,
+        required: false,
+    };
+    let (reference, _) = sim
+        .run_checkpointed(driver, 2, &(), &(), Some(plan), None)
+        .unwrap();
+    let mut inner = store.into_inner();
+    assert!(inner.get(&path).unwrap().starts_with(&JOURNAL_MAGIC));
+    let ckpt = SimCheckpoint::load_from(&mut inner, &path).unwrap();
+    assert_eq!(ckpt.groups_done(), 120, "three 40-group snapshots landed");
+    let (stats, report) = sim
+        .run_checkpointed(driver, 3, &(), &(), None, Some(ckpt))
+        .unwrap();
+    assert_eq!(stats, reference);
+    assert_eq!(report.criterion, StopCriterion::GroupCap);
 }

@@ -19,6 +19,10 @@
 //! 5. **Double-SIGINT escape** — two interrupts during a fault-stalled
 //!    checkpoint write must exit 5 promptly (watchdog-enforced), never
 //!    deadlock behind the stalled I/O.
+//! 6. **Killed-run journal** — a run killed outright mid-way leaves the
+//!    two-slot snapshot journal. With a byte flipped in its newer slot,
+//!    `--resume` falls back to the older slot and still prints the
+//!    reference report (exit 0); with both slots flipped it exits 4.
 //!
 //! `--smoke` runs a reduced grid for CI; the full grid is for local
 //! soak runs. Every leg is deterministic — same seed, same fault plan,
@@ -110,6 +114,7 @@ pub fn check(root: &Path, smoke: bool) -> Result<Vec<Finding>, String> {
     required_fails_fast(root, &bin, &ckpt_str, &mut findings)?;
     corrupt_resume_refused(root, &bin, &ckpt, &mut findings)?;
     double_sigint_escapes_stall(root, &bin, &mut findings)?;
+    killed_journal_resumes(root, &bin, &mut findings)?;
 
     let _ = std::fs::remove_file(&ckpt);
     Ok(findings)
@@ -373,6 +378,130 @@ fn double_sigint_escapes_stall(
     }
     let _ = std::fs::remove_file(&ckpt);
     Ok(())
+}
+
+/// Leg 6: kill a frequently snapshotting run outright (no final flush),
+/// so the file is the mid-run journal, then damage it. One intact slot
+/// must be enough to resume to the reference report; none must exit 4.
+fn killed_journal_resumes(
+    root: &Path,
+    bin: &Path,
+    findings: &mut Vec<Finding>,
+) -> Result<(), String> {
+    let run = |extra: &[&str]| {
+        Command::new(bin)
+            .current_dir(root)
+            .args(STALL_ARGS)
+            .args(extra)
+            .output()
+            .map_err(|e| format!("cannot spawn {}: {e}", bin.display()))
+    };
+    let reference = run(&[])?;
+    if !reference.status.success() {
+        findings.push(finding(format!(
+            "journal leg: reference run failed ({})",
+            reference.status
+        )));
+        return Ok(());
+    }
+    let reference_out = String::from_utf8_lossy(&reference.stdout).into_owned();
+    let ckpt = std::env::temp_dir().join("raidsim-torture-journal.ckpt");
+    let ckpt_str = ckpt.to_string_lossy().into_owned();
+
+    // A kill can land inside a slot write and tear it; retry until both
+    // slots are intact, so flipping the newer one leaves exactly one.
+    let mut found = None;
+    for attempt in 1..=3u64 {
+        let _ = std::fs::remove_file(&ckpt);
+        let mut child = Command::new(bin)
+            .current_dir(root)
+            .args(STALL_ARGS)
+            .args(["--checkpoint", &ckpt_str, "--checkpoint-every", "100"])
+            .stdout(Stdio::null())
+            .stderr(Stdio::null())
+            .spawn()
+            .map_err(|e| format!("cannot spawn {}: {e}", bin.display()))?;
+        std::thread::sleep(Duration::from_millis(300 * attempt));
+        let _ = child.kill();
+        let _ = child.wait();
+        let bytes = std::fs::read(&ckpt).unwrap_or_default();
+        if let Some(slots) = journal_slots(&bytes) {
+            found = Some((bytes, slots));
+            break;
+        }
+    }
+    let Some((journal, (newer, older))) = found else {
+        findings.push(finding(
+            "journal leg: no killed run left a journal with two intact slots".into(),
+        ));
+        let _ = std::fs::remove_file(&ckpt);
+        return Ok(());
+    };
+    let resume_with = |flips: &[usize]| {
+        let mut bytes = journal.clone();
+        for &slot in flips {
+            bytes[slot + 64] ^= 0xff;
+        }
+        std::fs::write(&ckpt, &bytes).map_err(|e| format!("cannot write the journal: {e}"))?;
+        run(&["--checkpoint", &ckpt_str, "--resume"])
+    };
+
+    let resumed = resume_with(&[newer])?;
+    let resumed_out = String::from_utf8_lossy(&resumed.stdout);
+    if !resumed.status.success()
+        || !resumed_out.contains("resumed from checkpoint")
+        || !resumed_out.ends_with(&reference_out)
+    {
+        findings.push(finding(format!(
+            "journal with a damaged newer slot: expected exit 0 and the reference report, \
+             got {:?}:\n{resumed_out}{}",
+            resumed.status.code(),
+            String::from_utf8_lossy(&resumed.stderr).trim()
+        )));
+    }
+    let refused = resume_with(&[newer, older])?;
+    if refused.status.code() != Some(4) {
+        findings.push(finding(format!(
+            "journal with both slots damaged: expected exit 4, got {:?}: {}",
+            refused.status.code(),
+            String::from_utf8_lossy(&refused.stderr).trim()
+        )));
+    }
+    let _ = std::fs::remove_file(&ckpt);
+    Ok(())
+}
+
+/// The byte offsets of a checkpoint journal's `(newer, older)` slots when
+/// the file is a journal and both slots are intact (layout: the
+/// `raidsim_core::checkpoint` module docs).
+fn journal_slots(bytes: &[u8]) -> Option<(usize, usize)> {
+    const PAGE: usize = 4096;
+    let u64_at = |at: usize| -> Option<u64> {
+        Some(u64::from_le_bytes(bytes.get(at..at + 8)?.try_into().ok()?))
+    };
+    if !bytes.starts_with(b"RAIDSIMJ") {
+        return None;
+    }
+    let capacity = usize::try_from(u64_at(12)?).ok()?;
+    if capacity < PAGE || bytes.len() != PAGE + 2 * capacity {
+        return None;
+    }
+    let intact_seq = |slot: usize| {
+        let sum_at = slot + capacity - 8;
+        (fnv1a(&bytes[slot..sum_at]) == u64_at(sum_at)?).then(|| u64_at(slot))?
+    };
+    let (a, b) = (PAGE, PAGE + capacity);
+    match (intact_seq(a)?, intact_seq(b)?) {
+        (sa, sb) if sa > sb => Some((a, b)),
+        _ => Some((b, a)),
+    }
+}
+
+/// FNV-1a 64, the checksum of checkpoint images and journal slots.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
 }
 
 /// Polls the child until it exits or `budget` elapses (`Ok(None)`).
