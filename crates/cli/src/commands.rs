@@ -73,6 +73,8 @@ pub fn usage() -> String {
      snapshot; add --resume to continue from the file. Mid-run\n\
      snapshots overwrite one of two checksummed slots of the file in\n\
      place; a finished or interrupted run leaves one plain snapshot.\n\
+     Resuming a finished run neither re-simulates nor rewrites: it\n\
+     re-reports, and the file keeps its bytes and mtime.\n\
      SIGINT/SIGTERM finish the in-flight batch, flush the checkpoint,\n\
      and print partial results; a second SIGINT/SIGTERM exits\n\
      immediately (code 5), even from a stalled checkpoint write.\n\
@@ -98,11 +100,12 @@ pub fn usage() -> String {
      \n\
      sweeps: `sweep` runs a scrub-frequency ladder (plus a no-scrub\n\
      scenario unless --skip-no-scrub) as one fused execution plan: a\n\
-     single worker pool drains every scenario as one job with a slice\n\
-     per scenario, so threads steal work from the next scenario instead\n\
-     of idling at scenario boundaries. Every scenario uses the same\n\
-     seed (common random numbers) and per-scenario results are\n\
-     bit-identical to running each configuration alone. Identical\n\
+     single worker pool drains every scenario as one job. Every\n\
+     scenario uses the same seed (common random numbers), so all of\n\
+     them share each group's draws: the random words and their\n\
+     logarithms and powers are computed once per group, not once per\n\
+     scenario. Per-scenario results are bit-identical to running each\n\
+     configuration alone. Identical\n\
      scenarios within the sweep are served from a fingerprint-keyed\n\
      result cache; --cache-dir persists the cache so a re-run (or a\n\
      sweep killed partway) warm-starts from the scenarios already\n\
@@ -841,14 +844,31 @@ pub fn closedform(argv: &[String]) -> Result<CmdOutput, CliError> {
     let scrub = args.string("scrub")?;
     args.reject_unknown()?;
 
-    let mean_scrub = match scrub.as_deref() {
+    let scrub_eta = match scrub.as_deref() {
         Some("off") => None,
-        Some(v) => {
-            let eta: f64 = v.parse().map_err(|_| format!("--scrub: bad '{v}'"))?;
-            Some(6.0 + eta * 0.893) // mean of Weibull(6, eta, 3)
-        }
-        None => Some(6.0 + 168.0 * 0.893),
+        Some(v) => Some(v.parse().map_err(|_| format!("--scrub: bad '{v}'"))?),
+        None => Some(168.0),
     };
+    // The group `simulate` would run with these flags, validated the
+    // same way, so bad values are usage errors here too instead of a
+    // panic or a meaningless estimate.
+    let mut cfg =
+        RaidGroupConfig::paper_base_case().map_err(|e| CliError::Internal(e.to_string()))?;
+    cfg.drives = drives;
+    cfg.mission_hours = mission_years * HOURS_PER_YEAR;
+    if raid6 {
+        cfg.redundancy = Redundancy::DoubleParity;
+    }
+    let policy = match scrub_eta {
+        Some(eta) => ScrubPolicy::with_characteristic_hours(eta),
+        None => ScrubPolicy::Disabled,
+    };
+    cfg.with_scrub_policy(policy)
+        .map_err(|e| e.to_string())?
+        .validate()
+        .map_err(|e| e.to_string())?;
+    // Mean of Weibull(6, eta, 3).
+    let mean_scrub = scrub_eta.map(|eta: f64| 6.0 + eta * 0.893);
     let inputs = ClosedFormInputs {
         drives,
         tolerated: if raid6 { 2 } else { 1 },
@@ -1266,6 +1286,36 @@ mod tests {
             .find_map(|w| w.parse().ok())
             .unwrap();
         assert!(value6 < value / 10.0, "{out6}");
+    }
+
+    #[test]
+    fn closedform_bad_inputs_are_usage_errors() {
+        // Each of these used to panic (exit 101) or print a meaningless
+        // estimate.
+        for bad in [
+            "--drives 1",
+            "--drives 2 --raid6",
+            "--mission-years 0",
+            "--mission-years nan",
+            "--mission-years 1e300",
+            "--scrub -1000",
+            "--scrub nan",
+            "--scrub 0",
+        ] {
+            let err = closedform(&argv(bad)).unwrap_err();
+            assert!(matches!(err, CliError::Usage(_)), "{bad}: {err:?}");
+        }
+    }
+
+    #[test]
+    fn simulate_rejects_missions_beyond_the_cap() {
+        // Finite but huge: it used to pass validation and then run
+        // without end.
+        let err = simulate(&argv("--groups 10 --mission-years 1e300")).unwrap_err();
+        assert!(
+            matches!(&err, CliError::Usage(m) if m.contains("mission_hours")),
+            "{err:?}"
+        );
     }
 
     #[test]

@@ -56,6 +56,14 @@ pub mod params {
     pub const GROUP_DRIVES: usize = 8;
 }
 
+/// The longest mission [`RaidGroupConfig::validate`] accepts: 10⁶ hours,
+/// about 114 years — over eleven times the paper's ten-year mission
+/// (87,600 h), the longest any experiment in this repository runs.
+/// Simulated work grows with the mission, so a finite but huge one
+/// (`1e300` hours) would make a single group run for ever instead of
+/// failing fast.
+pub const MAX_MISSION_HOURS: f64 = 1.0e6;
+
 /// How many simultaneous drive losses the group survives.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum Redundancy {
@@ -296,7 +304,8 @@ impl RaidGroupConfig {
     ///
     /// Returns [`CoreError::InvalidConfig`] if the group has fewer than
     /// 2 drives, fewer drives than the redundancy level supports, a
-    /// non-positive mission, or a renewal cycle of zero length.
+    /// non-positive mission or one longer than [`MAX_MISSION_HOURS`],
+    /// or a renewal cycle of zero length.
     pub fn validate(&self) -> Result<(), CoreError> {
         if self.drives < 2 {
             return Err(CoreError::InvalidConfig {
@@ -318,6 +327,15 @@ impl RaidGroupConfig {
             return Err(CoreError::InvalidConfig {
                 field: "mission_hours",
                 reason: format!("must be finite and positive, got {}", self.mission_hours),
+            });
+        }
+        if self.mission_hours > MAX_MISSION_HOURS {
+            return Err(CoreError::InvalidConfig {
+                field: "mission_hours",
+                reason: format!(
+                    "must be at most {MAX_MISSION_HOURS} h (about 114 years), got {:e}",
+                    self.mission_hours
+                ),
             });
         }
         if self.dists.ttscrub.is_some() && self.dists.ttld.is_none() {
@@ -424,6 +442,20 @@ mod tests {
         cfg.validate().unwrap();
         cfg.mission_hours = 0.0;
         assert!(cfg.validate().is_err());
+    }
+
+    #[test]
+    fn validation_rejects_missions_beyond_the_cap() {
+        let mut cfg = RaidGroupConfig::paper_base_case().unwrap();
+        cfg.mission_hours = MAX_MISSION_HOURS;
+        cfg.validate().unwrap();
+        for hours in [MAX_MISSION_HOURS * (1.0 + f64::EPSILON), 1e300, f64::MAX] {
+            cfg.mission_hours = hours;
+            match cfg.validate() {
+                Err(CoreError::InvalidConfig { field, .. }) => assert_eq!(field, "mission_hours"),
+                other => panic!("mission {hours} h: expected InvalidConfig, got {other:?}"),
+            }
+        }
     }
 
     #[test]

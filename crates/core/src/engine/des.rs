@@ -3,7 +3,7 @@ use super::{draw, BiasPolicy, Engine, EngineCounters, EngineSession, SessionTuni
 use crate::config::{RaidGroupConfig, Redundancy, SparePolicy};
 use crate::events::{DdfEvent, GroupHistory};
 use raidsim_dists::kernel::{DrawSource, Forcing, Tilt, NO_CUT};
-use raidsim_dists::rng::{DrawCursor, SimRng};
+use raidsim_dists::rng::{DrawCursor, DrawMemo, SimRng};
 use raidsim_dists::{KernelCache, SampleKernel};
 
 /// Tracks the on-site spare pool for [`SparePolicy::Finite`].
@@ -380,6 +380,15 @@ impl EngineSession for DesSession {
         &self.state.history
     }
 
+    fn simulate_group_memo(&mut self, memo: &mut DrawMemo) -> &GroupHistory {
+        // The init draws and the event loop read one position after the
+        // other, so one reader serves both.
+        let mut reader = memo.reader();
+        self.state.start_group(&mut reader);
+        self.state.run_events(&mut reader);
+        &self.state.history
+    }
+
     fn counters(&self) -> EngineCounters {
         self.state.counters
     }
@@ -387,8 +396,10 @@ impl EngineSession for DesSession {
 
 impl DesState {
     /// Resets the per-group scratch and draws every slot's initial
-    /// lifetimes straight from `rng`, before any cursor begins.
-    fn start_group(&mut self, rng: &mut SimRng) {
+    /// lifetimes from `rng`: the caller's RNG itself before a cursor
+    /// begins, or a bundle's memo reader. The scalar `ln_1p` of a plain
+    /// draw off the RNG and the memo's batch lane agree bit for bit.
+    fn start_group<R: DrawSource>(&mut self, rng: &mut R) {
         // Reset the scratch: clear-and-refill keeps every allocation.
         self.history.ddfs.clear();
         self.history.op_failures = 0;

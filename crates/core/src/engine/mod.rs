@@ -26,7 +26,7 @@ pub use timeline::TimelineEngine;
 use crate::config::RaidGroupConfig;
 use crate::events::GroupHistory;
 use raidsim_dists::kernel::{DrawSource, Forcing, Tilt};
-use raidsim_dists::rng::SimRng;
+use raidsim_dists::rng::{DrawMemo, SimRng};
 use raidsim_dists::{KernelCache, SampleKernel};
 
 /// A change of sampling measure applied to an engine session's lifetime
@@ -361,6 +361,24 @@ pub trait EngineSession: std::fmt::Debug {
     /// internal history buffer. The buffer is overwritten by the next
     /// call — clone it to keep the history.
     fn simulate_group(&mut self, rng: &mut SimRng) -> &GroupHistory;
+
+    /// Simulates one group from a bundle's shared draw memo: exactly the
+    /// history [`EngineSession::simulate_group`] returns for the memo's
+    /// stream ([`DrawMemo::start`]).
+    ///
+    /// The executor simulates every scenario of a bundle — scenarios
+    /// that share a seed and stream mapping — against one memo per
+    /// group, so the words, their `ln_1p` lane and their `powf` lanes
+    /// are evaluated once per group instead of once per scenario. The
+    /// memo holds only pure functions of the stream, so this is draw
+    /// for draw the scalar path. The default implementation replays the
+    /// memo's stream through [`EngineSession::simulate_group`] (correct
+    /// for any session, sharing nothing); the built-in engines read the
+    /// memo directly.
+    fn simulate_group_memo(&mut self, memo: &mut DrawMemo) -> &GroupHistory {
+        let mut rng = memo.start().clone();
+        self.simulate_group(&mut rng)
+    }
 
     /// Work counters accumulated since the session was opened.
     fn counters(&self) -> EngineCounters;

@@ -3,7 +3,7 @@ use super::{draw, BiasPolicy, Engine, EngineCounters, EngineSession, SessionTuni
 use crate::config::{RaidGroupConfig, Redundancy};
 use crate::events::{DdfEvent, GroupHistory};
 use raidsim_dists::kernel::{DrawSource, Tilt, NO_CUT};
-use raidsim_dists::rng::{DrawCursor, SimRng};
+use raidsim_dists::rng::{DrawCursor, DrawMemo, SimRng};
 use raidsim_dists::{KernelCache, SampleKernel};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -328,6 +328,11 @@ impl EngineSession for TimelineSession {
             }
             None => state.run_phases(rng),
         }
+        &self.state.history
+    }
+
+    fn simulate_group_memo(&mut self, memo: &mut DrawMemo) -> &GroupHistory {
+        self.state.run_phases(&mut memo.reader());
         &self.state.history
     }
 

@@ -1,14 +1,25 @@
 //! The executor: one group loop behind every run, shard and sweep.
 //!
 //! An executor is opened once per run (or per sweep) and serves *jobs*.
-//! A job is a list of *slices* — `{scenario, lo, hi, first_stream}`,
+//! A job is a list of *slices* — `{bundle, lo, hi, first_stream}`,
 //! group `i` of a slice simulated on RNG stream
-//! `i - lo + first_stream` of its scenario's seed — plus a sink: stream
-//! each group into the slice's [`StreamStats`] (quarantining a group
-//! whose simulation panics), or collect the histories. A precision or
-//! checkpointed run publishes one single-slice job per driver batch; a
-//! plain run or a shard is one single-slice job; a fused sweep is one
-//! job with a slice per scenario. Every slice has its own claim cursor.
+//! `i - lo + first_stream` of the bundle's seed for every scenario of
+//! the bundle — plus a sink: stream each (scenario, group) into the
+//! scenario's [`StreamStats`] (quarantining a group whose simulation
+//! panics), or collect the histories. A *bundle* is a run of scenarios
+//! that share a seed, and so read every group from the same stream. A
+//! precision or checkpointed run publishes one single-slice job per
+//! driver batch; a plain run or a shard is one single-slice job; a
+//! fused sweep is one job with a slice per bundle. Every slice has its
+//! own claim cursor.
+//!
+//! A bundle of two or more scenarios is simulated group by group: the
+//! worker fills one [`DrawMemo`] from the group's stream and runs every
+//! scenario's session against it in scenario order
+//! ([`EngineSession::simulate_group_memo`]), so each stream position's
+//! `ln_1p` and `powf` are evaluated once per group, not once per
+//! scenario. A bundle of one reads its stream through the session's own
+//! draw cursor, as a single-scenario run does.
 //!
 //! With `threads == 1` the calling thread is the only worker and
 //! nothing is spawned. Otherwise workers are spawned once per executor
@@ -28,10 +39,10 @@
 //! checkpoint resume depends on (see [`crate::checkpoint`]).
 //!
 //! Both kinds of executor run the same per-slice loop ([`Worker`]):
-//! one [`KernelCache`] per worker, sessions keyed by scenario and kept
-//! for the executor's life, a session lookup and sink dispatch per
-//! claimed range, and per group the RNG stream, the simulation (caught
-//! in stream mode), and the progress tick.
+//! one [`KernelCache`] and one [`DrawMemo`] per worker, sessions keyed
+//! by scenario and kept for the executor's life, a session lookup and
+//! sink dispatch per claimed range, and per (scenario, group) the
+//! simulation (caught in stream mode) and the progress tick.
 //!
 //! The handshake itself is not implemented here. It lives in
 //! [`crate::sync_model`] as pure transitions on [`PoolCore`], which this
@@ -54,10 +65,12 @@
 //! Failure handling is *supervised* (see DESIGN.md §17):
 //!
 //! * In stream mode, a panic while simulating one group is caught and
-//!   the group **quarantined**: its index still counts toward the
-//!   completed watermark but its statistics are excluded, the session's
-//!   counters are folded into the worker's total, the session is
-//!   reopened, and the run continues.
+//!   the (scenario, group) **quarantined**: its index still counts
+//!   toward the completed watermark but its statistics are excluded,
+//!   the session's counters are folded into the worker's total, the
+//!   session is reopened, the draw memo is rebuilt from the group's
+//!   stream, and the run continues — with the bundle's other scenarios
+//!   of the same group included.
 //! * A panic that kills a whole worker (an observer callback, session
 //!   construction, a collect-mode group) trips its
 //!   [`SupervisionGuard`]: the worker's *unmerged* claimed ranges are
@@ -86,7 +99,7 @@ use crate::sync_model::{
     effective_claim, CheckOutcome, Cv, JobSpec, PoolCore, QuiescePoll, StdSync, SyncOps, Wake,
     WorkerPoll,
 };
-use raidsim_dists::rng::stream;
+use raidsim_dists::rng::{stream, DrawMemo};
 use raidsim_dists::KernelCache;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -127,13 +140,14 @@ pub(crate) struct ExecCtx<'a> {
     pub target: u64,
 }
 
-/// Groups `[lo, hi)` of one scenario; group `i` uses RNG stream
-/// `i - lo + first_stream` of the scenario's seed. The slices of one
-/// job cover disjoint index ranges.
-#[derive(Debug, Clone, Copy)]
+/// Groups `[lo, hi)` of one bundle of scenarios; group `i` uses RNG
+/// stream `i - lo + first_stream` of the bundle's seed. The slices of
+/// one job cover disjoint index ranges and disjoint bundles.
+#[derive(Debug, Clone)]
 pub(crate) struct Slice {
-    /// Index into [`ExecCtx::scenarios`].
-    pub scenario: usize,
+    /// The bundle: indices into [`ExecCtx::scenarios`] of scenarios that
+    /// share a seed, simulated in this order.
+    pub bundle: std::ops::Range<usize>,
     /// First group index (inclusive).
     pub lo: u64,
     /// One past the last group index.
@@ -147,7 +161,7 @@ impl Slice {
     /// batch, a shard, or a whole single-configuration run.
     pub(crate) fn range(lo: u64, hi: u64) -> Self {
         Slice {
-            scenario: 0,
+            bundle: 0..1,
             lo,
             hi,
             first_stream: lo,
@@ -159,17 +173,42 @@ impl Slice {
     }
 }
 
-/// A job's results, one entry per slice in slice order.
+/// A job's results, one entry per scenario of the executor in scenario
+/// order.
 #[derive(Default)]
 pub(crate) struct Harvest {
-    /// Stream sink: each slice's aggregate (empty in collect mode).
+    /// Stream sink: each scenario's aggregate (empty in collect mode).
     pub stats: Vec<StreamStats>,
-    /// Collect sink: each slice's histories in group order (empty in
+    /// Collect sink: each scenario's histories in group order (empty in
     /// stream mode).
     pub histories: Vec<Vec<GroupHistory>>,
-    /// Quarantined groups as `(slice, group)`, the group's index being
-    /// its stream index, sorted by `(slice, index)`.
+    /// Quarantined groups as `(scenario, group)`, the group's index
+    /// being its stream index, sorted by `(scenario, index)`.
     pub quarantine: Vec<(usize, QuarantinedGroup)>,
+}
+
+impl Harvest {
+    /// Moves scenario `e`'s results to position `order[e]`; `order` is
+    /// a permutation of the scenario indices.
+    #[allow(clippy::unnecessary_sort_by)]
+    pub(crate) fn permuted(self, order: &[usize]) -> Harvest {
+        fn place<T>(items: Vec<T>, order: &[usize]) -> Vec<T> {
+            let mut placed: Vec<(usize, T)> = order.iter().copied().zip(items).collect();
+            placed.sort_by(|a, b| a.0.cmp(&b.0));
+            placed.into_iter().map(|(_, item)| item).collect()
+        }
+        let mut quarantine: Vec<_> = self
+            .quarantine
+            .into_iter()
+            .map(|(e, g)| (order[e], g))
+            .collect();
+        quarantine.sort_by(|a, b| (a.0, a.1.index).cmp(&(b.0, b.1.index)));
+        Harvest {
+            stats: place(self.stats, order),
+            histories: place(self.histories, order),
+            quarantine,
+        }
+    }
 }
 
 /// A published job: its slices, one claim cursor per slice, and its
@@ -192,7 +231,7 @@ impl Job {
     }
 }
 
-/// One slice's share of a job's results, accumulated per worker and
+/// One scenario's share of a job's results, accumulated per worker and
 /// merged into the job's accumulator at check-out.
 #[derive(Default)]
 struct Part {
@@ -220,10 +259,12 @@ fn empty_parts(n: usize) -> Vec<Part> {
     (0..n).map(|_| Part::default()).collect()
 }
 
-/// A worker's private state: one kernel cache, one session per
-/// scenario it has served, and its lifetime tallies.
+/// A worker's private state: one kernel cache, one draw memo, one
+/// session per scenario it has served, and its lifetime tallies.
 struct Worker<'a> {
     kernels: KernelCache,
+    /// The current group's draws, shared by the scenarios of a bundle.
+    memo: DrawMemo,
     sessions: Vec<Option<Box<dyn EngineSession + 'a>>>,
     /// Counters of sessions discarded after a quarantined panic.
     retired: EngineCounters,
@@ -239,6 +280,7 @@ impl<'a> Worker<'a> {
         sessions.resize_with(ctx.scenarios.len(), || None);
         Worker {
             kernels: KernelCache::new(),
+            memo: DrawMemo::new(),
             sessions,
             retired: EngineCounters::default(),
             groups: 0,
@@ -251,7 +293,9 @@ impl<'a> Worker<'a> {
     }
 
     /// Walks the job's slices in order, draining each cursor, and
-    /// records every claimed range in `pending`.
+    /// records every claimed range in `pending`. Claiming from any slice
+    /// but the job's first is a counted steal: the worker moved on to
+    /// another bundle instead of idling.
     fn drain(
         &mut self,
         ctx: &ExecCtx<'a>,
@@ -263,14 +307,16 @@ impl<'a> Worker<'a> {
             // Opened on entry, claimed from or not, so the sessions a
             // worker opens are a function of the jobs it serves, not of
             // how the claims fell.
-            if self.sessions[slice.scenario].is_none() {
-                self.sessions[slice.scenario] = Some(self.open(ctx, slice.scenario));
+            for scenario in slice.bundle.clone() {
+                if self.sessions[scenario].is_none() {
+                    self.sessions[scenario] = Some(self.open(ctx, scenario));
+                }
             }
             let mut claimed = false;
             while let Some(range) = cursor.claim() {
                 claimed = true;
                 pending.push((range.start, range.end));
-                self.run_range(ctx, job.collect, slice, range, &mut parts[k]);
+                self.run_range(ctx, job.collect, slice, range, parts);
             }
             if claimed && k > 0 {
                 self.steals += 1;
@@ -278,54 +324,77 @@ impl<'a> Worker<'a> {
         }
     }
 
-    /// Simulates the claimed range of `slice` into its part.
+    /// Simulates the claimed range of `slice` for every scenario of its
+    /// bundle, into each scenario's part.
     fn run_range(
         &mut self,
         ctx: &ExecCtx<'a>,
         collect: bool,
         slice: &Slice,
         range: std::ops::Range<u64>,
-        part: &mut Part,
+        parts: &mut [Part],
     ) {
-        let seed = ctx.scenarios[slice.scenario].seed;
-        let mut session = match self.sessions[slice.scenario].take() {
-            Some(session) => session,
-            None => self.open(ctx, slice.scenario),
-        };
+        let bundle = slice.bundle.clone();
+        let seed = ctx.scenarios[bundle.start].seed;
+        // A bundle of one keeps the session's own draw cursor: without a
+        // second reader the memo has nothing to share.
+        let shared = bundle.len() > 1;
+        let mut sessions: Vec<_> = bundle
+            .clone()
+            .map(|m| match self.sessions[m].take() {
+                Some(session) => session,
+                None => self.open(ctx, m),
+            })
+            .collect();
         if collect {
-            let mut batch = Vec::with_capacity((range.end - range.start) as usize);
-            let start = range.start;
-            for i in range {
-                let mut rng = stream(seed, slice.stream_index(i));
-                batch.push(session.simulate_group(&mut rng).clone());
-                self.tick(ctx);
+            for m in bundle.clone() {
+                let chunk = Vec::with_capacity((range.end - range.start) as usize);
+                parts[m].chunks.push((range.start, chunk));
             }
-            part.chunks.push((start, batch));
-        } else {
-            let mission = ctx.scenarios[slice.scenario].cfg.mission_hours;
-            let stats = part.stats.get_or_insert_with(|| StreamStats::new(mission));
-            for i in range {
-                let mut rng = stream(seed, slice.stream_index(i));
-                // Unwind safety: `stats` is only mutated by `push`,
-                // which runs after `simulate_group` returned a complete
-                // history — a panic leaves it untouched. The session
-                // may be mid-update, so it is replaced; its counters
-                // are kept.
-                let outcome = catch_unwind(AssertUnwindSafe(|| {
-                    stats.push(session.simulate_group(&mut rng));
-                }));
-                if let Err(payload) = outcome {
-                    part.quarantine.push(QuarantinedGroup {
-                        index: slice.stream_index(i),
-                        message: panic_message(payload.as_ref()),
-                    });
-                    self.retired.merge(session.counters());
-                    session = self.open(ctx, slice.scenario);
+        }
+        for i in range.clone() {
+            let index = slice.stream_index(i);
+            if shared {
+                self.memo.begin(stream(seed, index));
+            }
+            for (j, m) in bundle.clone().enumerate() {
+                let session = sessions[j].as_mut();
+                let memo = shared.then_some(&mut self.memo);
+                if collect {
+                    let history = simulate(session, memo, seed, index).clone();
+                    if let Some((_, chunk)) = parts[m].chunks.last_mut() {
+                        chunk.push(history);
+                    }
+                } else {
+                    let mission = ctx.scenarios[m].cfg.mission_hours;
+                    let stats = parts[m]
+                        .stats
+                        .get_or_insert_with(|| StreamStats::new(mission));
+                    // Unwind safety: `stats` is only mutated by `push`,
+                    // which runs after the simulation returned a complete
+                    // history — a panic leaves it untouched. The session
+                    // may be mid-update, so it is replaced; its counters
+                    // are kept. The memo may hold a half-written entry,
+                    // so it restarts from the group's first word.
+                    let outcome = catch_unwind(AssertUnwindSafe(|| {
+                        stats.push(simulate(session, memo, seed, index));
+                    }));
+                    if let Err(payload) = outcome {
+                        parts[m].quarantine.push(QuarantinedGroup {
+                            index,
+                            message: panic_message(payload.as_ref()),
+                        });
+                        self.retired.merge(sessions[j].counters());
+                        sessions[j] = self.open(ctx, m);
+                        self.memo.restart();
+                    }
                 }
                 self.tick(ctx);
             }
         }
-        self.sessions[slice.scenario] = Some(session);
+        for (m, session) in bundle.zip(sessions) {
+            self.sessions[m] = Some(session);
+        }
     }
 
     fn open(&mut self, ctx: &ExecCtx<'a>, scenario: usize) -> Box<dyn EngineSession + 'a> {
@@ -358,6 +427,20 @@ impl<'a> Worker<'a> {
             counters.merge(session.counters());
         }
         (self.groups, self.steals, counters)
+    }
+}
+
+/// Simulates group `index` of one scenario: from the bundle's draw memo
+/// when the group has one, else from the group's own stream.
+fn simulate<'s>(
+    session: &'s mut (dyn EngineSession + '_),
+    memo: Option<&mut DrawMemo>,
+    seed: u64,
+    index: u64,
+) -> &'s GroupHistory {
+    match memo {
+        Some(memo) => session.simulate_group_memo(memo),
+        None => session.simulate_group(&mut stream(seed, index)),
     }
 }
 
@@ -485,7 +568,7 @@ fn serve(ctx: &ExecCtx<'_>, shared: &Shared) -> (u64, u64, EngineCounters) {
             .job
             .clone()
             .expect("a published epoch carries its job");
-        let mut parts = empty_parts(job.slices.len());
+        let mut parts = empty_parts(ctx.scenarios.len());
         worker.drain(ctx, &job, &mut parts, &mut guard.pending);
         // Merge, then attempt the guarded check-out; a refused
         // check-out hands back a dead worker's range to redo first.
@@ -503,7 +586,7 @@ fn serve(ctx: &ExecCtx<'_>, shared: &Shared) -> (u64, u64, EngineCounters) {
                 break;
             };
             let k = job.slice_of(start);
-            worker.run_range(ctx, job.collect, &job.slices[k], start..end, &mut parts[k]);
+            worker.run_range(ctx, job.collect, &job.slices[k], start..end, &mut parts);
         }
     }
     guard.armed = false;
@@ -549,23 +632,24 @@ impl Executor<'_, '_> {
         });
         let parts = match &mut self.workers {
             Workers::Serial(worker) => {
-                let mut parts = empty_parts(job.slices.len());
+                let mut parts = empty_parts(self.ctx.scenarios.len());
                 worker.drain(self.ctx, &job, &mut parts, &mut Vec::new());
                 parts
             }
-            Workers::Pool(shared) => publish(shared, &job),
+            Workers::Pool(shared) => publish(shared, &job, self.ctx.scenarios.len()),
         };
         harvest(self.ctx, &job, parts)
     }
 }
 
 /// Publishes `job` as the next epoch, wakes the workers, blocks until
-/// the epoch quiesces, and takes the merged parts.
+/// the epoch quiesces, and takes the merged parts, one per scenario of
+/// the executor's `scenarios`.
 ///
 /// # Panics
 ///
 /// Re-raises when the pool lost every worker.
-fn publish(shared: &Shared, job: &Arc<Job>) -> Vec<Part> {
+fn publish(shared: &Shared, job: &Arc<Job>, scenarios: usize) -> Vec<Part> {
     let spec = JobSpec {
         lo: job.slices.iter().map(|s| s.lo).min().unwrap_or(0),
         hi: job.slices.iter().map(|s| s.hi).max().unwrap_or(0),
@@ -576,7 +660,7 @@ fn publish(shared: &Shared, job: &Arc<Job>) -> Vec<Part> {
     // previous epoch can still touch it (`active == 0`).
     {
         let mut plane = lock_plane(shared);
-        plane.parts = empty_parts(job.slices.len());
+        plane.parts = empty_parts(scenarios);
         plane.job = Some(Arc::clone(job));
     }
     let wake = shared.sync.guarded(|core| core.publish(spec));
@@ -596,7 +680,7 @@ fn publish(shared: &Shared, job: &Arc<Job>) -> Vec<Part> {
     std::mem::take(&mut plane.parts)
 }
 
-/// Assembles a job's merged parts into per-slice results. Sorting by
+/// Assembles a job's merged parts into per-scenario results. Sorting by
 /// integer keys restores group order whichever worker produced what;
 /// the explicit comparators (not `sort_unstable_by_key`) keep the
 /// float-discipline lint, which bans the `_by_key` form in simulation
@@ -608,23 +692,24 @@ fn harvest(ctx: &ExecCtx<'_>, job: &Job, parts: Vec<Part>) -> Harvest {
         histories: Vec::new(),
         quarantine: Vec::new(),
     };
-    for (k, (slice, mut part)) in job.slices.iter().zip(parts).enumerate() {
+    for (m, mut part) in parts.into_iter().enumerate() {
         if job.collect {
-            // Claim starts are unique within a slice.
+            // Claim starts are unique within a slice, and a scenario
+            // belongs to one slice.
             part.chunks.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-            let mut histories = Vec::with_capacity((slice.hi - slice.lo) as usize);
+            let mut histories = Vec::new();
             for (_, mut chunk) in part.chunks {
                 histories.append(&mut chunk);
             }
             out.histories.push(histories);
         } else {
-            let mission = ctx.scenarios[slice.scenario].cfg.mission_hours;
+            let mission = ctx.scenarios[m].cfg.mission_hours;
             out.stats
                 .push(part.stats.unwrap_or_else(|| StreamStats::new(mission)));
             part.quarantine
                 .sort_unstable_by(|a, b| a.index.cmp(&b.index));
             out.quarantine
-                .extend(part.quarantine.into_iter().map(|g| (k, g)));
+                .extend(part.quarantine.into_iter().map(|g| (m, g)));
         }
     }
     out

@@ -786,7 +786,11 @@ impl Simulator {
     /// `driver.precision_mode` is set (see
     /// [`DriverState::precision`] / [`DriverState::fixed`]) — writing a
     /// [`SimCheckpoint`] at every batch boundary `plan`'s cadence
-    /// approves, plus once more before returning. A failed write is
+    /// approves, plus once more before returning. That last write is
+    /// skipped when the run added no group, quarantined none, and the
+    /// file already holds the canonical image it would write — a resumed
+    /// finished run rewrites nothing; the check is one read through the
+    /// plan's store. A failed write is
     /// reported via [`StreamObserver::on_checkpoint_failed`] and the
     /// run continues. `control` is polled at each batch boundary; when
     /// it reports an interruption the run flushes a final checkpoint
@@ -1015,6 +1019,7 @@ impl Simulator {
         // already holds this prefix, so there is nothing to flush until
         // new groups complete.
         let mut last_written = stats.groups();
+        let groups_at_entry = last_written;
         // The journal this run's mid-run snapshots overwrite in place,
         // once the first of them has created it.
         let mut journal = None;
@@ -1107,16 +1112,23 @@ impl Simulator {
         // Final flush, so the file on disk always reflects the state
         // this run returned with — an interrupted run resumes from the
         // exact stopping point, and resuming a finished run re-reports
-        // without re-simulating. Always written, as the canonical image
-        // through the atomic path, even when the last mid-run snapshot
-        // already covered this count: that one sits in the journal,
-        // and a finished run leaves the canonical bytes. Skipped when a
-        // required write already failed: the run is aborting with that
-        // error.
+        // without re-simulating. Written as the canonical image through
+        // the atomic path, even when the last mid-run snapshot already
+        // covered this count: that one sits in the journal, and a
+        // finished run leaves the canonical bytes. A run that added no
+        // group and quarantined none writes nothing when the file
+        // already holds exactly that image (a resumed finished run);
+        // a journal or an older format still gets rewritten. Skipped
+        // when a required write already failed: the run is aborting
+        // with that error.
         if plan_failure.is_none() {
             if let Some(p) = plan.as_mut() {
-                let outcome =
-                    write_checkpoint(fingerprint, driver, stats, quarantined, p, None, observer);
+                let idle = stats.groups() == groups_at_entry && quarantined == 0;
+                let outcome = if idle && holds_image(p, fingerprint, driver, stats) {
+                    Ok(())
+                } else {
+                    write_checkpoint(fingerprint, driver, stats, quarantined, p, None, observer)
+                };
                 p.cadence.on_write_outcome(outcome.is_ok());
                 match outcome {
                     Ok(()) => {}
@@ -1199,25 +1211,36 @@ pub fn sweep_with_engine(
 /// *every* scenario as one job, instead of spawning and quiescing a
 /// pool per scenario.
 ///
+/// Scenarios with the same seed share their draws. They read the same
+/// stream for every group, so they form one *bundle*: a worker reads
+/// each group's stream once into a shared draw memo — the RNG words,
+/// their `ln_1p` lane and one memoized `powf(e, 1/β)` lane per
+/// exponent — and runs every scenario of the bundle against it, in
+/// input order. A scrub ladder under common random numbers is one
+/// bundle, and each rung pays only its own `γ + η·power` per draw.
+/// The memo holds only pure functions of the stream, so bundling, like
+/// fusing, never changes a bit of any result.
+///
 /// A per-scenario loop pays two costs at every scenario boundary: a
 /// full pool spawn/join cycle, and end-of-scenario starvation — once a
 /// scenario's tail holds fewer unclaimed batches than there are
 /// workers, the surplus workers idle at the quiesce barrier while the
-/// tail drains. The fused plan removes both: every scenario is a slice
+/// tail drains. The fused plan removes both: every bundle is a slice
 /// of one epoch, all published at once, so a worker that exhausts one
-/// scenario's cursor *steals* into the next immediately
+/// bundle's cursor *steals* into the next immediately
 /// ([`SchedulerStats::steals`] counts these). The epoch handshake is
 /// model-checked exhaustively in [`crate::sync_model`], multi-slice
 /// epochs included.
 ///
 /// Fusing is invisible in the statistics: each scenario keeps its own
-/// seeded RNG streams, its own lowered sampling kernels, and its own
+/// seed's RNG streams, its own lowered sampling kernels, and its own
 /// exact-integer [`StreamStats`] accumulator, so per-scenario
 /// aggregates are **bit-identical** to running the scenarios one at a
 /// time — sequentially or at any thread count (property-tested in
-/// `tests/sweep_fused.rs`). What fusing does share is lowering work:
+/// `tests/sweep_fused.rs`). What fusing does share is lowering work —
 /// each worker lowers every distinct distribution tree once per sweep
-/// (via [`raidsim_dists::KernelCache`]), not once per scenario.
+/// (via [`raidsim_dists::KernelCache`]), not once per scenario — and,
+/// within a bundle, the draws (above).
 ///
 /// Repeated scenarios are deduplicated through a
 /// fingerprint-keyed [`SweepCache`]: within a sweep, only the first
@@ -1526,9 +1549,17 @@ impl FusedSweep {
             .collect()
     }
 
-    /// Simulates `groups` groups of each `planned` input scenario as
-    /// one fused job: a slice per scenario, on the scenario's own
-    /// streams `0..groups`.
+    /// Simulates `groups` groups of each `planned` input scenario as one
+    /// fused job, every scenario on its own seed's streams `0..groups`.
+    ///
+    /// Planned scenarios that share a seed read the same stream for
+    /// every group, so they form one *bundle*: one slice whose groups
+    /// are each simulated once per scenario against one shared draw
+    /// memo, the bundle's scenarios in input order (see
+    /// [`crate::pool`]). Bundles follow the order of their first
+    /// scenario. Without block draws — the scalar A/B lever of
+    /// [`SessionTuning`] — every scenario is a bundle of one. The
+    /// harvest is returned indexed like `planned`.
     fn execute(
         &self,
         planned: &[usize],
@@ -1537,22 +1568,39 @@ impl FusedSweep {
         collect: bool,
     ) -> (Harvest, SchedulerStats) {
         let groups = groups as u64;
-        let slices = (0..planned.len() as u64)
-            .map(|p| Slice {
-                scenario: p as usize,
-                lo: p * groups,
-                hi: (p + 1) * groups,
+        let mut bundles: Vec<Vec<usize>> = Vec::new();
+        let mut bundle_of_seed: BTreeMap<u64, usize> = BTreeMap::new();
+        for (p, &i) in planned.iter().enumerate() {
+            let seed = self.scenarios[i].seed;
+            match bundle_of_seed.get(&seed) {
+                Some(&b) if self.tuning.block_draws => bundles[b].push(p),
+                _ => {
+                    bundle_of_seed.insert(seed, bundles.len());
+                    bundles.push(vec![p]);
+                }
+            }
+        }
+        // Executor scenario index -> planned position.
+        let order: Vec<usize> = bundles.iter().flatten().copied().collect();
+        let mut slices = Vec::with_capacity(bundles.len());
+        let mut first = 0;
+        for (b, members) in (0u64..).zip(&bundles) {
+            slices.push(Slice {
+                bundle: first..first + members.len(),
+                lo: b * groups,
+                hi: (b + 1) * groups,
                 first_stream: 0,
-            })
-            .collect();
+            });
+            first += members.len();
+        }
         let done = AtomicU64::new(0);
         let ctx = ExecCtx {
             engine: self.engine.as_ref(),
-            scenarios: planned
+            scenarios: order
                 .iter()
-                .map(|&i| ScenarioRef {
-                    cfg: &self.scenarios[i].cfg,
-                    seed: self.scenarios[i].seed,
+                .map(|&p| ScenarioRef {
+                    cfg: &self.scenarios[planned[p]].cfg,
+                    seed: self.scenarios[planned[p]].seed,
                 })
                 .collect(),
             bias: self.bias,
@@ -1563,7 +1611,8 @@ impl FusedSweep {
             done: &done,
             target: planned.len() as u64 * groups,
         };
-        pool::execute(ctx, |exec| exec.run(slices, collect))
+        let (harvest, sched) = pool::execute(ctx, |exec| exec.run(slices, collect));
+        (harvest.permuted(&order), sched)
     }
 }
 
@@ -1631,6 +1680,20 @@ fn write_checkpoint(
             }
         }
     }
+}
+
+/// `true` when the plan's file already holds exactly the canonical image
+/// of `stats` under `driver`. One read through the plan's store — one
+/// [`crate::store::FaultStore`] operation; a failed read is a `false`,
+/// which only costs the write it would have saved.
+fn holds_image(
+    plan: &mut CheckpointPlan<'_>,
+    fingerprint: u64,
+    driver: &DriverState,
+    stats: &StreamStats,
+) -> bool {
+    let image = SimCheckpoint::bytes_from_parts(fingerprint, driver, stats);
+    plan.store.read(plan.path).is_ok_and(|bytes| bytes == image)
 }
 
 /// One attempt at a mid-run snapshot: overwrite the journal's next slot

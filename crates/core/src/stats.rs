@@ -254,9 +254,12 @@ pub struct SchedulerStats {
     /// a lost worker's `worker_groups` entry is `0`.
     pub workers_lost: u64,
     /// Fused-sweep runs only: cross-scenario steals — the number of
-    /// (worker, scenario) pairs where a worker that had already drained
-    /// an earlier scenario claimed work from a later one instead of
-    /// idling at a quiesce barrier. `0` for single-scenario runs. Like
+    /// (worker, bundle) pairs where a worker that had already drained
+    /// the earlier bundles claimed work from a later one instead of
+    /// idling at a quiesce barrier. A bundle is the sweep's scenarios
+    /// that share a seed, simulated together group by group, so a sweep
+    /// whose scenarios all share one seed is one bundle and steals
+    /// nothing. `0` for single-scenario runs. Like
     /// `worker_groups`, timing-dependent: a diagnostic, never part of
     /// the deterministic aggregates.
     pub steals: u64,

@@ -51,6 +51,9 @@ pub struct SweepScenario {
     pub cfg: RaidGroupConfig,
     /// Master seed of the scenario's per-group RNG streams. Sweeps
     /// under common random numbers give every scenario the same seed.
+    /// Scenarios of a [`crate::run::FusedSweep`] with the same seed
+    /// share their draws: each group's stream is read once per bundle
+    /// and replayed to every scenario (bit-identically).
     pub seed: u64,
 }
 
@@ -242,8 +245,10 @@ pub struct SweepReport {
     pub store_hits: u64,
     /// Scenarios actually simulated this sweep.
     pub simulated: u64,
-    /// Cross-scenario steals performed by the fused pool (see
-    /// [`crate::stats::SchedulerStats::steals`]). `0` for serial runs.
+    /// Cross-scenario steals performed by the fused pool: claims from
+    /// another bundle of same-seed scenarios (see
+    /// [`crate::stats::SchedulerStats::steals`]). `0` for serial runs
+    /// and for sweeps whose scenarios all share one seed.
     pub steals: u64,
     /// Quarantined groups as `(input scenario index, group)`, with the
     /// group index local to its scenario. Scenarios listed here are

@@ -411,3 +411,101 @@ fn a_journal_left_mid_run_resumes_to_the_reference() {
     assert_eq!(stats, reference);
     assert_eq!(report.criterion, StopCriterion::GroupCap);
 }
+
+/// Resuming a finished run adds no group, so it writes nothing: the
+/// canonical file keeps its bytes and its modification time, and the
+/// store sees one operation, the read that compared the image.
+#[test]
+fn an_idle_resume_from_a_canonical_file_writes_nothing() {
+    let sim = Simulator::new(RaidGroupConfig::paper_base_case().unwrap());
+    let driver = DriverState::fixed(120, 40, 23);
+    let path = temp_ckpt("idle-canonical.ckpt");
+    let mut cadence = EveryGroups(1);
+    let mut store = FsStore;
+    let mut backoff = AttemptBudget(1);
+    let plan = CheckpointPlan {
+        path: &path,
+        cadence: &mut cadence,
+        store: &mut store,
+        backoff: &mut backoff,
+        required: false,
+    };
+    let (stats, report) = sim
+        .run_checkpointed(driver, 2, &(), &(), Some(plan), None)
+        .unwrap();
+    let bytes = std::fs::read(&path).unwrap();
+    let mtime = std::fs::metadata(&path).unwrap().modified().unwrap();
+    std::thread::sleep(std::time::Duration::from_millis(20));
+
+    // Every write would fail; reads are unaffected.
+    let mut cadence = EveryGroups(1);
+    let mut store = FaultStore::new(FsStore, FaultPlan::new().from_op(0, FaultKind::Enospc));
+    let mut backoff = AttemptBudget(1);
+    let plan = CheckpointPlan {
+        path: &path,
+        cadence: &mut cadence,
+        store: &mut store,
+        backoff: &mut backoff,
+        required: false,
+    };
+    let resumed = SimCheckpoint::load(&path).unwrap();
+    let (again_stats, again_report) = sim
+        .run_checkpointed(driver, 2, &(), &(), Some(plan), Some(resumed))
+        .unwrap();
+    assert_eq!((again_stats, again_report), (stats, report));
+    assert_eq!(store.operations(), 1, "one read, no write");
+    assert!(store.injected().is_empty(), "a write was attempted");
+    assert_eq!(std::fs::read(&path).unwrap(), bytes);
+    assert_eq!(
+        std::fs::metadata(&path).unwrap().modified().unwrap(),
+        mtime,
+        "the idle resume touched the file"
+    );
+    std::fs::remove_file(&path).ok();
+}
+
+/// An idle resume from a journal still promotes it: when the final
+/// flush of a finished run failed, the file is a journal whose newest
+/// slot holds the final state, and resuming it without new groups
+/// leaves the canonical image.
+#[test]
+fn an_idle_resume_from_a_final_journal_leaves_the_canonical_image() {
+    let sim = Simulator::new(RaidGroupConfig::paper_base_case().unwrap());
+    let driver = DriverState::fixed(120, 40, 29);
+    let path = PathBuf::from("mem://idle-journal.ckpt");
+    // Ops 0–2 are the three mid-run snapshots; op 3, the final flush,
+    // fails and leaves the journal behind.
+    let mut store = FaultStore::new(MemStore::new(), FaultPlan::new().at(3, FaultKind::Enospc));
+    let mut cadence = EveryGroups(1);
+    let mut backoff = AttemptBudget(1);
+    let plan = CheckpointPlan {
+        path: &path,
+        cadence: &mut cadence,
+        store: &mut store,
+        backoff: &mut backoff,
+        required: false,
+    };
+    let (stats, _) = sim
+        .run_checkpointed(driver, 2, &(), &(), Some(plan), None)
+        .unwrap();
+    let mut store = store.into_inner();
+    assert!(store.get(&path).unwrap().starts_with(&JOURNAL_MAGIC));
+    let resumed = SimCheckpoint::load_from(&mut store, &path).unwrap();
+    assert_eq!(resumed.groups_done(), 120, "the newest slot is final");
+
+    let mut cadence = EveryGroups(1);
+    let mut backoff = AttemptBudget(1);
+    let plan = CheckpointPlan {
+        path: &path,
+        cadence: &mut cadence,
+        store: &mut store,
+        backoff: &mut backoff,
+        required: false,
+    };
+    let (again, _) = sim
+        .run_checkpointed(driver, 2, &(), &(), Some(plan), Some(resumed))
+        .unwrap();
+    assert_eq!(again, stats);
+    let canonical = SimCheckpoint::bytes_from_parts(sim.run_fingerprint(), &driver, &stats);
+    assert_eq!(store.get(&path), Some(canonical.as_slice()));
+}

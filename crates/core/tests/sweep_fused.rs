@@ -1,20 +1,31 @@
 //! Fused-sweep guarantees: fusing a family of scenarios into one job
-//! of per-scenario slices must be **invisible** in the statistics.
-//! For any scenario list, seeds, thread count, and claim-batch size,
-//! the fused runner's per-scenario aggregates must be byte-identical to
-//! a sequential single-threaded run of each scenario alone; repeated
-//! scenarios must replay from the fingerprint-keyed cache without
-//! re-simulating; and a sweep resumed in a fresh process must
-//! warm-start byte-identically from the persisted cache.
+//! — scenarios that share a seed bundled onto one shared draw memo per
+//! group — must be **invisible** in the statistics. For any scenario
+//! list, seeds, engine, sampling bias, thread count, and claim-batch
+//! size, the fused runner's per-scenario aggregates must be
+//! byte-identical to a sequential single-threaded run of each scenario
+//! alone; a panic in one scenario of a bundle must quarantine only that
+//! (scenario, group); repeated scenarios must replay from the
+//! fingerprint-keyed cache without re-simulating; and a sweep resumed
+//! in a fresh process must warm-start byte-identically from the
+//! persisted cache.
 
 use proptest::prelude::*;
 use raidsim_core::config::RaidGroupConfig;
+use raidsim_core::engine::{
+    BiasPolicy, DesEngine, Engine, EngineCounters, EngineSession, SessionTuning, TimelineEngine,
+};
+use raidsim_core::events::GroupHistory;
 use raidsim_core::run::{sweep, FusedSweep, Simulator};
 use raidsim_core::stats::StreamStats;
 use raidsim_core::store::FsStore;
 use raidsim_core::sweep::{SweepCache, SweepScenario};
+use raidsim_dists::rng::{stream, DrawMemo, SimRng};
+use raidsim_dists::{KernelCache, Weibull3};
 use raidsim_hdd::scrub::ScrubPolicy;
+use rand::Rng;
 use std::path::PathBuf;
+use std::sync::Arc;
 
 fn encode(stats: &StreamStats) -> Vec<u8> {
     let mut bytes = Vec::new();
@@ -39,31 +50,99 @@ fn temp_cache_dir(name: &str) -> PathBuf {
     dir
 }
 
+/// A rung of a mixed ladder: scrub characteristic hours (`None` turns
+/// scrubbing off) and an optional TTOp shape, so bundled scenarios also
+/// differ in which exponents their draws raise to.
+fn mixed_scenario(
+    label: &str,
+    scrub_hours: Option<f64>,
+    ttop_beta: Option<f64>,
+    seed: u64,
+) -> SweepScenario {
+    let policy = match scrub_hours {
+        Some(h) => ScrubPolicy::with_characteristic_hours(h),
+        None => ScrubPolicy::Disabled,
+    };
+    let mut cfg = RaidGroupConfig::paper_base_case()
+        .unwrap()
+        .with_scrub_policy(policy)
+        .unwrap();
+    if let Some(beta) = ttop_beta {
+        cfg.dists.ttop = Arc::new(Weibull3::two_param(461_386.0, beta).unwrap());
+    }
+    SweepScenario::new(label, cfg, seed)
+}
+
+/// The sampling biases a fused sweep is run under: plain, op and latent
+/// tilts (both engines), and critical-boundary forcing (DES only).
+fn bias_for(choice: usize, des: bool) -> BiasPolicy {
+    match choice {
+        1 => BiasPolicy::HazardTilt {
+            op_theta: 0.8,
+            latent_theta: 0.0,
+        },
+        2 => BiasPolicy::HazardTilt {
+            op_theta: 0.0,
+            latent_theta: 0.6,
+        },
+        3 if des => BiasPolicy::ForcedCritical {
+            fraction: 0.3,
+            window_hours: 200.0,
+        },
+        _ => BiasPolicy::None,
+    }
+}
+
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(10))]
+    #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Per-scenario aggregates of a fused sweep are byte-identical to a
     /// sequential single-threaded run of each scenario, for random
-    /// `(scenario list, seeds, groups, threads, claim_batch)` tuples —
-    /// the bit-identity boundary the fused scheduler promises.
+    /// `(scenario list, seeds, engine, bias, groups, threads,
+    /// claim_batch)` tuples — the bit-identity boundary the fused
+    /// scheduler promises. Seeds come from a pool of two, so a sweep
+    /// holds real bundles (shared seeds), bundles of one, or a mix.
     #[test]
     fn fused_matches_sequential_per_scenario(
-        scrubs in proptest::collection::vec(8.0..400.0f64, 1..5),
-        seeds in proptest::collection::vec(0u64..500, 5),
+        rungs in proptest::collection::vec(
+            (0usize..5, 8.0..400.0f64, 0usize..3, 0.7..2.5f64, 0usize..2),
+            1..6,
+        ),
+        seed_pool in (0u64..500, 0u64..500),
+        des in any::<bool>(),
+        bias in 0usize..4,
         groups in 1usize..60,
-        threads in 1usize..4,
+        threads in 1usize..5,
         claim in 1u64..40,
     ) {
-        let scenarios: Vec<SweepScenario> = scrubs
+        let scenarios: Vec<SweepScenario> = rungs
             .iter()
             .enumerate()
-            .map(|(k, &h)| ladder_scenario(&format!("s{k}"), h, seeds[k]))
+            .map(|(k, &(scrub_on, scrub, beta_on, beta, which))| {
+                // Mostly scrubbed rungs with the paper's TTOp shape.
+                let scrub = (scrub_on > 0).then_some(scrub);
+                let beta = (beta_on == 0).then_some(beta);
+                let seed = if which == 0 { seed_pool.0 } else { seed_pool.1 };
+                mixed_scenario(&format!("s{k}"), scrub, beta, seed)
+            })
             .collect();
-        let fused = FusedSweep::new(scenarios.clone()).with_claim_batch(claim);
+        let engine: Arc<dyn Engine> = if des {
+            Arc::new(DesEngine::new())
+        } else {
+            Arc::new(TimelineEngine::new())
+        };
+        let bias = bias_for(bias, des);
+        let fused = FusedSweep::new(scenarios.clone())
+            .with_engine(engine.clone())
+            .with_bias(bias)
+            .with_claim_batch(claim);
         let report = fused.run_streaming(groups, threads);
         prop_assert_eq!(report.results.len(), scenarios.len());
+        prop_assert!(report.quarantined.is_empty());
         for (k, sc) in scenarios.iter().enumerate() {
             let sequential = Simulator::new(sc.cfg.clone())
+                .with_engine(engine.clone())
+                .with_bias(bias)
                 .with_claim_batch(claim)
                 .run_streaming(groups, sc.seed, 1);
             prop_assert_eq!(
@@ -104,6 +183,125 @@ proptest! {
             encode(&report.results[scenarios.len() - 1].1),
             "the duplicate replays byte-equal"
         );
+    }
+}
+
+/// An engine whose sessions panic on one group of the scenarios with
+/// `drives` drives, after reading that group's draws — from the draw
+/// memo in a bundle, or from the RNG alone.
+#[derive(Debug)]
+struct PanicOnScenario {
+    inner: Arc<dyn Engine>,
+    drives: usize,
+    marker: u64,
+}
+
+#[derive(Debug)]
+struct PanicSession<'a> {
+    inner: Box<dyn EngineSession + 'a>,
+    armed: bool,
+    marker: u64,
+}
+
+impl PanicSession<'_> {
+    fn hit(&self, start: &SimRng) -> bool {
+        self.armed && start.clone().next_u64() == self.marker
+    }
+}
+
+const INJECTED: &str = "injected panic in one scenario of a bundle";
+
+impl EngineSession for PanicSession<'_> {
+    fn simulate_group(&mut self, rng: &mut SimRng) -> &GroupHistory {
+        if self.hit(rng) {
+            self.inner.simulate_group(rng);
+            panic!("{INJECTED}");
+        }
+        self.inner.simulate_group(rng)
+    }
+
+    fn simulate_group_memo(&mut self, memo: &mut DrawMemo) -> &GroupHistory {
+        if self.hit(memo.start()) {
+            self.inner.simulate_group_memo(memo);
+            panic!("{INJECTED}");
+        }
+        self.inner.simulate_group_memo(memo)
+    }
+
+    fn counters(&self) -> EngineCounters {
+        self.inner.counters()
+    }
+}
+
+impl Engine for PanicOnScenario {
+    fn simulate_group(&self, cfg: &RaidGroupConfig, rng: &mut SimRng) -> GroupHistory {
+        self.inner.simulate_group(cfg, rng)
+    }
+
+    fn name(&self) -> &'static str {
+        self.inner.name()
+    }
+
+    fn session_tuned_cached<'a>(
+        &'a self,
+        cfg: &'a RaidGroupConfig,
+        bias: BiasPolicy,
+        tuning: SessionTuning,
+        kernels: &mut KernelCache,
+    ) -> Box<dyn EngineSession + 'a> {
+        Box::new(PanicSession {
+            inner: self.inner.session_tuned_cached(cfg, bias, tuning, kernels),
+            armed: cfg.drives == self.drives,
+            marker: self.marker,
+        })
+    }
+}
+
+/// A panic in one scenario of a bundle quarantines only that
+/// (scenario, group): every other scenario of the bundle, the same
+/// group included, stays byte-equal to its sequential run, and the
+/// panicking scenario's own aggregate equals its sequential run's,
+/// which quarantines the same group. Both engines, one to three
+/// threads.
+#[test]
+fn a_panic_in_one_scenario_quarantines_only_that_scenario_group() {
+    let (seed, groups, target) = (29u64, 40usize, 17u64);
+    let mut odd = mixed_scenario("odd", Some(168.0), None, seed);
+    odd.cfg.drives = 9;
+    let scenarios = vec![
+        mixed_scenario("slow", Some(336.0), None, seed),
+        odd,
+        mixed_scenario("fast", Some(12.0), None, seed),
+    ];
+    for inner in [
+        Arc::new(DesEngine::new()) as Arc<dyn Engine>,
+        Arc::new(TimelineEngine::new()),
+    ] {
+        let engine: Arc<dyn Engine> = Arc::new(PanicOnScenario {
+            inner: inner.clone(),
+            drives: 9,
+            marker: stream(seed, target).next_u64(),
+        });
+        for threads in 1..=3 {
+            let report = FusedSweep::new(scenarios.clone())
+                .with_engine(engine.clone())
+                .run_streaming(groups, threads);
+            assert_eq!(report.quarantined.len(), 1, "{threads} thread(s)");
+            let (scenario, group) = &report.quarantined[0];
+            assert_eq!((*scenario, group.index), (1, target));
+            assert!(group.message.contains("injected panic"));
+            assert_eq!(report.results[1].1.groups(), groups as u64 - 1);
+            for (k, sc) in scenarios.iter().enumerate() {
+                let sequential = Simulator::new(sc.cfg.clone())
+                    .with_engine(engine.clone())
+                    .run_streaming(groups, sc.seed, 1);
+                assert_eq!(
+                    encode(&report.results[k].1),
+                    encode(&sequential),
+                    "scenario {k} at {threads} thread(s)"
+                );
+            }
+        }
     }
 }
 

@@ -55,7 +55,7 @@
 //! | [`crate::CompetingRisks`] | [`SampleKernel::Competing`] | children lowered recursively; conditional delegates to the source object |
 //! | anything else | [`SampleKernel::Boxed`] | full fallback to the `dyn` methods (e.g. future empirical resampling distributions — [`crate::empirical`] currently defines estimators, not `LifeDistribution`s) |
 
-use crate::rng::{DrawCursor, SimRng};
+use crate::rng::{DrawCursor, MemoReader, SimRng};
 use crate::{rng_f64, special::ln_1p, DistError, LifeDistribution};
 use rand::Rng;
 use std::sync::Arc;
@@ -215,10 +215,11 @@ pub enum MathMode {
     Exact,
 }
 
-/// A word source for plain draws: an RNG itself (word by word) or a
-/// prefetching [`DrawCursor`] over one. Both yield the same words in
-/// the same order and bit-identical plain draws, so a draw site written
-/// against `DrawSource` runs unchanged on either.
+/// A word source for plain draws: an RNG itself (word by word), a
+/// prefetching [`DrawCursor`] over one, or a [`MemoReader`] over a
+/// bundle's shared [`crate::rng::DrawMemo`]. All yield the same words
+/// in the same order and bit-identical plain draws, so a draw site
+/// written against `DrawSource` runs unchanged on any of them.
 pub trait DrawSource: Rng {
     /// One plain (untilted, unconditional) draw from `kernel`.
     fn plain(&mut self, kernel: &SampleKernel) -> f64;
@@ -251,6 +252,18 @@ impl DrawSource for DrawCursor {
     #[inline]
     fn plain_cut(&mut self, kernel: &SampleKernel, cut: f64) -> f64 {
         kernel.sample_prefetched_cut(cut, self)
+    }
+}
+
+impl DrawSource for MemoReader<'_> {
+    #[inline]
+    fn plain(&mut self, kernel: &SampleKernel) -> f64 {
+        kernel.sample_memo(NO_CUT, self)
+    }
+
+    #[inline]
+    fn plain_cut(&mut self, kernel: &SampleKernel, cut: f64) -> f64 {
+        kernel.sample_memo(cut, self)
     }
 }
 
@@ -486,6 +499,36 @@ impl SampleKernel {
                 gamma + eta * powf(e, *inv_beta)
             }
             _ => self.sample(cursor),
+        }
+    }
+
+    /// Draws one lifetime from a bundle's draw memo with the horizon cut
+    /// of [`SampleKernel::sample_cut`]; bit-identical to `sample_cut` on
+    /// the same stream, and with [`NO_CUT`] to [`SampleKernel::sample`].
+    ///
+    /// `Weibull3` finishes the quantile as `γ + η·power` from the memo's
+    /// `e` lane and its memoized `powf(e, 1/β)` lane (`e = 0` standing
+    /// for the `u = 0` endpoint, as in
+    /// [`SampleKernel::sample_prefetched`]); every other variant reads
+    /// raw words through the reader's [`Rng`] impl.
+    #[inline]
+    pub fn sample_memo(&self, cut: f64, reader: &mut MemoReader<'_>) -> f64 {
+        match self {
+            SampleKernel::Weibull3 {
+                gamma,
+                eta,
+                inv_beta,
+                ..
+            } => {
+                let Some(k) = reader.next_below(cut) else {
+                    return BEYOND_HORIZON;
+                };
+                if reader.exp(k) == 0.0 {
+                    return *gamma;
+                }
+                gamma + eta * reader.power(k, *inv_beta)
+            }
+            _ => self.sample(reader),
         }
     }
 
@@ -814,7 +857,7 @@ fn weibull_quantile(gamma: f64, eta: f64, inv_beta: f64, p: f64) -> f64 {
 /// true result `x¹ = x` is representable it comes back unchanged — the
 /// `unit_shape_powf_is_the_identity` property test pins this down.
 #[inline]
-fn powf(x: f64, e: f64) -> f64 {
+pub(crate) fn powf(x: f64, e: f64) -> f64 {
     if e == 1.0 {
         x
     } else {

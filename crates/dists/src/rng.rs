@@ -190,18 +190,27 @@ impl DrawCursor {
     fn refill(&mut self) {
         let n = self.next_refill;
         self.saved.clone_from(&self.live);
-        let mut neg_u = [0.0; MAX_REFILL];
-        for (w, x) in self.words[..n].iter_mut().zip(&mut neg_u[..n]) {
-            *w = self.live.next_u64();
-            *x = -crate::unit_f64(*w);
-        }
-        crate::special::ln_1p_batch(&neg_u[..n], &mut self.exps[..n]);
-        for e in &mut self.exps[..n] {
-            *e = -*e;
-        }
+        fetch_block(&mut self.live, &mut self.words[..n], &mut self.exps[..n]);
         self.pos = 0;
         self.len = n;
         self.next_refill = (n * 2).min(MAX_REFILL);
+    }
+}
+
+/// Fills `words` with the next words of `live` and `exps` with their
+/// `e` lane `-ln_1p(-u)`, evaluated as one [`crate::special::ln_1p_batch`]
+/// call. `words` holds at most [`MAX_REFILL`] elements.
+#[inline]
+fn fetch_block(live: &mut SimRng, words: &mut [u64], exps: &mut [f64]) {
+    let n = words.len();
+    let mut neg_u = [0.0; MAX_REFILL];
+    for (w, x) in words.iter_mut().zip(&mut neg_u[..n]) {
+        *w = live.next_u64();
+        *x = -crate::unit_f64(*w);
+    }
+    crate::special::ln_1p_batch(&neg_u[..n], exps);
+    for e in exps.iter_mut() {
+        *e = -*e;
     }
 }
 
@@ -210,6 +219,211 @@ impl Rng for DrawCursor {
     fn next_u64(&mut self) -> u64 {
         let i = self.advance();
         self.words[i]
+    }
+}
+
+/// A per-group memo of one RNG stream, shared by every scenario of a
+/// *bundle* — scenarios that draw the group from the same stream (same
+/// seed, same stream index).
+///
+/// Scenarios of a scrub ladder read the same words in the same order;
+/// they differ only in what each draw does with its word. So the memo
+/// evaluates each stream position's pure functions once per group, and
+/// every scenario's session replays them through a [`MemoReader`]:
+///
+/// * the word itself;
+/// * its `e` lane `-ln_1p(-u)`, filled in [`DrawCursor`]'s doubling
+///   batches through [`crate::special::ln_1p_batch`];
+/// * one lazily evaluated `powf(e, 1/β)` lane per distinct exponent,
+///   computed by the first reader that needs a position's power and
+///   reused by every later one.
+///
+/// Only the last step of a plain Weibull draw, `γ + η·power`, stays at
+/// each draw site, so a rung that differs from its neighbour only in η
+/// skips the `ln_1p` and the `powf` its neighbour already paid for.
+/// Every cached value is a pure function of the word and the exponent,
+/// so a reader sees bit for bit what a [`DrawCursor`] or the RNG itself
+/// would have produced.
+///
+/// The memo extends on demand: a reader past the fetched prefix fetches
+/// the next batch, so the scenario drawing the most words decides how
+/// far the group's stream is read. Nothing is rewound: the memo owns a
+/// copy of the group's stream, not the caller's RNG.
+#[derive(Debug, Clone)]
+pub struct DrawMemo {
+    /// The group's stream at its first word: what [`DrawMemo::restart`]
+    /// rebuilds from.
+    start: SimRng,
+    /// The stream just past the last fetched word.
+    live: SimRng,
+    /// Every word fetched since [`DrawMemo::begin`].
+    words: Vec<u64>,
+    /// `e` lane: `exps[k] = -ln_1p(-u_k)` for `words[k]`.
+    exps: Vec<f64>,
+    /// Size of the next fetch.
+    next_refill: usize,
+    /// One lane per distinct exponent seen: `(1/β bits, powers)`, each
+    /// power NaN until a reader evaluates it. Lanes persist across
+    /// groups, so a bundle's exponents are found after its first group.
+    lanes: Vec<(u64, Vec<f64>)>,
+}
+
+impl Default for DrawMemo {
+    fn default() -> Self {
+        DrawMemo::new()
+    }
+}
+
+impl DrawMemo {
+    /// Creates an empty memo; call [`DrawMemo::begin`] before reading.
+    pub fn new() -> Self {
+        let placeholder = SimRng::seed_from_u64(0);
+        DrawMemo {
+            start: placeholder.clone(),
+            live: placeholder,
+            words: Vec::new(),
+            exps: Vec::new(),
+            next_refill: FIRST_REFILL,
+            lanes: Vec::new(),
+        }
+    }
+
+    /// Starts memoizing the group whose stream is `rng`, forgetting the
+    /// previous group's values (their buffers are kept).
+    pub fn begin(&mut self, rng: SimRng) {
+        self.start = rng;
+        self.restart();
+    }
+
+    /// Forgets every value fetched or evaluated for the current group
+    /// and starts again from its first word. The memo is a pure
+    /// function of the stream, so a restarted memo serves the same
+    /// values; this is how a caller that saw a reader unwind makes sure
+    /// no half-written entry survives.
+    pub fn restart(&mut self) {
+        self.live.clone_from(&self.start);
+        self.words.clear();
+        self.exps.clear();
+        self.next_refill = FIRST_REFILL;
+        for (_, lane) in &mut self.lanes {
+            lane.clear();
+        }
+    }
+
+    /// The group's stream at its first word.
+    pub fn start(&self) -> &SimRng {
+        &self.start
+    }
+
+    /// A reader at the group's first word.
+    pub fn reader(&mut self) -> MemoReader<'_> {
+        MemoReader { memo: self, pos: 0 }
+    }
+
+    /// Fetches the next batch of words and evaluates their `e` lane.
+    fn fetch(&mut self) {
+        let n = self.next_refill;
+        let old = self.words.len();
+        self.words.resize(old + n, 0);
+        self.exps.resize(old + n, 0.0);
+        fetch_block(
+            &mut self.live,
+            &mut self.words[old..],
+            &mut self.exps[old..],
+        );
+        self.next_refill = (n * 2).min(MAX_REFILL);
+    }
+
+    /// `powf(e_k, inv_beta)` for fetched position `k`, exactly as
+    /// [`crate::SampleKernel::sample`] evaluates it, from the exponent's
+    /// lane when an earlier reader already evaluated it there.
+    #[inline]
+    fn power(&mut self, k: usize, inv_beta: f64) -> f64 {
+        let e = self.exps[k];
+        if inv_beta == 1.0 {
+            return crate::kernel::powf(e, inv_beta);
+        }
+        let key = inv_beta.to_bits();
+        let i = match self.lanes.iter().position(|(bits, _)| *bits == key) {
+            Some(i) => i,
+            None => {
+                self.lanes.push((key, Vec::new()));
+                self.lanes.len() - 1
+            }
+        };
+        let lane = &mut self.lanes[i].1;
+        if lane.len() <= k {
+            lane.resize(self.words.len(), f64::NAN);
+        }
+        let cached = lane[k];
+        // `e` is finite, so a real power is never NaN.
+        if !cached.is_nan() {
+            return cached;
+        }
+        let power = crate::kernel::powf(e, inv_beta);
+        lane[k] = power;
+        power
+    }
+}
+
+/// One scenario's position in a [`DrawMemo`]: a word source that yields
+/// exactly the stream's words, in order, from the memo's prefix —
+/// extending the memo when it reads past it. Plain Weibull draws
+/// finish from the memo's lanes ([`crate::SampleKernel::sample_memo`]);
+/// every other draw reads raw words through the [`Rng`] impl.
+#[derive(Debug)]
+pub struct MemoReader<'m> {
+    memo: &'m mut DrawMemo,
+    /// Next unread position.
+    pos: usize,
+}
+
+impl MemoReader<'_> {
+    /// Consumes the next position, fetching first when the memo holds
+    /// no unread word, and returns its index.
+    #[inline]
+    fn advance(&mut self) -> usize {
+        if self.pos == self.memo.words.len() {
+            self.memo.fetch();
+        }
+        self.pos += 1;
+        self.pos - 1
+    }
+
+    /// Consumes the next word and returns its position, or `None` when
+    /// the word's uniform is at or above `cut` — the horizon-cut test of
+    /// [`crate::SampleKernel::sample_cut`].
+    #[inline]
+    pub(crate) fn next_below(&mut self, cut: f64) -> Option<usize> {
+        let k = self.advance();
+        (crate::unit_f64(self.memo.words[k]) < cut).then_some(k)
+    }
+
+    /// The `e` lane value of consumed position `k`; `0.0` exactly when
+    /// the word's uniform is `0.0`.
+    #[inline]
+    pub(crate) fn exp(&self, k: usize) -> f64 {
+        self.memo.exps[k]
+    }
+
+    /// `powf(e_k, inv_beta)` for consumed position `k`, memoized per
+    /// exponent.
+    #[inline]
+    pub(crate) fn power(&mut self, k: usize, inv_beta: f64) -> f64 {
+        self.memo.power(k, inv_beta)
+    }
+
+    /// Words this reader has consumed.
+    pub fn consumed(&self) -> usize {
+        self.pos
+    }
+}
+
+impl Rng for MemoReader<'_> {
+    #[inline]
+    fn next_u64(&mut self) -> u64 {
+        let k = self.advance();
+        self.memo.words[k]
     }
 }
 

@@ -10,12 +10,15 @@
 //! draw sites: any sequence of draws through it — plain, horizon-cut,
 //! tilted, conditional and forced, interleaved — matches the bare
 //! stream bit for bit, and its rewind leaves the stream on the scalar
-//! path's word. The unit-shape `powf` shortcut is pinned to its basis,
-//! a faithfully rounded `powf`.
+//! path's word. A bundle's shared [`DrawMemo`] is held to it too: every
+//! reader of one memo, whatever its kernels and its draw sequence, sees
+//! the bare stream's draws bit for bit, however the readers before it
+//! extended the memo and filled its `powf` lanes. The unit-shape `powf`
+//! shortcut is pinned to its basis, a faithfully rounded `powf`.
 
 use proptest::prelude::*;
 use raidsim_dists::kernel::{DrawSource, Forcing, MathMode, Tilt};
-use raidsim_dists::rng::DrawCursor;
+use raidsim_dists::rng::{DrawCursor, DrawMemo};
 use raidsim_dists::{
     CompetingRisks, Degenerate, Exponential, LifeDistribution, Lognormal, Mixture, SampleKernel,
     Weibull3,
@@ -167,6 +170,95 @@ fn assert_prefetch_bit_identical(
     }
 }
 
+/// Readers of one [`DrawMemo`] and the bare stream must agree draw for
+/// draw: reader `r` runs `scenarios[r]`'s `(draw form, kernel)`
+/// sequence over kernel menu `r % menus.len()` after every earlier
+/// reader ran its own, so later readers meet a memo that earlier ones
+/// extended and whose `powf` lanes they partly filled — for other
+/// exponents and other positions as well as for the same ones. With
+/// `restart_after`, the memo restarts after that reader (what the
+/// executor does after a panic) and the rest must agree just the same.
+/// The same memo then serves a second group.
+fn assert_memo_bit_identical(
+    menus: &[Vec<SampleKernel>],
+    horizon: f64,
+    seed: u64,
+    scenarios: &[Vec<(usize, usize)>],
+    restart_after: Option<usize>,
+) {
+    let mut memo = DrawMemo::new();
+    // Two groups through one memo: the second must not see the first's
+    // words or powers.
+    for seed in [seed, seed ^ 1] {
+        memo.begin(rand::rngs::StdRng::seed_from_u64(seed));
+        memo_group(menus, horizon, seed, scenarios, restart_after, &mut memo);
+    }
+}
+
+fn memo_group(
+    menus: &[Vec<SampleKernel>],
+    horizon: f64,
+    seed: u64,
+    scenarios: &[Vec<(usize, usize)>],
+    restart_after: Option<usize>,
+    memo: &mut DrawMemo,
+) {
+    let tilt = Tilt::new(0.35).unwrap();
+    let forcing = Forcing::new(0.3).unwrap();
+    for (r, ops) in scenarios.iter().enumerate() {
+        let kernels = &menus[r % menus.len()];
+        let cuts: Vec<f64> = kernels.iter().map(|k| k.horizon_cut(horizon)).collect();
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let mut reader = memo.reader();
+        let mut lw_scalar = 0.0f64;
+        let mut lw_memo = 0.0f64;
+        for (i, &(form, k)) in ops.iter().enumerate() {
+            let kernel = &kernels[k % kernels.len()];
+            let cut = cuts[k % kernels.len()];
+            let t0 = 5.0 * i as f64;
+            let (a, b) = match form {
+                0 => (rng.plain(kernel), reader.plain(kernel)),
+                5 => (rng.plain_cut(kernel, cut), reader.plain_cut(kernel, cut)),
+                1 => (
+                    kernel.sample_tilted(tilt, &mut lw_scalar, &mut rng),
+                    kernel.sample_tilted(tilt, &mut lw_memo, &mut reader),
+                ),
+                2 => (
+                    kernel.sample_conditional(t0, &mut rng),
+                    kernel.sample_conditional(t0, &mut reader),
+                ),
+                3 => (
+                    kernel.sample_conditional_tilted(t0, tilt, &mut lw_scalar, &mut rng),
+                    kernel.sample_conditional_tilted(t0, tilt, &mut lw_memo, &mut reader),
+                ),
+                _ => (
+                    kernel.sample_conditional_forced(t0, 24.0, forcing, &mut lw_scalar, &mut rng),
+                    kernel.sample_conditional_forced(t0, 24.0, forcing, &mut lw_memo, &mut reader),
+                ),
+            };
+            assert_eq!(
+                a.to_bits(),
+                b.to_bits(),
+                "reader {r}, draw #{i} (form {form}) diverged for {kernel:?}: \
+                 scalar {a}, memo {b}"
+            );
+            assert_eq!(lw_scalar.to_bits(), lw_memo.to_bits());
+        }
+        // The reader consumed exactly the scalar path's words.
+        assert_eq!(reader.consumed(), ops_words(&rng, seed));
+        if restart_after == Some(r) {
+            memo.restart();
+        }
+    }
+}
+
+/// Words `rng` consumed since it was seeded with `seed`.
+fn ops_words(rng: &rand::rngs::StdRng, seed: u64) -> usize {
+    let mut fresh = rand::rngs::StdRng::seed_from_u64(seed);
+    let target = rng.clone().next_u64();
+    (0..).find(|_| fresh.next_u64() == target).unwrap()
+}
+
 /// One kernel of every variant, with a unit-shape Weibull among them.
 fn kernel_menu((g, e, b): (f64, f64, f64), mean: f64) -> Vec<SampleKernel> {
     let weibull = Arc::new(Weibull3::new(g, e, b).unwrap());
@@ -232,6 +324,30 @@ proptest! {
     ) {
         let horizon = params.0 + params.1;
         assert_prefetch_bit_identical(&kernel_menu(params, mean), horizon, seed, &groups);
+    }
+
+    /// Readers of one memo over three kernel menus: the Weibull scale
+    /// varies between the first two (same exponents, so the second
+    /// reuses the first's `powf` lanes) and the shape in the third
+    /// (another lane).
+    #[test]
+    fn memo_readers_see_the_bare_stream(
+        params in weibull_params(),
+        mean in 1.0..1.0e6f64,
+        seed in any::<u64>(),
+        scenarios in proptest::collection::vec(
+            proptest::collection::vec((0usize..6, 0usize..8), 0..70),
+            1..5,
+        ),
+        restart in proptest::option::of(0usize..4),
+    ) {
+        let (g, e, b) = params;
+        let menus = [
+            kernel_menu(params, mean),
+            kernel_menu((g, 2.0 * e, b), mean),
+            kernel_menu((g, e, b + 0.5), 0.5 * mean),
+        ];
+        assert_memo_bit_identical(&menus, g + e, seed, &scenarios, restart);
     }
 
     /// Groups made only of plain draws: every kernel variant through

@@ -33,9 +33,10 @@
 //! entries are themselves findings. Findings are also mirrored to
 //! `target/xtask-report.txt` so CI can attach them as an artifact.
 //!
-//! Three more commands drive the release CLI end to end: `smoke` (a
-//! streamed precision run), `smoke --resume` (kill and resume) and
-//! `torture` (injected checkpoint faults). Performance is not measured
+//! Four more commands drive the release CLI end to end: `smoke` (a
+//! streamed precision run), `smoke --resume` (kill and resume),
+//! `smoke --sweep` (every fused-sweep rung against `simulate` alone)
+//! and `torture` (injected checkpoint faults). Performance is not measured
 //! here: the standalone `raidbench` package under `raidbench/` times
 //! the CLI and gates its results (see its README).
 //!
@@ -114,6 +115,7 @@ fn usage() -> &'static str {
        model --update     refresh BENCH_model.json after an intentional protocol change\n\
        smoke              build and run the CLI's streamed precision path end to end\n\
        smoke --resume     kill a checkpointed run mid-flight, resume it, diff the summary\n\
+       smoke --sweep      check every rung of a fused sweep against `simulate` alone\n\
        torture            sweep injected checkpoint faults through the release binary:\n\
      \x20                    bit-identical reports or typed refusals, double-SIGINT escape\n\
        torture --smoke    reduced fault grid, for CI\n\
@@ -160,6 +162,7 @@ fn main() -> ExitCode {
             "model",
         ),
         "smoke" if args.iter().any(|a| a == "--resume") => run(smoke::check_resume(&root), "smoke"),
+        "smoke" if args.iter().any(|a| a == "--sweep") => run(smoke::check_sweep(&root), "smoke"),
         "smoke" => run(smoke::check(&root), "smoke"),
         "torture" => run(
             torture::check(&root, args.iter().any(|a| a == "--smoke")),

@@ -1,12 +1,15 @@
-//! Dynamic smoke check of the streamed precision path.
+//! Dynamic smoke checks of the release CLI.
 //!
 //! The static checks guarantee the simulation crates *can* be
-//! deterministic; this one exercises the actual release binary: a
+//! deterministic; these exercise the actual release binary. `smoke`: a
 //! precision-controlled `simulate` run through the streaming
 //! aggregation layer must complete and name the stopping criterion it
-//! fired. It is deliberately end-to-end — CLI argument parsing, the
-//! streamed precision driver, and the report formatting all sit on the
-//! path.
+//! fired. `smoke --resume`: a killed checkpointed run must resume to
+//! the uninterrupted report. `smoke --sweep`: every rung of a fused
+//! `sweep` — whose scenarios share a seed and so share their draws —
+//! must print what `simulate` prints for that rung alone. They are
+//! deliberately end-to-end — CLI argument parsing, the drivers, and the
+//! report formatting all sit on the path.
 
 use crate::Finding;
 use std::path::{Path, PathBuf};
@@ -201,6 +204,126 @@ pub fn check_resume(root: &Path) -> Result<Vec<Finding>, String> {
         findings.push(finding(format!(
             "resumed report differs from the uninterrupted run.\n\
              --- uninterrupted ---\n{reference_out}\n--- resumed ---\n{resumed_out}"
+        )));
+    }
+    Ok(findings)
+}
+
+/// Groups and seed of the sweep smoke: a few seconds of work, with
+/// rungs that see enough DDFs that a wrong draw would show.
+const SWEEP_GROUPS: &str = "3000";
+const SWEEP_SEED: &str = "7";
+
+/// What a report line prints after `marker`, up to the end of the line.
+fn value_after<'t>(line: &'t str, marker: &str) -> Option<&'t str> {
+    line.find(marker).map(|i| line[i + marker.len()..].trim())
+}
+
+/// End-to-end bundling smoke (`cargo xtask smoke --sweep`): a release
+/// `sweep --scrub-hours 336,48` (plus its no-scrub rung) must print, for
+/// every rung, the same "DDFs per 1,000 groups" as `simulate --scrub H`
+/// (`--scrub off` for `no_scrub`) at the same seed and group count.
+/// The sweep's rungs share one seed, so they are simulated as one
+/// bundle over a shared draw memo; `simulate` runs each rung alone
+/// through its own draw cursor. The check compares the two binaries'
+/// outputs, independently of the library's fused path.
+pub fn check_sweep(root: &Path) -> Result<Vec<Finding>, String> {
+    let mut findings = Vec::new();
+    let finding = |message: String| Finding {
+        check: "smoke",
+        path: "crates/cli".into(),
+        line: 0,
+        message,
+    };
+    let bin = match build_cli(root)? {
+        Ok(bin) => bin,
+        Err(message) => {
+            findings.push(finding(message));
+            return Ok(findings);
+        }
+    };
+    let run = |args: &[&str]| -> Result<Result<String, String>, String> {
+        let out = Command::new(&bin)
+            .current_dir(root)
+            .args(args)
+            .output()
+            .map_err(|e| format!("cannot spawn {}: {e}", bin.display()))?;
+        Ok(if out.status.success() {
+            Ok(String::from_utf8_lossy(&out.stdout).into_owned())
+        } else {
+            Err(format!(
+                "`{}` failed ({}): {}",
+                args.join(" "),
+                out.status,
+                String::from_utf8_lossy(&out.stderr).trim()
+            ))
+        })
+    };
+    let sweep = match run(&[
+        "sweep",
+        "--scrub-hours",
+        "336,48",
+        "--groups",
+        SWEEP_GROUPS,
+        "--seed",
+        SWEEP_SEED,
+        "--threads",
+        "2",
+    ])? {
+        Ok(text) => text,
+        Err(message) => {
+            findings.push(finding(message));
+            return Ok(findings);
+        }
+    };
+    let mut rungs = 0;
+    for line in sweep.lines() {
+        let Some(value) = value_after(line, "DDFs per 1,000 groups:") else {
+            continue;
+        };
+        let label = line.split_whitespace().next().unwrap_or_default();
+        let scrub = match label {
+            "no_scrub" => "off".to_string(),
+            other => match other
+                .strip_prefix("scrub_")
+                .and_then(|h| h.strip_suffix('h'))
+            {
+                Some(hours) => hours.to_string(),
+                None => {
+                    findings.push(finding(format!("unexpected sweep rung `{label}`")));
+                    continue;
+                }
+            },
+        };
+        rungs += 1;
+        let alone = match run(&[
+            "simulate",
+            "--scrub",
+            &scrub,
+            "--groups",
+            SWEEP_GROUPS,
+            "--seed",
+            SWEEP_SEED,
+        ])? {
+            Ok(text) => text,
+            Err(message) => {
+                findings.push(finding(message));
+                continue;
+            }
+        };
+        let want = alone
+            .lines()
+            .find_map(|l| value_after(l, "DDFs per 1,000 groups over 10 years:"));
+        if want != Some(value) {
+            findings.push(finding(format!(
+                "sweep rung `{label}` printed {value} DDFs per 1,000 groups, \
+                 `simulate --scrub {scrub}` printed {want:?}"
+            )));
+        }
+    }
+    if rungs != 3 {
+        findings.push(finding(format!(
+            "expected 3 sweep rungs (336 h, 48 h, no scrub), found {rungs}; got:\n{sweep}"
         )));
     }
     Ok(findings)
