@@ -64,7 +64,7 @@ fn main() {
     let report = FusedSweep::new(scenarios).run_streaming(n_groups, threads());
     eprintln!(
         "fused sweep: {} scenario(s) simulated, {} cross-scenario steal(s)",
-        report.simulated, report.steals
+        report.simulated, report.sched.steals
     );
 
     let first_year: Vec<(String, f64)> = report

@@ -89,7 +89,8 @@ pub fn run_streaming(cfg: RaidGroupConfig, n_groups: usize, seed: u64) -> Stream
     }
     let sim = Simulator::new(cfg);
     if std::env::var_os("RAIDSIM_PROGRESS").is_some() {
-        sim.run_streaming_observed(n_groups, seed, threads(), &StderrProgress::new())
+        sim.run_streaming_instrumented(n_groups, seed, threads(), &StderrProgress::new())
+            .0
     } else {
         sim.run_streaming(n_groups, seed, threads())
     }

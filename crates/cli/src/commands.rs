@@ -309,6 +309,22 @@ pub fn simulate(argv: &[String]) -> Result<CmdOutput, CliError> {
         .unwrap_or(4);
     let sim = Simulator::new(cfg).with_bias(bias);
     let observer = CliObserver::new(progress);
+    // The snapshot store of both the shard and the checkpointed branch:
+    // the production store, optionally decorated with the requested
+    // deterministic fault schedule; injected stalls really sleep at
+    // this layer (the core never does).
+    let mut store: Box<dyn SnapshotStore> = match fault_plan {
+        Some(plan) => Box::new(FaultStore::new(FsStore, plan).with_stall_hook(Box::new(
+            |millis| std::thread::sleep(Duration::from_millis(millis)),
+        ))),
+        None => Box::new(FsStore),
+    };
+    // A checkpoint that cannot be written is exit 4, not the generic
+    // input-error 3: the inputs were fine, the checkpoint was not.
+    let checkpoint_error = |e: CheckpointError| match e {
+        e @ CheckpointError::Io { .. } => CliError::Checkpoint(e.to_string()),
+        other => other.into(),
+    };
 
     // Shard scatter: simulate only this shard's deterministic slice and
     // persist it as a snapshot for a later `merge`. Early branch — the
@@ -340,12 +356,6 @@ pub fn simulate(argv: &[String]) -> Result<CmdOutput, CliError> {
         // checkpoint is byte-identical to the unsharded one.
         let batch = groups.clamp(100, 1_000) as u64;
         let driver = DriverState::fixed(hi, batch, seed);
-        let mut store: Box<dyn SnapshotStore> = match fault_plan {
-            Some(plan) => Box::new(FaultStore::new(FsStore, plan).with_stall_hook(Box::new(
-                |millis| std::thread::sleep(Duration::from_millis(millis)),
-            ))),
-            None => Box::new(FsStore),
-        };
         SimCheckpoint::save_parts_to(
             store.as_mut(),
             Path::new(path),
@@ -353,10 +363,7 @@ pub fn simulate(argv: &[String]) -> Result<CmdOutput, CliError> {
             &driver,
             &stats,
         )
-        .map_err(|e| match e {
-            e @ CheckpointError::Io { .. } => CliError::Checkpoint(e.to_string()),
-            other => other.into(),
-        })?;
+        .map_err(checkpoint_error)?;
         let mut out = String::new();
         let _ = writeln!(
             out,
@@ -437,15 +444,6 @@ pub fn simulate(argv: &[String]) -> Result<CmdOutput, CliError> {
         // Transient write failures retry with wall-clock pauses, bounded
         // per write so a flapping disk cannot stall the simulation.
         let mut backoff = CliBackoff::new(checkpoint_retries, Duration::from_secs(10));
-        // The production store, optionally decorated with the requested
-        // deterministic fault schedule; injected stalls really sleep at
-        // this layer (the core never does).
-        let mut store: Box<dyn SnapshotStore> = match fault_plan {
-            Some(plan) => Box::new(FaultStore::new(FsStore, plan).with_stall_hook(Box::new(
-                |millis| std::thread::sleep(Duration::from_millis(millis)),
-            ))),
-            None => Box::new(FsStore),
-        };
         let plan = checkpoint.as_ref().map(|path| CheckpointPlan {
             path: Path::new(path),
             cadence: &mut cadence,
@@ -462,13 +460,8 @@ pub fn simulate(argv: &[String]) -> Result<CmdOutput, CliError> {
                 plan,
                 resume_ckpt,
             )
-            .map_err(|e| match e {
-                // A required checkpoint write that failed past its retry
-                // budget: the inputs were fine, the checkpoint was not —
-                // exit 4, not the generic input-error 3.
-                e @ CheckpointError::Io { .. } => CliError::Checkpoint(e.to_string()),
-                other => other.into(),
-            })?;
+            // A required checkpoint write failed past its retry budget.
+            .map_err(checkpoint_error)?;
         interrupted = report.criterion == StopCriterion::Interrupted;
         if precision.is_some() {
             let _ = write!(out, "{}", precision_note(&report));
@@ -675,7 +668,7 @@ pub fn sweep(argv: &[String]) -> Result<CmdOutput, CliError> {
         out,
         "scheduler: {} simulated, {} cache hit(s) ({} from disk), \
          {} cross-scenario steal(s)",
-        report.simulated, report.cache_hits, report.store_hits, report.steals
+        report.simulated, report.cache_hits, report.store_hits, report.sched.steals
     );
     if !report.quarantined.is_empty() {
         let (k, q) = &report.quarantined[0];
@@ -771,13 +764,32 @@ pub fn mttdl(argv: &[String]) -> Result<CmdOutput, CliError> {
     let groups: f64 = args.num("groups", 1_000.0)?;
     let years: f64 = args.num("years", 10.0)?;
     args.reject_unknown()?;
-    if mttf <= 0.0 || mttr <= 0.0 || n == 0 {
+    let positive = |v: f64| v.is_finite() && v > 0.0;
+    let valid = [mttf, mttr, years].into_iter().all(positive)
+        && groups.is_finite()
+        && groups >= 0.0
+        && n > 0;
+    if !valid {
         return Err(CliError::Usage(
-            "mttf/mttr must be positive, data-drives >= 1".into(),
+            "mttf/mttr/years must be finite and positive, groups finite and \
+             non-negative, data-drives >= 1"
+                .into(),
         ));
     }
-    let m = mttdl_from_mttf(n, mttf, mttr);
+    // Extreme but finite inputs can still overflow a rate, the MTTDL or
+    // the expectation; refuse them rather than panic or print `inf`.
+    let m = [1.0 / mttf, 1.0 / mttr]
+        .into_iter()
+        .all(positive)
+        .then(|| mttdl_from_mttf(n, mttf, mttr))
+        .filter(|&m| positive(m))
+        .ok_or_else(|| CliError::Usage("mttf/mttr out of range: MTTDL overflows".into()))?;
     let e = expected_ddfs(m, groups, years * HOURS_PER_YEAR);
+    if !e.is_finite() {
+        return Err(CliError::Usage(
+            "groups/years out of range: expected DDFs overflow".into(),
+        ));
+    }
     Ok(format!(
         "MTTDL = {:.0} hours = {:.0} years\nexpected DDFs for {groups:.0} groups over {years} years: {e:.3}\n",
         m,
@@ -1169,20 +1181,30 @@ mod tests {
         let dir = std::env::temp_dir().join("raidsim_cli_stream");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("out.csv");
-        let streamed = sim_text("--groups 40 --seed 7 --mission-years 1");
-        let arg = format!(
-            "--groups 40 --seed 7 --mission-years 1 --csv {}",
-            path.display()
-        );
-        let stored = sim_text(&arg);
-        std::fs::remove_file(&path).ok();
         let stats_lines = |s: &str| {
             s.lines()
                 .filter(|l| !l.starts_with("wrote"))
                 .collect::<Vec<_>>()
                 .join("\n")
         };
-        assert_eq!(stats_lines(&streamed), stats_lines(&stored));
+        // A fixed count, and a precision run that stops on the relative
+        // criterion: the stored precision run `--csv` needs must report
+        // what the streamed driver reports.
+        for args in [
+            "--groups 40 --seed 7 --mission-years 1",
+            "--groups 4000 --seed 7 --precision 0.3",
+        ] {
+            let streamed = sim_text(args);
+            let stored = sim_text(&format!("{args} --csv {}", path.display()));
+            std::fs::remove_file(&path).ok();
+            assert_eq!(stats_lines(&streamed), stats_lines(&stored), "{args}");
+            if args.contains("--precision") {
+                assert!(
+                    streamed.contains("relative half-width target"),
+                    "{streamed}"
+                );
+            }
+        }
     }
 
     #[test]
@@ -1305,6 +1327,35 @@ mod tests {
             let err = closedform(&argv(bad)).unwrap_err();
             assert!(matches!(err, CliError::Usage(_)), "{bad}: {err:?}");
         }
+    }
+
+    #[test]
+    fn mttdl_bad_inputs_are_usage_errors() {
+        // Each is a usage error (exit 2): never a panic in the closed
+        // form, and never a NaN, `inf` or negative expectation.
+        for bad in [
+            "--mttf nan",
+            "--mttf inf",
+            "--mttf 1e-310",
+            "--mttf 1e200",
+            "--mttr nan",
+            "--mttr inf",
+            "--mttr 1e-310",
+            "--years nan",
+            "--years inf",
+            "--years -5",
+            "--years 0",
+            "--groups nan",
+            "--groups inf",
+            "--groups -7",
+            "--groups 1e308 --years 1e10",
+        ] {
+            let err = mttdl(&argv(bad)).unwrap_err();
+            assert!(matches!(err, CliError::Usage(_)), "{bad}: {err:?}");
+        }
+        // Zero groups is a valid question with a zero answer.
+        let out = mttdl(&argv("--groups 0")).unwrap().text;
+        assert!(out.contains("over 10 years: 0.000"), "{out}");
     }
 
     #[test]

@@ -340,7 +340,8 @@ impl DriverState {
     }
 
     /// Schedule for a precision-controlled run — the parameters of
-    /// [`crate::run::Simulator::run_until_precision_streaming`].
+    /// [`crate::run::Simulator::run_until_precision`], and of the streamed
+    /// precision run through [`crate::run::Simulator::run_checkpointed`].
     pub fn precision(
         target_relative: f64,
         confidence: f64,

@@ -252,47 +252,13 @@ pub trait Engine: std::fmt::Debug + Send + Sync {
     /// Human-readable engine name for reports.
     fn name(&self) -> &'static str;
 
-    /// Opens a sampling session for repeated group simulations against
-    /// one configuration: [`Engine::session_tuned_cached`] under the
-    /// default tuning and a fresh kernel cache.
+    /// Opens a sampling session: [`Engine::session_tuned_cached`] with
+    /// a fresh kernel cache.
     ///
-    /// A session owns per-worker scratch (slot vectors, timeline
-    /// buffers, the output history) and the monomorphic sampling
-    /// kernels lowered from the configuration's distributions, so the
-    /// steady-state group loop allocates nothing. Sessions are **not**
-    /// `Send`: the executor keeps one per (worker, scenario) for the
-    /// whole run.
-    ///
-    /// The contract is bit-identity: for any RNG state and
-    /// `BiasPolicy::None`, `session.simulate_group(rng)` must return
-    /// exactly the history [`Engine::simulate_group`] would have
-    /// produced from the same state. Under a biasing policy the session
-    /// samples from the tilted measure instead and must record the
-    /// group's log-likelihood-ratio in [`GroupHistory::log_weight`];
-    /// determinism per `(seed, policy)` still holds, but bit-identity
-    /// with the unbiased draws does not (the whole point is to visit
-    /// different paths).
-    ///
-    /// # Panics
-    ///
-    /// As [`Engine::session_tuned_cached`].
-    fn session<'a>(
-        &'a self,
-        cfg: &'a RaidGroupConfig,
-        bias: BiasPolicy,
-    ) -> Box<dyn EngineSession + 'a> {
-        self.session_tuned(cfg, bias, SessionTuning::default())
-    }
-
-    /// [`Engine::session`] with explicit performance tuning
-    /// ([`SessionTuning`]): [`Engine::session_tuned_cached`] with a
-    /// fresh kernel cache.
-    ///
-    /// Under the default tuning the returned session is **identical**
-    /// to [`Engine::session`]'s: the default prefetched path is
-    /// draw-for-draw bit-identical to the scalar path, so there is no
-    /// behavioral difference to opt out of. `block_draws: false` forces
-    /// the scalar path (the benchmark A/B lever).
+    /// Under the default tuning the prefetched path is draw-for-draw
+    /// bit-identical to the scalar path, so there is no behavioral
+    /// difference to opt out of. `block_draws: false` forces the scalar
+    /// path (the benchmark A/B lever).
     ///
     /// # Panics
     ///
@@ -306,9 +272,27 @@ pub trait Engine: std::fmt::Debug + Send + Sync {
         self.session_tuned_cached(cfg, bias, tuning, &mut KernelCache::new())
     }
 
-    /// The one session constructor engines implement: a session under
-    /// `bias` and `tuning` whose kernel lowering is memoized in
+    /// The one session constructor engines implement: a session for
+    /// repeated group simulations against one configuration, under
+    /// `bias` and `tuning`, whose kernel lowering is memoized in
     /// `kernels`.
+    ///
+    /// A session owns per-worker scratch (slot vectors, timeline
+    /// buffers, the output history) and the monomorphic sampling
+    /// kernels lowered from the configuration's distributions, so the
+    /// steady-state group loop allocates nothing. Sessions are **not**
+    /// `Send`: the executor keeps one per (worker, scenario) for the
+    /// whole run.
+    ///
+    /// The contract is bit-identity: for any RNG state and
+    /// `BiasPolicy::None`, `session.simulate_group(rng)` must return
+    /// exactly the history [`Engine::simulate_group`] would have
+    /// produced from the same state, under every tuning. Under a
+    /// biasing policy the session samples from the tilted measure
+    /// instead and must record the group's log-likelihood-ratio in
+    /// [`GroupHistory::log_weight`]; determinism per `(seed, policy)`
+    /// still holds, but bit-identity with the unbiased draws does not
+    /// (the whole point is to visit different paths).
     ///
     /// The executor keeps one [`KernelCache`] per worker, so a
     /// distribution tree shared by several scenarios (a scrub ladder
@@ -354,8 +338,8 @@ pub trait Engine: std::fmt::Debug + Send + Sync {
 /// A per-worker simulation session: scratch buffers plus lowered
 /// sampling kernels, reused across every group the worker simulates.
 ///
-/// Obtained from [`Engine::session`]; see that method for the
-/// bit-identity contract.
+/// Obtained from [`Engine::session_tuned_cached`]; see that method for
+/// the bit-identity contract.
 pub trait EngineSession: std::fmt::Debug {
     /// Simulates one group and returns a reference to the session's
     /// internal history buffer. The buffer is overwritten by the next

@@ -649,7 +649,7 @@ mod tests {
         // rewrite of phase 2 must not change a single bit.
         let cfg = RaidGroupConfig::paper_base_case().unwrap();
         let engine = TimelineEngine::new();
-        let mut session = engine.session(&cfg, BiasPolicy::None);
+        let mut session = engine.session_tuned(&cfg, BiasPolicy::None, SessionTuning::default());
         for i in 0..64 {
             let mut a = stream(11, i);
             let mut b = stream(11, i);

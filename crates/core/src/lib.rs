@@ -58,7 +58,7 @@
 //! // The paper's base case: 8 drives, 10-year mission, latent defects,
 //! // 168-hour scrub.
 //! let cfg = RaidGroupConfig::paper_base_case()?;
-//! let result = Simulator::new(cfg).run(200, 42);
+//! let result = Simulator::new(cfg).run_parallel(200, 42, 1);
 //! // The base case sees roughly an order of magnitude more DDFs than
 //! // the MTTDL prediction of ~0.27 per 1000 groups.
 //! let per_1000 = result.ddfs_per_thousand_groups();

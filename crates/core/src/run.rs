@@ -13,10 +13,10 @@
 //! draws a DDF cascade, a long repair chain, or an infant-mortality
 //! vintage simulates orders of magnitude more events than a quiet one —
 //! so static chunking lets one unlucky worker serialize the whole run.
-//! Instead, workers repeatedly *claim* fixed-size index batches
-//! ([`Simulator::claim_batch`] groups at a time) from a shared atomic
-//! cursor until the range is exhausted: a worker stuck on an expensive
-//! batch simply claims fewer batches while the others drain the rest.
+//! Instead, workers repeatedly *claim* fixed-size index batches (sized
+//! by [`Simulator::with_claim_batch`]) from a shared atomic cursor
+//! until the range is exhausted: a worker stuck on an expensive batch
+//! simply claims fewer batches while the others drain the rest.
 //!
 //! Dynamic claiming is invisible in the results:
 //!
@@ -27,9 +27,25 @@
 //! * the stored path tags each claimed batch with its start index and
 //!   reassembles the histories in group-index order before returning.
 //!
+//! # Entry points
+//!
+//! One entry point per run shape:
+//!
+//! | shape | fixed count | precision target |
+//! |---|---|---|
+//! | stored histories | [`Simulator::run_parallel`] | [`Simulator::run_until_precision`] |
+//! | streamed aggregate | [`Simulator::run_streaming`], [`Simulator::run_streaming_instrumented`] | [`Simulator::run_checkpointed`] |
+//! | one shard of a run | [`Simulator::run_shard`] | — |
+//! | scenario sweep | [`FusedSweep::run_streaming`], [`FusedSweep::run_streaming_cached`], [`FusedSweep::run_collect`] | — |
+//!
+//! [`Simulator::run_checkpointed`] also runs fixed counts
+//! ([`DriverState::fixed`]), and is the only entry that checkpoints or
+//! resumes; with no plan and no resume it is the streamed precision
+//! run.
+//!
 //! # Worker lifecycle
 //!
-//! Every entry point here is a thin wrapper over one executor (see
+//! Every entry point is a logic-free wrapper over one executor (see
 //! `crate::pool`), opened once per run or sweep: workers are spawned
 //! once (none when `threads == 1`), each keeps one
 //! [`crate::engine::EngineSession`] per scenario — reusable scratch plus
@@ -49,7 +65,7 @@ use crate::checkpoint::{
     SimCheckpoint,
 };
 use crate::config::RaidGroupConfig;
-use crate::engine::{BiasPolicy, DesEngine, Engine, EngineCounters, SessionTuning};
+use crate::engine::{BiasPolicy, DesEngine, Engine, SessionTuning};
 use crate::events::{CheckpointDegraded, DdfKind, GroupHistory, QuarantinedGroup};
 use crate::pool::{self, ExecCtx, Executor, Harvest, ScenarioRef, Slice};
 use crate::stats::{SchedulerStats, StreamStats};
@@ -315,7 +331,7 @@ fn collect_range(exec: &mut Executor<'_, '_>, lo: u64, hi: u64) -> Vec<GroupHist
 /// let sim = Simulator::new(RaidGroupConfig::paper_base_case()?);
 /// // Identical results regardless of thread count: per-group RNG
 /// // streams make scheduling invisible.
-/// assert_eq!(sim.run(100, 7), sim.run_parallel(100, 7, 4));
+/// assert_eq!(sim.run_parallel(100, 7, 1), sim.run_parallel(100, 7, 4));
 /// # Ok(())
 /// # }
 /// ```
@@ -371,11 +387,6 @@ impl Simulator {
         self
     }
 
-    /// The scheduler's claim-batch size.
-    pub fn claim_batch(&self) -> u64 {
-        self.claim_batch
-    }
-
     /// Replaces the sampling-measure change applied to every group
     /// (importance sampling for rare-event acceleration; see
     /// [`BiasPolicy`]).
@@ -399,11 +410,6 @@ impl Simulator {
         self
     }
 
-    /// The sampling-measure change in effect.
-    pub fn bias(&self) -> BiasPolicy {
-        self.bias
-    }
-
     /// Replaces the session tuning. Every tuning is bit-identical to
     /// the fully scalar path, so the tuning never enters the run
     /// fingerprint: artifacts from tuned and untuned runs resume and
@@ -411,11 +417,6 @@ impl Simulator {
     pub fn with_tuning(mut self, tuning: SessionTuning) -> Self {
         self.tuning = tuning;
         self
-    }
-
-    /// The session tuning in effect.
-    pub fn tuning(&self) -> SessionTuning {
-        self.tuning
     }
 
     /// The fingerprint this simulator stamps on checkpoints and shard
@@ -431,18 +432,13 @@ impl Simulator {
         &self.cfg
     }
 
-    /// Simulates `groups` independent RAID groups, single-threaded.
+    /// Simulates `groups` independent RAID groups across `threads`
+    /// worker threads and returns every history.
     ///
     /// Group `i` uses RNG stream `i` of `seed`, so the result is a
-    /// deterministic function of `(config, groups, seed)`.
-    pub fn run(&self, groups: usize, seed: u64) -> SimulationResult {
-        self.run_parallel(groups, seed, 1)
-    }
-
-    /// Simulates `groups` independent RAID groups across `threads`
-    /// worker threads. Produces exactly the same result as
-    /// [`Simulator::run`] with the same `seed` (per-group RNG streams
-    /// make the partitioning invisible).
+    /// deterministic function of `(config, groups, seed)`: every
+    /// `threads` value produces exactly the same result (per-group RNG
+    /// streams make the partitioning invisible).
     ///
     /// # Panics
     ///
@@ -463,40 +459,24 @@ impl Simulator {
     /// the fleet is.
     ///
     /// Produces an aggregate bit-identical to
-    /// [`StreamStats::from_result`] over [`Simulator::run`] with the
-    /// same `(groups, seed)`, at any `threads` (see the determinism
-    /// argument in [`crate::stats`]).
+    /// [`StreamStats::from_result`] over [`Simulator::run_parallel`]
+    /// with the same `(groups, seed)`, at any `threads` (see the
+    /// determinism argument in [`crate::stats`]).
     ///
     /// # Panics
     ///
     /// Panics if `threads == 0`.
     pub fn run_streaming(&self, groups: usize, seed: u64, threads: usize) -> StreamStats {
-        self.run_streaming_observed(groups, seed, threads, &())
-    }
-
-    /// [`Simulator::run_streaming`] with progress callbacks.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threads == 0`.
-    pub fn run_streaming_observed(
-        &self,
-        groups: usize,
-        seed: u64,
-        threads: usize,
-        observer: &dyn StreamObserver,
-    ) -> StreamStats {
-        self.run_streaming_instrumented(groups, seed, threads, observer)
+        self.run_streaming_instrumented(groups, seed, threads, &())
             .0
     }
 
-    /// [`Simulator::run_streaming_observed`] plus scheduler
-    /// instrumentation: how many groups each worker ended up
-    /// simulating, for load-balance diagnostics (the `cargo xtask
-    /// bench` harness records these). The statistics half of the return
-    /// is bit-identical to [`Simulator::run_streaming`]; the
-    /// [`SchedulerStats`] half depends on thread timing and is
-    /// diagnostic only.
+    /// [`Simulator::run_streaming`] with progress callbacks to
+    /// `observer` plus scheduler instrumentation: how many groups each
+    /// worker ended up simulating, for load-balance diagnostics. The
+    /// statistics half of the return is bit-identical to
+    /// [`Simulator::run_streaming`]; the [`SchedulerStats`] half
+    /// depends on thread timing and is diagnostic only.
     ///
     /// # Panics
     ///
@@ -650,8 +630,11 @@ impl Simulator {
     /// "If 10,000 simulations are needed to develop the cumulative
     /// failure function" — this is the tool that tells you whether
     /// they are. The returned result is identical to a plain
-    /// [`Simulator::run`] with the same seed and the final group
-    /// count, so precision control never changes the estimand.
+    /// [`Simulator::run_parallel`] with the same seed and the final
+    /// group count, so precision control never changes the estimand.
+    /// The statistics and [`PrecisionReport`] are identical to the
+    /// streamed precision run — [`Simulator::run_checkpointed`] with
+    /// [`DriverState::precision`] and no plan — which keeps no history.
     ///
     /// # Panics
     ///
@@ -706,78 +689,6 @@ impl Simulator {
         (result, report)
     }
 
-    /// Streamed [`Simulator::run_until_precision`]: identical
-    /// statistics and [`PrecisionReport`] for the same `(config,
-    /// groups, seed)` — enforced by tests — but no history is retained,
-    /// so memory stays constant at fleet scale.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `target_relative` or `batch` are not positive, or
-    /// `confidence` is not in `(0, 1)`.
-    pub fn run_until_precision_streaming(
-        &self,
-        target_relative: f64,
-        confidence: f64,
-        batch: usize,
-        max_groups: usize,
-        seed: u64,
-        threads: usize,
-    ) -> (StreamStats, PrecisionReport) {
-        self.run_until_precision_streaming_observed(
-            target_relative,
-            confidence,
-            batch,
-            max_groups,
-            seed,
-            threads,
-            &(),
-        )
-    }
-
-    /// [`Simulator::run_until_precision_streaming`] with progress
-    /// callbacks.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `target_relative` or `batch` are not positive, or
-    /// `confidence` is not in `(0, 1)`.
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_until_precision_streaming_observed(
-        &self,
-        target_relative: f64,
-        confidence: f64,
-        batch: usize,
-        max_groups: usize,
-        seed: u64,
-        threads: usize,
-        observer: &dyn StreamObserver,
-    ) -> (StreamStats, PrecisionReport) {
-        let driver = DriverState::precision(
-            target_relative,
-            confidence,
-            batch as u64,
-            max_groups as u64,
-            seed,
-        );
-        let mut stats = StreamStats::new(self.cfg.mission_hours);
-        let done = AtomicU64::new(0);
-        let (report, _sched) =
-            self.execute(seed, threads, observer, &done, max_groups as u64, |exec| {
-                self.precision_driver(
-                    &driver,
-                    &mut stats,
-                    observer,
-                    &(),
-                    &mut None,
-                    &mut None,
-                    0,
-                    |_sim, lo, hi| stream_range(exec, lo, hi),
-                )
-            });
-        (stats, report)
-    }
-
     /// Checkpointed, interruptible run: the driver behind the CLI's
     /// `--checkpoint`/`--resume` flags and the kill-and-resume tests.
     ///
@@ -808,7 +719,10 @@ impl Simulator {
     ///
     /// [`CheckpointError::ConfigMismatch`] (or a stale-version /
     /// corrupt variant surfaced by the caller's load) when `resume`
-    /// does not belong to exactly this `(config, engine, driver)`.
+    /// does not belong to exactly this `(config, engine, driver)`, and
+    /// the failed write's error when a `required` plan cannot persist.
+    /// With no `plan` and no `resume` the run cannot fail: it always
+    /// returns `Ok`, and callers may `expect` it.
     ///
     /// # Panics
     ///
@@ -1147,66 +1061,6 @@ impl Simulator {
     }
 }
 
-/// Runs a labeled family of configurations under **common random
-/// numbers**: every configuration sees the same per-group RNG streams,
-/// so differences between the returned results are the configuration
-/// effect alone (the variance-reduction technique the ablation
-/// experiments rely on).
-///
-/// # Panics
-///
-/// Panics if any configuration is invalid (see [`Simulator::new`]).
-///
-/// # Example
-///
-/// ```
-/// use raidsim_core::config::RaidGroupConfig;
-/// use raidsim_core::run::sweep;
-/// use raidsim_hdd::scrub::ScrubPolicy;
-///
-/// # fn main() -> Result<(), raidsim_core::CoreError> {
-/// let fast = RaidGroupConfig::paper_base_case()?
-///     .with_scrub_policy(ScrubPolicy::with_characteristic_hours(12.0))?;
-/// let slow = RaidGroupConfig::paper_base_case()?
-///     .with_scrub_policy(ScrubPolicy::with_characteristic_hours(336.0))?;
-/// let results = sweep(vec![("fast".into(), fast), ("slow".into(), slow)], 200, 7, 2);
-/// assert!(results[0].1.total_ddfs() <= results[1].1.total_ddfs());
-/// # Ok(())
-/// # }
-/// ```
-pub fn sweep(
-    configs: Vec<(String, RaidGroupConfig)>,
-    groups: usize,
-    seed: u64,
-    threads: usize,
-) -> Vec<(String, SimulationResult)> {
-    sweep_with_engine(configs, groups, seed, threads, Arc::new(DesEngine::new()))
-}
-
-/// [`sweep`] with an explicit engine: every configuration is simulated
-/// by `engine` (e.g. [`crate::engine::TimelineEngine`]) under the same
-/// common random numbers. Plain [`sweep`] delegates here with the
-/// default discrete-event engine.
-///
-/// # Panics
-///
-/// Panics if any configuration is invalid (see [`Simulator::new`]).
-pub fn sweep_with_engine(
-    configs: Vec<(String, RaidGroupConfig)>,
-    groups: usize,
-    seed: u64,
-    threads: usize,
-    engine: Arc<dyn Engine>,
-) -> Vec<(String, SimulationResult)> {
-    let scenarios = configs
-        .into_iter()
-        .map(|(label, cfg)| SweepScenario::new(label, cfg, seed))
-        .collect();
-    FusedSweep::new(scenarios)
-        .with_engine(engine)
-        .run_collect(groups, threads)
-}
-
 /// A fused multi-scenario sweep: one persistent worker pool serves
 /// *every* scenario as one job, instead of spawning and quiescing a
 /// pool per scenario.
@@ -1386,13 +1240,6 @@ impl FusedSweep {
         let n = self.scenarios.len();
         let hits_before = cache.hits();
         let store_hits_before = cache.store_hits();
-        let empty_sched = || SchedulerStats {
-            worker_groups: Vec::new(),
-            thread_spawns: 0,
-            workers_lost: 0,
-            steals: 0,
-            counters: EngineCounters::default(),
-        };
         if groups == 0 {
             // Zero groups aggregate to empty statistics; nothing is
             // simulated and nothing is worth caching.
@@ -1406,9 +1253,8 @@ impl FusedSweep {
                 cache_hits: 0,
                 store_hits: 0,
                 simulated: 0,
-                steals: 0,
                 quarantined: Vec::new(),
-                sched: empty_sched(),
+                sched: SchedulerStats::default(),
             };
         }
         let keys: Vec<u64> = self
@@ -1440,7 +1286,7 @@ impl FusedSweep {
         }
         let simulated = planned_input.len() as u64;
         let (harvest, sched) = if planned_input.is_empty() {
-            (Harvest::default(), empty_sched())
+            (Harvest::default(), SchedulerStats::default())
         } else {
             self.execute(&planned_input, groups, threads, false)
         };
@@ -1497,7 +1343,6 @@ impl FusedSweep {
             cache_hits: cache.hits() - hits_before,
             store_hits: cache.store_hits() - store_hits_before,
             simulated,
-            steals: sched.steals,
             quarantined,
             sched,
         }
@@ -1505,10 +1350,37 @@ impl FusedSweep {
 
     /// Runs the sweep in collect mode, returning full per-group
     /// histories per scenario in input order — the fused counterpart of
-    /// the old per-scenario [`Simulator::run_parallel`] loop, with
-    /// histories bit-identical to it. Collect mode does not consult the
-    /// result cache (it stores aggregates, not histories) and does not
+    /// a per-scenario [`Simulator::run_parallel`] loop, with histories
+    /// bit-identical to it. Scenarios on one seed run under **common
+    /// random numbers**: every configuration sees the same per-group
+    /// RNG streams, so differences between their results are the
+    /// configuration effect alone (the variance reduction the ablation
+    /// experiments rely on). Collect mode does not consult the result
+    /// cache (it stores aggregates, not histories) and does not
     /// deduplicate.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use raidsim_core::config::RaidGroupConfig;
+    /// use raidsim_core::run::FusedSweep;
+    /// use raidsim_core::sweep::SweepScenario;
+    /// use raidsim_hdd::scrub::ScrubPolicy;
+    ///
+    /// # fn main() -> Result<(), raidsim_core::CoreError> {
+    /// let fast = RaidGroupConfig::paper_base_case()?
+    ///     .with_scrub_policy(ScrubPolicy::with_characteristic_hours(12.0))?;
+    /// let slow = RaidGroupConfig::paper_base_case()?
+    ///     .with_scrub_policy(ScrubPolicy::with_characteristic_hours(336.0))?;
+    /// let sweep = FusedSweep::new(vec![
+    ///     SweepScenario::new("fast", fast, 7),
+    ///     SweepScenario::new("slow", slow, 7),
+    /// ]);
+    /// let results = sweep.run_collect(200, 2);
+    /// assert!(results[0].1.total_ddfs() <= results[1].1.total_ddfs());
+    /// # Ok(())
+    /// # }
+    /// ```
     ///
     /// # Panics
     ///
@@ -1923,17 +1795,17 @@ mod tests {
     #[test]
     fn run_is_deterministic() {
         let sim = Simulator::new(base());
-        let a = sim.run(50, 11);
-        let b = sim.run(50, 11);
+        let a = sim.run_parallel(50, 11, 1);
+        let b = sim.run_parallel(50, 11, 1);
         assert_eq!(a, b);
-        let c = sim.run(50, 12);
+        let c = sim.run_parallel(50, 12, 1);
         assert_ne!(a, c);
     }
 
     #[test]
     fn parallel_equals_serial() {
         let sim = Simulator::new(base());
-        let serial = sim.run(64, 99);
+        let serial = sim.run_parallel(64, 99, 1);
         for threads in [2, 3, 8] {
             let parallel = sim.run_parallel(64, 99, threads);
             assert_eq!(serial, parallel, "threads = {threads}");
@@ -1942,14 +1814,21 @@ mod tests {
 
     #[test]
     fn parallel_with_one_thread_matches() {
+        // One thread is the plain serial loop: group `i` is the engine's
+        // history on stream `i` of the seed.
         let sim = Simulator::new(base());
-        assert_eq!(sim.run(10, 5), sim.run_parallel(10, 5, 1));
+        let serial: Vec<GroupHistory> = (0..10)
+            .map(|i| {
+                DesEngine::new().simulate_group(sim.config(), &mut raidsim_dists::rng::stream(5, i))
+            })
+            .collect();
+        assert_eq!(sim.run_parallel(10, 5, 1).histories, serial);
     }
 
     #[test]
     fn counters_aggregate() {
         let sim = Simulator::new(base());
-        let r = sim.run(100, 3);
+        let r = sim.run_parallel(100, 3, 1);
         assert_eq!(r.groups(), 100);
         assert_eq!(r.total_ddfs(), r.kind_counts().0 + r.kind_counts().1);
         assert_eq!(r.ddfs_by(r.mission_hours), r.total_ddfs());
@@ -1962,7 +1841,7 @@ mod tests {
     #[test]
     fn per_thousand_scaling() {
         let sim = Simulator::new(base());
-        let r = sim.run(500, 21);
+        let r = sim.run_parallel(500, 21, 1);
         let expect = 1_000.0 * r.total_ddfs() as f64 / 500.0;
         assert!((r.ddfs_per_thousand_groups() - expect).abs() < 1e-9);
     }
@@ -1970,8 +1849,8 @@ mod tests {
     #[test]
     fn merge_accumulates() {
         let sim = Simulator::new(base());
-        let mut a = sim.run(30, 1);
-        let b = sim.run(20, 2);
+        let mut a = sim.run_parallel(30, 1, 1);
+        let b = sim.run_parallel(20, 2, 1);
         let total = a.total_ddfs() + b.total_ddfs();
         a.merge(b);
         assert_eq!(a.groups(), 50);
@@ -1982,10 +1861,10 @@ mod tests {
     #[should_panic(expected = "different missions")]
     fn merge_rejects_mismatched_missions() {
         let sim = Simulator::new(base());
-        let mut a = sim.run(5, 1);
+        let mut a = sim.run_parallel(5, 1, 1);
         let mut cfg = base();
         cfg.mission_hours = 1_000.0;
-        let b = Simulator::new(cfg).run(5, 1);
+        let b = Simulator::new(cfg).run_parallel(5, 1, 1);
         a.merge(b);
     }
 
@@ -2001,14 +1880,14 @@ mod tests {
     fn timeline_engine_via_with_engine() {
         use crate::engine::TimelineEngine;
         let sim = Simulator::new(base()).with_engine(Arc::new(TimelineEngine::new()));
-        let r = sim.run(20, 7);
+        let r = sim.run_parallel(20, 7, 1);
         assert_eq!(r.groups(), 20);
     }
 
     #[test]
     fn csv_export_round_trips_counts() {
         let sim = Simulator::new(base());
-        let r = sim.run(50, 2);
+        let r = sim.run_parallel(50, 2, 1);
         let mut hist_csv = Vec::new();
         r.write_history_csv(&mut hist_csv).unwrap();
         let text = String::from_utf8(hist_csv).unwrap();
@@ -2033,7 +1912,7 @@ mod tests {
         // ~1.25 failures per group per decade x ~16.6 h mean restore
         // over 8 x 87,600 drive-hours: availability ~ 1 - 3e-5.
         let sim = Simulator::new(base());
-        let r = sim.run(500, 13);
+        let r = sim.run_parallel(500, 13, 1);
         let a = r.mean_availability(8);
         assert!(a > 0.9999 && a < 1.0, "availability = {a}");
         // Consistency with the analytic expectation.
@@ -2051,13 +1930,13 @@ mod tests {
         let sim_des = Simulator::new(base());
         let sim_tl = Simulator::new(base()).with_engine(Arc::new(TimelineEngine::new()));
         let d: f64 = sim_des
-            .run(800, 19)
+            .run_parallel(800, 19, 1)
             .histories
             .iter()
             .map(|h| h.downtime_hours)
             .sum();
         let t: f64 = sim_tl
-            .run(800, 23)
+            .run_parallel(800, 23, 1)
             .histories
             .iter()
             .map(|h| h.downtime_hours)
@@ -2076,7 +1955,7 @@ mod tests {
         assert!(report.half_width / report.mean <= 0.25);
         assert_eq!(report.groups, result.groups());
         // The estimand is unchanged: same as a plain run of that size.
-        let plain = sim.run(result.groups(), 99);
+        let plain = sim.run_parallel(result.groups(), 99, 1);
         assert_eq!(result, plain);
     }
 
@@ -2092,7 +1971,7 @@ mod tests {
     #[test]
     fn streaming_matches_stored_at_any_thread_count() {
         let sim = Simulator::new(base());
-        let stored = StreamStats::from_result(&sim.run(120, 41));
+        let stored = StreamStats::from_result(&sim.run_parallel(120, 41, 1));
         for threads in [1, 2, 3, 8] {
             let streamed = sim.run_streaming(120, 41, threads);
             assert_eq!(streamed, stored, "threads = {threads}");
@@ -2102,7 +1981,7 @@ mod tests {
     #[test]
     fn streaming_aggregates_match_stored_accessors() {
         let sim = Simulator::new(base());
-        let stored = sim.run(150, 5);
+        let stored = sim.run_parallel(150, 5, 1);
         let s = sim.run_streaming(150, 5, 4);
         assert_eq!(s.groups() as usize, stored.groups());
         assert_eq!(s.total_ddfs() as usize, stored.total_ddfs());
@@ -2119,12 +1998,20 @@ mod tests {
     #[test]
     fn precision_streaming_report_is_identical_to_stored() {
         let sim = Simulator::new(base());
-        let (result, stored_report) = sim.run_until_precision(0.25, 0.90, 200, 4_000, 99, 1);
-        for threads in [1, 3, 8] {
-            let (stats, report) =
-                sim.run_until_precision_streaming(0.25, 0.90, 200, 4_000, 99, threads);
-            assert_eq!(report, stored_report, "threads = {threads}");
-            assert_eq!(stats, StreamStats::from_result(&result));
+        for stored_threads in [1, 3] {
+            let (result, stored_report) =
+                sim.run_until_precision(0.25, 0.90, 200, 4_000, 99, stored_threads);
+            for threads in [1, 3, 8] {
+                let driver = DriverState::precision(0.25, 0.90, 200, 4_000, 99);
+                let (stats, report) = sim
+                    .run_checkpointed(driver, threads, &(), &(), None, None)
+                    .expect("no plan and no resume cannot fail");
+                assert_eq!(
+                    report, stored_report,
+                    "threads = {stored_threads}/{threads}"
+                );
+                assert_eq!(stats, StreamStats::from_result(&result));
+            }
         }
     }
 
@@ -2170,7 +2057,7 @@ mod tests {
         }
         let sim = Simulator::new(base());
         let rec = Recorder::default();
-        let stats = sim.run_streaming_observed(600, 9, 3, &rec);
+        let stats = sim.run_streaming_instrumented(600, 9, 3, &rec).0;
         assert_eq!(stats.groups(), 600);
         let seen = rec.0.lock().unwrap();
         assert!(!seen.is_empty());
@@ -2183,7 +2070,7 @@ mod tests {
     #[test]
     fn claim_batch_size_never_changes_results() {
         let sim = Simulator::new(base());
-        let serial = sim.run(130, 77);
+        let serial = sim.run_parallel(130, 77, 1);
         let streamed_serial = StreamStats::from_result(&serial);
         for claim in [1, 2, 7, 64, 1_000] {
             let tuned = sim.clone().with_claim_batch(claim);
@@ -2244,7 +2131,7 @@ mod tests {
         let sim = Simulator::new(base());
         let rec = ProgressRecorder::default();
         let groups = 2 * PROGRESS_STRIDE + 37; // short terminal remainder
-        sim.run_streaming_observed(groups as usize, 13, 1, &rec);
+        sim.run_streaming_instrumented(groups as usize, 13, 1, &rec);
         let seen = rec.0.lock().unwrap();
         // Strictly increasing — per-worker stride accounting is
         // monotone by construction.
@@ -2270,7 +2157,7 @@ mod tests {
             let rec = ProgressRecorder::default();
             // 100 groups < PROGRESS_STRIDE: without the guaranteed
             // final callback no stride would ever fire.
-            sim.run_streaming_observed(100, 5, threads, &rec);
+            sim.run_streaming_instrumented(100, 5, threads, &rec);
             let seen = rec.0.lock().unwrap();
             assert_eq!(
                 seen.last().map(|p| p.groups_done),
@@ -2279,8 +2166,10 @@ mod tests {
             );
 
             let rec = ProgressRecorder::default();
+            let driver = DriverState::precision(0.25, 0.90, 90, 4_000, 99);
             let (stats, _) = sim
-                .run_until_precision_streaming_observed(0.25, 0.90, 90, 4_000, 99, threads, &rec);
+                .run_checkpointed(driver, threads, &rec, &(), None, None)
+                .expect("no plan and no resume cannot fail");
             let seen = rec.0.lock().unwrap();
             assert_eq!(
                 seen.last().map(|p| p.groups_done),
@@ -2291,19 +2180,16 @@ mod tests {
     }
 
     #[test]
-    fn sweep_with_engine_uses_the_given_engine() {
+    fn fused_sweep_uses_the_given_engine() {
         use crate::engine::TimelineEngine;
         // The two engines sample differently, so identical seeds give
-        // different histories; sweep_with_engine must propagate the
-        // engine rather than silently using the default.
-        let results_des = sweep(vec![("base".into(), base())], 50, 21, 2);
-        let results_tl = sweep_with_engine(
-            vec![("base".into(), base())],
-            50,
-            21,
-            2,
-            Arc::new(TimelineEngine::new()),
-        );
+        // different histories; `FusedSweep::with_engine` must propagate
+        // the engine rather than silently using the default.
+        let scenarios = || vec![SweepScenario::new("base", base(), 21)];
+        let results_des = FusedSweep::new(scenarios()).run_collect(50, 2);
+        let results_tl = FusedSweep::new(scenarios())
+            .with_engine(Arc::new(TimelineEngine::new()))
+            .run_collect(50, 2);
         let direct_tl = Simulator::new(base())
             .with_engine(Arc::new(TimelineEngine::new()))
             .run_parallel(50, 21, 2);
@@ -2343,7 +2229,7 @@ mod tests {
     #[test]
     fn unbiased_runs_have_zero_log_weights() {
         let sim = Simulator::new(base());
-        let r = sim.run(60, 3);
+        let r = sim.run_parallel(60, 3, 1);
         assert!(r.histories.iter().all(|h| h.log_weight == 0.0));
         let s = sim.run_streaming(60, 3, 2);
         assert_eq!(s.weight_sum(), 60.0);
@@ -2357,9 +2243,9 @@ mod tests {
             latent_theta: 0.25,
         };
         let sim = Simulator::new(base()).with_bias(bias);
-        let serial = sim.run(90, 17);
+        let serial = sim.run_parallel(90, 17, 1);
         // Tilting visits different paths than the plain measure…
-        assert_ne!(serial, Simulator::new(base()).run(90, 17));
+        assert_ne!(serial, Simulator::new(base()).run_parallel(90, 17, 1));
         // …records non-trivial weights…
         assert!(serial.histories.iter().any(|h| h.log_weight != 0.0));
         // …and stays a pure function of (config, bias, seed) at any
@@ -2380,7 +2266,10 @@ mod tests {
             latent_theta: 0.0,
         };
         let sim = Simulator::new(base()).with_bias(bias);
-        let (stats, report) = sim.run_until_precision_streaming(0.25, 0.90, 200, 2_000, 7, 2);
+        let driver = DriverState::precision(0.25, 0.90, 200, 2_000, 7);
+        let (stats, report) = sim
+            .run_checkpointed(driver, 2, &(), &(), None, None)
+            .expect("no plan and no resume cannot fail");
         assert_eq!(report.mean, stats.weighted_mean_ddfs());
         let z = super::z_score(0.90);
         assert_eq!(report.half_width, stats.weighted_half_width(z));
@@ -2402,7 +2291,7 @@ mod tests {
             dists: TransitionDistributions::constant_rates().unwrap(),
             ..base()
         };
-        let r = Simulator::new(cfg).run(200, 17);
+        let r = Simulator::new(cfg).run_parallel(200, 17, 1);
         assert_eq!(r.total_latent_defects(), 0);
         assert_eq!(r.kind_counts().1, 0);
     }

@@ -134,7 +134,7 @@ fn checked_acc(sum: &mut u128, add: u128, what: &str) {
 /// // The streamed aggregate is bit-identical to one computed from the
 /// // stored histories, at any thread count.
 /// let streamed = sim.run_streaming(100, 7, 4);
-/// let stored = StreamStats::from_result(&sim.run(100, 7));
+/// let stored = StreamStats::from_result(&sim.run_parallel(100, 7, 1));
 /// assert_eq!(streamed, stored);
 /// # Ok(())
 /// # }
@@ -177,7 +177,7 @@ impl Clone for StreamStats {
     /// Cloning an accumulator copies its histogram `Vec` — cheap in
     /// isolation but a smell on the driver hot path, where state should
     /// move. The manual impl (instead of `derive`) routes every clone
-    /// through [`clone_audit`] so debug builds can assert the driver
+    /// through `clone_audit` so debug builds can assert the driver
     /// loop performs none.
     fn clone(&self) -> Self {
         clone_audit::record();
@@ -239,8 +239,8 @@ pub(crate) mod clone_audit {
 /// claims which batch depends on thread timing. It answers one question
 /// — how evenly did the scheduler spread the work — and feeds
 /// `raidbench`'s `pool.*` per-layer metrics (`pool.balance`,
-/// `pool.thread_spawns`).
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// `pool.thread_spawns`). The default is a run in which no pool ran.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SchedulerStats {
     /// Groups completed by each worker, one entry per worker (a single
     /// entry when the run took the serial path).

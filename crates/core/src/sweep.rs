@@ -245,18 +245,16 @@ pub struct SweepReport {
     pub store_hits: u64,
     /// Scenarios actually simulated this sweep.
     pub simulated: u64,
-    /// Cross-scenario steals performed by the fused pool: claims from
-    /// another bundle of same-seed scenarios (see
-    /// [`crate::stats::SchedulerStats::steals`]). `0` for serial runs
-    /// and for sweeps whose scenarios all share one seed.
-    pub steals: u64,
     /// Quarantined groups as `(input scenario index, group)`, with the
     /// group index local to its scenario. Scenarios listed here are
     /// excluded from the cache.
     pub quarantined: Vec<(usize, crate::events::QuarantinedGroup)>,
     /// Scheduler statistics of the simulating run. When every scenario
     /// was served from the cache, no pool ran and `worker_groups` is
-    /// empty.
+    /// empty. `sched.steals` counts the fused pool's cross-scenario
+    /// steals: claims from another bundle of same-seed scenarios. It
+    /// is `0` for serial runs and for sweeps whose scenarios all share
+    /// one seed.
     pub sched: crate::stats::SchedulerStats,
 }
 

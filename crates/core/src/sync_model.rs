@@ -2,7 +2,7 @@
 //! an exhaustive interleaving checker for the epoch handshake — the
 //! pool's one protocol.
 //!
-//! Every job the executor in [`crate::pool`] serves is one *epoch*: a
+//! Every job the executor in `crate::pool` serves is one *epoch*: a
 //! list of slices whose claim cursors are all installed before the
 //! guarded publish. A driver batch is an epoch of one slice; a fused
 //! sweep is one epoch with a slice per scenario. A worker that drains a
@@ -19,7 +19,7 @@
 //!   panic latches — with every guarded transition expressed as a
 //!   method (`publish`, `worker_poll`, `check_out`, `quiesce_poll`,
 //!   `retire`, `request_shutdown`, `mark_panicked`). The production
-//!   pool in [`crate::pool`] executes **these exact methods** inside
+//!   pool in `crate::pool` executes **these exact methods** inside
 //!   its mutex; the model checker executes the same methods from a
 //!   virtual scheduler. There is one copy of the protocol logic.
 //! * **[`SyncOps`]** abstracts the synchronization substrate the

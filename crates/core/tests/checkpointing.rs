@@ -126,9 +126,10 @@ proptest! {
         let sim = Simulator::new(cfg);
         let driver = DriverState::precision(0.25, 0.95, 20, 100, seed);
 
-        // Uninterrupted reference (existing precision path).
-        let (ref_stats, ref_report) =
-            sim.run_until_precision_streaming(0.25, 0.95, 20, 100, seed, threads_a);
+        // Uninterrupted reference: no plan, no resume.
+        let (ref_stats, ref_report) = sim
+            .run_checkpointed(driver, threads_a, &(), &(), None, None)
+            .expect("no plan and no resume cannot fail");
 
         // Interrupted leg: graceful stop after `kill_batch` boundaries
         // (0 = before any work), checkpointing every batch.

@@ -103,8 +103,9 @@ fn reference(
     raidsim_core::stats::StreamStats,
     raidsim_core::run::PrecisionReport,
 ) {
-    let (hw, conf, min, max) = PRECISION;
-    Simulator::new(base()).run_until_precision_streaming(hw, conf, min, max, seed, 2)
+    Simulator::new(base())
+        .run_checkpointed(driver(seed), 2, &(), &(), None, None)
+        .expect("no plan and no resume cannot fail")
 }
 
 /// The torture sweep: every fault kind at every early store-operation
@@ -378,7 +379,7 @@ impl Engine for PanicOnce {
 fn collect_mode_worker_death_redoes_the_remainder_bit_identically() {
     let groups = 80;
     let seed = 61;
-    let plain = Simulator::new(base()).run(groups, seed);
+    let plain = Simulator::new(base()).run_parallel(groups, seed, 1);
     let survived = Simulator::new(base())
         .with_engine(Arc::new(PanicOnce::new()))
         .run_parallel(groups, seed, 3);
@@ -432,9 +433,15 @@ fn stream_mode_quarantine_is_identical_across_thread_counts() {
         let recorder = Recorder::default();
         let (stats, report) = Simulator::new(base())
             .with_engine(Arc::new(PanicOnMarker::new(seed, target)))
-            .run_until_precision_streaming_observed(
-                0.25, 0.95, groups, groups, seed, threads, &recorder,
-            );
+            .run_checkpointed(
+                DriverState::precision(0.25, 0.95, groups as u64, groups as u64, seed),
+                threads,
+                &recorder,
+                &(),
+                None,
+                None,
+            )
+            .expect("no plan and no resume cannot fail");
         let quarantined = recorder.quarantined.lock().unwrap().clone();
         assert_eq!(
             quarantined.iter().map(|q| q.index).collect::<Vec<_>>(),

@@ -182,7 +182,10 @@ fn streamed_aggregates_match_pre_pool_golden_values() {
 #[test]
 fn precision_run_matches_pre_pool_golden_values() {
     let sim = Simulator::new(base());
-    let (stats, report) = sim.run_until_precision_streaming(0.2, 0.95, 50, 400, 5, 3);
+    let driver = DriverState::precision(0.2, 0.95, 50, 400, 5);
+    let (stats, report) = sim
+        .run_checkpointed(driver, 3, &(), &(), None, None)
+        .expect("no plan and no resume cannot fail");
     let got = stats_fingerprint(&stats, 5, 400);
     if std::env::var("GOLDEN_CAPTURE").is_ok() {
         eprintln!("precision: {got:#018x}");

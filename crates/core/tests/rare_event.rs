@@ -166,7 +166,9 @@ fn biased_kill_and_resume_is_bit_identical() {
     };
     let sim = Simulator::new(base()).with_bias(bias);
     let driver = DriverState::precision(0.25, 0.95, 20, 100, 7);
-    let (ref_stats, ref_report) = sim.run_until_precision_streaming(0.25, 0.95, 20, 100, 7, 3);
+    let (ref_stats, ref_report) = sim
+        .run_checkpointed(driver, 3, &(), &(), None, None)
+        .expect("no plan and no resume cannot fail");
     assert!(ref_stats.weight_sum() != ref_stats.groups() as f64);
 
     for kill_batch in [0u64, 1, 3] {

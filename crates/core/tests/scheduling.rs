@@ -210,7 +210,10 @@ fn sessions_open_once_per_worker_and_scenario() {
             Simulator::new(RaidGroupConfig::paper_base_case().unwrap()).with_engine(engine.clone());
         // An unreachable precision target: every one of the 4 driver
         // batches runs.
-        let (stats, _) = sim.run_until_precision_streaming(1e-9, 0.95, 50, 200, 3, threads);
+        let driver = DriverState::precision(1e-9, 0.95, 50, 200, 3);
+        let (stats, _) = sim
+            .run_checkpointed(driver, threads, &(), &(), None, None)
+            .expect("no plan and no resume cannot fail");
         assert_eq!(stats.groups(), 200);
         assert_eq!(
             engine.opened.load(Ordering::Relaxed),
@@ -252,7 +255,7 @@ proptest! {
         claim in 1u64..50,
     ) {
         let sim = Simulator::new(cfg).with_claim_batch(claim);
-        let serial = sim.run(groups, seed);
+        let serial = sim.run_parallel(groups, seed, 1);
         prop_assert_eq!(&sim.run_parallel(groups, seed, threads), &serial);
         prop_assert_eq!(
             sim.run_streaming(groups, seed, threads),
@@ -279,8 +282,9 @@ proptest! {
         let sim_b = Simulator::new(cfg).with_claim_batch(claim_b);
 
         // Uninterrupted reference, under yet another scheduling.
-        let (ref_stats, ref_report) =
-            sim_b.run_until_precision_streaming(0.25, 0.95, 20, 100, seed, threads_a);
+        let (ref_stats, ref_report) = sim_b
+            .run_checkpointed(driver, threads_a, &(), &(), None, None)
+            .expect("no plan and no resume cannot fail");
 
         let path = temp_ckpt("sched_kill_and_resume.ckpt");
         let control = InterruptAfter::new(kill_batch);

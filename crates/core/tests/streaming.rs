@@ -5,6 +5,7 @@
 //! this provable, and these tests make sure it stays true.
 
 use proptest::prelude::*;
+use raidsim_core::checkpoint::DriverState;
 use raidsim_core::config::{RaidGroupConfig, Redundancy, TransitionDistributions};
 use raidsim_core::run::{Simulator, StopCriterion};
 use raidsim_core::stats::StreamStats;
@@ -87,8 +88,10 @@ proptest! {
         let sim = Simulator::new(cfg);
         let (result, stored_report) =
             sim.run_until_precision(0.25, 0.95, 20, 100, seed, threads);
-        let (stats, streamed_report) =
-            sim.run_until_precision_streaming(0.25, 0.95, 20, 100, seed, threads);
+        let driver = DriverState::precision(0.25, 0.95, 20, 100, seed);
+        let (stats, streamed_report) = sim
+            .run_checkpointed(driver, threads, &(), &(), None, None)
+            .expect("no plan and no resume cannot fail");
         prop_assert_eq!(stored_report, streamed_report);
         prop_assert_eq!(StreamStats::from_result(&result), stats);
     }
@@ -104,7 +107,10 @@ fn zero_ddf_precision_run_converges() {
     // Operational failures effectively never happen: no DDF can form.
     cfg.dists.ttop = Arc::new(Weibull3::two_param(1e15, 1.0).unwrap());
     let sim = Simulator::new(cfg);
-    let (stats, report) = sim.run_until_precision_streaming(0.05, 0.95, 40, 4_000, 3, 2);
+    let driver = DriverState::precision(0.05, 0.95, 40, 4_000, 3);
+    let (stats, report) = sim
+        .run_checkpointed(driver, 2, &(), &(), None, None)
+        .expect("no plan and no resume cannot fail");
     assert!(report.converged, "{report:?}");
     assert_eq!(report.criterion, StopCriterion::AbsoluteFloor);
     assert_eq!(report.mean, 0.0);

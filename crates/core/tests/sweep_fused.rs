@@ -16,7 +16,7 @@ use raidsim_core::engine::{
     BiasPolicy, DesEngine, Engine, EngineCounters, EngineSession, SessionTuning, TimelineEngine,
 };
 use raidsim_core::events::GroupHistory;
-use raidsim_core::run::{sweep, FusedSweep, Simulator};
+use raidsim_core::run::{FusedSweep, Simulator};
 use raidsim_core::stats::StreamStats;
 use raidsim_core::store::FsStore;
 use raidsim_core::sweep::{SweepCache, SweepScenario};
@@ -357,31 +357,32 @@ fn killed_sweep_resumes_from_the_persistent_cache() {
     }
 }
 
-/// The public `sweep` entry point (now fused) still returns per-label
-/// histories bit-identical to running every configuration alone with
-/// [`Simulator::run`] under common random numbers — the contract the
-/// ablation experiments rely on.
+/// Collect mode returns per-label histories bit-identical to running
+/// every configuration alone with [`Simulator::run_parallel`] under
+/// common random numbers — the contract the ablation experiments rely
+/// on.
 #[test]
 fn collect_mode_sweep_matches_independent_runs() {
-    let configs: Vec<(String, RaidGroupConfig)> = [12.0, 100.0, 336.0]
+    let (groups, seed) = (60, 11);
+    let scenarios: Vec<SweepScenario> = [12.0, 100.0, 336.0]
         .iter()
         .enumerate()
         .map(|(k, &h)| {
-            (
+            SweepScenario::new(
                 format!("scrub_{k}"),
                 RaidGroupConfig::paper_base_case()
                     .unwrap()
                     .with_scrub_policy(ScrubPolicy::with_characteristic_hours(h))
                     .unwrap(),
+                seed,
             )
         })
         .collect();
-    let (groups, seed) = (60, 11);
     for threads in [1usize, 2, 3] {
-        let results = sweep(configs.clone(), groups, seed, threads);
-        for ((label, got), (want_label, cfg)) in results.iter().zip(&configs) {
-            assert_eq!(label, want_label);
-            let want = Simulator::new(cfg.clone()).run(groups, seed);
+        let results = FusedSweep::new(scenarios.clone()).run_collect(groups, threads);
+        for ((label, got), want_sc) in results.iter().zip(&scenarios) {
+            assert_eq!(label, &want_sc.label);
+            let want = Simulator::new(want_sc.cfg.clone()).run_parallel(groups, seed, 1);
             assert_eq!(got, &want, "label {label} at {threads} threads");
         }
     }

@@ -81,8 +81,8 @@ const FIRST_REFILL: usize = 2;
 /// words through the [`rand::Rng`] impl, so the word order is exactly
 /// the caller's stream.
 ///
-/// Refills start at [`FIRST_REFILL`] words per [`DrawCursor::begin`]
-/// and double up to [`MAX_REFILL`]. Before each refill the cursor keeps
+/// Refills start at `FIRST_REFILL` words per [`DrawCursor::begin`]
+/// and double up to `MAX_REFILL`. Before each refill the cursor keeps
 /// a copy of the RNG state, so [`DrawCursor::finish`] can rewind the
 /// caller's RNG to the exact position a word-by-word consumer would
 /// have left it at: the unconsumed tail of the last refill is never

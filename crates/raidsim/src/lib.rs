@@ -23,7 +23,7 @@
 //! // The paper's base case: 8 drives, 10-year mission, latent defects,
 //! // one-week scrub.
 //! let cfg = RaidGroupConfig::paper_base_case()?;
-//! let result = Simulator::new(cfg).run(500, 42);
+//! let result = Simulator::new(cfg).run_parallel(500, 42, 1);
 //!
 //! // What the classic closed form would have told you:
 //! let predicted = mttdl::equation3_example().expected_ddfs; // ~0.28 / 1000 groups

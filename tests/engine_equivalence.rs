@@ -129,13 +129,13 @@ fn defect_reset_ablation_is_small() {
 #[test]
 fn each_engine_is_individually_deterministic() {
     let cfg = RaidGroupConfig::paper_base_case().unwrap();
-    let a = Simulator::new(cfg.clone()).run(100, 5);
+    let a = Simulator::new(cfg.clone()).run_parallel(100, 5, 1);
     let b = Simulator::new(cfg.clone()).run_parallel(100, 5, 4);
     assert_eq!(a, b);
 
     let t1 = Simulator::new(cfg.clone())
         .with_engine(Arc::new(TimelineEngine::new()))
-        .run(100, 5);
+        .run_parallel(100, 5, 1);
     let t2 = Simulator::new(cfg)
         .with_engine(Arc::new(TimelineEngine::new()))
         .run_parallel(100, 5, 3);

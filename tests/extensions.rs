@@ -9,7 +9,8 @@ use raidsim::dists::fit::{mle3, weibayes};
 use raidsim::dists::rng::stream;
 use raidsim::dists::{Degenerate, LifeDistribution, Lognormal, Weibull3};
 use raidsim::hdd::scrub::ScrubPolicy;
-use raidsim::run::{sweep, Simulator};
+use raidsim::run::{FusedSweep, Simulator};
+use raidsim::sweep::SweepScenario;
 use raidsim::workloads::study_power::{achievable_precision, design_study};
 
 fn threads() -> usize {
@@ -34,7 +35,7 @@ fn closed_form_tracks_simulation_via_facade() {
     );
 }
 
-/// The sweep helper orders scrub policies correctly under common
+/// A collect-mode sweep orders scrub policies correctly under common
 /// random numbers.
 #[test]
 fn sweep_orders_scrub_policies() {
@@ -44,16 +45,12 @@ fn sweep_orders_scrub_policies() {
             .with_scrub_policy(ScrubPolicy::with_characteristic_hours(eta))
             .unwrap()
     };
-    let results = sweep(
-        vec![
-            ("12".into(), mk(12.0)),
-            ("168".into(), mk(168.0)),
-            ("336".into(), mk(336.0)),
-        ],
-        1_500,
-        5,
-        threads(),
-    );
+    let results = FusedSweep::new(vec![
+        SweepScenario::new("12", mk(12.0), 5),
+        SweepScenario::new("168", mk(168.0), 5),
+        SweepScenario::new("336", mk(336.0), 5),
+    ])
+    .run_collect(1_500, threads());
     let ddfs: Vec<usize> = results.iter().map(|(_, r)| r.total_ddfs()).collect();
     assert!(ddfs[0] < ddfs[1] && ddfs[1] < ddfs[2], "{ddfs:?}");
 }
@@ -89,7 +86,7 @@ fn degenerate_distributions_script_the_engine() {
     cfg.dists.ttr = std::sync::Arc::new(Degenerate::new(10.0).unwrap());
     cfg.dists.ttld = None;
     cfg.dists.ttscrub = None;
-    let r = Simulator::new(cfg).run(3, 1);
+    let r = Simulator::new(cfg).run_parallel(3, 1, 1);
     // Every group identical: one simultaneous-failure DDF at 50,000 h
     // (slot 0's failure finds a healthy group; slot 1's finds slot 0
     // down).
@@ -160,7 +157,7 @@ fn csv_and_catalog_via_facade() {
     let sata = catalog::find("500GB-SATA").expect("cataloged");
     let mut cfg = RaidGroupConfig::paper_base_case().unwrap();
     cfg.dists.ttop = std::sync::Arc::new(sata.class.default_ttop().unwrap());
-    let r = Simulator::new(cfg).run(40, 2);
+    let r = Simulator::new(cfg).run_parallel(40, 2, 1);
     let mut csv = Vec::new();
     r.write_history_csv(&mut csv).unwrap();
     let text = String::from_utf8(csv).unwrap();

@@ -131,7 +131,7 @@ fn histories_satisfy_invariants_under_stress() {
         },
         ..RaidGroupConfig::paper_base_case().unwrap()
     };
-    let r = Simulator::new(cfg.clone()).run(500, 31);
+    let r = Simulator::new(cfg.clone()).run_parallel(500, 31, 1);
     let mut saw_ddf = false;
     for h in &r.histories {
         h.assert_invariants(cfg.mission_hours);

@@ -109,7 +109,7 @@ fn end_to_end_via_facade_only() {
         spares: raidsim::config::SparePolicy::AlwaysAvailable,
     };
     cfg.validate().unwrap();
-    let result = Simulator::new(cfg).run(200, 8);
+    let result = Simulator::new(cfg).run_parallel(200, 8, 1);
     assert_eq!(result.groups(), 200);
     let per_system: Vec<Vec<f64>> = result
         .histories
@@ -135,5 +135,5 @@ fn config_is_cloneable_and_reusable() {
     let cfg = RaidGroupConfig::paper_base_case().unwrap();
     let sim1 = Simulator::new(cfg.clone());
     let sim2 = Simulator::new(cfg);
-    assert_eq!(sim1.run(30, 1), sim2.run(30, 1));
+    assert_eq!(sim1.run_parallel(30, 1, 1), sim2.run_parallel(30, 1, 1));
 }
