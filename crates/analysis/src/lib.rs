@@ -12,7 +12,7 @@
 //!   derivative of the MCF, estimated in fixed windows by [`rocof()`].
 //!   Its non-constancy is the paper's disproof of the homogeneous
 //!   Poisson assumption.
-//! * [`series`] formats the curves and tables the experiment binaries
+//! * [`series`] formats the curves and tables the experiment reports
 //!   print.
 //! * [`sweep`] shapes parameter-sweep ladders (one aggregate per
 //!   scenario) into ratio tables, knob-indexed series, and
@@ -22,7 +22,7 @@
 //!   test, and the Crow-AMSAA power-law NHPP fit (the paper cites
 //!   Crow's repairable-systems methodology \[4\]).
 //! * [`svg`] renders the figure series as standalone SVG line charts so
-//!   each `exp_*` binary can emit a plottable artifact.
+//!   each figure of the `exp` runner can emit a plottable artifact.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

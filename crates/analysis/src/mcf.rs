@@ -138,7 +138,7 @@ impl McfEstimate {
     }
 
     /// Samples the estimate on an even grid of `steps` points spanning
-    /// the window — the series the experiment binaries print.
+    /// the window — the series the experiment figures print.
     pub fn sampled(&self, steps: usize) -> Vec<(f64, f64)> {
         assert!(steps >= 2, "need at least two grid points");
         (0..=steps)

@@ -1,8 +1,8 @@
-//! Table and series formatting for the experiment binaries.
+//! Table and series formatting for the experiment reports.
 //!
 //! Every paper figure is a set of named series over a common time grid;
 //! every table is labeled rows of numbers. These helpers render both as
-//! aligned plain text so `cargo run --bin exp_fig7` output can be
+//! aligned plain text so the output of `exp E6` (Figure 7) can be
 //! compared side-by-side with the paper.
 
 use serde::{Deserialize, Serialize};

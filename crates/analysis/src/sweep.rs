@@ -1,6 +1,6 @@
 //! Shaping helpers for parameter-sweep results.
 //!
-//! A sweep driver (the `exp_*` binaries, the CLI `sweep` command)
+//! A sweep driver (the `exp` experiment table, the CLI `sweep` command)
 //! produces one aggregate per scenario of a ladder — scrub interval,
 //! group size, spare-pool depth. This module turns those
 //! `(label, value)` ladders into the tables and series the paper's

@@ -1,35 +1,120 @@
-//! Shared helpers for the experiment binaries and benches.
+//! The paper's experiments as one checked table.
 //!
-//! Each binary in `src/bin/` regenerates one table or figure of the
-//! paper (see DESIGN.md §6 for the index); this library holds the
-//! plumbing they share so every binary stays a readable script.
+//! [`EXPERIMENTS`] holds one entry per table or figure the paper
+//! reports, plus the ablations and extensions (DESIGN.md §6 is the
+//! index). An entry runs at a group count and returns a [`Report`]: the
+//! rendered table or figure plus the [`Claim`]s its numbers must
+//! satisfy. The `exp` binary prints reports and claims and fails when a
+//! claim does not hold; `tests/paper_experiments.rs` runs the same
+//! entries at reduced group counts. Two experiments that do not fit the
+//! table stay binaries of their own ([`BINARIES`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use raidsim::analysis::compare::FleetSummary;
+mod extensions;
+mod paper;
+
 use raidsim::analysis::mcf::McfEstimate;
 use raidsim::analysis::series::Series;
-use raidsim::checkpoint::{CheckpointError, DriverState, SimCheckpoint};
-use raidsim::config::RaidGroupConfig;
-use raidsim::run::{
-    CheckpointPlan, EveryGroups, Progress, SimulationResult, Simulator, StreamObserver,
-};
+use raidsim::config::{params, RaidGroupConfig};
+use raidsim::hdd::scrub::ScrubPolicy;
+use raidsim::mttdl::mttdl_full;
+use raidsim::run::{FusedSweep, SimulationResult};
 use raidsim::stats::StreamStats;
-use std::io::Write as _;
-use std::path::Path;
-use std::sync::Mutex;
-use std::time::{Duration, Instant};
+use raidsim::sweep::SweepScenario;
+use std::fmt::Write as _;
 
-/// Worker threads to use for simulation batches.
-pub fn threads() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(4)
+/// One experiment of the table.
+#[derive(Debug)]
+pub struct Experiment {
+    /// Identifier, `E1`…`E20`, as in DESIGN.md §6 and EXPERIMENTS.md.
+    pub id: &'static str,
+    /// Groups (or drives, for E1) per scenario at full scale. E2–E4
+    /// simulate no groups and ignore the count.
+    pub groups: usize,
+    /// Runs the experiment at the given group count.
+    pub run: fn(usize) -> Report,
+}
+
+/// What an experiment prints and what it checks.
+#[derive(Debug, Default)]
+pub struct Report {
+    /// The rendered tables, figures and commentary, newline-terminated.
+    pub text: String,
+    /// The checks the numbers must pass, in report order.
+    pub claims: Vec<Claim>,
+}
+
+/// One checked statement about an experiment's numbers.
+#[derive(Debug)]
+pub struct Claim {
+    /// The statement, e.g. `no-scrub first-year ratio vs MTTDL > 1,000`.
+    pub what: String,
+    /// Whether the measured numbers satisfy it.
+    pub holds: bool,
+    /// The numbers the verdict rests on.
+    pub measured: String,
+}
+
+impl Report {
+    /// Appends `text` and a newline.
+    pub(crate) fn line(&mut self, text: impl std::fmt::Display) {
+        writeln!(self.text, "{text}").expect("writing to a String cannot fail");
+    }
+
+    /// Records a claim.
+    pub(crate) fn claim(
+        &mut self,
+        what: impl Into<String>,
+        holds: bool,
+        measured: impl Into<String>,
+    ) {
+        self.claims.push(Claim {
+            what: what.into(),
+            holds,
+            measured: measured.into(),
+        });
+    }
+}
+
+/// Every experiment of the table, in id order.
+pub static EXPERIMENTS: &[Experiment] = &[
+    entry("E1", 20_000, paper::fig1),
+    entry("E2", 0, paper::fig2),
+    entry("E3", 0, paper::table1),
+    entry("E4", 0, paper::eq3),
+    entry("E5", 120_000, paper::fig6),
+    entry("E6", 10_000, paper::fig7),
+    entry("E7", 10_000, paper::fig8),
+    entry("E8", 10_000, paper::fig9),
+    entry("E9", 200_000, paper::fig10),
+    entry("E10", 20_000, paper::table3),
+    entry("E11", 30_000, paper::headline),
+    entry("E12", 10_000, extensions::raid6),
+    entry("E13", 10_000, extensions::scrub_semantics),
+    entry("E15", 10_000, extensions::spares),
+    entry("E16", 20_000, extensions::restore_sensitivity),
+    entry("E17", 10_000, extensions::groupsize),
+    entry("E18", 30_000, extensions::vintage_mix),
+    entry("E20", 10_000, extensions::closed_form),
+];
+
+const fn entry(id: &'static str, groups: usize, run: fn(usize) -> Report) -> Experiment {
+    Experiment { id, groups, run }
+}
+
+/// The experiments that stay binaries, as `(id, binary)`: a timing
+/// diagram and a geometry model, neither a set of simulated scenarios.
+pub const BINARIES: &[(&str, &str)] = &[("E14", "exp_stripe_collision"), ("E19", "exp_fig5_trace")];
+
+/// The table entry with this id.
+pub fn experiment(id: &str) -> Option<&'static Experiment> {
+    EXPERIMENTS.iter().find(|e| e.id == id)
 }
 
 /// Number of RAID groups per experiment, overridable via the
-/// `RAIDSIM_GROUPS` environment variable so CI can run the binaries
+/// `RAIDSIM_GROUPS` environment variable so CI can run the experiments
 /// quickly while full runs use the default.
 ///
 /// A set value that is not a positive integer prints
@@ -57,209 +142,57 @@ fn parse_groups(raw: Option<&str>, default: usize) -> Result<usize, String> {
     }
 }
 
-/// Runs a configuration and returns its result, parallelized and
-/// deterministically seeded.
-pub fn run(cfg: RaidGroupConfig, n_groups: usize, seed: u64) -> SimulationResult {
-    Simulator::new(cfg).run_parallel(n_groups, seed, threads())
+/// Worker threads to use for simulation.
+fn threads() -> usize {
+    std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(4)
 }
 
-/// Runs a configuration through the bounded-memory streaming path —
-/// the fleet-scale variant of [`run`]: identical statistics (the core
-/// test suite enforces bit-identity with the stored path at any thread
-/// count), but only aggregates are retained, so group counts are
-/// limited by patience rather than memory.
-///
-/// Set `RAIDSIM_PROGRESS=1` to get a live groups/sec + ETA line on
-/// stderr while the run is in flight.
-///
-/// Set `RAIDSIM_CHECKPOINT=<path>` to make the run crash-safe: the
-/// accumulator is snapshotted to `<path>` every
-/// `RAIDSIM_CHECKPOINT_EVERY` groups (default 5,000), and a restarted
-/// experiment resumes from the file automatically — producing the same
-/// bit-identical statistics the uninterrupted run would have. A file
-/// from a *different* experiment (other config, seed, or group count)
-/// fails loudly rather than contaminating the statistics.
-pub fn run_streaming(cfg: RaidGroupConfig, n_groups: usize, seed: u64) -> StreamStats {
-    if let Some(path) = std::env::var_os("RAIDSIM_CHECKPOINT") {
-        let every = std::env::var("RAIDSIM_CHECKPOINT_EVERY")
-            .ok()
-            .and_then(|s| s.parse().ok())
-            .unwrap_or(5_000);
-        return run_streaming_with_checkpoint(cfg, n_groups, seed, Path::new(&path), every);
-    }
-    let sim = Simulator::new(cfg);
-    if std::env::var_os("RAIDSIM_PROGRESS").is_some() {
-        sim.run_streaming_instrumented(n_groups, seed, threads(), &StderrProgress::new())
-            .0
-    } else {
-        sim.run_streaming(n_groups, seed, threads())
-    }
+/// The paper's base case (Table 2).
+fn base() -> RaidGroupConfig {
+    RaidGroupConfig::paper_base_case().expect("the paper's base case is valid")
 }
 
-/// The checkpointed variant of [`run_streaming`] (the
-/// `RAIDSIM_CHECKPOINT` code path, callable directly): snapshots to
-/// `path` every `every` groups, resumes from `path` when it already
-/// exists, and returns statistics bit-identical to the plain streamed
-/// run.
+/// MTTDL of the base case's 7+1 group from the Table 2 characteristic
+/// lives (equation 1), hours.
+fn paper_mttdl() -> f64 {
+    mttdl_full(7, 1.0 / params::TTOP_ETA, 1.0 / params::TTR_ETA)
+}
+
+/// Runs `scenarios` as one fused streaming sweep of `groups` groups
+/// each and returns their labeled aggregates in input order.
 ///
 /// # Panics
 ///
-/// Panics when `path` exists but holds a corrupt checkpoint or one
-/// belonging to a different `(config, seed, group-count)` — an
-/// experiment must never silently merge foreign statistics.
-pub fn run_streaming_with_checkpoint(
-    cfg: RaidGroupConfig,
-    n_groups: usize,
-    seed: u64,
-    path: &Path,
-    every: u64,
-) -> StreamStats {
-    let sim = Simulator::new(cfg);
-    let driver = DriverState::fixed(n_groups as u64, 1_000.min(n_groups.max(1)) as u64, seed);
-    let resume = path
-        .exists()
-        .then(|| SimCheckpoint::load(path))
-        .transpose()
-        .expect("RAIDSIM_CHECKPOINT file exists but cannot be loaded");
-    if let Some(ckpt) = &resume {
-        eprintln!(
-            "resuming from {}: {} of {n_groups} groups already done",
-            path.display(),
-            ckpt.groups_done()
-        );
-    }
-    let observer = CheckpointObserver {
-        progress: std::env::var_os("RAIDSIM_PROGRESS")
-            .is_some()
-            .then(StderrProgress::new),
-    };
-    let mut cadence = EveryGroups(every);
-    let mut store = raidsim::store::FsStore;
-    let mut backoff = raidsim::store::AttemptBudget(3);
-    let plan = CheckpointPlan {
-        path,
-        cadence: &mut cadence,
-        store: &mut store,
-        backoff: &mut backoff,
-        required: false,
-    };
-    let (stats, _report) = sim
-        .run_checkpointed(driver, threads(), &observer, &(), Some(plan), resume)
-        .expect("RAIDSIM_CHECKPOINT file belongs to a different experiment run");
-    stats
+/// Panics if a group was quarantined: an experiment never reports
+/// statistics that are missing groups.
+fn streamed(scenarios: Vec<SweepScenario>, groups: usize) -> Vec<(String, StreamStats)> {
+    let report = FusedSweep::new(scenarios).run_streaming(groups, threads());
+    assert!(
+        report.quarantined.is_empty(),
+        "quarantined groups: {:?}",
+        report.quarantined
+    );
+    report.results
 }
 
-/// Observer for checkpointed experiment runs: progress is opt-in, but
-/// a failed snapshot always warns — the experiment keeps running, it
-/// just would not survive a crash until a later write succeeds.
-#[derive(Debug, Default)]
-struct CheckpointObserver {
-    progress: Option<StderrProgress>,
+/// Runs `scenarios` as one fused collect-mode sweep of `groups` groups
+/// each and returns their labeled per-group histories in input order.
+fn collected(scenarios: Vec<SweepScenario>, groups: usize) -> Vec<(String, SimulationResult)> {
+    FusedSweep::new(scenarios).run_collect(groups, threads())
 }
 
-impl StreamObserver for CheckpointObserver {
-    fn on_progress(&self, p: Progress) {
-        if let Some(inner) = &self.progress {
-            inner.on_progress(p);
-        }
-    }
-
-    fn on_checkpoint_failed(&self, error: &CheckpointError) {
-        eprintln!("warning: {error}; experiment continues without crash-safety");
-    }
-}
-
-/// Bridges a streamed run into the two-fleet significance test
-/// ([`raidsim::analysis::compare::compare_fleet_summaries`]): the
-/// accumulator's exact moments are precisely the sufficient statistics
-/// the comparison needs.
-pub fn fleet_summary(stats: &StreamStats) -> FleetSummary {
-    FleetSummary {
-        systems: stats.groups() as usize,
-        mean: stats.mean_ddfs(),
-        variance: stats.variance_ddfs(),
-    }
-}
-
-/// Minimum interval between progress reprints.
-const PROGRESS_REFRESH: Duration = Duration::from_millis(500);
-
-/// Stderr progress line for long experiment runs: groups completed,
-/// throughput, and ETA. Clocks live here because the simulation crates
-/// are barred from reading wall time (`cargo xtask check`
-/// determinism lint); the runner only reports counts.
-#[derive(Debug)]
-pub struct StderrProgress {
-    started: Instant,
-    last_print: Mutex<Instant>,
-    /// Highest `groups_done` printed so far. Worker callbacks can
-    /// arrive out of order (two workers pass a stride boundary, the
-    /// later count reports first), and a stale print would make the
-    /// line jump backwards.
-    best: std::sync::atomic::AtomicU64,
-}
-
-impl StderrProgress {
-    /// Starts the clock now.
-    pub fn new() -> Self {
-        let now = Instant::now();
-        Self {
-            started: now,
-            last_print: Mutex::new(now - PROGRESS_REFRESH),
-            best: std::sync::atomic::AtomicU64::new(0),
-        }
-    }
-}
-
-impl Default for StderrProgress {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl StreamObserver for StderrProgress {
-    fn on_progress(&self, p: Progress) {
-        let prev = self
-            .best
-            .fetch_max(p.groups_done, std::sync::atomic::Ordering::Relaxed);
-        if p.groups_done < prev {
-            return; // stale out-of-order callback
-        }
-        let now = Instant::now();
-        {
-            let mut last = self.last_print.lock().unwrap();
-            if now.duration_since(*last) < PROGRESS_REFRESH && p.groups_done < p.groups_target {
-                return;
-            }
-            *last = now;
-        }
-        let secs = (now - self.started).as_secs_f64().max(1e-9);
-        let rate = p.groups_done as f64 / secs;
-        let eta = if rate > 0.0 {
-            (p.groups_target.saturating_sub(p.groups_done)) as f64 / rate
-        } else {
-            f64::INFINITY
-        };
-        let mut err = std::io::stderr().lock();
-        let _ = write!(
-            err,
-            "\r{}/{} groups  {rate:.0} groups/s  ETA {eta:.0}s\x1b[K",
-            p.groups_done, p.groups_target
-        );
-        if p.groups_done >= p.groups_target {
-            let _ = writeln!(err);
-        }
-        let _ = err.flush();
-    }
+/// The base case with another scrub policy.
+fn scrubbed(policy: ScrubPolicy) -> RaidGroupConfig {
+    base()
+        .with_scrub_policy(policy)
+        .expect("the experiments' scrub policies are valid")
 }
 
 /// Converts a simulation result into a DDFs-per-1,000-groups series on
 /// an even grid — one line of a paper figure.
-pub fn ddf_series(
-    label: impl Into<String>,
-    result: &SimulationResult,
-    grid_points: usize,
-) -> Series {
+fn ddf_series(label: impl Into<String>, result: &SimulationResult, grid_points: usize) -> Series {
     let per_system: Vec<Vec<f64>> = result
         .histories
         .iter()
@@ -274,19 +207,29 @@ pub fn ddf_series(
     Series::new(label, pts)
 }
 
+/// A straight-line MTTDL series on the same grid.
+fn mttdl_series(label: &str, mttdl_hours: f64, mission_hours: f64, grid_points: usize) -> Series {
+    let pts = (0..=grid_points)
+        .map(|i| {
+            let t = mission_hours * i as f64 / grid_points as f64;
+            (t, 1_000.0 * t / mttdl_hours)
+        })
+        .collect();
+    Series::new(label, pts)
+}
+
 /// Writes the figure as an SVG chart into `$RAIDSIM_SVG_DIR` (if set).
 ///
 /// Returns the path written, or `None` when the variable is unset.
 /// Errors are reported to stderr rather than failing the experiment.
-pub fn maybe_write_svg(
+fn maybe_write_svg(
     file_stem: &str,
     title: &str,
     x_label: &str,
     y_label: &str,
     series: &[Series],
 ) -> Option<std::path::PathBuf> {
-    let dir = std::env::var_os("RAIDSIM_SVG_DIR")?;
-    let dir = std::path::PathBuf::from(dir);
+    let dir = std::path::PathBuf::from(std::env::var_os("RAIDSIM_SVG_DIR")?);
     if let Err(e) = std::fs::create_dir_all(&dir) {
         eprintln!("warning: cannot create RAIDSIM_SVG_DIR: {e}");
         return None;
@@ -304,25 +247,10 @@ pub fn maybe_write_svg(
     }
 }
 
-/// A straight-line MTTDL series on the same grid.
-pub fn mttdl_series(
-    label: &str,
-    mttdl_hours: f64,
-    mission_hours: f64,
-    grid_points: usize,
-) -> Series {
-    let pts = (0..=grid_points)
-        .map(|i| {
-            let t = mission_hours * i as f64 / grid_points as f64;
-            (t, 1_000.0 * t / mttdl_hours)
-        })
-        .collect();
-    Series::new(label, pts)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use raidsim::analysis::compare::FleetSummary;
 
     #[test]
     fn groups_env_override() {
@@ -352,37 +280,33 @@ mod tests {
 
     #[test]
     fn ddf_series_scales_final_value() {
-        let cfg = RaidGroupConfig::paper_base_case().unwrap();
-        let r = run(cfg, 100, 1);
-        let s = ddf_series("base", &r, 8);
+        let r = &collected(vec![SweepScenario::new("base", base(), 1)], 100)[0].1;
+        let s = ddf_series("base", r, 8);
         assert!((s.final_value() - r.ddfs_per_thousand_groups()).abs() < 1e-9);
     }
 
     #[test]
     fn streamed_run_matches_stored_run() {
-        let cfg = RaidGroupConfig::paper_base_case().unwrap();
-        let stored = run(cfg.clone(), 120, 5);
-        let streamed = run_streaming(cfg, 120, 5);
-        assert_eq!(streamed, StreamStats::from_result(&stored));
-        let summary = fleet_summary(&streamed);
-        assert_eq!(summary.systems, 120);
-        assert_eq!(summary.mean, streamed.mean_ddfs());
-        assert_eq!(summary.variance, streamed.variance_ddfs());
-    }
-
-    #[test]
-    fn checkpointed_streamed_run_matches_plain() {
-        let cfg = RaidGroupConfig::paper_base_case().unwrap();
-        let plain = Simulator::new(cfg.clone()).run_streaming(90, 11, threads());
-        let path = std::env::temp_dir().join("raidsim_bench_ckpt_test.ckpt");
-        std::fs::remove_file(&path).ok();
-        let ckpt = run_streaming_with_checkpoint(cfg.clone(), 90, 11, &path, 25);
-        assert_eq!(ckpt, plain);
-        // The file now holds the final state, so a rerun resumes from it
-        // (zero new batches) and reports the same statistics.
-        let resumed = run_streaming_with_checkpoint(cfg, 90, 11, &path, 25);
-        assert_eq!(resumed, plain);
-        std::fs::remove_file(&path).ok();
+        let scenarios = || {
+            vec![
+                SweepScenario::new("base", base(), 5),
+                SweepScenario::new("no scrub", scrubbed(ScrubPolicy::Disabled), 6),
+            ]
+        };
+        let stored = collected(scenarios(), 120);
+        let streamed = streamed(scenarios(), 120);
+        for ((label, stats), (_, result)) in streamed.iter().zip(&stored) {
+            assert_eq!(*stats, StreamStats::from_result(result), "{label}");
+        }
+        let stats = &streamed[0].1;
+        assert_eq!(
+            extensions::fleet_summary(stats),
+            FleetSummary {
+                systems: 120,
+                mean: stats.mean_ddfs(),
+                variance: stats.variance_ddfs(),
+            }
+        );
     }
 
     #[test]

@@ -543,6 +543,18 @@ fn parse_shard(s: &str) -> Result<(u64, u64), String> {
     Ok((index, count))
 }
 
+/// The report label of a sweep rung: `scrub_96h` for an ordinary value
+/// (raidbench parses that form), `scrub_1e-300h` when the plain decimal
+/// would run past 16 characters.
+fn scrub_label(hours: f64) -> String {
+    let plain = format!("{hours}");
+    if plain.len() > 16 {
+        format!("scrub_{hours:e}h")
+    } else {
+        format!("scrub_{plain}h")
+    }
+}
+
 /// `sweep` — a scrub-frequency ladder as one fused execution plan.
 pub fn sweep(argv: &[String]) -> Result<CmdOutput, CliError> {
     let args = Args::parse(argv);
@@ -608,7 +620,7 @@ pub fn sweep(argv: &[String]) -> Result<CmdOutput, CliError> {
             .clone()
             .with_scrub_policy(ScrubPolicy::with_characteristic_hours(hours))
             .map_err(|e| e.to_string())?;
-        scenarios.push(SweepScenario::new(format!("scrub_{hours}h"), cfg, seed));
+        scenarios.push(SweepScenario::new(scrub_label(hours), cfg, seed));
     }
     if !skip_no_scrub {
         let cfg = base
@@ -889,10 +901,15 @@ pub fn closedform(argv: &[String]) -> Result<CmdOutput, CliError> {
     };
     let ttop = Weibull3::two_param(ttop_eta, ttop_beta).map_err(|e| e.to_string())?;
     let per_group = expected_ddfs_per_group(&inputs, &ttop, mission_years * HOURS_PER_YEAR);
+    if !per_group.is_finite() {
+        return Err(CliError::Usage(
+            "ttop-eta/ttop-beta out of range: the estimate overflows".into(),
+        ));
+    }
     Ok(format!(
         "closed-form estimate: {:.2} DDFs per 1,000 groups over {mission_years} years\n\
          (first-order approximation; accurate to ~15% against the Monte Carlo\n\
-         for scrubbed configurations — see exp_closed_form)\n",
+         for scrubbed configurations — see exp E20)\n",
         1_000.0 * per_group
     )
     .into())
@@ -1280,6 +1297,26 @@ mod tests {
     }
 
     #[test]
+    fn sweep_labels_stay_short() {
+        for (hours, label) in [
+            (96.0, "scrub_96h"),
+            (0.5, "scrub_0.5h"),
+            (1000.0, "scrub_1000h"),
+            (33.25, "scrub_33.25h"),
+            (1e-300, "scrub_1e-300h"),
+            (1e20, "scrub_1e20h"),
+        ] {
+            assert_eq!(scrub_label(hours), label);
+        }
+        let out = sweep(&argv(
+            "--scrub-hours 1e-300 --skip-no-scrub --groups 4 --mission-years 1 --threads 1",
+        ))
+        .unwrap()
+        .text;
+        assert!(out.contains("scrub_1e-300h"), "{out}");
+    }
+
+    #[test]
     fn sweep_rejects_bad_flags() {
         for bad in [
             "--scrub-hours 10,frog",
@@ -1323,6 +1360,7 @@ mod tests {
             "--scrub -1000",
             "--scrub nan",
             "--scrub 0",
+            "--ttop-eta 1e-300",
         ] {
             let err = closedform(&argv(bad)).unwrap_err();
             assert!(matches!(err, CliError::Usage(_)), "{bad}: {err:?}");

@@ -222,7 +222,7 @@ impl TransitionDistributions {
 /// an empty pool stalls reconstruction, stretching the window in which
 /// a second failure loses data. Only the discrete-event engine models
 /// spares (the timeline engine pre-generates restorations and ignores
-/// this field); the `exp_spares` ablation quantifies the effect.
+/// this field); the spare-pool ablation (`exp E15`) quantifies the effect.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
 pub enum SparePolicy {
     /// A spare is always on hand (the paper's assumption).

@@ -81,8 +81,8 @@ use std::sync::Arc;
 ///
 /// Deliberately clock-free: simulation crates may not read wall time
 /// (the determinism lint enforces this), so rates and ETAs are computed
-/// by the observer, which lives in a layer that owns a clock (the CLI,
-/// the experiment binaries).
+/// by the observer, which lives in a layer that owns a clock (the
+/// CLI's progress line).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Progress {
     /// Groups completed so far.

@@ -162,18 +162,16 @@ fn weighted_weibull_mle(times: &[f64], weights: Option<&[f64]>) -> Result<(f64, 
     }
     let t_max = times.iter().copied().fold(f64::MIN_POSITIVE, f64::max);
     let scaled: Vec<f64> = times.iter().map(|&t| t / t_max).collect();
-    let mean_ln: f64 = (0..scaled.len())
-        .map(|i| w(i) * scaled[i].ln())
-        .sum::<f64>()
-        / total;
+    let ln_scaled: Vec<f64> = scaled.iter().map(|t| t.ln()).collect();
+    let mean_ln: f64 = (0..scaled.len()).map(|i| w(i) * ln_scaled[i]).sum::<f64>() / total;
 
     let score = |beta: f64| -> f64 {
         let mut s0 = 0.0;
         let mut s1 = 0.0;
-        for (i, &t) in scaled.iter().enumerate() {
+        for (i, (&t, &ln_t)) in scaled.iter().zip(&ln_scaled).enumerate() {
             let tb = w(i) * t.powf(beta);
             s0 += tb;
-            s1 += tb * t.ln();
+            s1 += tb * ln_t;
         }
         1.0 / beta + mean_ln - s1 / s0
     };
@@ -183,6 +181,11 @@ fn weighted_weibull_mle(times: &[f64], weights: Option<&[f64]>) -> Result<(f64, 
     }
     for _ in 0..100 {
         let mid = 0.5 * (lo + hi);
+        if mid == lo || mid == hi {
+            // Adjacent floats: every further step ends at `mid`, the
+            // value returned below.
+            break;
+        }
         if score(mid) > 0.0 {
             lo = mid;
         } else {

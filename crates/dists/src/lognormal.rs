@@ -7,7 +7,7 @@ use serde::{Deserialize, Serialize};
 ///
 /// `ln(T − γ) ~ N(μ, σ²)`. The lognormal is the other standard
 /// repair-time family in reliability practice; the restore-sensitivity
-/// ablation (`exp_restore_sensitivity`) swaps it against the paper's
+/// ablation (`exp E16`) swaps it against the paper's
 /// three-parameter Weibull to show which *features* of the restore
 /// distribution the DDF count actually depends on (the minimum time
 /// and the mean — not the family).

@@ -7,8 +7,8 @@
 //! a scrub *pass* on a fixed cadence: a defect created at a uniformly
 //! random phase of the cycle waits for the next pass boundary plus the
 //! pass duration. [`PeriodicScrub`] models that exposure time exactly
-//! (uniform over `[pass, period + pass]`), so the `exp_scrub_semantics`
-//! ablation can quantify how much the semantic choice matters.
+//! (uniform over `[pass, period + pass]`), so the scrub-semantics
+//! ablation (`exp E13`) can quantify how much the semantic choice matters.
 
 use raidsim_dists::{DistError, LifeDistribution};
 use rand::Rng;
