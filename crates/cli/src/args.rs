@@ -8,6 +8,10 @@ pub struct Args {
     flags: BTreeMap<String, Option<String>>,
     positional: Vec<String>,
     consumed: std::cell::RefCell<Vec<String>>,
+    /// Flags read as switches ([`Args::switch`]), which take no value.
+    switches: std::cell::RefCell<Vec<String>>,
+    /// Whether the command read the positionals ([`Args::positional`]).
+    positional_read: std::cell::Cell<bool>,
 }
 
 impl Args {
@@ -35,6 +39,8 @@ impl Args {
             flags,
             positional,
             consumed: std::cell::RefCell::new(Vec::new()),
+            switches: std::cell::RefCell::new(Vec::new()),
+            positional_read: std::cell::Cell::new(false),
         }
     }
 
@@ -80,16 +86,21 @@ impl Args {
     /// A boolean (presence) flag.
     pub fn switch(&self, key: &str) -> bool {
         self.consumed.borrow_mut().push(key.to_string());
+        self.switches.borrow_mut().push(key.to_string());
         self.flags.contains_key(key)
     }
 
-    /// Positional arguments.
+    /// Positional arguments; reading them marks them consumed.
     pub fn positional(&self) -> &[String] {
+        self.positional_read.set(true);
         &self.positional
     }
 
     /// Errors if any flag was provided that no command consumed —
-    /// catches typos like `--group` for `--groups`.
+    /// catches typos like `--group` for `--groups` — or if a stray
+    /// value would otherwise be dropped silently: positionals given to a
+    /// command that never read them (`simulate --groups 10 42`), or a
+    /// value after a switch (`simulate --raid6 42`).
     pub fn reject_unknown(&self) -> Result<(), String> {
         let consumed = self.consumed.borrow();
         for key in self.flags.keys() {
@@ -97,7 +108,19 @@ impl Args {
                 return Err(format!("unknown flag --{key}"));
             }
         }
-        Ok(())
+        for key in self.switches.borrow().iter() {
+            if let Some(Some(stray)) = self.flags.get(key) {
+                return Err(format!(
+                    "unexpected argument '{stray}' (--{key} takes no value)"
+                ));
+            }
+        }
+        match self.positional.first() {
+            Some(stray) if !self.positional_read.get() => {
+                Err(format!("unexpected argument '{stray}'"))
+            }
+            _ => Ok(()),
+        }
     }
 }
 
@@ -146,6 +169,22 @@ mod tests {
         let b = parse("--groups 10");
         let _ = b.num("groups", 1usize);
         assert!(b.reject_unknown().is_ok());
+    }
+
+    #[test]
+    fn unread_positionals_detected() {
+        let a = parse("--groups 10 42");
+        let _ = a.num("groups", 1usize);
+        assert_eq!(a.reject_unknown().unwrap_err(), "unexpected argument '42'");
+        let b = parse("file.csv");
+        assert_eq!(b.positional().len(), 1);
+        assert!(b.reject_unknown().is_ok());
+        let c = parse("--raid6 42");
+        assert!(c.switch("raid6"));
+        assert_eq!(
+            c.reject_unknown().unwrap_err(),
+            "unexpected argument '42' (--raid6 takes no value)"
+        );
     }
 
     #[test]

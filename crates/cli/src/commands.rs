@@ -710,8 +710,8 @@ pub fn sweep(argv: &[String]) -> Result<CmdOutput, CliError> {
 pub fn merge(argv: &[String]) -> Result<CmdOutput, CliError> {
     let args = Args::parse(argv);
     let out_path = args.string("out")?;
-    args.reject_unknown()?;
     let paths = args.positional();
+    args.reject_unknown()?;
     if paths.is_empty() {
         return Err(CliError::Usage(
             "merge needs at least one shard snapshot path".into(),
@@ -813,8 +813,9 @@ pub fn mttdl(argv: &[String]) -> Result<CmdOutput, CliError> {
 /// `fit` — Weibull fits of a life-data CSV.
 pub fn fit(argv: &[String]) -> Result<CmdOutput, CliError> {
     let args = Args::parse(argv);
+    let positional = args.positional();
     args.reject_unknown()?;
-    let [path] = args.positional() else {
+    let [path] = positional else {
         return Err(CliError::Usage("fit needs exactly one CSV path".into()));
     };
     let text =
@@ -1403,6 +1404,22 @@ mod tests {
         let err = simulate(&argv("--groups 10 --mission-years 1e300")).unwrap_err();
         assert!(
             matches!(&err, CliError::Usage(m) if m.contains("mission_hours")),
+            "{err:?}"
+        );
+    }
+
+    #[test]
+    fn simulate_and_sweep_reject_groups_beyond_the_width_cap() {
+        // Work per group is quadratic in the width: 100,000 drives used
+        // to pass validation and then never finish a group.
+        let err = simulate(&argv("--groups 10 --drives 100000")).unwrap_err();
+        assert!(
+            matches!(&err, CliError::Usage(m) if m.contains("drives")),
+            "{err:?}"
+        );
+        let err = sweep(&argv("--groups 10 --drives 100000")).unwrap_err();
+        assert!(
+            matches!(&err, CliError::Usage(m) if m.contains("drives")),
             "{err:?}"
         );
     }

@@ -117,6 +117,45 @@ mod tests {
         assert!(run(&argv("simulate --drives eight")).is_err());
     }
 
+    /// A stray positional is a usage error (exit 2), not silently
+    /// dropped, for every subcommand that takes none.
+    fn assert_rejects_stray(line: &str) {
+        match run(&argv(line)) {
+            Err(e @ CliError::Usage(_)) => {
+                assert_eq!(e.exit_code(), ExitCode::from(2), "{line}");
+                assert!(e.to_string().contains("unexpected argument"), "{line}: {e}");
+            }
+            Err(e) => panic!("{line}: {e}"),
+            Ok(_) => panic!("{line}: accepted a stray argument"),
+        }
+    }
+
+    #[test]
+    fn simulate_rejects_a_stray_positional() {
+        assert_rejects_stray("simulate --groups 10 42");
+        assert_rejects_stray("simulate --groups 10 --raid6 42");
+    }
+
+    #[test]
+    fn sweep_rejects_a_stray_positional() {
+        assert_rejects_stray("sweep --groups 10 stray");
+    }
+
+    #[test]
+    fn mttdl_rejects_a_stray_positional() {
+        assert_rejects_stray("mttdl 7");
+    }
+
+    #[test]
+    fn closedform_rejects_a_stray_positional() {
+        assert_rejects_stray("closedform --drives 8 9");
+    }
+
+    #[test]
+    fn table1_rejects_a_stray_positional() {
+        assert_rejects_stray("table1 stray");
+    }
+
     #[test]
     fn table1_prints_grid() {
         let out = run(&argv("table1")).unwrap();

@@ -64,6 +64,16 @@ pub mod params {
 /// failing fast.
 pub const MAX_MISSION_HOURS: f64 = 1.0e6;
 
+/// The widest group [`RaidGroupConfig::validate`] accepts: 1,024
+/// drives, far above the 14 of the widest group any experiment here
+/// runs. Work per group grows with the square of the width (every
+/// failure is checked against every other slot): a base-case group
+/// takes about 5 ms at 500 drives and 87 ms at 2,000 (release build,
+/// two threads), so a width like 100,000 would make one group run for
+/// ever instead of failing fast — and an interrupted run waits for the
+/// group in flight.
+pub const MAX_DRIVES: usize = 1024;
+
 /// How many simultaneous drive losses the group survives.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum Redundancy {
@@ -303,14 +313,20 @@ impl RaidGroupConfig {
     /// # Errors
     ///
     /// Returns [`CoreError::InvalidConfig`] if the group has fewer than
-    /// 2 drives, fewer drives than the redundancy level supports, a
-    /// non-positive mission or one longer than [`MAX_MISSION_HOURS`],
-    /// or a renewal cycle of zero length.
+    /// 2 drives or more than [`MAX_DRIVES`], fewer drives than the
+    /// redundancy level supports, a non-positive mission or one longer
+    /// than [`MAX_MISSION_HOURS`], or a renewal cycle of zero length.
     pub fn validate(&self) -> Result<(), CoreError> {
         if self.drives < 2 {
             return Err(CoreError::InvalidConfig {
                 field: "drives",
                 reason: format!("need at least 2 drives, got {}", self.drives),
+            });
+        }
+        if self.drives > MAX_DRIVES {
+            return Err(CoreError::InvalidConfig {
+                field: "drives",
+                reason: format!("must be at most {MAX_DRIVES}, got {}", self.drives),
             });
         }
         if self.drives <= self.redundancy.tolerated() {
@@ -454,6 +470,20 @@ mod tests {
             match cfg.validate() {
                 Err(CoreError::InvalidConfig { field, .. }) => assert_eq!(field, "mission_hours"),
                 other => panic!("mission {hours} h: expected InvalidConfig, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn validation_rejects_groups_beyond_the_width_cap() {
+        let mut cfg = RaidGroupConfig::paper_base_case().unwrap();
+        cfg.drives = MAX_DRIVES;
+        cfg.validate().unwrap();
+        for drives in [MAX_DRIVES + 1, 100_000, usize::MAX] {
+            cfg.drives = drives;
+            match cfg.validate() {
+                Err(CoreError::InvalidConfig { field, .. }) => assert_eq!(field, "drives"),
+                other => panic!("{drives} drives: expected InvalidConfig, got {other:?}"),
             }
         }
     }

@@ -1,5 +1,7 @@
 use super::ddf::{self, SlotCondition};
-use super::{draw, BiasPolicy, Engine, EngineCounters, EngineSession, SessionTuning};
+use super::{
+    draw, latent_powers, BiasPolicy, Engine, EngineCounters, EngineSession, SessionTuning,
+};
 use crate::config::{RaidGroupConfig, Redundancy};
 use crate::events::{DdfEvent, GroupHistory};
 use raidsim_dists::kernel::{DrawSource, Tilt, NO_CUT};
@@ -103,9 +105,36 @@ impl LdChain {
         chain
     }
 
+    /// Retires every interval that clears by `bound` through
+    /// [`DrawSource::walk_renewal`], counting each as one defect, one
+    /// scrub and two draws. Only for untilted chains with a scrub, and
+    /// only for `bound <= mission`: an interval clearing by `bound`
+    /// started no later (lifetimes are non-negative), so both its ends
+    /// lie within the mission and both counts apply.
+    fn walk<R: DrawSource>(
+        &mut self,
+        bound: f64,
+        ttld: &SampleKernel,
+        ttscrub: &SampleKernel,
+        samples: &mut u64,
+        rng: &mut R,
+    ) {
+        let cycles = rng.walk_renewal(
+            ttld,
+            ttscrub,
+            &mut self.defect_at,
+            &mut self.clear_at,
+            bound,
+        );
+        self.created += cycles;
+        self.scrubbed += cycles;
+        *samples += 2 * cycles;
+    }
+
     /// Advances the chain so the current interval covers time `t`, then
     /// reports whether a defect is pending at `t`. Defect/scrub counts
     /// are accumulated (up to the mission bound) as intervals retire.
+    /// `t` is a failure instant, so `t <= mission`.
     #[allow(clippy::too_many_arguments)]
     fn defective_at<R: DrawSource>(
         &mut self,
@@ -121,17 +150,21 @@ impl LdChain {
         let Some(ttld) = ttld else {
             return false;
         };
-        while self.clear_at <= t {
-            if self.defect_at <= mission {
-                self.created += 1;
+        if let (None, Some(ttscrub)) = (tilt, ttscrub) {
+            self.walk(t, ttld, ttscrub, samples, rng);
+        } else {
+            while self.clear_at <= t {
+                if self.defect_at <= mission {
+                    self.created += 1;
+                }
+                if self.clear_at <= mission {
+                    self.scrubbed += 1;
+                }
+                *samples += 1;
+                let next_defect = self.clear_at + draw(ttld, tilt, log_weight, rng);
+                self.defect_at = next_defect;
+                self.clear_at = schedule_clear(next_defect, ttscrub, samples, rng);
             }
-            if self.clear_at <= mission {
-                self.scrubbed += 1;
-            }
-            *samples += 1;
-            let next_defect = self.clear_at + draw(ttld, tilt, log_weight, rng);
-            self.defect_at = next_defect;
-            self.clear_at = schedule_clear(next_defect, ttscrub, samples, rng);
         }
         self.defect_at <= t && t < self.clear_at
     }
@@ -181,6 +214,14 @@ impl LdChain {
         rng: &mut R,
     ) {
         let Some(ttld) = ttld else { return };
+        if let (None, Some(ttscrub)) = (tilt, ttscrub) {
+            self.walk(mission, ttld, ttscrub, samples, rng);
+            // The pending defect, if it started by the mission's end.
+            if self.defect_at <= mission {
+                self.created += 1;
+            }
+            return;
+        }
         while self.defect_at <= mission {
             self.created += 1;
             if self.clear_at <= mission {
@@ -289,31 +330,34 @@ impl TimelineSession {
         } else {
             NO_CUT
         };
-        TimelineSession {
-            state: TimelineState {
-                n,
-                mission: cfg.mission_hours,
-                redundancy: cfg.redundancy,
-                ttop,
-                ttr: kernels.lower(&dists.ttr),
-                ttld: dists.ttld.as_ref().map(|d| kernels.lower(d)),
-                ttscrub: dists.ttscrub.as_ref().map(|d| kernels.lower(d)),
-                op_tilt,
-                latent_tilt: bias.latent_tilt(),
-                op_cut,
-                timelines: std::iter::repeat_with(Vec::new).take(n).collect(),
-                failures: Vec::new(),
-                merge_heap: BinaryHeap::with_capacity(n),
-                chains: Vec::with_capacity(n),
-                conditions: Vec::with_capacity(n.saturating_sub(1)),
-                history: GroupHistory::default(),
-                ddfs_cap: 0,
-                failures_cap: 0,
-                spans_cap: 0,
-                counters: EngineCounters::default(),
-            },
-            prefetch: tuning.block_draws.then(DrawCursor::new),
-        }
+        let state = TimelineState {
+            n,
+            mission: cfg.mission_hours,
+            redundancy: cfg.redundancy,
+            ttop,
+            ttr: kernels.lower(&dists.ttr),
+            ttld: dists.ttld.as_ref().map(|d| kernels.lower(d)),
+            ttscrub: dists.ttscrub.as_ref().map(|d| kernels.lower(d)),
+            op_tilt,
+            latent_tilt: bias.latent_tilt(),
+            op_cut,
+            timelines: std::iter::repeat_with(Vec::new).take(n).collect(),
+            failures: Vec::new(),
+            merge_heap: BinaryHeap::with_capacity(n),
+            chains: Vec::with_capacity(n),
+            conditions: Vec::with_capacity(n.saturating_sub(1)),
+            history: GroupHistory::default(),
+            ddfs_cap: 0,
+            failures_cap: 0,
+            spans_cap: 0,
+            counters: EngineCounters::default(),
+        };
+        let prefetch = tuning.block_draws.then(|| {
+            let mut cursor = DrawCursor::new();
+            state.declare(|p| cursor.declare_power(p));
+            cursor
+        });
+        TimelineSession { state, prefetch }
     }
 }
 
@@ -336,12 +380,22 @@ impl EngineSession for TimelineSession {
         &self.state.history
     }
 
+    fn declare_powers(&self, memo: &mut DrawMemo) {
+        self.state.declare(|p| memo.declare_power(p));
+    }
+
     fn counters(&self) -> EngineCounters {
         self.state.counters
     }
 }
 
 impl TimelineState {
+    /// Calls `declare` with every power lane the latent chains read.
+    fn declare(&self, declare: impl FnMut(f64)) {
+        latent_powers(self.ttld.as_ref(), self.ttscrub.as_ref(), self.latent_tilt)
+            .for_each(declare);
+    }
+
     /// Simulates one group, drawing every lifetime from `rng`.
     fn run_phases<R: DrawSource>(&mut self, rng: &mut R) {
         let n = self.n;

@@ -228,6 +228,10 @@ impl EngineSession for PanicSession<'_> {
         self.inner.simulate_group_memo(memo)
     }
 
+    fn declare_powers(&self, memo: &mut DrawMemo) {
+        self.inner.declare_powers(memo);
+    }
+
     fn counters(&self) -> EngineCounters {
         self.inner.counters()
     }
@@ -300,6 +304,110 @@ fn a_panic_in_one_scenario_quarantines_only_that_scenario_group() {
                     encode(&sequential),
                     "scenario {k} at {threads} thread(s)"
                 );
+            }
+        }
+    }
+}
+
+/// An engine that opens the sessions of the scenarios with `drives`
+/// drives under `bias` instead of the sweep's, so one bundle can mix a
+/// tilted scenario with plain ones.
+#[derive(Debug)]
+struct BiasOnScenario {
+    inner: Arc<dyn Engine>,
+    drives: usize,
+    bias: BiasPolicy,
+}
+
+impl Engine for BiasOnScenario {
+    fn simulate_group(&self, cfg: &RaidGroupConfig, rng: &mut SimRng) -> GroupHistory {
+        self.inner.simulate_group(cfg, rng)
+    }
+
+    fn name(&self) -> &'static str {
+        self.inner.name()
+    }
+
+    fn session_tuned_cached<'a>(
+        &'a self,
+        cfg: &'a RaidGroupConfig,
+        bias: BiasPolicy,
+        tuning: SessionTuning,
+        kernels: &mut KernelCache,
+    ) -> Box<dyn EngineSession + 'a> {
+        let bias = if cfg.drives == self.drives {
+            self.bias
+        } else {
+            bias
+        };
+        self.inner.session_tuned_cached(cfg, bias, tuning, kernels)
+    }
+}
+
+/// One bundle mixing every way a scenario reads the memo's power lanes:
+/// two β = 3 scrub rungs (a declared lane they share), a β = 2 scrub
+/// rung (a second declared lane), a scenario with tilted TTLd draws
+/// (its TTLd chain walks draw by draw) and a no-scrub rung (no walk at
+/// all). Every scenario is byte-identical to its own run alone and to
+/// the same sweep on the cursor-free scalar path, for both engines and
+/// one to three threads.
+#[test]
+fn a_mixed_bundle_matches_per_scenario_runs_and_the_scalar_path() {
+    let (seed, groups) = (31u64, 150usize);
+    let mut rayleigh = mixed_scenario("beta2", Some(168.0), None, seed);
+    rayleigh.cfg.dists.ttscrub = Some(Arc::new(Weibull3::new(6.0, 120.0, 2.0).unwrap()));
+    let mut tilted = mixed_scenario("tilted", Some(168.0), None, seed);
+    tilted.cfg.drives = 7;
+    let scenarios = vec![
+        mixed_scenario("beta3_slow", Some(336.0), None, seed),
+        rayleigh,
+        tilted,
+        mixed_scenario("beta3_fast", Some(24.0), None, seed),
+        mixed_scenario("no_scrub", None, None, seed),
+    ];
+    let tilt = BiasPolicy::HazardTilt {
+        op_theta: 0.0,
+        latent_theta: 0.6,
+    };
+    for inner in [
+        Arc::new(DesEngine::new()) as Arc<dyn Engine>,
+        Arc::new(TimelineEngine::new()),
+    ] {
+        let engine: Arc<dyn Engine> = Arc::new(BiasOnScenario {
+            inner: inner.clone(),
+            drives: 7,
+            bias: tilt,
+        });
+        let alone: Vec<Vec<u8>> = scenarios
+            .iter()
+            .map(|sc| {
+                let bias = if sc.cfg.drives == 7 {
+                    tilt
+                } else {
+                    BiasPolicy::None
+                };
+                let stats = Simulator::new(sc.cfg.clone())
+                    .with_engine(inner.clone())
+                    .with_bias(bias)
+                    .run_streaming(groups, sc.seed, 1);
+                encode(&stats)
+            })
+            .collect();
+        for threads in 1..=3 {
+            for block_draws in [true, false] {
+                let report = FusedSweep::new(scenarios.clone())
+                    .with_engine(engine.clone())
+                    .with_tuning(SessionTuning { block_draws })
+                    .run_streaming(groups, threads);
+                assert!(report.quarantined.is_empty());
+                for (k, want) in alone.iter().enumerate() {
+                    assert_eq!(
+                        &encode(&report.results[k].1),
+                        want,
+                        "{} scenario {k}, {threads} thread(s), block_draws {block_draws}",
+                        inner.name()
+                    );
+                }
             }
         }
     }

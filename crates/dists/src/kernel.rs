@@ -55,7 +55,7 @@
 //! | [`crate::CompetingRisks`] | [`SampleKernel::Competing`] | children lowered recursively; conditional delegates to the source object |
 //! | anything else | [`SampleKernel::Boxed`] | full fallback to the `dyn` methods (e.g. future empirical resampling distributions — [`crate::empirical`] currently defines estimators, not `LifeDistribution`s) |
 
-use crate::rng::{DrawCursor, MemoReader, SimRng};
+use crate::rng::{DrawCursor, MemoReader, SimRng, WeibullDraw};
 use crate::{rng_f64, special::ln_1p, DistError, LifeDistribution};
 use rand::Rng;
 use std::sync::Arc;
@@ -229,6 +229,47 @@ pub trait DrawSource: Rng {
     /// (see [`SampleKernel::horizon_cut`]). The word is consumed either
     /// way; with [`NO_CUT`] this is exactly [`DrawSource::plain`].
     fn plain_cut(&mut self, kernel: &SampleKernel, cut: f64) -> f64;
+
+    /// Walks an alternating renewal chain while `*clear <= bound`: each
+    /// cycle draws an `a` span and a `b` span,
+    /// `*defect = *clear + plain(a)` then `*clear = *defect + plain(b)`,
+    /// and the cycles walked are returned.
+    ///
+    /// The provided body is that loop, draw by draw. [`DrawCursor`] and
+    /// [`MemoReader`] override it with a tight loop over their `e` and
+    /// power lanes when both kernels are Weibull and every exponent
+    /// other than 1 has a declared lane. It performs the same float
+    /// operations in the same order on the same words, so the chain,
+    /// the cycle count and the source's next word are bit-identical.
+    fn walk_renewal(
+        &mut self,
+        a: &SampleKernel,
+        b: &SampleKernel,
+        defect: &mut f64,
+        clear: &mut f64,
+        bound: f64,
+    ) -> u64 {
+        walk_plain(self, a, b, defect, clear, bound)
+    }
+}
+
+/// [`DrawSource::walk_renewal`]'s loop, draw by draw.
+#[inline]
+fn walk_plain<R: DrawSource + ?Sized>(
+    rng: &mut R,
+    a: &SampleKernel,
+    b: &SampleKernel,
+    defect: &mut f64,
+    clear: &mut f64,
+    bound: f64,
+) -> u64 {
+    let mut cycles = 0;
+    while *clear <= bound {
+        *defect = *clear + rng.plain(a);
+        *clear = *defect + rng.plain(b);
+        cycles += 1;
+    }
+    cycles
 }
 
 impl DrawSource for SimRng {
@@ -253,6 +294,18 @@ impl DrawSource for DrawCursor {
     fn plain_cut(&mut self, kernel: &SampleKernel, cut: f64) -> f64 {
         kernel.sample_prefetched_cut(cut, self)
     }
+
+    fn walk_renewal(
+        &mut self,
+        a: &SampleKernel,
+        b: &SampleKernel,
+        defect: &mut f64,
+        clear: &mut f64,
+        bound: f64,
+    ) -> u64 {
+        self.walk_lanes(a, b, defect, clear, bound)
+            .unwrap_or_else(|| walk_plain(self, a, b, defect, clear, bound))
+    }
 }
 
 impl DrawSource for MemoReader<'_> {
@@ -264,6 +317,18 @@ impl DrawSource for MemoReader<'_> {
     #[inline]
     fn plain_cut(&mut self, kernel: &SampleKernel, cut: f64) -> f64 {
         kernel.sample_memo(cut, self)
+    }
+
+    fn walk_renewal(
+        &mut self,
+        a: &SampleKernel,
+        b: &SampleKernel,
+        defect: &mut f64,
+        clear: &mut f64,
+        bound: f64,
+    ) -> u64 {
+        self.walk_lanes(a, b, defect, clear, bound)
+            .unwrap_or_else(|| walk_plain(self, a, b, defect, clear, bound))
     }
 }
 
@@ -370,6 +435,34 @@ impl SampleKernel {
         })
     }
 
+    /// The exponent `1/β` of a `Weibull3` kernel's plain draws when it is
+    /// not 1: the power lane a draw source can precompute for it
+    /// ([`DrawCursor::declare_power`], [`crate::rng::DrawMemo::declare_power`]).
+    /// `None` for every other kernel.
+    pub fn power_exponent(&self) -> Option<f64> {
+        match self {
+            SampleKernel::Weibull3 { inv_beta, .. } if *inv_beta != 1.0 => Some(*inv_beta),
+            _ => None,
+        }
+    }
+
+    /// A `Weibull3` kernel's plain draw, as a lane walk finishes it.
+    pub(crate) fn weibull_draw(&self) -> Option<WeibullDraw> {
+        match *self {
+            SampleKernel::Weibull3 {
+                gamma,
+                eta,
+                inv_beta,
+                ..
+            } => Some(WeibullDraw {
+                gamma,
+                eta,
+                inv_beta,
+            }),
+            _ => None,
+        }
+    }
+
     /// Short variant name, for diagnostics and tests.
     pub fn variant_name(&self) -> &'static str {
         match self {
@@ -434,8 +527,9 @@ impl SampleKernel {
     ///
     /// `Weibull3` finishes the quantile from the cursor's `e` lane
     /// (`γ + η·e^{1/β}`, with `e = 0` standing for the `u = 0` endpoint
-    /// the quantile maps to `γ`); every other variant reads raw words
-    /// through the cursor's [`Rng`] impl.
+    /// the quantile maps to `γ`), reading the power from the cursor's
+    /// power lane when `1/β` has one; every other variant reads raw
+    /// words through the cursor's [`Rng`] impl.
     #[inline]
     pub fn sample_prefetched(&self, cursor: &mut DrawCursor) -> f64 {
         match self {
@@ -445,11 +539,11 @@ impl SampleKernel {
                 inv_beta,
                 ..
             } => {
-                let e = cursor.next_exp();
-                if e == 0.0 {
+                let i = cursor.next_index();
+                if cursor.exp_at(i) == 0.0 {
                     return *gamma;
                 }
-                gamma + eta * powf(e, *inv_beta)
+                gamma + eta * cursor.power_at(i, *inv_beta)
             }
             _ => self.sample(cursor),
         }
@@ -852,16 +946,17 @@ fn weibull_quantile(gamma: f64, eta: f64, inv_beta: f64, p: f64) -> f64 {
     gamma + eta * powf(-ln_1p(-p), inv_beta)
 }
 
-/// `x.powf(e)`, returning `x` itself for `e == 1.0`. That shortcut is
-/// exact: `powf` is faithfully rounded (error under 1 ULP), so when the
-/// true result `x¹ = x` is representable it comes back unchanged — the
+/// `x.powf(e)` through [`crate::special::pow`], returning `x` itself for
+/// `e == 1.0`. That shortcut is exact: `powf` is faithfully rounded
+/// (error under 1 ULP), so when the true result `x¹ = x` is
+/// representable it comes back unchanged — the
 /// `unit_shape_powf_is_the_identity` property test pins this down.
 #[inline]
 pub(crate) fn powf(x: f64, e: f64) -> f64 {
     if e == 1.0 {
         x
     } else {
-        x.powf(e)
+        crate::special::pow(x, e)
     }
 }
 

@@ -65,6 +65,75 @@ const MAX_REFILL: usize = 16;
 /// of spare words.
 const FIRST_REFILL: usize = 2;
 
+/// Most power lanes a [`DrawCursor`] keeps: one per exponent of a
+/// latent pair (TTLd, TTScrub).
+const POWER_LANES: usize = 2;
+
+/// A plain Weibull draw as a lane walk finishes it: `γ + η·e^{1/β}`
+/// from the word's `e` lane, with `e = 0` standing for the `u = 0`
+/// endpoint the quantile maps to `γ`.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct WeibullDraw {
+    /// Location γ.
+    pub gamma: f64,
+    /// Scale η.
+    pub eta: f64,
+    /// `1/β`, the power the `e` lane is raised to.
+    pub inv_beta: f64,
+}
+
+/// Where a lane walk reads a draw's power `e^{1/β}` from.
+#[derive(Debug, Clone, Copy)]
+enum Power {
+    /// `1/β = 1`: the `e` lane itself.
+    Unit,
+    /// The declared power lane with this index.
+    Lane(usize),
+}
+
+impl WeibullDraw {
+    /// The draw's lifetime from its word's `e` lane value and power:
+    /// exactly [`crate::SampleKernel::sample_prefetched`]'s float ops.
+    #[inline(always)]
+    fn finish(self, e: f64, power: f64) -> f64 {
+        if e == 0.0 {
+            return self.gamma;
+        }
+        self.gamma + self.eta * power
+    }
+}
+
+/// The lane walks' inner loop: renewal cycles `a` then `b` from
+/// position `*pos` on, while `*clear <= bound` and both words of the
+/// next cycle lie in `exps`. `la` and `lb` are the draws' power lanes
+/// over the same positions (the `e` lane itself for a unit exponent).
+/// Returns the cycles walked.
+#[allow(clippy::too_many_arguments)]
+#[inline(always)]
+fn walk_span(
+    a: WeibullDraw,
+    b: WeibullDraw,
+    exps: &[f64],
+    la: &[f64],
+    lb: &[f64],
+    pos: &mut usize,
+    defect: &mut f64,
+    clear: &mut f64,
+    bound: f64,
+) -> u64 {
+    let (la, lb) = (&la[..exps.len()], &lb[..exps.len()]);
+    let (mut i, mut d, mut c) = (*pos, *defect, *clear);
+    let mut cycles = 0;
+    while c <= bound && i + 1 < exps.len() {
+        d = c + a.finish(exps[i], la[i]);
+        c = d + b.finish(exps[i + 1], lb[i + 1]);
+        i += 2;
+        cycles += 1;
+    }
+    (*pos, *defect, *clear) = (i, d, c);
+    cycles
+}
+
 /// A prefetching, rewindable view of an RNG stream for lazy draw sites
 /// — sites whose word count is not known before the first draw, such
 /// as a discrete-event loop.
@@ -81,6 +150,14 @@ const FIRST_REFILL: usize = 2;
 /// words through the [`rand::Rng`] impl, so the word order is exactly
 /// the caller's stream.
 ///
+/// A session may also declare up to two *power lanes*
+/// ([`DrawCursor::declare_power`]): each refill then evaluates
+/// `powf(e, 1/β)` for every fetched word in one
+/// [`crate::special::pow_batch`] call, and plain Weibull draws with that
+/// exponent read their power from the lane; a renewal walk
+/// ([`crate::kernel::DrawSource::walk_renewal`]) runs a whole chain over
+/// the lanes.
+///
 /// Refills start at `FIRST_REFILL` words per [`DrawCursor::begin`]
 /// and double up to `MAX_REFILL`. Before each refill the cursor keeps
 /// a copy of the RNG state, so [`DrawCursor::finish`] can rewind the
@@ -92,6 +169,11 @@ pub struct DrawCursor {
     words: [u64; MAX_REFILL],
     /// `e` lane: `exps[i] = -ln_1p(-u_i)` for `words[i]`.
     exps: [f64; MAX_REFILL],
+    /// Power lanes `(1/β, powers)`, `powers[i] = pow(exps[i], 1/β)`;
+    /// the first `declared` are in use.
+    powers: [(f64, [f64; MAX_REFILL]); POWER_LANES],
+    /// Power lanes declared.
+    declared: usize,
     /// Next unconsumed index into `words`/`exps`.
     pos: usize,
     /// Words fetched by the last refill.
@@ -118,12 +200,46 @@ impl DrawCursor {
         DrawCursor {
             words: [0; MAX_REFILL],
             exps: [0.0; MAX_REFILL],
+            powers: [(1.0, [0.0; MAX_REFILL]); POWER_LANES],
+            declared: 0,
             pos: 0,
             len: 0,
             next_refill: FIRST_REFILL,
             live: placeholder.clone(),
             saved: placeholder,
         }
+    }
+
+    /// Declares a power lane: from now on every refill also evaluates
+    /// `powf(e, inv_beta)` for each fetched word, and plain Weibull draws
+    /// with exponent `inv_beta` read it instead of evaluating `powf` at
+    /// their site. The words already fetched get theirs at once.
+    ///
+    /// A unit exponent needs no lane (`powf(e, 1) = e`) and a repeated
+    /// one is declared once. Past two lanes, and in builds without the
+    /// `pow` port ([`crate::special::LN_1P_PORTED`]), where a batch is no
+    /// faster than the draws' own `powf`, the call does nothing. Draws
+    /// are bit-identical either way.
+    pub fn declare_power(&mut self, inv_beta: f64) {
+        if !crate::special::LN_1P_PORTED
+            || inv_beta == 1.0
+            || self.declared == POWER_LANES
+            || self.lane_of(inv_beta).is_some()
+        {
+            return;
+        }
+        let (exponent, lane) = &mut self.powers[self.declared];
+        *exponent = inv_beta;
+        crate::special::pow_batch(&self.exps[..self.len], inv_beta, &mut lane[..self.len]);
+        self.declared += 1;
+    }
+
+    /// The declared power lane of `inv_beta`, if there is one.
+    #[inline]
+    fn lane_of(&self, inv_beta: f64) -> Option<usize> {
+        self.powers[..self.declared]
+            .iter()
+            .position(|(b, _)| b.to_bits() == inv_beta.to_bits())
     }
 
     /// Starts drawing from `rng`'s current position, discarding any
@@ -175,6 +291,93 @@ impl DrawCursor {
         (crate::unit_f64(self.words[i]) < cut).then_some(self.exps[i])
     }
 
+    /// Consumes the next word and returns its index, for
+    /// [`DrawCursor::exp_at`] and [`DrawCursor::power_at`].
+    #[inline]
+    pub(crate) fn next_index(&mut self) -> usize {
+        self.advance()
+    }
+
+    /// The `e` lane value of buffered word `i`.
+    #[inline]
+    pub(crate) fn exp_at(&self, i: usize) -> f64 {
+        self.exps[i]
+    }
+
+    /// `powf(e_i, inv_beta)` for buffered word `i`, exactly as
+    /// [`crate::SampleKernel::sample`] evaluates it: from the declared
+    /// power lane when there is one.
+    #[inline]
+    pub(crate) fn power_at(&self, i: usize, inv_beta: f64) -> f64 {
+        match self.lane_of(inv_beta) {
+            Some(l) => self.powers[l].1[i],
+            None => crate::kernel::powf(self.exps[i], inv_beta),
+        }
+    }
+
+    /// Walks a renewal chain of plain Weibull draws over the lanes —
+    /// [`crate::kernel::DrawSource::walk_renewal`] for the cursor — or
+    /// returns `None`, consuming nothing, when a kernel is not `Weibull3`
+    /// or an exponent other than 1 has no declared lane.
+    pub(crate) fn walk_lanes(
+        &mut self,
+        a: &crate::SampleKernel,
+        b: &crate::SampleKernel,
+        defect: &mut f64,
+        clear: &mut f64,
+        bound: f64,
+    ) -> Option<u64> {
+        let (a, b) = (a.weibull_draw()?, b.weibull_draw()?);
+        let pa = self.power_of(a.inv_beta)?;
+        let pb = self.power_of(b.inv_beta)?;
+        let mut cycles = 0;
+        loop {
+            let n = self.len;
+            let (la, lb) = (self.lane(pa), self.lane(pb));
+            let mut pos = self.pos;
+            cycles += walk_span(
+                a,
+                b,
+                &self.exps[..n],
+                la,
+                lb,
+                &mut pos,
+                defect,
+                clear,
+                bound,
+            );
+            self.pos = pos;
+            if *clear <= bound {
+                // The next cycle's words run past the buffer.
+                let i = self.advance();
+                *defect = *clear + a.finish(self.exps[i], self.lane(pa)[i]);
+                let j = self.advance();
+                *clear = *defect + b.finish(self.exps[j], self.lane(pb)[j]);
+                cycles += 1;
+            } else {
+                return Some(cycles);
+            }
+        }
+    }
+
+    /// Where a walk reads `inv_beta`'s powers, if it can.
+    fn power_of(&self, inv_beta: f64) -> Option<Power> {
+        if inv_beta == 1.0 {
+            Some(Power::Unit)
+        } else {
+            self.lane_of(inv_beta).map(Power::Lane)
+        }
+    }
+
+    /// The lane `power` reads from.
+    #[inline(always)]
+    fn lane(&self, power: Power) -> &[f64; MAX_REFILL] {
+        match power {
+            Power::Unit => &self.exps,
+            Power::Lane(l) => &self.powers[l].1,
+        }
+    }
+
     /// Consumes one buffered word, refilling first when none is left,
     /// and returns its index.
     #[inline]
@@ -186,11 +389,15 @@ impl DrawCursor {
         self.pos - 1
     }
 
-    /// Fetches the next block of words and evaluates their `e` lane.
+    /// Fetches the next block of words and evaluates their `e` lane and
+    /// every declared power lane.
     fn refill(&mut self) {
         let n = self.next_refill;
         self.saved.clone_from(&self.live);
         fetch_block(&mut self.live, &mut self.words[..n], &mut self.exps[..n]);
+        for (inv_beta, lane) in &mut self.powers[..self.declared] {
+            crate::special::pow_batch(&self.exps[..n], *inv_beta, &mut lane[..n]);
+        }
         self.pos = 0;
         self.len = n;
         self.next_refill = (n * 2).min(MAX_REFILL);
@@ -234,8 +441,10 @@ impl Rng for DrawCursor {
 /// * the word itself;
 /// * its `e` lane `-ln_1p(-u)`, filled in [`DrawCursor`]'s doubling
 ///   batches through [`crate::special::ln_1p_batch`];
-/// * one lazily evaluated `powf(e, 1/β)` lane per distinct exponent,
-///   computed by the first reader that needs a position's power and
+/// * one `powf(e, 1/β)` lane per distinct exponent. A lane the bundle
+///   declares ([`DrawMemo::declare_power`]) is filled in every fetch
+///   through [`crate::special::pow_batch`]; any other is evaluated
+///   lazily, by the first reader that needs a position's power, and
 ///   reused by every later one.
 ///
 /// Only the last step of a plain Weibull draw, `γ + η·power`, stays at
@@ -262,10 +471,21 @@ pub struct DrawMemo {
     exps: Vec<f64>,
     /// Size of the next fetch.
     next_refill: usize,
-    /// One lane per distinct exponent seen: `(1/β bits, powers)`, each
-    /// power NaN until a reader evaluates it. Lanes persist across
-    /// groups, so a bundle's exponents are found after its first group.
-    lanes: Vec<(u64, Vec<f64>)>,
+    /// One lane per distinct exponent seen or declared. Lanes persist
+    /// across groups, so a bundle's exponents are found after its first
+    /// group.
+    lanes: Vec<PowerLane>,
+}
+
+/// One exponent's `powf(e, 1/β)` lane of a [`DrawMemo`].
+#[derive(Debug, Clone)]
+struct PowerLane {
+    /// `1/β`, as bits.
+    key: u64,
+    /// Filled in every fetch, so it covers every fetched position;
+    /// otherwise each power is NaN until a reader evaluates it.
+    declared: bool,
+    powers: Vec<f64>,
 }
 
 impl Default for DrawMemo {
@@ -305,8 +525,52 @@ impl DrawMemo {
         self.words.clear();
         self.exps.clear();
         self.next_refill = FIRST_REFILL;
-        for (_, lane) in &mut self.lanes {
-            lane.clear();
+        for lane in &mut self.lanes {
+            lane.powers.clear();
+        }
+    }
+
+    /// Declares a power lane: from now on every fetch also evaluates
+    /// `powf(e, inv_beta)` for each fetched position, as one
+    /// [`crate::special::pow_batch`] call, instead of leaving it to the
+    /// first reader that needs it; the positions already fetched get
+    /// theirs at once. A unit exponent needs no lane. Values are the
+    /// same either way, so declaring only changes how fast they come.
+    pub fn declare_power(&mut self, inv_beta: f64) {
+        if inv_beta == 1.0 {
+            return;
+        }
+        let i = self.lane_index(inv_beta);
+        let lane = &mut self.lanes[i];
+        if !lane.declared {
+            lane.declared = true;
+            lane.powers.resize(self.exps.len(), 0.0);
+            crate::special::pow_batch(&self.exps, inv_beta, &mut lane.powers);
+        }
+    }
+
+    /// Makes every lane lazy again, as before its
+    /// [`DrawMemo::declare_power`]; the values it holds stay valid.
+    pub fn clear_declarations(&mut self) {
+        for lane in &mut self.lanes {
+            lane.declared = false;
+        }
+    }
+
+    /// The index of `inv_beta`'s lane, made (lazy and empty) if there
+    /// is none yet.
+    fn lane_index(&mut self, inv_beta: f64) -> usize {
+        let key = inv_beta.to_bits();
+        match self.lanes.iter().position(|lane| lane.key == key) {
+            Some(i) => i,
+            None => {
+                self.lanes.push(PowerLane {
+                    key,
+                    declared: false,
+                    powers: Vec::new(),
+                });
+                self.lanes.len() - 1
+            }
         }
     }
 
@@ -320,7 +584,8 @@ impl DrawMemo {
         MemoReader { memo: self, pos: 0 }
     }
 
-    /// Fetches the next batch of words and evaluates their `e` lane.
+    /// Fetches the next batch of words and evaluates their `e` lane and
+    /// every declared power lane.
     fn fetch(&mut self) {
         let n = self.next_refill;
         let old = self.words.len();
@@ -331,6 +596,15 @@ impl DrawMemo {
             &mut self.words[old..],
             &mut self.exps[old..],
         );
+        for lane in self.lanes.iter_mut().filter(|lane| lane.declared) {
+            debug_assert_eq!(lane.powers.len(), old, "a declared lane covers the prefix");
+            lane.powers.resize(old + n, 0.0);
+            crate::special::pow_batch(
+                &self.exps[old..],
+                f64::from_bits(lane.key),
+                &mut lane.powers[old..],
+            );
+        }
         self.next_refill = (n * 2).min(MAX_REFILL);
     }
 
@@ -343,15 +617,8 @@ impl DrawMemo {
         if inv_beta == 1.0 {
             return crate::kernel::powf(e, inv_beta);
         }
-        let key = inv_beta.to_bits();
-        let i = match self.lanes.iter().position(|(bits, _)| *bits == key) {
-            Some(i) => i,
-            None => {
-                self.lanes.push((key, Vec::new()));
-                self.lanes.len() - 1
-            }
-        };
-        let lane = &mut self.lanes[i].1;
+        let i = self.lane_index(inv_beta);
+        let lane = &mut self.lanes[i].powers;
         if lane.len() <= k {
             lane.resize(self.words.len(), f64::NAN);
         }
@@ -411,6 +678,72 @@ impl MemoReader<'_> {
     #[inline]
     pub(crate) fn power(&mut self, k: usize, inv_beta: f64) -> f64 {
         self.memo.power(k, inv_beta)
+    }
+
+    /// Walks a renewal chain of plain Weibull draws over the memo's
+    /// lanes — [`crate::kernel::DrawSource::walk_renewal`] for the reader
+    /// — or returns `None`, consuming nothing, when a kernel is not
+    /// `Weibull3` or an exponent other than 1 has no declared lane.
+    pub(crate) fn walk_lanes(
+        &mut self,
+        a: &crate::SampleKernel,
+        b: &crate::SampleKernel,
+        defect: &mut f64,
+        clear: &mut f64,
+        bound: f64,
+    ) -> Option<u64> {
+        let (a, b) = (a.weibull_draw()?, b.weibull_draw()?);
+        let pa = self.power_of(a.inv_beta)?;
+        let pb = self.power_of(b.inv_beta)?;
+        let mut cycles = 0;
+        loop {
+            let (la, lb) = (self.lane(pa), self.lane(pb));
+            let mut pos = self.pos;
+            cycles += walk_span(
+                a,
+                b,
+                &self.memo.exps,
+                la,
+                lb,
+                &mut pos,
+                defect,
+                clear,
+                bound,
+            );
+            self.pos = pos;
+            if *clear <= bound {
+                // The next cycle's words run past the fetched prefix.
+                let i = self.advance();
+                *defect = *clear + a.finish(self.memo.exps[i], self.lane(pa)[i]);
+                let j = self.advance();
+                *clear = *defect + b.finish(self.memo.exps[j], self.lane(pb)[j]);
+                cycles += 1;
+            } else {
+                return Some(cycles);
+            }
+        }
+    }
+
+    /// Where a walk reads `inv_beta`'s powers, if it can.
+    fn power_of(&self, inv_beta: f64) -> Option<Power> {
+        if inv_beta == 1.0 {
+            return Some(Power::Unit);
+        }
+        let key = inv_beta.to_bits();
+        self.memo
+            .lanes
+            .iter()
+            .position(|lane| lane.key == key && lane.declared)
+            .map(Power::Lane)
+    }
+
+    /// The lane `power` reads from.
+    #[inline(always)]
+    fn lane(&self, power: Power) -> &[f64] {
+        match power {
+            Power::Unit => &self.memo.exps,
+            Power::Lane(l) => &self.memo.lanes[l].powers,
+        }
     }
 
     /// Words this reader has consumed.

@@ -2,13 +2,15 @@
 //!
 //! The gamma function family uses the Lanczos approximation rather than
 //! a numerics crate. [`ln_1p`] and [`ln_1p_batch`] are the logarithm
-//! every Weibull inverse-CDF draw starts from; see their docs for where
-//! their bits come from.
+//! every Weibull inverse-CDF draw starts from, and [`pow`] and
+//! [`pow_batch`] the power it ends with; see their docs for where their
+//! bits come from.
 
-/// Whether [`ln_1p`] and [`ln_1p_batch`] run this crate's transcription
-/// of glibc's FMA `log1p` (x86-64 Linux glibc builds with `fma` and
-/// `avx2` code generation, which the repository's `.cargo/config.toml`
-/// turns on) rather than calling the platform's `f64::ln_1p`.
+/// Whether [`ln_1p`], [`ln_1p_batch`], [`pow`] and [`pow_batch`] run
+/// this crate's transcriptions of glibc's FMA `log1p` and `pow` (x86-64
+/// Linux glibc builds with `fma` and `avx2` code generation, which the
+/// repository's `.cargo/config.toml` turns on) rather than calling the
+/// platform's `f64::ln_1p` and `f64::powf`.
 pub const LN_1P_PORTED: bool = cfg!(all(
     target_arch = "x86_64",
     target_os = "linux",
@@ -265,6 +267,66 @@ mod log1p_impl {
         }
     }
 }
+
+/// `x^y`, bit-identical to `x.powf(y)` on the hosts the port targets.
+///
+/// Under [`LN_1P_PORTED`] this is a literal transcription of the fast
+/// path of the function glibc's `pow` dispatches to on FMA+AVX2 CPUs,
+/// with its lookup tables copied from that build; inputs off the fast
+/// path (non-positive or subnormal `x`, extreme `y`, results near 1 or
+/// beyond the exponent range) call `f64::powf`. Every other build calls
+/// `f64::powf` throughout. Either way the result is the platform libm's,
+/// bit for bit, on the hosts the goldens were captured on.
+#[inline]
+pub fn pow(x: f64, y: f64) -> f64 {
+    pow_impl::scalar(x, y)
+}
+
+/// `out[i] = pow(xs[i], y)` for every element, bit-identical to [`pow`]
+/// element by element.
+///
+/// Under [`LN_1P_PORTED`] every lane runs the fast path as one
+/// branch-free formula, and the lanes it does not cover are patched
+/// through `f64::powf` afterwards.
+///
+/// # Panics
+///
+/// Panics if the slices differ in length.
+pub fn pow_batch(xs: &[f64], y: f64, out: &mut [f64]) {
+    assert_eq!(xs.len(), out.len(), "pow_batch needs equal-length slices");
+    pow_impl::batch(xs, y, out);
+}
+
+/// Every build but the port's calls the platform `pow`.
+#[cfg(not(all(
+    target_arch = "x86_64",
+    target_os = "linux",
+    target_env = "gnu",
+    target_feature = "fma",
+    target_feature = "avx2"
+)))]
+mod pow_impl {
+    #[inline]
+    pub(super) fn scalar(x: f64, y: f64) -> f64 {
+        x.powf(y)
+    }
+
+    pub(super) fn batch(xs: &[f64], y: f64, out: &mut [f64]) {
+        for (o, &x) in out.iter_mut().zip(xs) {
+            *o = x.powf(y);
+        }
+    }
+}
+
+#[cfg(all(
+    target_arch = "x86_64",
+    target_os = "linux",
+    target_env = "gnu",
+    target_feature = "fma",
+    target_feature = "avx2"
+))]
+#[path = "special/pow_port.rs"]
+mod pow_impl;
 
 /// Natural log of the gamma function, `ln Γ(x)`, for `x > 0`.
 ///

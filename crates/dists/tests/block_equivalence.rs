@@ -13,8 +13,11 @@
 //! path's word. A bundle's shared [`DrawMemo`] is held to it too: every
 //! reader of one memo, whatever its kernels and its draw sequence, sees
 //! the bare stream's draws bit for bit, however the readers before it
-//! extended the memo and filled its `powf` lanes. The unit-shape `powf`
-//! shortcut is pinned to its basis, a faithfully rounded `powf`.
+//! extended the memo and filled its `powf` lanes. Renewal walks
+//! ([`DrawSource::walk_renewal`]) through the cursor and through memo
+//! readers, over declared and undeclared power lanes, match the provided
+//! draw-by-draw loop on the bare stream. The unit-shape `powf` shortcut
+//! is pinned to its basis, a faithfully rounded `powf`.
 
 use proptest::prelude::*;
 use raidsim_dists::kernel::{DrawSource, Forcing, MathMode, Tilt};
@@ -282,6 +285,130 @@ fn kernel_menu((g, e, b): (f64, f64, f64), mean: f64) -> Vec<SampleKernel> {
     dists.iter().map(SampleKernel::lower).collect()
 }
 
+/// The renewal-walk menu: a unit-shape Weibull (its power is the `e`
+/// lane itself), a Weibull whose exponent the draw sources declare, one
+/// whose exponent they leave undeclared, and an exponential (never
+/// walked over lanes). Returns the kernels, their means and the
+/// declared exponent.
+fn walk_menu((g, e, b): (f64, f64, f64), mean: f64) -> (Vec<SampleKernel>, Vec<f64>, f64) {
+    let dists: Vec<Arc<dyn LifeDistribution>> = vec![
+        Arc::new(Weibull3::new(g, e, 1.0).unwrap()),
+        Arc::new(Weibull3::new(g, e, b).unwrap()),
+        Arc::new(Weibull3::new(g, e, b + 0.5).unwrap()),
+        Arc::new(Exponential::from_mean(mean).unwrap()),
+    ];
+    let kernels = dists.iter().map(SampleKernel::lower).collect();
+    let means = dists.iter().map(|d| d.mean()).collect();
+    (kernels, means, 1.0 / b)
+}
+
+/// An RNG at raw xoshiro state `s`, with word 1 or 2 forced to zero
+/// (uniform `u = 0`, `e = 0`) when `zero` says so: a zero `s[0]` and
+/// `s[3]` make the first word zero, and a zero `s[0]` with
+/// `s[3] = s[1]` the second.
+fn raw_stream(mut s: [u64; 4], zero: usize) -> rand::rngs::StdRng {
+    s[1] |= 1;
+    match zero {
+        1 => (s[0], s[3]) = (0, 0),
+        2 => (s[0], s[3]) = (0, s[1]),
+        _ => {}
+    }
+    let mut seed = [0u8; 32];
+    for (chunk, word) in seed.chunks_exact_mut(8).zip(s) {
+        chunk.copy_from_slice(&word.to_le_bytes());
+    }
+    rand::rngs::StdRng::from_seed(seed)
+}
+
+/// Runs `walks` — `(a, b, cycles, pre)`: `pre` plain draws of `a`, then
+/// one walk of pair `(a, b)` from `defect = clear = 0` to about `cycles`
+/// mean cycles (a negative count puts the bound below the first clear)
+/// — through `bare`, whose walk is the provided draw-by-draw loop, and
+/// through `src`. Every walk must agree in defect and clear bits, cycle
+/// count and the next word.
+fn run_walks<S: DrawSource>(
+    (kernels, means): (&[SampleKernel], &[f64]),
+    bare: &mut rand::rngs::StdRng,
+    src: &mut S,
+    walks: &[(usize, usize, f64, usize)],
+    label: &str,
+) {
+    for (w, &(ka, kb, cycles, pre)) in walks.iter().enumerate() {
+        let (a, b) = (&kernels[ka], &kernels[kb]);
+        for _ in 0..pre {
+            assert_eq!(
+                bare.plain(a).to_bits(),
+                src.plain(a).to_bits(),
+                "{label}, walk {w}: pre-draw"
+            );
+        }
+        let bound = cycles * (means[ka] + means[kb]);
+        let (mut d1, mut c1, mut d2, mut c2) = (0.0, 0.0, 0.0, 0.0);
+        let n1 = bare.walk_renewal(a, b, &mut d1, &mut c1, bound);
+        let n2 = src.walk_renewal(a, b, &mut d2, &mut c2, bound);
+        assert_eq!(
+            n1, n2,
+            "{label}, walk {w} ({ka}, {kb}): cycle counts differ"
+        );
+        assert_eq!(
+            d1.to_bits(),
+            d2.to_bits(),
+            "{label}, walk {w} ({ka}, {kb}): defect {d1} vs {d2}"
+        );
+        assert_eq!(
+            c1.to_bits(),
+            c2.to_bits(),
+            "{label}, walk {w} ({ka}, {kb}): clear {c1} vs {c2}"
+        );
+        assert_eq!(
+            bare.next_u64(),
+            src.next_u64(),
+            "{label}, walk {w}: next word"
+        );
+    }
+}
+
+/// Renewal walks through a [`DrawCursor`] (rewound afterwards) and
+/// through readers of one [`DrawMemo`] — each reader over its own
+/// menu, the memo restarting after reader `restart_after` — against the
+/// bare stream's provided loop. Both sources declare `menus[0]`'s
+/// declared exponent.
+fn assert_walks_bit_identical(
+    menus: &[(Vec<SampleKernel>, Vec<f64>, f64)],
+    stream: &rand::rngs::StdRng,
+    walks: &[(usize, usize, f64, usize)],
+    restart_after: Option<usize>,
+) {
+    let declared = menus[0].2;
+    let mut cursor = DrawCursor::new();
+    cursor.declare_power(declared);
+    let mut bare = stream.clone();
+    let mut rewound = stream.clone();
+    cursor.begin(&rewound);
+    let menu = (&menus[0].0[..], &menus[0].1[..]);
+    run_walks(menu, &mut bare, &mut cursor, walks, "cursor");
+    cursor.finish(&mut rewound);
+    assert_eq!(bare.next_u64(), rewound.next_u64(), "cursor rewind");
+
+    let mut memo = DrawMemo::new();
+    memo.declare_power(declared);
+    memo.begin(stream.clone());
+    for (r, (kernels, means, _)) in menus.iter().enumerate() {
+        let mut bare = stream.clone();
+        let mut reader = memo.reader();
+        run_walks(
+            (kernels, means),
+            &mut bare,
+            &mut reader,
+            walks,
+            &format!("reader {r}"),
+        );
+        if restart_after == Some(r) {
+            memo.restart();
+        }
+    }
+}
+
 /// A distribution with no `lower_kernel` override: exercises the
 /// `Boxed` scalar fallback.
 #[derive(Debug)]
@@ -348,6 +475,30 @@ proptest! {
             kernel_menu((g, e, b + 0.5), 0.5 * mean),
         ];
         assert_memo_bit_identical(&menus, g + e, seed, &scenarios, restart);
+    }
+
+    /// Renewal walks over every pair of a unit, a declared, an
+    /// undeclared and a non-Weibull kernel, with `u = 0` words at the
+    /// start, bounds below the first clear, walks straddling refills,
+    /// and memo readers whose menus differ in scale (the lanes are
+    /// shared) with a restart between them.
+    #[test]
+    fn renewal_walks_match_the_provided_loop(
+        params in weibull_params(),
+        mean in 1.0..1.0e6f64,
+        s in (any::<u64>(), any::<u64>(), any::<u64>(), any::<u64>()),
+        zero in 0usize..3,
+        walks in proptest::collection::vec((0usize..4, 0usize..4, -1.0..30.0f64, 0usize..20), 1..6),
+        restart in proptest::option::of(0usize..3),
+    ) {
+        let (g, e, b) = params;
+        let menus = [
+            walk_menu(params, mean),
+            walk_menu((g, 2.0 * e, b), 2.0 * mean),
+            walk_menu((g, 0.5 * e, b), mean),
+        ];
+        let stream = raw_stream([s.0, s.1, s.2, s.3], zero);
+        assert_walks_bit_identical(&menus, &stream, &walks, restart);
     }
 
     /// Groups made only of plain draws: every kernel variant through
