@@ -1,7 +1,5 @@
 use super::ddf::{self, SlotCondition};
-use super::{
-    draw, latent_powers, BiasPolicy, Engine, EngineCounters, EngineSession, SessionTuning,
-};
+use super::{draw, BiasPolicy, Engine, EngineCounters, EngineSession, SessionTuning};
 use crate::config::{RaidGroupConfig, Redundancy, SparePolicy};
 use crate::events::{DdfEvent, GroupHistory};
 use raidsim_dists::kernel::{DrawSource, Forcing, Tilt, NO_CUT};
@@ -228,10 +226,6 @@ impl DesSession {
     ) -> Self {
         DesSession {
             state: DesState::new(cfg, bias, tuning, kernels),
-            // No power lanes: a TTScrub lane would evaluate `powf` for
-            // every word the cursor fetches, TTLd's and TTOp's
-            // included, to serve about half of them, and it measured no
-            // faster than each draw's own `pow` (DESIGN.md §18).
             prefetch: tuning.block_draws.then(DrawCursor::new),
         }
     }
@@ -393,12 +387,6 @@ impl EngineSession for DesSession {
         self.state.start_group(&mut reader);
         self.state.run_events(&mut reader);
         &self.state.history
-    }
-
-    fn declare_powers(&self, memo: &mut DrawMemo) {
-        let s = &self.state;
-        latent_powers(s.ttld.as_ref(), s.ttscrub.as_ref(), s.latent_tilt)
-            .for_each(|p| memo.declare_power(p));
     }
 
     fn counters(&self) -> EngineCounters {

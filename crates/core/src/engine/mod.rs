@@ -201,24 +201,6 @@ impl Default for SessionTuning {
     }
 }
 
-/// The power lanes a session declares on its draw sources: the exponent
-/// `1/β ≠ 1` of each Weibull kernel of the latent pair (TTLd, TTScrub)
-/// whose draws are plain. Latent draws are most of a group's draws, and
-/// in the paper's model TTScrub's `powf(e, 1/3)` is the costliest step
-/// of each of its draws; TTOp and TTR draws are a few per group and
-/// keep their scalar `powf`.
-pub(crate) fn latent_powers(
-    ttld: Option<&SampleKernel>,
-    ttscrub: Option<&SampleKernel>,
-    latent_tilt: Option<Tilt>,
-) -> impl Iterator<Item = f64> {
-    let ttld = ttld.filter(|_| latent_tilt.is_none());
-    [ttld, ttscrub]
-        .map(|k| k.and_then(SampleKernel::power_exponent))
-        .into_iter()
-        .flatten()
-}
-
 /// Draws from `kernel`, tilted when a tilt is present (accumulating the
 /// draw's log-likelihood-ratio into `log_weight`), plain otherwise.
 ///
@@ -380,16 +362,6 @@ pub trait EngineSession: std::fmt::Debug {
     fn simulate_group_memo(&mut self, memo: &mut DrawMemo) -> &GroupHistory {
         let mut rng = memo.start().clone();
         self.simulate_group(&mut rng)
-    }
-
-    /// Declares on a bundle's draw memo the power lanes this session's
-    /// draws read ([`DrawMemo::declare_power`]), so the memo fills them
-    /// in batches as it fetches. The executor calls it for every
-    /// scenario of a bundle before simulating the bundle's groups.
-    /// Declarations change how fast the memo serves a power, never its
-    /// value. The default declares nothing.
-    fn declare_powers(&self, memo: &mut DrawMemo) {
-        let _ = memo;
     }
 
     /// Work counters accumulated since the session was opened.

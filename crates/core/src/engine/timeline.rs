@@ -1,7 +1,5 @@
 use super::ddf::{self, SlotCondition};
-use super::{
-    draw, latent_powers, BiasPolicy, Engine, EngineCounters, EngineSession, SessionTuning,
-};
+use super::{draw, BiasPolicy, Engine, EngineCounters, EngineSession, SessionTuning};
 use crate::config::{RaidGroupConfig, Redundancy};
 use crate::events::{DdfEvent, GroupHistory};
 use raidsim_dists::kernel::{DrawSource, Tilt, NO_CUT};
@@ -114,11 +112,16 @@ impl LdChain {
     fn walk<R: DrawSource>(
         &mut self,
         bound: f64,
+        mission: f64,
         ttld: &SampleKernel,
         ttscrub: &SampleKernel,
         samples: &mut u64,
         rng: &mut R,
     ) {
+        debug_assert!(
+            bound <= mission,
+            "walk bound {bound} past the mission {mission}"
+        );
         let cycles = rng.walk_renewal(
             ttld,
             ttscrub,
@@ -151,7 +154,7 @@ impl LdChain {
             return false;
         };
         if let (None, Some(ttscrub)) = (tilt, ttscrub) {
-            self.walk(t, ttld, ttscrub, samples, rng);
+            self.walk(t, mission, ttld, ttscrub, samples, rng);
         } else {
             while self.clear_at <= t {
                 if self.defect_at <= mission {
@@ -215,7 +218,7 @@ impl LdChain {
     ) {
         let Some(ttld) = ttld else { return };
         if let (None, Some(ttscrub)) = (tilt, ttscrub) {
-            self.walk(mission, ttld, ttscrub, samples, rng);
+            self.walk(mission, mission, ttld, ttscrub, samples, rng);
             // The pending defect, if it started by the mission's end.
             if self.defect_at <= mission {
                 self.created += 1;
@@ -330,34 +333,31 @@ impl TimelineSession {
         } else {
             NO_CUT
         };
-        let state = TimelineState {
-            n,
-            mission: cfg.mission_hours,
-            redundancy: cfg.redundancy,
-            ttop,
-            ttr: kernels.lower(&dists.ttr),
-            ttld: dists.ttld.as_ref().map(|d| kernels.lower(d)),
-            ttscrub: dists.ttscrub.as_ref().map(|d| kernels.lower(d)),
-            op_tilt,
-            latent_tilt: bias.latent_tilt(),
-            op_cut,
-            timelines: std::iter::repeat_with(Vec::new).take(n).collect(),
-            failures: Vec::new(),
-            merge_heap: BinaryHeap::with_capacity(n),
-            chains: Vec::with_capacity(n),
-            conditions: Vec::with_capacity(n.saturating_sub(1)),
-            history: GroupHistory::default(),
-            ddfs_cap: 0,
-            failures_cap: 0,
-            spans_cap: 0,
-            counters: EngineCounters::default(),
-        };
-        let prefetch = tuning.block_draws.then(|| {
-            let mut cursor = DrawCursor::new();
-            state.declare(|p| cursor.declare_power(p));
-            cursor
-        });
-        TimelineSession { state, prefetch }
+        TimelineSession {
+            state: TimelineState {
+                n,
+                mission: cfg.mission_hours,
+                redundancy: cfg.redundancy,
+                ttop,
+                ttr: kernels.lower(&dists.ttr),
+                ttld: dists.ttld.as_ref().map(|d| kernels.lower(d)),
+                ttscrub: dists.ttscrub.as_ref().map(|d| kernels.lower(d)),
+                op_tilt,
+                latent_tilt: bias.latent_tilt(),
+                op_cut,
+                timelines: std::iter::repeat_with(Vec::new).take(n).collect(),
+                failures: Vec::new(),
+                merge_heap: BinaryHeap::with_capacity(n),
+                chains: Vec::with_capacity(n),
+                conditions: Vec::with_capacity(n.saturating_sub(1)),
+                history: GroupHistory::default(),
+                ddfs_cap: 0,
+                failures_cap: 0,
+                spans_cap: 0,
+                counters: EngineCounters::default(),
+            },
+            prefetch: tuning.block_draws.then(DrawCursor::new),
+        }
     }
 }
 
@@ -380,22 +380,12 @@ impl EngineSession for TimelineSession {
         &self.state.history
     }
 
-    fn declare_powers(&self, memo: &mut DrawMemo) {
-        self.state.declare(|p| memo.declare_power(p));
-    }
-
     fn counters(&self) -> EngineCounters {
         self.state.counters
     }
 }
 
 impl TimelineState {
-    /// Calls `declare` with every power lane the latent chains read.
-    fn declare(&self, declare: impl FnMut(f64)) {
-        latent_powers(self.ttld.as_ref(), self.ttscrub.as_ref(), self.latent_tilt)
-            .for_each(declare);
-    }
-
     /// Simulates one group, drawing every lifetime from `rng`.
     fn run_phases<R: DrawSource>(&mut self, rng: &mut R) {
         let n = self.n;

@@ -18,10 +18,8 @@
 //! scenario's session against it in scenario order
 //! ([`EngineSession::simulate_group_memo`]), so each stream position's
 //! `ln_1p` and `powf` are evaluated once per group, not once per
-//! scenario. Before a bundle's groups, every scenario declares the power
-//! lanes its draws read ([`EngineSession::declare_powers`]), which the
-//! memo then fills in batches. A bundle of one reads its stream through
-//! the session's own draw cursor, as a single-scenario run does.
+//! scenario. A bundle of one reads its stream through the session's own
+//! draw cursor, as a single-scenario run does.
 //!
 //! With `threads == 1` the calling thread is the only worker and
 //! nothing is spawned. Otherwise workers are spawned once per executor
@@ -348,12 +346,6 @@ impl<'a> Worker<'a> {
                 None => self.open(ctx, m),
             })
             .collect();
-        if shared {
-            self.memo.clear_declarations();
-            for session in &sessions {
-                session.declare_powers(&mut self.memo);
-            }
-        }
         if collect {
             for m in bundle.clone() {
                 let chunk = Vec::with_capacity((range.end - range.start) as usize);

@@ -228,10 +228,6 @@ impl EngineSession for PanicSession<'_> {
         self.inner.simulate_group_memo(memo)
     }
 
-    fn declare_powers(&self, memo: &mut DrawMemo) {
-        self.inner.declare_powers(memo);
-    }
-
     fn counters(&self) -> EngineCounters {
         self.inner.counters()
     }
@@ -345,10 +341,10 @@ impl Engine for BiasOnScenario {
 }
 
 /// One bundle mixing every way a scenario reads the memo's power lanes:
-/// two β = 3 scrub rungs (a declared lane they share), a β = 2 scrub
-/// rung (a second declared lane), a scenario with tilted TTLd draws
-/// (its TTLd chain walks draw by draw) and a no-scrub rung (no walk at
-/// all). Every scenario is byte-identical to its own run alone and to
+/// two β = 3 scrub rungs (their walks declare a lane they share), a
+/// β = 2 scrub rung (a second lane), a scenario with tilted TTLd draws
+/// (its TTLd chain walks draw by draw, reading TTScrub powers from the
+/// lanes the others declared) and a no-scrub rung (no walk at all). Every scenario is byte-identical to its own run alone and to
 /// the same sweep on the cursor-free scalar path, for both engines and
 /// one to three threads.
 #[test]

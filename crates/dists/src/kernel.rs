@@ -55,7 +55,7 @@
 //! | [`crate::CompetingRisks`] | [`SampleKernel::Competing`] | children lowered recursively; conditional delegates to the source object |
 //! | anything else | [`SampleKernel::Boxed`] | full fallback to the `dyn` methods (e.g. future empirical resampling distributions — [`crate::empirical`] currently defines estimators, not `LifeDistribution`s) |
 
-use crate::rng::{DrawCursor, MemoReader, SimRng, WeibullDraw};
+use crate::rng::{walk_lanes, DrawCursor, MemoReader, SimRng, WeibullDraw};
 use crate::{rng_f64, special::ln_1p, DistError, LifeDistribution};
 use rand::Rng;
 use std::sync::Arc;
@@ -237,10 +237,12 @@ pub trait DrawSource: Rng {
     ///
     /// The provided body is that loop, draw by draw. [`DrawCursor`] and
     /// [`MemoReader`] override it with a tight loop over their `e` and
-    /// power lanes when both kernels are Weibull and every exponent
-    /// other than 1 has a declared lane. It performs the same float
-    /// operations in the same order on the same words, so the chain,
-    /// the cycle count and the source's next word are bit-identical.
+    /// power lanes when both kernels are Weibull, declaring a lane for
+    /// each exponent other than 1 that has none yet (a cursor keeps at
+    /// most two, and none in builds without the `pow` port). It performs
+    /// the same float operations in the same order on the same words, so
+    /// the chain, the cycle count and the source's next word are
+    /// bit-identical.
     fn walk_renewal(
         &mut self,
         a: &SampleKernel,
@@ -303,7 +305,7 @@ impl DrawSource for DrawCursor {
         clear: &mut f64,
         bound: f64,
     ) -> u64 {
-        self.walk_lanes(a, b, defect, clear, bound)
+        walk_lanes(self, a, b, defect, clear, bound)
             .unwrap_or_else(|| walk_plain(self, a, b, defect, clear, bound))
     }
 }
@@ -327,7 +329,7 @@ impl DrawSource for MemoReader<'_> {
         clear: &mut f64,
         bound: f64,
     ) -> u64 {
-        self.walk_lanes(a, b, defect, clear, bound)
+        walk_lanes(self, a, b, defect, clear, bound)
             .unwrap_or_else(|| walk_plain(self, a, b, defect, clear, bound))
     }
 }
@@ -433,17 +435,6 @@ impl SampleKernel {
         dist.lower_kernel().unwrap_or_else(|| SampleKernel::Boxed {
             source: Arc::clone(dist),
         })
-    }
-
-    /// The exponent `1/β` of a `Weibull3` kernel's plain draws when it is
-    /// not 1: the power lane a draw source can precompute for it
-    /// ([`DrawCursor::declare_power`], [`crate::rng::DrawMemo::declare_power`]).
-    /// `None` for every other kernel.
-    pub fn power_exponent(&self) -> Option<f64> {
-        match self {
-            SampleKernel::Weibull3 { inv_beta, .. } if *inv_beta != 1.0 => Some(*inv_beta),
-            _ => None,
-        }
     }
 
     /// A `Weibull3` kernel's plain draw, as a lane walk finishes it.

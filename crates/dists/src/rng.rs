@@ -84,7 +84,7 @@ pub(crate) struct WeibullDraw {
 
 /// Where a lane walk reads a draw's power `e^{1/β}` from.
 #[derive(Debug, Clone, Copy)]
-enum Power {
+pub(crate) enum Power {
     /// `1/β = 1`: the `e` lane itself.
     Unit,
     /// The declared power lane with this index.
@@ -100,6 +100,62 @@ impl WeibullDraw {
             return self.gamma;
         }
         self.gamma + self.eta * power
+    }
+}
+
+/// A draw source a lane walk runs over: [`DrawCursor`] and
+/// [`MemoReader`].
+pub(crate) trait Lanes {
+    /// Where a walk reads `inv_beta`'s powers: the `e` lane for a unit
+    /// exponent, otherwise a power lane, declared now if the source has
+    /// none yet. `None` when the source cannot keep one.
+    fn power_lane(&mut self, inv_beta: f64) -> Option<Power>;
+
+    /// The next unread position, the `e` lane over the buffered words,
+    /// and the lanes `pa` and `pb` read from.
+    fn span(&self, pa: Power, pb: Power) -> (usize, &[f64], &[f64], &[f64]);
+
+    /// Marks every position before `pos` read.
+    fn set_pos(&mut self, pos: usize);
+
+    /// Consumes the next position, fetching first when none is
+    /// buffered, and returns its index.
+    fn advance(&mut self) -> usize;
+}
+
+/// Walks a renewal chain of plain Weibull draws over `src`'s lanes —
+/// [`crate::kernel::DrawSource::walk_renewal`] for the cursor and the
+/// memo readers — or returns `None`, consuming nothing, when a kernel is
+/// not `Weibull3` or `src` has no lane for an exponent.
+#[inline(always)]
+pub(crate) fn walk_lanes<S: Lanes>(
+    src: &mut S,
+    a: &crate::SampleKernel,
+    b: &crate::SampleKernel,
+    defect: &mut f64,
+    clear: &mut f64,
+    bound: f64,
+) -> Option<u64> {
+    let (a, b) = (a.weibull_draw()?, b.weibull_draw()?);
+    let pa = src.power_lane(a.inv_beta)?;
+    let pb = src.power_lane(b.inv_beta)?;
+    let mut cycles = 0;
+    loop {
+        let (mut pos, exps, la, lb) = src.span(pa, pb);
+        cycles += walk_span(a, b, exps, la, lb, &mut pos, defect, clear, bound);
+        src.set_pos(pos);
+        if *clear > bound {
+            return Some(cycles);
+        }
+        // The next cycle's words run past the buffer. A cursor refill
+        // overwrites it, so each word is read as soon as it is fetched.
+        let i = src.advance();
+        let (_, exps, la, _) = src.span(pa, pb);
+        *defect = *clear + a.finish(exps[i], la[i]);
+        let j = src.advance();
+        let (_, exps, _, lb) = src.span(pa, pb);
+        *clear = *defect + b.finish(exps[j], lb[j]);
+        cycles += 1;
     }
 }
 
@@ -150,13 +206,15 @@ fn walk_span(
 /// words through the [`rand::Rng`] impl, so the word order is exactly
 /// the caller's stream.
 ///
-/// A session may also declare up to two *power lanes*
-/// ([`DrawCursor::declare_power`]): each refill then evaluates
-/// `powf(e, 1/β)` for every fetched word in one
-/// [`crate::special::pow_batch`] call, and plain Weibull draws with that
-/// exponent read their power from the lane; a renewal walk
-/// ([`crate::kernel::DrawSource::walk_renewal`]) runs a whole chain over
-/// the lanes.
+/// A renewal walk ([`crate::kernel::DrawSource::walk_renewal`]) runs a
+/// whole chain over the cursor's lanes. The first walk with an exponent
+/// `1/β ≠ 1` declares a *power lane* for it, up to two: from then on
+/// each refill also evaluates `powf(e, 1/β)` for every fetched word in
+/// one [`crate::special::pow_batch`] call, and plain Weibull draws with
+/// that exponent read their power from the lane too. Lanes outlive
+/// [`DrawCursor::begin`], since a cursor serves one session's kernels.
+/// A cursor that never walks, such as a discrete-event loop's, keeps
+/// none.
 ///
 /// Refills start at `FIRST_REFILL` words per [`DrawCursor::begin`]
 /// and double up to `MAX_REFILL`. Before each refill the cursor keeps
@@ -208,30 +266,6 @@ impl DrawCursor {
             live: placeholder.clone(),
             saved: placeholder,
         }
-    }
-
-    /// Declares a power lane: from now on every refill also evaluates
-    /// `powf(e, inv_beta)` for each fetched word, and plain Weibull draws
-    /// with exponent `inv_beta` read it instead of evaluating `powf` at
-    /// their site. The words already fetched get theirs at once.
-    ///
-    /// A unit exponent needs no lane (`powf(e, 1) = e`) and a repeated
-    /// one is declared once. Past two lanes, and in builds without the
-    /// `pow` port ([`crate::special::LN_1P_PORTED`]), where a batch is no
-    /// faster than the draws' own `powf`, the call does nothing. Draws
-    /// are bit-identical either way.
-    pub fn declare_power(&mut self, inv_beta: f64) {
-        if !crate::special::LN_1P_PORTED
-            || inv_beta == 1.0
-            || self.declared == POWER_LANES
-            || self.lane_of(inv_beta).is_some()
-        {
-            return;
-        }
-        let (exponent, lane) = &mut self.powers[self.declared];
-        *exponent = inv_beta;
-        crate::special::pow_batch(&self.exps[..self.len], inv_beta, &mut lane[..self.len]);
-        self.declared += 1;
     }
 
     /// The declared power lane of `inv_beta`, if there is one.
@@ -315,69 +349,6 @@ impl DrawCursor {
         }
     }
 
-    /// Walks a renewal chain of plain Weibull draws over the lanes —
-    /// [`crate::kernel::DrawSource::walk_renewal`] for the cursor — or
-    /// returns `None`, consuming nothing, when a kernel is not `Weibull3`
-    /// or an exponent other than 1 has no declared lane.
-    pub(crate) fn walk_lanes(
-        &mut self,
-        a: &crate::SampleKernel,
-        b: &crate::SampleKernel,
-        defect: &mut f64,
-        clear: &mut f64,
-        bound: f64,
-    ) -> Option<u64> {
-        let (a, b) = (a.weibull_draw()?, b.weibull_draw()?);
-        let pa = self.power_of(a.inv_beta)?;
-        let pb = self.power_of(b.inv_beta)?;
-        let mut cycles = 0;
-        loop {
-            let n = self.len;
-            let (la, lb) = (self.lane(pa), self.lane(pb));
-            let mut pos = self.pos;
-            cycles += walk_span(
-                a,
-                b,
-                &self.exps[..n],
-                la,
-                lb,
-                &mut pos,
-                defect,
-                clear,
-                bound,
-            );
-            self.pos = pos;
-            if *clear <= bound {
-                // The next cycle's words run past the buffer.
-                let i = self.advance();
-                *defect = *clear + a.finish(self.exps[i], self.lane(pa)[i]);
-                let j = self.advance();
-                *clear = *defect + b.finish(self.exps[j], self.lane(pb)[j]);
-                cycles += 1;
-            } else {
-                return Some(cycles);
-            }
-        }
-    }
-
-    /// Where a walk reads `inv_beta`'s powers, if it can.
-    fn power_of(&self, inv_beta: f64) -> Option<Power> {
-        if inv_beta == 1.0 {
-            Some(Power::Unit)
-        } else {
-            self.lane_of(inv_beta).map(Power::Lane)
-        }
-    }
-
-    /// The lane `power` reads from.
-    #[inline(always)]
-    fn lane(&self, power: Power) -> &[f64; MAX_REFILL] {
-        match power {
-            Power::Unit => &self.exps,
-            Power::Lane(l) => &self.powers[l].1,
-        }
-    }
-
     /// Consumes one buffered word, refilling first when none is left,
     /// and returns its index.
     #[inline]
@@ -401,6 +372,64 @@ impl DrawCursor {
         self.pos = 0;
         self.len = n;
         self.next_refill = (n * 2).min(MAX_REFILL);
+    }
+
+    /// Declares a power lane for `inv_beta`, filling it for the words
+    /// already fetched. Past two lanes, and in builds without the `pow`
+    /// port ([`crate::special::LN_1P_PORTED`]), where a batch is no
+    /// faster than the draws' own `powf`, there is none.
+    #[cold]
+    fn declare_power(&mut self, inv_beta: f64) -> Option<Power> {
+        if !crate::special::LN_1P_PORTED || self.declared == POWER_LANES {
+            return None;
+        }
+        let (exponent, lane) = &mut self.powers[self.declared];
+        *exponent = inv_beta;
+        crate::special::pow_batch(&self.exps[..self.len], inv_beta, &mut lane[..self.len]);
+        self.declared += 1;
+        Some(Power::Lane(self.declared - 1))
+    }
+
+    /// The lane `power` reads from.
+    #[inline(always)]
+    fn lane(&self, power: Power) -> &[f64] {
+        match power {
+            Power::Unit => &self.exps[..self.len],
+            Power::Lane(l) => &self.powers[l].1[..self.len],
+        }
+    }
+}
+
+impl Lanes for DrawCursor {
+    #[inline(always)]
+    fn power_lane(&mut self, inv_beta: f64) -> Option<Power> {
+        if inv_beta == 1.0 {
+            return Some(Power::Unit);
+        }
+        match self.lane_of(inv_beta) {
+            Some(l) => Some(Power::Lane(l)),
+            None => self.declare_power(inv_beta),
+        }
+    }
+
+    #[inline(always)]
+    fn span(&self, pa: Power, pb: Power) -> (usize, &[f64], &[f64], &[f64]) {
+        (
+            self.pos,
+            &self.exps[..self.len],
+            self.lane(pa),
+            self.lane(pb),
+        )
+    }
+
+    #[inline(always)]
+    fn set_pos(&mut self, pos: usize) {
+        self.pos = pos;
+    }
+
+    #[inline(always)]
+    fn advance(&mut self) -> usize {
+        DrawCursor::advance(self)
     }
 }
 
@@ -441,11 +470,13 @@ impl Rng for DrawCursor {
 /// * the word itself;
 /// * its `e` lane `-ln_1p(-u)`, filled in [`DrawCursor`]'s doubling
 ///   batches through [`crate::special::ln_1p_batch`];
-/// * one `powf(e, 1/β)` lane per distinct exponent. A lane the bundle
-///   declares ([`DrawMemo::declare_power`]) is filled in every fetch
-///   through [`crate::special::pow_batch`]; any other is evaluated
-///   lazily, by the first reader that needs a position's power, and
-///   reused by every later one.
+/// * one `powf(e, 1/β)` lane per distinct exponent, evaluated lazily,
+///   by the first reader that needs a position's power, and reused by
+///   every later one. The first renewal walk of a group
+///   ([`crate::kernel::DrawSource::walk_renewal`]) with that exponent
+///   declares its lane instead: from then on the lane is filled in
+///   every fetch through [`crate::special::pow_batch`], and the walk
+///   reads it without a per-position check.
 ///
 /// Only the last step of a plain Weibull draw, `γ + η·power`, stays at
 /// each draw site, so a rung that differs from its neighbour only in η
@@ -471,9 +502,9 @@ pub struct DrawMemo {
     exps: Vec<f64>,
     /// Size of the next fetch.
     next_refill: usize,
-    /// One lane per distinct exponent seen or declared. Lanes persist
-    /// across groups, so a bundle's exponents are found after its first
-    /// group.
+    /// One lane per distinct exponent seen. Lanes persist across groups,
+    /// so a bundle's exponents are found after its first group; their
+    /// declarations do not.
     lanes: Vec<PowerLane>,
 }
 
@@ -515,11 +546,11 @@ impl DrawMemo {
         self.restart();
     }
 
-    /// Forgets every value fetched or evaluated for the current group
-    /// and starts again from its first word. The memo is a pure
-    /// function of the stream, so a restarted memo serves the same
-    /// values; this is how a caller that saw a reader unwind makes sure
-    /// no half-written entry survives.
+    /// Forgets every value fetched or evaluated for the current group,
+    /// and every lane's declaration, and starts again from its first
+    /// word. The memo is a pure function of the stream, so a restarted
+    /// memo serves the same values; this is how a caller that saw a
+    /// reader unwind makes sure no half-written entry survives.
     pub fn restart(&mut self) {
         self.live.clone_from(&self.start);
         self.words.clear();
@@ -527,34 +558,40 @@ impl DrawMemo {
         self.next_refill = FIRST_REFILL;
         for lane in &mut self.lanes {
             lane.powers.clear();
-        }
-    }
-
-    /// Declares a power lane: from now on every fetch also evaluates
-    /// `powf(e, inv_beta)` for each fetched position, as one
-    /// [`crate::special::pow_batch`] call, instead of leaving it to the
-    /// first reader that needs it; the positions already fetched get
-    /// theirs at once. A unit exponent needs no lane. Values are the
-    /// same either way, so declaring only changes how fast they come.
-    pub fn declare_power(&mut self, inv_beta: f64) {
-        if inv_beta == 1.0 {
-            return;
-        }
-        let i = self.lane_index(inv_beta);
-        let lane = &mut self.lanes[i];
-        if !lane.declared {
-            lane.declared = true;
-            lane.powers.resize(self.exps.len(), 0.0);
-            crate::special::pow_batch(&self.exps, inv_beta, &mut lane.powers);
-        }
-    }
-
-    /// Makes every lane lazy again, as before its
-    /// [`DrawMemo::declare_power`]; the values it holds stay valid.
-    pub fn clear_declarations(&mut self) {
-        for lane in &mut self.lanes {
             lane.declared = false;
         }
+    }
+
+    /// Declares `inv_beta`'s lane (`inv_beta != 1`) and returns its
+    /// index: from now until the next [`DrawMemo::restart`] every fetch
+    /// also evaluates `powf(e, inv_beta)` for each fetched position, as
+    /// one [`crate::special::pow_batch`] call, instead of leaving it to
+    /// the first reader that needs it; the positions already fetched
+    /// get theirs at once. Values are the same either way, so declaring
+    /// only changes how fast they come.
+    #[inline]
+    fn declare_power(&mut self, inv_beta: f64) -> usize {
+        let key = inv_beta.to_bits();
+        match self
+            .lanes
+            .iter()
+            .position(|lane| lane.key == key && lane.declared)
+        {
+            Some(i) => i,
+            None => self.declare_new(inv_beta),
+        }
+    }
+
+    /// [`DrawMemo::declare_power`] for a lane not declared yet, kept out
+    /// of line: a walk checks its lanes every time it starts.
+    #[cold]
+    fn declare_new(&mut self, inv_beta: f64) -> usize {
+        let i = self.lane_index(inv_beta);
+        let lane = &mut self.lanes[i];
+        lane.declared = true;
+        lane.powers.resize(self.exps.len(), 0.0);
+        crate::special::pow_batch(&self.exps, inv_beta, &mut lane.powers);
+        i
     }
 
     /// The index of `inv_beta`'s lane, made (lazy and empty) if there
@@ -680,61 +717,9 @@ impl MemoReader<'_> {
         self.memo.power(k, inv_beta)
     }
 
-    /// Walks a renewal chain of plain Weibull draws over the memo's
-    /// lanes — [`crate::kernel::DrawSource::walk_renewal`] for the reader
-    /// — or returns `None`, consuming nothing, when a kernel is not
-    /// `Weibull3` or an exponent other than 1 has no declared lane.
-    pub(crate) fn walk_lanes(
-        &mut self,
-        a: &crate::SampleKernel,
-        b: &crate::SampleKernel,
-        defect: &mut f64,
-        clear: &mut f64,
-        bound: f64,
-    ) -> Option<u64> {
-        let (a, b) = (a.weibull_draw()?, b.weibull_draw()?);
-        let pa = self.power_of(a.inv_beta)?;
-        let pb = self.power_of(b.inv_beta)?;
-        let mut cycles = 0;
-        loop {
-            let (la, lb) = (self.lane(pa), self.lane(pb));
-            let mut pos = self.pos;
-            cycles += walk_span(
-                a,
-                b,
-                &self.memo.exps,
-                la,
-                lb,
-                &mut pos,
-                defect,
-                clear,
-                bound,
-            );
-            self.pos = pos;
-            if *clear <= bound {
-                // The next cycle's words run past the fetched prefix.
-                let i = self.advance();
-                *defect = *clear + a.finish(self.memo.exps[i], self.lane(pa)[i]);
-                let j = self.advance();
-                *clear = *defect + b.finish(self.memo.exps[j], self.lane(pb)[j]);
-                cycles += 1;
-            } else {
-                return Some(cycles);
-            }
-        }
-    }
-
-    /// Where a walk reads `inv_beta`'s powers, if it can.
-    fn power_of(&self, inv_beta: f64) -> Option<Power> {
-        if inv_beta == 1.0 {
-            return Some(Power::Unit);
-        }
-        let key = inv_beta.to_bits();
-        self.memo
-            .lanes
-            .iter()
-            .position(|lane| lane.key == key && lane.declared)
-            .map(Power::Lane)
+    /// Words this reader has consumed.
+    pub fn consumed(&self) -> usize {
+        self.pos
     }
 
     /// The lane `power` reads from.
@@ -745,10 +730,30 @@ impl MemoReader<'_> {
             Power::Lane(l) => &self.memo.lanes[l].powers,
         }
     }
+}
 
-    /// Words this reader has consumed.
-    pub fn consumed(&self) -> usize {
-        self.pos
+impl Lanes for MemoReader<'_> {
+    #[inline(always)]
+    fn power_lane(&mut self, inv_beta: f64) -> Option<Power> {
+        if inv_beta == 1.0 {
+            return Some(Power::Unit);
+        }
+        Some(Power::Lane(self.memo.declare_power(inv_beta)))
+    }
+
+    #[inline(always)]
+    fn span(&self, pa: Power, pb: Power) -> (usize, &[f64], &[f64], &[f64]) {
+        (self.pos, &self.memo.exps, self.lane(pa), self.lane(pb))
+    }
+
+    #[inline(always)]
+    fn set_pos(&mut self, pos: usize) {
+        self.pos = pos;
+    }
+
+    #[inline(always)]
+    fn advance(&mut self) -> usize {
+        MemoReader::advance(self)
     }
 }
 

@@ -15,8 +15,8 @@
 //! the bare stream's draws bit for bit, however the readers before it
 //! extended the memo and filled its `powf` lanes. Renewal walks
 //! ([`DrawSource::walk_renewal`]) through the cursor and through memo
-//! readers, over declared and undeclared power lanes, match the provided
-//! draw-by-draw loop on the bare stream. The unit-shape `powf` shortcut
+//! readers, over the power lanes they declare and past the cursor's
+//! last lane, match the provided draw-by-draw loop on the bare stream. The unit-shape `powf` shortcut
 //! is pinned to its basis, a faithfully rounded `powf`.
 
 use proptest::prelude::*;
@@ -286,20 +286,22 @@ fn kernel_menu((g, e, b): (f64, f64, f64), mean: f64) -> Vec<SampleKernel> {
 }
 
 /// The renewal-walk menu: a unit-shape Weibull (its power is the `e`
-/// lane itself), a Weibull whose exponent the draw sources declare, one
-/// whose exponent they leave undeclared, and an exponential (never
-/// walked over lanes). Returns the kernels, their means and the
-/// declared exponent.
-fn walk_menu((g, e, b): (f64, f64, f64), mean: f64) -> (Vec<SampleKernel>, Vec<f64>, f64) {
+/// lane itself), three Weibulls of other shapes (a walk declares a lane
+/// for each exponent it meets, but a cursor keeps only two, so the third
+/// one walked falls back to the draw-by-draw loop there), and an
+/// exponential (never walked over lanes). Returns the kernels and their
+/// means.
+fn walk_menu((g, e, b): (f64, f64, f64), mean: f64) -> (Vec<SampleKernel>, Vec<f64>) {
     let dists: Vec<Arc<dyn LifeDistribution>> = vec![
         Arc::new(Weibull3::new(g, e, 1.0).unwrap()),
         Arc::new(Weibull3::new(g, e, b).unwrap()),
         Arc::new(Weibull3::new(g, e, b + 0.5).unwrap()),
+        Arc::new(Weibull3::new(g, e, b + 1.0).unwrap()),
         Arc::new(Exponential::from_mean(mean).unwrap()),
     ];
     let kernels = dists.iter().map(SampleKernel::lower).collect();
     let means = dists.iter().map(|d| d.mean()).collect();
-    (kernels, means, 1.0 / b)
+    (kernels, means)
 }
 
 /// An RNG at raw xoshiro state `s`, with word 1 or 2 forced to zero
@@ -371,17 +373,14 @@ fn run_walks<S: DrawSource>(
 /// Renewal walks through a [`DrawCursor`] (rewound afterwards) and
 /// through readers of one [`DrawMemo`] — each reader over its own
 /// menu, the memo restarting after reader `restart_after` — against the
-/// bare stream's provided loop. Both sources declare `menus[0]`'s
-/// declared exponent.
+/// bare stream's provided loop.
 fn assert_walks_bit_identical(
-    menus: &[(Vec<SampleKernel>, Vec<f64>, f64)],
+    menus: &[(Vec<SampleKernel>, Vec<f64>)],
     stream: &rand::rngs::StdRng,
     walks: &[(usize, usize, f64, usize)],
     restart_after: Option<usize>,
 ) {
-    let declared = menus[0].2;
     let mut cursor = DrawCursor::new();
-    cursor.declare_power(declared);
     let mut bare = stream.clone();
     let mut rewound = stream.clone();
     cursor.begin(&rewound);
@@ -391,9 +390,8 @@ fn assert_walks_bit_identical(
     assert_eq!(bare.next_u64(), rewound.next_u64(), "cursor rewind");
 
     let mut memo = DrawMemo::new();
-    memo.declare_power(declared);
     memo.begin(stream.clone());
-    for (r, (kernels, means, _)) in menus.iter().enumerate() {
+    for (r, (kernels, means)) in menus.iter().enumerate() {
         let mut bare = stream.clone();
         let mut reader = memo.reader();
         run_walks(
@@ -477,18 +475,20 @@ proptest! {
         assert_memo_bit_identical(&menus, g + e, seed, &scenarios, restart);
     }
 
-    /// Renewal walks over every pair of a unit, a declared, an
-    /// undeclared and a non-Weibull kernel, with `u = 0` words at the
-    /// start, bounds below the first clear, walks straddling refills,
+    /// Renewal walks over every pair of a unit, three other Weibull and
+    /// a non-Weibull kernel, with `u = 0` words at the start, bounds
+    /// below the first clear, walks straddling refills, plain draws
+    /// before a walk (lazily filled power lanes the walk then declares)
     /// and memo readers whose menus differ in scale (the lanes are
-    /// shared) with a restart between them.
+    /// shared) with a restart, which drops the declarations, between
+    /// them.
     #[test]
     fn renewal_walks_match_the_provided_loop(
         params in weibull_params(),
         mean in 1.0..1.0e6f64,
         s in (any::<u64>(), any::<u64>(), any::<u64>(), any::<u64>()),
         zero in 0usize..3,
-        walks in proptest::collection::vec((0usize..4, 0usize..4, -1.0..30.0f64, 0usize..20), 1..6),
+        walks in proptest::collection::vec((0usize..5, 0usize..5, -1.0..30.0f64, 0usize..20), 1..6),
         restart in proptest::option::of(0usize..3),
     ) {
         let (g, e, b) = params;
