@@ -118,6 +118,14 @@ pub fn usage() -> String {
      unbiased importance-sampled estimate; the summary then reports\n\
      the weighted mean and the effective sample size.\n\
      \n\
+     summary: `simulate` and `merge` print DDFs per 1,000 groups, the\n\
+     DDFs by kind, and operational failures and latent defects per\n\
+     group. Latent defects count up to each group's last operational\n\
+     event, its last drive failure or restore within the mission: no\n\
+     DDF can involve a defect after it. A group without a failure\n\
+     counts none, so the base case shows about 33 per group, not the\n\
+     ~74 a whole mission holds.\n\
+     \n\
      exit codes: 0 success; 1 internal error; 2 usage error;\n\
      3 input file unreadable/malformed; 4 checkpoint corrupt or from a\n\
      different run; 5 interrupted gracefully (partial results printed,\n\
@@ -1404,6 +1412,20 @@ mod tests {
         let err = simulate(&argv("--groups 10 --mission-years 1e300")).unwrap_err();
         assert!(
             matches!(&err, CliError::Usage(m) if m.contains("mission_hours")),
+            "{err:?}"
+        );
+    }
+
+    #[test]
+    fn simulate_rejects_unbounded_latent_cycles_before_any_group() {
+        // A near-zero TTLd leaves only the 6 h scrub floor between
+        // defects: about 166,000 cycles per drive over 114 years, past
+        // the renewal-cycle bound. The default 10,000 groups would
+        // take hours; the refusal comes before the first one.
+        let err =
+            simulate(&argv("--ttld-eta 1e-6 --scrub 1e-300 --mission-years 114")).unwrap_err();
+        assert!(
+            matches!(&err, CliError::Usage(m) if m.contains("dists.ttld")),
             "{err:?}"
         );
     }

@@ -40,7 +40,7 @@
 //!
 //! A checkpoint file is either a canonical image or a journal of them.
 //!
-//! ## Canonical image (format version 2)
+//! ## Canonical image (format version 3)
 //!
 //! ```text
 //! offset  size  field
@@ -67,11 +67,13 @@
 //!
 //! Version 2 extended the [`StreamStats`] block with the five weighted
 //! importance-sampling moments and folded the bias policy into the
-//! fingerprint. Version-1 files (always from unbiased runs) are still
-//! readable: their weighted moments are reconstructed exactly as
-//! weight-1 sums ([`StreamStats::decode_version`]), and the runner
-//! validates them against [`legacy_config_fingerprint_v1`]. Writes are
-//! always version 2.
+//! fingerprint. Version 3 kept that layout but changed what the latent
+//! counters mean: `latent_defects` and `scrubs_completed` count events
+//! up to each group's observation horizon, its last operational event,
+//! where earlier versions counted the whole mission (see
+//! [`crate::events::GroupHistory`]). Files of versions 1 and 2 are
+//! refused with [`CheckpointError::VersionMismatch`]: resuming or
+//! merging them would add whole-mission counts to horizon counts.
 //!
 //! This canonical image is what every finished or interrupted run, shard
 //! and cache entry leaves on disk. Its writes are atomic: the image goes
@@ -140,11 +142,9 @@ use std::path::Path;
 
 /// On-disk format version; bumped whenever the layout or the meaning of
 /// any field changes. Version 2 added the weighted importance-sampling
-/// moments; version-1 files are still accepted on read.
-pub const FORMAT_VERSION: u32 = 2;
-
-/// The oldest format version [`SimCheckpoint::from_bytes`] still reads.
-pub const OLDEST_READABLE_VERSION: u32 = 1;
+/// moments; version 3 made the latent counters count to each group's
+/// observation horizon. This is the only version a build reads.
+pub const FORMAT_VERSION: u32 = 3;
 
 /// Leading magic bytes of every canonical checkpoint image.
 pub const MAGIC: [u8; 8] = *b"RAIDSIMC";
@@ -284,22 +284,6 @@ pub fn config_fingerprint(cfg: &RaidGroupConfig, engine_name: &str, bias: BiasPo
     hash.write(format!("{cfg:?}").as_bytes());
     hash.write(b"\0");
     hash.write(format!("{bias:?}").as_bytes());
-    hash.finish()
-}
-
-/// The fingerprint a version-1 build recorded for the same run.
-///
-/// Version-1 files predate importance sampling, so their hash covers
-/// neither a bias policy nor the version-2 format constant; the runner
-/// uses this to validate a version-1 checkpoint when resuming an
-/// unbiased run (a biased resume of a version-1 file is refused
-/// outright — the old fingerprint cannot attest to a measure change).
-pub fn legacy_config_fingerprint_v1(cfg: &RaidGroupConfig, engine_name: &str) -> u64 {
-    let mut hash = Fnv1a::new();
-    hash.write(&1u32.to_le_bytes());
-    hash.write(engine_name.as_bytes());
-    hash.write(b"\0");
-    hash.write(format!("{cfg:?}").as_bytes());
     hash.finish()
 }
 
@@ -452,10 +436,9 @@ fn mode_name(precision: bool) -> &'static str {
 /// A resumable snapshot of an in-flight (or finished) run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SimCheckpoint {
-    /// Format version of the file this snapshot was parsed from
-    /// ([`FORMAT_VERSION`] for freshly built snapshots). The runner
-    /// needs it to pick the matching fingerprint scheme: version-1
-    /// files recorded [`legacy_config_fingerprint_v1`].
+    /// Format version of the snapshot: [`FORMAT_VERSION`] for every
+    /// parsed or freshly built one. The runner and [`merge_shards`]
+    /// refuse any other with [`CheckpointError::VersionMismatch`].
     pub format_version: u32,
     /// Run identity (see [`config_fingerprint`]).
     pub fingerprint: u64,
@@ -585,7 +568,7 @@ impl SimCheckpoint {
         let version = r
             .u32()
             .map_err(|_| corrupt("truncated before the version field".into()))?;
-        if !(OLDEST_READABLE_VERSION..=FORMAT_VERSION).contains(&version) {
+        if version != FORMAT_VERSION {
             return Err(CheckpointError::VersionMismatch {
                 found: version,
                 expected: FORMAT_VERSION,
@@ -621,7 +604,7 @@ impl SimCheckpoint {
         let fingerprint = p.u64().map_err(|e| corrupt(format!("payload: {e}")))?;
         let driver = DriverState::decode(&mut p).map_err(|e| corrupt(format!("payload: {e}")))?;
         let groups_done = p.u64().map_err(|e| corrupt(format!("payload: {e}")))?;
-        let stats = StreamStats::decode_version(p.remaining(), version)
+        let stats = StreamStats::decode(p.remaining())
             .map_err(|e| corrupt(format!("statistics state: {e}")))?;
         if stats.groups() != groups_done {
             return Err(corrupt(format!(
@@ -841,8 +824,9 @@ impl Journal {
 ///
 /// # Errors
 ///
-/// [`CheckpointError::ConfigMismatch`] as described above (also for an
-/// empty shard list).
+/// [`CheckpointError::VersionMismatch`] for a shard of another format
+/// version; [`CheckpointError::ConfigMismatch`] as described above
+/// (also for an empty shard list).
 pub fn merge_shards(mut shards: Vec<SimCheckpoint>) -> Result<SimCheckpoint, CheckpointError> {
     let Some(first) = shards.first() else {
         return Err(CheckpointError::ConfigMismatch {
@@ -855,12 +839,9 @@ pub fn merge_shards(mut shards: Vec<SimCheckpoint>) -> Result<SimCheckpoint, Che
     let batch = first.driver.batch;
     for (i, shard) in shards.iter().enumerate() {
         if shard.format_version != FORMAT_VERSION {
-            return Err(CheckpointError::ConfigMismatch {
-                field: "format_version",
-                reason: format!(
-                    "shard {i} is format version {}, expected {FORMAT_VERSION}",
-                    shard.format_version
-                ),
+            return Err(CheckpointError::VersionMismatch {
+                found: shard.format_version,
+                expected: FORMAT_VERSION,
             });
         }
         if shard.fingerprint != fingerprint {
@@ -948,6 +929,20 @@ pub fn merge_shards(mut shards: Vec<SimCheckpoint>) -> Result<SimCheckpoint, Che
         driver: DriverState::fixed(total, batch, seed),
         stats,
     })
+}
+
+/// `image` (a canonical checkpoint image) re-stamped as format
+/// `version`, its checksum recomputed so only the version is wrong —
+/// the file an older or newer build would have left.
+#[cfg(test)]
+pub(crate) fn restamped(mut image: Vec<u8>, version: u32) -> Vec<u8> {
+    image[8..12].copy_from_slice(&version.to_le_bytes());
+    let n = image.len();
+    let mut hash = Fnv1a::new();
+    hash.write(&image[..n - 8]);
+    let sum = hash.finish();
+    image[n - 8..].copy_from_slice(&sum.to_le_bytes());
+    image
 }
 
 /// FNV-1a 64-bit: tiny, dependency-free, and deterministic across
@@ -1053,14 +1048,7 @@ mod tests {
             Err(CheckpointError::Corrupt { .. })
         ));
 
-        let mut bytes = sample_checkpoint().to_bytes();
-        bytes[8..12].copy_from_slice(&99u32.to_le_bytes());
-        // Recompute the checksum so the version check is what fires.
-        let n = bytes.len();
-        let mut hash = Fnv1a::new();
-        hash.write(&bytes[..n - 8]);
-        let sum = hash.finish();
-        bytes[n - 8..].copy_from_slice(&sum.to_le_bytes());
+        let bytes = restamped(sample_checkpoint().to_bytes(), 99);
         assert_eq!(
             SimCheckpoint::from_bytes(&bytes),
             Err(CheckpointError::VersionMismatch {
@@ -1100,37 +1088,41 @@ mod tests {
             config_fingerprint(&base(), "des", tilt),
             config_fingerprint(&base(), "des", other_tilt)
         );
-        // …and the version-1 scheme is distinct from every version-2
-        // fingerprint of the same run.
-        assert_ne!(a, legacy_config_fingerprint_v1(&base(), "des"));
     }
 
     #[test]
-    fn version_1_files_parse_with_exact_unit_weights() {
-        let ckpt = sample_checkpoint();
-        let mut bytes = ckpt.to_bytes();
-        // Rewrite the image into the version-1 layout: drop the five
-        // weighted u128 stats fields (bytes 104..184 of the stats
-        // block) and re-stamp version, payload length, and checksum.
-        let stats_start = 20 + 8 + 41 + 8; // header, fingerprint, driver, groups_done
-        bytes.drain(stats_start + 104..stats_start + 184);
-        bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
-        let payload_len = (bytes.len() - 28) as u64;
-        bytes[12..20].copy_from_slice(&payload_len.to_le_bytes());
-        let n = bytes.len();
-        let mut hash = Fnv1a::new();
-        hash.write(&bytes[..n - 8]);
-        let sum = hash.finish();
-        bytes[n - 8..].copy_from_slice(&sum.to_le_bytes());
-
-        let v1 = SimCheckpoint::from_bytes(&bytes).unwrap();
-        assert_eq!(v1.format_version, 1);
-        // The unbiased run's weighted moments reconstruct exactly, so
-        // the parsed statistics equal the natively accumulated ones
-        // bit for bit.
-        assert_eq!(v1.stats, ckpt.stats);
-        assert_eq!(v1.driver, ckpt.driver);
-        assert_eq!(v1.fingerprint, ckpt.fingerprint);
+    fn older_format_shards_are_refused_by_merge() {
+        // Formats 1 and 2 counted latent events over the whole mission,
+        // so their images no longer load…
+        let shard = SimCheckpoint {
+            driver: DriverState::fixed(60, 20, 9),
+            ..sample_checkpoint()
+        };
+        for version in [1, 2] {
+            assert_eq!(
+                SimCheckpoint::from_bytes(&restamped(shard.to_bytes(), version)),
+                Err(CheckpointError::VersionMismatch {
+                    found: version,
+                    expected: FORMAT_VERSION
+                })
+            );
+        }
+        assert!(merge_shards(vec![shard.clone()]).is_ok());
+        // …and a snapshot that claims such a version is no shard to
+        // merge, wherever it sits in the list.
+        let old = SimCheckpoint {
+            format_version: 2,
+            ..shard.clone()
+        };
+        for shards in [vec![old.clone()], vec![shard, old]] {
+            assert_eq!(
+                merge_shards(shards),
+                Err(CheckpointError::VersionMismatch {
+                    found: 2,
+                    expected: FORMAT_VERSION
+                })
+            );
+        }
     }
 
     #[test]

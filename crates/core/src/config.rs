@@ -74,6 +74,18 @@ pub const MAX_MISSION_HOURS: f64 = 1.0e6;
 /// group in flight.
 pub const MAX_DRIVES: usize = 1024;
 
+/// The most renewal cycles per drive [`RaidGroupConfig::validate`]
+/// accepts for either of a slot's alternating processes — fail and
+/// restore (TTOp + TTR), defect and scrub (TTLd + TTScrub): 10⁵ over
+/// the mission. By the renewal theorem a process whose cycle averages
+/// `m` hours runs about `mission / m` cycles, each two draws, so this
+/// bounds the work a group can take. The paper's worst Table 1 latent
+/// rate, 4.32×10⁻³/h, gives about 380 defect cycles in ten years even
+/// before scrub time, and the base case about 9. A near-zero cycle —
+/// a defect rate of 10⁶/h scrubbed in microseconds, say — would make
+/// one group run for ever instead of failing fast.
+pub const MAX_RENEWAL_CYCLES: f64 = 1.0e5;
+
 /// How many simultaneous drive losses the group survives.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum Redundancy {
@@ -315,7 +327,8 @@ impl RaidGroupConfig {
     /// Returns [`CoreError::InvalidConfig`] if the group has fewer than
     /// 2 drives or more than [`MAX_DRIVES`], fewer drives than the
     /// redundancy level supports, a non-positive mission or one longer
-    /// than [`MAX_MISSION_HOURS`], or a renewal cycle of zero length.
+    /// than [`MAX_MISSION_HOURS`], or a renewal process that would run
+    /// more than [`MAX_RENEWAL_CYCLES`] cycles per drive.
     pub fn validate(&self) -> Result<(), CoreError> {
         if self.drives < 2 {
             return Err(CoreError::InvalidConfig {
@@ -360,21 +373,31 @@ impl RaidGroupConfig {
                 reason: "scrub distribution given but latent defects disabled".into(),
             });
         }
-        // Lifetimes are non-negative, so a zero mean is zero almost
-        // surely: a fail/restore (or defect/scrub) cycle of zero length
-        // would fire forever at one instant and the run would never end.
-        // A partial atom at zero still renews in positive time.
-        if self.dists.ttop.mean() + self.dists.ttr.mean() == 0.0 {
-            return Err(CoreError::InvalidConfig {
-                field: "dists.ttop",
-                reason: "failure and restore times are both zero".into(),
-            });
-        }
-        if let (Some(ttld), Some(ttscrub)) = (&self.dists.ttld, &self.dists.ttscrub) {
-            if ttld.mean() + ttscrub.mean() == 0.0 {
+        // A zero-length cycle (both means zero, so both lifetimes zero
+        // almost surely) runs infinitely many cycles and is refused
+        // too; a partial atom at zero still renews in positive time.
+        // Defects that are never scrubbed do not cycle.
+        let d = &self.dists;
+        let pairs = [
+            ("dists.ttop", "failure/restore", Some((&d.ttop, &d.ttr))),
+            (
+                "dists.ttld",
+                "defect/scrub",
+                d.ttld.as_ref().zip(d.ttscrub.as_ref()),
+            ),
+        ];
+        for (field, what, pair) in pairs {
+            let Some((a, b)) = pair else { continue };
+            let cycles = self.mission_hours / (a.mean() + b.mean());
+            if cycles.is_nan() || cycles > MAX_RENEWAL_CYCLES {
                 return Err(CoreError::InvalidConfig {
-                    field: "dists.ttld",
-                    reason: "defect and scrub times are both zero".into(),
+                    field,
+                    reason: format!(
+                        "{what} cycles average {:e} h, about {cycles:e} per drive over the \
+                         {} h mission; at most {MAX_RENEWAL_CYCLES:e} are allowed",
+                        a.mean() + b.mean(),
+                        self.mission_hours
+                    ),
                 });
             }
         }
@@ -555,6 +578,58 @@ mod tests {
         cfg.dists.ttld = Some(zero());
         cfg.dists.ttscrub = None;
         cfg.validate().unwrap();
+    }
+
+    #[test]
+    fn validation_bounds_renewal_cycles_per_drive() {
+        let exp = |mean: f64| -> Arc<dyn LifeDistribution> {
+            Arc::new(Exponential::from_mean(mean).unwrap())
+        };
+        let base = RaidGroupConfig::paper_base_case().unwrap();
+        // The paper's worst Table 1 latent rate is far inside the bound.
+        let mut cfg = base.clone();
+        cfg.dists.ttld = Some(exp(1.0 / 4.32e-3));
+        cfg.validate().unwrap();
+
+        // Microsecond defect/scrub cycles: ~4×10¹⁰ per drive.
+        cfg.dists.ttld = Some(exp(1e-6));
+        cfg.dists.ttscrub = Some(exp(1e-6));
+        assert!(matches!(
+            cfg.validate(),
+            Err(CoreError::InvalidConfig {
+                field: "dists.ttld",
+                ..
+            })
+        ));
+        // Never scrubbed, a defect does not cycle.
+        cfg.dists.ttscrub = None;
+        cfg.validate().unwrap();
+
+        // Exactly at the bound is accepted, just past it refused, for
+        // either pair.
+        let mut cfg = base;
+        cfg.mission_hours = 200_000.0;
+        cfg.dists.ttop = exp(1.5);
+        cfg.dists.ttr = exp(0.5);
+        cfg.validate().unwrap();
+        cfg.dists.ttr = exp(0.25);
+        assert!(matches!(
+            cfg.validate(),
+            Err(CoreError::InvalidConfig {
+                field: "dists.ttop",
+                ..
+            })
+        ));
+        cfg.dists.ttr = exp(0.5);
+        cfg.dists.ttld = Some(exp(1.0));
+        cfg.dists.ttscrub = Some(exp(0.999));
+        assert!(matches!(
+            cfg.validate(),
+            Err(CoreError::InvalidConfig {
+                field: "dists.ttld",
+                ..
+            })
+        ));
     }
 
     #[test]

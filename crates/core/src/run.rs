@@ -61,8 +61,7 @@
 //! (see [`crate::checkpoint`]).
 
 use crate::checkpoint::{
-    config_fingerprint, legacy_config_fingerprint_v1, CheckpointError, DriverState, Journal,
-    SimCheckpoint,
+    config_fingerprint, CheckpointError, DriverState, Journal, SimCheckpoint, FORMAT_VERSION,
 };
 use crate::config::RaidGroupConfig;
 use crate::engine::{BiasPolicy, DesEngine, Engine, SessionTuning};
@@ -717,9 +716,10 @@ impl Simulator {
     ///
     /// # Errors
     ///
-    /// [`CheckpointError::ConfigMismatch`] (or a stale-version /
-    /// corrupt variant surfaced by the caller's load) when `resume`
-    /// does not belong to exactly this `(config, engine, driver)`, and
+    /// [`CheckpointError::VersionMismatch`] when `resume` is of another
+    /// format version, [`CheckpointError::ConfigMismatch`] (or a corrupt
+    /// variant surfaced by the caller's load) when it does not belong
+    /// to exactly this `(config, engine, driver)`, and
     /// the failed write's error when a `required` plan cannot persist.
     /// With no `plan` and no `resume` the run cannot fail: it always
     /// returns `Ok`, and callers may `expect` it.
@@ -740,27 +740,16 @@ impl Simulator {
         let fingerprint = self.run_fingerprint();
         let mut stats = match resume {
             Some(ckpt) => {
-                if ckpt.format_version < crate::checkpoint::FORMAT_VERSION {
-                    // Version-1 files recorded the legacy fingerprint,
-                    // which does not cover a sampling-measure change —
-                    // it cannot attest that the old groups were drawn
-                    // under this run's tilt, so only an unbiased resume
-                    // is sound.
-                    if !self.bias.is_unbiased() {
-                        return Err(CheckpointError::ConfigMismatch {
-                            field: "bias",
-                            reason: format!(
-                                "checkpoint is format version {} (pre-importance-sampling) \
-                                 and can only resume an unbiased run; requested {:?}",
-                                ckpt.format_version, self.bias
-                            ),
-                        });
-                    }
-                    let legacy = legacy_config_fingerprint_v1(&self.cfg, self.engine.name());
-                    ckpt.validate_for(legacy, &driver)?;
-                } else {
-                    ckpt.validate_for(fingerprint, &driver)?;
+                // Older formats counted latent events over the whole
+                // mission; folding their counts into horizon counts
+                // would mix two meanings in one accumulator.
+                if ckpt.format_version != FORMAT_VERSION {
+                    return Err(CheckpointError::VersionMismatch {
+                        found: ckpt.format_version,
+                        expected: FORMAT_VERSION,
+                    });
                 }
+                ckpt.validate_for(fingerprint, &driver)?;
                 if ckpt.stats.mission_hours() != self.cfg.mission_hours {
                     return Err(CheckpointError::ConfigMismatch {
                         field: "mission",
@@ -1700,7 +1689,8 @@ impl SimulationResult {
         self.histories.iter().map(|h| h.op_failures).sum()
     }
 
-    /// Total latent defects created across groups.
+    /// Total latent defects created across groups, each group counting
+    /// up to its observation horizon (see [`GroupHistory::latent_defects`]).
     pub fn total_latent_defects(&self) -> u64 {
         self.histories.iter().map(|h| h.latent_defects).sum()
     }
@@ -1721,8 +1711,12 @@ impl SimulationResult {
     /// Writes one CSV row per group history (`group, ddfs, op_failures,
     /// latent_defects, scrubs_completed, restores_completed,
     /// downtime_hours, log_weight`) for analysis in external tooling.
-    /// The `log_weight` column is the importance-sampling
-    /// log-likelihood-ratio — all zeros for unbiased runs.
+    /// The `latent_defects` and `scrubs_completed` columns count up to
+    /// the group's observation horizon, its last operational event
+    /// (zero for a group without one; see [`GroupHistory`]), not over
+    /// the whole mission. The `log_weight` column is the
+    /// importance-sampling log-likelihood-ratio — all zeros for
+    /// unbiased runs.
     ///
     /// # Errors
     ///

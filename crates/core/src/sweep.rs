@@ -340,6 +340,27 @@ mod tests {
     }
 
     #[test]
+    fn older_format_entries_are_misses() {
+        let dir = PathBuf::from("cache");
+        let stats = stats_of(10);
+        let mut cache = SweepCache::with_store(Box::new(MemStore::new()), dir.clone());
+        cache.insert(0xbeef, 10, 5, &stats);
+        let Some((mut store, _)) = cache.store.take() else {
+            unreachable!("store was attached")
+        };
+        // An entry an older build wrote under the same name: format 2
+        // counted latent events over the whole mission.
+        let path = dir.join(SweepCache::file_name(0xbeef, 10, 5));
+        let image = store.read(&path).unwrap();
+        store
+            .write(&path, &crate::checkpoint::restamped(image, 2))
+            .unwrap();
+        let mut cache = SweepCache::with_store(store, dir);
+        assert!(cache.lookup(0xbeef, 10, 5).is_none());
+        assert_eq!((cache.hits(), cache.misses()), (0, 1));
+    }
+
+    #[test]
     fn foreign_artifacts_degrade_to_a_miss() {
         let dir = PathBuf::from("cache");
         let stats = stats_of(10);

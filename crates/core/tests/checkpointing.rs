@@ -7,7 +7,7 @@
 
 use proptest::prelude::*;
 use raidsim_core::checkpoint::JOURNAL_MAGIC;
-use raidsim_core::checkpoint::{CheckpointError, DriverState, SimCheckpoint};
+use raidsim_core::checkpoint::{CheckpointError, DriverState, SimCheckpoint, FORMAT_VERSION};
 use raidsim_core::config::{RaidGroupConfig, Redundancy, TransitionDistributions};
 use raidsim_core::run::{
     CheckpointPlan, EveryGroups, RunControl, Simulator, StopCriterion, StreamObserver,
@@ -314,6 +314,55 @@ fn mismatched_checkpoints_are_rejected_with_typed_errors() {
         }) => {}
         other => panic!("expected config mismatch, got {other:?}"),
     }
+    std::fs::remove_file(&path).ok();
+}
+
+/// Formats 1 and 2 counted latent events over the whole mission, so a
+/// resume from one would fold whole-mission counts into horizon counts:
+/// the file is refused on load, and a snapshot claiming such a version
+/// is refused on resume, both with a typed version error.
+#[test]
+fn older_format_checkpoints_are_refused_on_resume() {
+    let sim = Simulator::new(RaidGroupConfig::paper_base_case().unwrap());
+    let driver = DriverState::fixed(90, 30, 11);
+    let path = temp_ckpt("older_format.ckpt");
+    let mut cadence = EveryGroups(1);
+    let mut store = FsStore;
+    let mut backoff = AttemptBudget(1);
+    let plan = CheckpointPlan {
+        path: &path,
+        cadence: &mut cadence,
+        store: &mut store,
+        backoff: &mut backoff,
+        required: false,
+    };
+    let control = InterruptAfter::new(1);
+    sim.run_checkpointed(driver, 2, &(), &control, Some(plan), None)
+        .unwrap();
+    let mut ckpt = SimCheckpoint::load(&path).unwrap();
+    assert!(ckpt.groups_done() < 90, "the interrupt must land mid-run");
+
+    // The same image stamped as format 2, checksum intact.
+    let mut image = std::fs::read(&path).unwrap();
+    image[8..12].copy_from_slice(&2u32.to_le_bytes());
+    let n = image.len();
+    let mut sum = 0xcbf2_9ce4_8422_2325u64;
+    for &b in &image[..n - 8] {
+        sum = (sum ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    image[n - 8..].copy_from_slice(&sum.to_le_bytes());
+    std::fs::write(&path, &image).unwrap();
+    let refused = CheckpointError::VersionMismatch {
+        found: 2,
+        expected: FORMAT_VERSION,
+    };
+    assert_eq!(SimCheckpoint::load(&path), Err(refused.clone()));
+
+    ckpt.format_version = 2;
+    assert_eq!(
+        sim.run_checkpointed(driver, 2, &(), &(), None, Some(ckpt)),
+        Err(refused)
+    );
     std::fs::remove_file(&path).ok();
 }
 

@@ -18,12 +18,22 @@
 //! version-2 weighted fields of an unbiased run are exact integer
 //! functions of the version-1 fields, so the new fingerprints pin the
 //! same sampling behavior.
+//!
+//! Recaptured again when the latent counters started stopping at each
+//! group's last operational event (checkpoint format 3). Every case
+//! also pins a DDF-side fingerprint that leaves those two counters out
+//! (and, for the tie-order case, the engine counters); those were
+//! captured before the change and still match, so no DDF, failure,
+//! restore, downtime or weight bit moved. The latent-tilted and
+//! forced cases pin the weights of the runs that keep drawing latent
+//! events to the mission.
 
 use raidsim_core::checkpoint::{DriverState, SimCheckpoint, FORMAT_VERSION};
 use raidsim_core::config::{RaidGroupConfig, Redundancy, SparePolicy, TransitionDistributions};
 use raidsim_core::engine::{BiasPolicy, DesEngine, Engine, SessionTuning, TimelineEngine};
 use raidsim_core::events::GroupHistory;
 use raidsim_core::run::Simulator;
+use raidsim_core::stats::StreamStats;
 use raidsim_dists::rng::stream;
 use raidsim_dists::{
     CompetingRisks, Degenerate, Exponential, LifeDistribution, Lognormal, Mixture, Weibull3,
@@ -33,7 +43,7 @@ use std::sync::Arc;
 /// FNV-1a 64 over the checkpoint serialization of the streamed
 /// aggregate — every integer moment, histogram bin, and the group
 /// count, byte-exact.
-fn stats_fingerprint(stats: &raidsim_core::stats::StreamStats, seed: u64, groups: u64) -> u64 {
+fn stats_fingerprint(stats: &StreamStats, seed: u64, groups: u64) -> u64 {
     let ckpt = SimCheckpoint {
         format_version: FORMAT_VERSION,
         fingerprint: 0,
@@ -45,6 +55,23 @@ fn stats_fingerprint(stats: &raidsim_core::stats::StreamStats, seed: u64, groups
         hash ^= u64::from(b);
         hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
     }
+    hash
+}
+
+/// FNV-1a 64 over the aggregate's encoding minus its latent counters:
+/// every field except `latent_defects` and `scrubs_completed` (bytes
+/// 64..80 of [`StreamStats::encode_into`]'s layout) — the DDF moments,
+/// kinds and histogram, the operational failures and restores, the
+/// downtime, and the weighted moments. Cutting latent chains at a
+/// group's last operational event moves only those two counters, so
+/// this fingerprint stays fixed across that change while the full one
+/// moves.
+fn ddf_fingerprint(stats: &StreamStats) -> u64 {
+    let mut bytes = Vec::new();
+    stats.encode_into(&mut bytes);
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    fnv1a(&mut hash, &bytes[..64]);
+    fnv1a(&mut hash, &bytes[80..]);
     hash
 }
 
@@ -108,68 +135,158 @@ fn competing_risks() -> RaidGroupConfig {
     }
 }
 
-/// `(label, config, use timeline engine, groups, seed, expected
-/// fingerprint)`.
-fn golden_cases() -> Vec<(&'static str, RaidGroupConfig, bool, usize, u64, u64)> {
+/// `(label, config, use timeline engine, sampling measure, groups,
+/// seed, expected fingerprint, expected DDF-side fingerprint)`; see
+/// [`stats_fingerprint`] and [`ddf_fingerprint`].
+type Golden = (
+    &'static str,
+    RaidGroupConfig,
+    bool,
+    BiasPolicy,
+    usize,
+    u64,
+    u64,
+    u64,
+);
+
+fn golden_cases() -> Vec<Golden> {
+    let none = BiasPolicy::None;
+    let op_tilt = BiasPolicy::HazardTilt {
+        op_theta: 0.6,
+        latent_theta: 0.0,
+    };
+    let latent_tilt = BiasPolicy::HazardTilt {
+        op_theta: 0.0,
+        latent_theta: 0.4,
+    };
+    let forced = BiasPolicy::ForcedCritical {
+        fraction: 0.3,
+        window_hours: 96.0,
+    };
     vec![
-        ("base_des", base(), false, 300, 42, 0xd859_5659_71fb_2163),
+        (
+            "base_des",
+            base(),
+            false,
+            none,
+            300,
+            42,
+            0x6510_f9b9_6b7a_d1bd,
+            0xe204_40f8_38df_5ff8,
+        ),
         (
             "base_timeline",
             base(),
             true,
+            none,
             300,
             42,
-            0x5d91_cb40_7667_ec5b,
+            0x7a30_16c3_de72_3768,
+            0x85e5_93de_d632_f57d,
         ),
         (
             "exp_degenerate",
             exponential_degenerate(),
             false,
+            none,
             250,
             7,
-            0x1cc4_c893_bfc1_b232,
+            0xbc2e_0d82_8764_5b56,
+            0x46b1_166b_ba95_66af,
         ),
         (
             "lognormal_defects",
             lognormal_with_defects(),
             false,
+            none,
             250,
             9,
-            0x7ce8_f661_724b_9010,
+            0xfb5b_bd71_d0f6_a878,
+            0x2512_6bfa_4c9b_2a27,
         ),
         (
             "mixture_finite_spares",
             mixture_finite_spares(),
             false,
+            none,
             250,
             11,
-            0x6f05_d506_acfd_75d0,
+            0xb9e6_c32b_57e0_1d6d,
+            0xd477_ba35_fa05_524c,
         ),
         (
             "competing_risks_timeline",
             competing_risks(),
             true,
+            none,
             200,
             13,
-            0xdf65_8d7c_7871_7a4c,
+            0x8da3_ca91_b315_ec5c,
+            0xc133_87cb_8979_2441,
+        ),
+        (
+            "op_tilt_des",
+            base(),
+            false,
+            op_tilt,
+            250,
+            17,
+            0xeb82_dd20_b60f_3aa2,
+            0xa97e_8481_be01_f8a6,
+        ),
+        (
+            "latent_tilt_des",
+            base(),
+            false,
+            latent_tilt,
+            250,
+            19,
+            0x36f0_1cc4_6503_6418,
+            0x6d18_5ec4_aed3_ddbe,
+        ),
+        (
+            "latent_tilt_timeline",
+            base(),
+            true,
+            latent_tilt,
+            250,
+            23,
+            0x2a53_3ea2_e43c_db27,
+            0xa8e2_fbbf_9600_0135,
+        ),
+        (
+            "forced_critical_des",
+            base(),
+            false,
+            forced,
+            250,
+            29,
+            0x8d96_a04c_92b3_92ef,
+            0x6a82_3dfa_121a_023e,
         ),
     ]
 }
 
 #[test]
 fn streamed_aggregates_match_pre_pool_golden_values() {
-    for (label, cfg, timeline, groups, seed, expected) in golden_cases() {
-        let mut sim = Simulator::new(cfg);
+    for (label, cfg, timeline, bias, groups, seed, expected, expected_ddf) in golden_cases() {
+        let mut sim = Simulator::new(cfg).with_bias(bias);
         if timeline {
             sim = sim.with_engine(Arc::new(TimelineEngine::new()));
         }
         for threads in [1usize, 3] {
             let stats = sim.run_streaming(groups, seed, threads);
             let got = stats_fingerprint(&stats, seed, groups as u64);
+            let ddf = ddf_fingerprint(&stats);
             if std::env::var("GOLDEN_CAPTURE").is_ok() {
-                eprintln!("{label}: {got:#018x}");
+                eprintln!("{label}: full {got:#018x}, ddf {ddf:#018x}");
                 continue;
             }
+            assert_eq!(
+                ddf, expected_ddf,
+                "{label} at {threads} thread(s): DDF-side fingerprint {ddf:#018x}, \
+                 golden {expected_ddf:#018x}"
+            );
             assert_eq!(
                 got, expected,
                 "{label} at {threads} thread(s): fingerprint {got:#018x}, \
@@ -187,13 +304,18 @@ fn precision_run_matches_pre_pool_golden_values() {
         .run_checkpointed(driver, 3, &(), &(), None, None)
         .expect("no plan and no resume cannot fail");
     let got = stats_fingerprint(&stats, 5, 400);
+    let ddf = ddf_fingerprint(&stats);
     if std::env::var("GOLDEN_CAPTURE").is_ok() {
-        eprintln!("precision: {got:#018x}");
+        eprintln!("precision: {got:#018x}, ddf {ddf:#018x}");
         eprintln!("report: {report:?}");
         return;
     }
     assert_eq!(
-        got, 0x8b3b_02de_e1f9_d3a0,
+        ddf, 0xf1cf_346d_a4a2_9866,
+        "precision DDF-side fingerprint {ddf:#018x}"
+    );
+    assert_eq!(
+        got, 0x6bc2_9642_8481_9102,
         "precision stats fingerprint {got:#018x}"
     );
     let rendered = format!("{report:?}");
@@ -214,17 +336,21 @@ fn fnv1a(hash: &mut u64, bytes: &[u8]) {
 }
 
 /// Hashes every field of a group history — DDF times and kinds, the
-/// event counts, and the downtime and log-weight bit patterns.
-fn hash_history(hash: &mut u64, h: &GroupHistory) {
+/// event counts, and the downtime and log-weight bit patterns — or,
+/// without `latent_counters`, every field but `latent_defects` and
+/// `scrubs_completed` (see [`ddf_fingerprint`]).
+fn hash_history(hash: &mut u64, h: &GroupHistory, latent_counters: bool) {
     fnv1a(hash, &(h.ddfs.len() as u64).to_le_bytes());
     for e in &h.ddfs {
         fnv1a(hash, &e.time.to_bits().to_le_bytes());
         fnv1a(hash, &[e.kind as u8]);
     }
+    fnv1a(hash, &h.op_failures.to_le_bytes());
+    if latent_counters {
+        fnv1a(hash, &h.latent_defects.to_le_bytes());
+        fnv1a(hash, &h.scrubs_completed.to_le_bytes());
+    }
     for count in [
-        h.op_failures,
-        h.latent_defects,
-        h.scrubs_completed,
         h.restores_completed,
         h.downtime_hours.to_bits(),
         h.log_weight.to_bits(),
@@ -268,7 +394,8 @@ fn tie_configs() -> Vec<(&'static str, TransitionDistributions)> {
 /// into an inner loop, so it proves the two-level loop kept the
 /// single-scan `(time, slot, operational-before-latent)` order — the
 /// block-vs-scalar equivalence tests cannot, as both tunings run the
-/// same loop.
+/// same loop. The DDF-side half has held since before the loop stopped
+/// at the last operational event; the full half was recaptured then.
 #[test]
 fn des_tie_order_matches_single_scan_golden_values() {
     let biases = [
@@ -293,15 +420,18 @@ fn des_tie_order_matches_single_scan_golden_values() {
             replenish_hours: 700.0,
         },
     ];
+    // `(full, DDF side)` per tie configuration; the DDF-side hash
+    // leaves out the latent counters and the engine counters.
     let expected = [
-        0x7b14_da8f_ae08_e511u64,
-        0x019b_5188_1297_3d61,
-        0xf4c8_dfe5_d471_b367,
-        0xdc5e_4357_f7f7_803f,
+        (0xfd7e_c1c5_e8c0_5c51u64, 0x3519_ea36_9052_b205),
+        (0x5a81_0271_5b03_fd69, 0xd2cf_52ee_2210_3685),
+        (0x224b_fe9f_7c93_8987, 0x9155_6a02_f42f_1d6b),
+        (0xc4d6_60a3_d99f_92a9, 0x62fc_8e62_d6a0_4495),
     ];
     let engine = DesEngine::new();
-    for ((label, dists), expected) in tie_configs().into_iter().zip(expected) {
+    for ((label, dists), (expected, expected_ddf)) in tie_configs().into_iter().zip(expected) {
         let mut hash = 0xcbf2_9ce4_8422_2325u64;
+        let mut ddf = 0xcbf2_9ce4_8422_2325u64;
         for defect_reset_on_replacement in [false, true] {
             for spares in spares {
                 let cfg = RaidGroupConfig {
@@ -316,7 +446,9 @@ fn des_tie_order_matches_single_scan_golden_values() {
                     for tuning in tunings {
                         let mut session = engine.session_tuned(&cfg, bias, tuning);
                         for g in 0..12 {
-                            hash_history(&mut hash, session.simulate_group(&mut stream(2007, g)));
+                            let h = session.simulate_group(&mut stream(2007, g));
+                            hash_history(&mut hash, h, true);
+                            hash_history(&mut ddf, h, false);
                         }
                         let c = session.counters();
                         for count in [
@@ -333,9 +465,13 @@ fn des_tie_order_matches_single_scan_golden_values() {
             }
         }
         if std::env::var("GOLDEN_CAPTURE").is_ok() {
-            eprintln!("{label}: {hash:#018x}");
+            eprintln!("{label}: full {hash:#018x}, ddf {ddf:#018x}");
             continue;
         }
+        assert_eq!(
+            ddf, expected_ddf,
+            "{label}: DDF-side tie-order fingerprint {ddf:#018x}, golden {expected_ddf:#018x}"
+        );
         assert_eq!(
             hash, expected,
             "{label}: tie-order fingerprint {hash:#018x}, golden {expected:#018x}"

@@ -1,12 +1,9 @@
 //! Importance-sampling guarantees end to end: the hazard-tilted
 //! estimator is unbiased (its confidence interval covers the plain
-//! estimator), biased runs checkpoint and resume bit-identically at
-//! any thread count, and version-1 (pre-importance-sampling)
-//! checkpoints resume unbiased runs exactly but refuse biased ones.
+//! estimator), and biased runs checkpoint and resume bit-identically
+//! at any thread count.
 
-use raidsim_core::checkpoint::{
-    legacy_config_fingerprint_v1, CheckpointError, DriverState, SimCheckpoint,
-};
+use raidsim_core::checkpoint::{DriverState, SimCheckpoint};
 use raidsim_core::config::RaidGroupConfig;
 use raidsim_core::engine::BiasPolicy;
 use raidsim_core::run::{CheckpointPlan, EveryGroups, RunControl, Simulator};
@@ -205,57 +202,4 @@ fn biased_kill_and_resume_is_bit_identical() {
         assert_eq!(report, ref_report, "kill at batch {kill_batch}");
         std::fs::remove_file(&path).ok();
     }
-}
-
-/// Version-1 checkpoints carry no bias attestation: an unbiased run
-/// resumes from one bit-identically (the weight-1 upgrade is exact),
-/// while a biased run is refused with a typed error instead of
-/// silently mixing measures.
-#[test]
-fn version_1_checkpoints_resume_unbiased_but_refuse_bias() {
-    let cfg = base();
-    let sim = Simulator::new(cfg.clone());
-    let driver = DriverState::fixed(90, 30, 11);
-    let reference = sim.run_streaming(90, 11, 2);
-
-    // Produce a real mid-run checkpoint, then rewrite it as a
-    // version-1 artifact: version-1 files carry the legacy fingerprint
-    // and (once decoded) exact weight-1 moments — which is precisely
-    // the state this unbiased run has.
-    let path = temp_ckpt("v1_resume.ckpt");
-    let control = InterruptAfter::new(1);
-    let mut cadence = EveryGroups(1);
-    let mut store = FsStore;
-    let mut backoff = AttemptBudget(1);
-    let plan = CheckpointPlan {
-        path: &path,
-        cadence: &mut cadence,
-        store: &mut store,
-        backoff: &mut backoff,
-        required: false,
-    };
-    sim.run_checkpointed(driver, 2, &(), &control, Some(plan), None)
-        .unwrap();
-    let mut ckpt = SimCheckpoint::load(&path).unwrap();
-    assert!(ckpt.groups_done() < 90, "the interrupt must land mid-run");
-    ckpt.format_version = 1;
-    ckpt.fingerprint = legacy_config_fingerprint_v1(&cfg, "discrete-event");
-
-    // A biased resume is refused with a typed error naming the field.
-    let biased = Simulator::new(cfg).with_bias(BiasPolicy::HazardTilt {
-        op_theta: 1.0,
-        latent_theta: 0.0,
-    });
-    match biased.run_checkpointed(driver, 2, &(), &(), None, Some(ckpt.clone())) {
-        Err(CheckpointError::ConfigMismatch { field: "bias", .. }) => {}
-        other => panic!("expected a bias refusal, got {other:?}"),
-    }
-
-    // The unbiased resume completes bit-identically to an
-    // uninterrupted run.
-    let (stats, _) = sim
-        .run_checkpointed(driver, 3, &(), &(), None, Some(ckpt))
-        .unwrap();
-    assert_eq!(stats, reference);
-    std::fs::remove_file(&path).ok();
 }

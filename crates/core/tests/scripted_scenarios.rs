@@ -10,7 +10,7 @@
 //! minimum), which the schedules below rely on.
 
 use raidsim_core::config::{RaidGroupConfig, Redundancy, TransitionDistributions};
-use raidsim_core::engine::{DesEngine, Engine};
+use raidsim_core::engine::{DesEngine, Engine, TimelineEngine};
 use raidsim_core::events::DdfKind;
 use raidsim_dists::rng::stream;
 use raidsim_dists::{Degenerate, LifeDistribution};
@@ -107,14 +107,47 @@ fn failure_before_defect_is_not_a_ddf() {
     );
 }
 
-/// Rule 3 (defects alone never lose data): defects on every drive,
-/// no operational failures within the mission — zero DDFs.
+/// Rule 3 (defects alone never lose data): every drive carries a
+/// defect from t = 30 to 40, 70 to 80, …, 430 to 440, and every drive
+/// fails at t = 450 with an instant restore, so no failure overlaps
+/// another or meets a defect. The latent counters stop at that last
+/// operational event, which sees all 88 defects (and their scrubs) of
+/// the eleven cycles before it — and zero DDFs.
 #[test]
 fn defects_alone_are_harmless() {
-    let cfg = scripted(8, 500.0, 10_000.0, 12.0, Some(30.0), None);
+    let cfg = scripted(8, 500.0, 450.0, 0.0, Some(30.0), Some(10.0));
     let h = run(&cfg);
     assert_eq!(h.ddf_count(), 0);
-    assert!(h.latent_defects >= 8);
+    assert_eq!(h.op_failures, 8);
+    assert_eq!(h.latent_defects, 88);
+    assert_eq!(h.scrubs_completed, 88);
+}
+
+/// The latent counters count to the group's observation horizon — its
+/// last failure or restore within the mission — on both engines. With
+/// a defect cycle every 40 h (defects at 30, 70, 110, …, each scrubbed
+/// 10 h later) and every drive failing at `ttop` with an instant
+/// restore, the horizon is `ttop`: a defect or scrub before it counts,
+/// one after it does not (at 450 that is the defect at 470 and its
+/// scrub at 480, both inside the 490 h mission), and a group whose
+/// drives never fail counts none.
+#[test]
+fn latent_counters_stop_at_the_last_operational_event() {
+    let engines: [&dyn Engine; 2] = [&DesEngine::new(), &TimelineEngine::new()];
+    for engine in engines {
+        for (ttop, per_drive) in [(450.0, 11), (250.0, 6), (10_000.0, 0)] {
+            let cfg = scripted(8, 490.0, ttop, 0.0, Some(30.0), Some(10.0));
+            let h = engine.simulate_group(&cfg, &mut stream(0, 0));
+            h.assert_invariants(cfg.mission_hours);
+            let name = engine.name();
+            assert_eq!(h.ddf_count(), 0, "{name}, failures at {ttop} h");
+            assert_eq!(
+                (h.latent_defects, h.scrubs_completed),
+                (8 * per_drive, 8 * per_drive),
+                "{name}, failures at {ttop} h"
+            );
+        }
+    }
 }
 
 /// Rule 5 (blocking window): with failures every 10 h and restores

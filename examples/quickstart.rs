@@ -43,8 +43,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "  operational failures per group: {:.2}",
         result.total_op_failures() as f64 / groups as f64
     );
+    // Latent defects count only up to each group's last drive failure
+    // or restore: no data loss can involve a defect after that.
     println!(
-        "  latent defects created per group: {:.1}",
+        "  latent defects per group, up to its last failure or restore: {:.1}",
         result.total_latent_defects() as f64 / groups as f64
     );
 

@@ -7,14 +7,36 @@
 
 use raidsim::config::{RaidGroupConfig, Redundancy, TransitionDistributions};
 use raidsim::engine::{DesEngine, TimelineEngine};
+use raidsim::events::GroupHistory;
 use raidsim::hdd::scrub::ScrubPolicy;
-use raidsim::run::Simulator;
+use raidsim::run::{SimulationResult, Simulator};
 use std::sync::Arc;
 
 fn threads() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(4)
+}
+
+/// A per-group count read off a history.
+type Counter = fn(&GroupHistory) -> u64;
+
+/// Welch's z for the difference of the mean of `field` between two
+/// runs, from the per-group sample variances; `0` when neither run
+/// varies and the means agree, infinite when they differ.
+fn welch_z(a: &SimulationResult, b: &SimulationResult, field: Counter) -> f64 {
+    let moments = |r: &SimulationResult| {
+        let x: Vec<f64> = r.histories.iter().map(|h| field(h) as f64).collect();
+        let n = x.len() as f64;
+        let mean = x.iter().sum::<f64>() / n;
+        let var = x.iter().map(|v| (v - mean).powi(2)).sum::<f64>() / (n - 1.0);
+        (mean, var / n)
+    };
+    let ((ma, sa), (mb, sb)) = (moments(a), moments(b));
+    if ma == mb {
+        return 0.0;
+    }
+    (ma - mb) / (sa + sb).sqrt()
 }
 
 /// Runs both engines on the same config (different, independent seeds)
@@ -42,6 +64,23 @@ fn assert_engines_agree(cfg: RaidGroupConfig, groups: usize, label: &str) {
         (ops_a - ops_b).abs() <= 4.0 * ops_sigma + 8.0,
         "{label}: op failure counts diverge (des = {ops_a}, timeline = {ops_b})"
     );
+    // The latent counters stop at each group's last operational
+    // event, which makes them far more dispersed than Poisson counts
+    // (per-group sd ≈ 28 against ≈ 6 on the base case), so they are
+    // compared at 4 standard errors of the observed per-group spread.
+    let latent: [(&str, Counter); 2] = [
+        ("latent defect", |h| h.latent_defects),
+        ("scrub", |h| h.scrubs_completed),
+    ];
+    for (what, field) in latent {
+        let z = welch_z(&des, &timeline, field);
+        assert!(
+            z.abs() <= 4.0,
+            "{label}: {what} counts diverge (Welch z = {z:.2}; des = {}, timeline = {})",
+            des.histories.iter().map(field).sum::<u64>(),
+            timeline.histories.iter().map(field).sum::<u64>()
+        );
+    }
 }
 
 #[test]

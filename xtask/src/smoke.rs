@@ -91,7 +91,10 @@ const KILL_AFTER: Duration = Duration::from_millis(300);
 /// 1. run the CLI uninterrupted and keep its report,
 /// 2. rerun with a tiny checkpoint cadence and interrupt it mid-run,
 /// 3. resume from the checkpoint and require the final report to be
-///    byte-identical to the uninterrupted one.
+///    byte-identical to the uninterrupted one,
+/// 4. stamp the finished checkpoint as format version 2 (whose latent
+///    counters meant something else) and require the resume to be
+///    refused with an error naming that version.
 ///
 /// This is the one test that exercises the *real* signal handler and
 /// process exit codes rather than the in-process `RunControl` seam.
@@ -185,8 +188,8 @@ pub fn check_resume(root: &Path) -> Result<Vec<Finding>, String> {
         .args(["--checkpoint", &ckpt_str, "--resume"])
         .output()
         .map_err(|e| format!("cannot spawn {}: {e}", bin.display()))?;
-    let _ = std::fs::remove_file(&ckpt);
     if !resumed.status.success() {
+        let _ = std::fs::remove_file(&ckpt);
         findings.push(finding(format!(
             "resumed run failed ({}): {}",
             resumed.status,
@@ -206,7 +209,49 @@ pub fn check_resume(root: &Path) -> Result<Vec<Finding>, String> {
              --- uninterrupted ---\n{reference_out}\n--- resumed ---\n{resumed_out}"
         )));
     }
+
+    // Leg 4: the finished checkpoint re-stamped as format version 2.
+    let refused = stamp_version_2(&ckpt).and_then(|()| {
+        Command::new(&bin)
+            .current_dir(root)
+            .args(RESUME_ARGS)
+            .args(["--checkpoint", &ckpt_str, "--resume"])
+            .output()
+    });
+    let _ = std::fs::remove_file(&ckpt);
+    let refused = refused.map_err(|e| format!("resuming a format-2 {ckpt_str}: {e}"))?;
+    let refused_out = String::from_utf8_lossy(&refused.stdout);
+    let refused_err = String::from_utf8_lossy(&refused.stderr);
+    if refused.status.success()
+        || !refused_err.contains("format version 2")
+        || refused_out.contains("resumed from checkpoint")
+    {
+        findings.push(finding(format!(
+            "a format-2 checkpoint was not refused by name ({}):\n\
+             --- stdout ---\n{refused_out}\n--- stderr ---\n{refused_err}",
+            refused.status
+        )));
+    }
     Ok(findings)
+}
+
+/// Rewrites the canonical checkpoint image at `path` as format version
+/// 2: the version field (bytes 8..12) and the trailing FNV-1a 64
+/// checksum, so only the version is wrong.
+fn stamp_version_2(path: &Path) -> std::io::Result<()> {
+    let mut image = std::fs::read(path)?;
+    if !image.starts_with(b"RAIDSIMC") || image.len() < 28 {
+        return Err(std::io::Error::other("not a canonical checkpoint image"));
+    }
+    image[8..12].copy_from_slice(&2u32.to_le_bytes());
+    let end = image.len() - 8;
+    let sum = image[..end]
+        .iter()
+        .fold(0xcbf2_9ce4_8422_2325u64, |hash, &b| {
+            (hash ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        });
+    image[end..].copy_from_slice(&sum.to_le_bytes());
+    std::fs::write(path, image)
 }
 
 /// Groups and seed of the sweep smoke: a few seconds of work, with
