@@ -1,8 +1,8 @@
 use super::ddf::{self, SlotCondition};
-use super::{draw, BiasPolicy, Engine, EngineCounters, EngineSession, SessionTuning};
+use super::{draw, BiasPolicy, BundleShare, Engine, EngineCounters, EngineSession, SessionTuning};
 use crate::config::{RaidGroupConfig, Redundancy, SparePolicy};
 use crate::events::{DdfEvent, GroupHistory};
-use raidsim_dists::kernel::{DrawSource, Forcing, Tilt, NO_CUT};
+use raidsim_dists::kernel::{sample_pairs, DrawSource, Forcing, Tilt, NO_CUT};
 use raidsim_dists::rng::{DrawCursor, DrawMemo, SimRng};
 use raidsim_dists::{KernelCache, SampleKernel};
 
@@ -153,6 +153,22 @@ struct Slot {
     clear_is_restore: bool,
 }
 
+impl Slot {
+    /// A slot at mission start: a new drive, up and clean, with its
+    /// first failure and first defect pending at the given times.
+    fn fresh(next_op: f64, next_ld: f64) -> Self {
+        Slot {
+            up: true,
+            born_at: 0.0,
+            forced_at: f64::NEG_INFINITY,
+            next_op,
+            defective: false,
+            next_ld,
+            clear_is_restore: false,
+        }
+    }
+}
+
 /// Persistent per-worker session for [`DesEngine`].
 ///
 /// Owns the simulation state ([`DesState`]) and, under block tuning,
@@ -217,6 +233,9 @@ struct DesState {
     /// every pending event lies beyond the mission and the group ends,
     /// so it may read any other value beyond the mission instead.
     op_cut: f64,
+    /// The mission-start `(TTOp, TTLd)` draws of a batched
+    /// [`DesState::start_group_block`], one pair per slot.
+    init: Vec<(f64, f64)>,
 }
 
 impl DesSession {
@@ -269,6 +288,7 @@ impl DesState {
             ddfs_cap: 0,
             counters: EngineCounters::default(),
             op_cut,
+            init: vec![(0.0, 0.0); cfg.drives],
         }
     }
 
@@ -370,19 +390,26 @@ fn force_budget_for(forcing: Forcing) -> u32 {
 impl EngineSession for DesSession {
     fn simulate_group(&mut self, rng: &mut SimRng) -> &GroupHistory {
         let state = &mut self.state;
-        state.start_group(rng);
         match self.prefetch.as_mut() {
             Some(cursor) => {
+                state.start_group_block(rng);
                 cursor.begin(rng);
                 state.run_events(cursor);
                 cursor.finish(rng);
             }
-            None => state.run_events(rng),
+            None => {
+                state.start_group(rng);
+                state.run_events(rng);
+            }
         }
         &self.state.history
     }
 
-    fn simulate_group_memo(&mut self, memo: &mut DrawMemo) -> &GroupHistory {
+    fn simulate_group_memo(
+        &mut self,
+        memo: &mut DrawMemo,
+        _share: &mut BundleShare,
+    ) -> &GroupHistory {
         // The init draws and the event loop read one position after the
         // other, so one reader serves both.
         let mut reader = memo.reader();
@@ -402,18 +429,7 @@ impl DesState {
     /// begins, or a bundle's memo reader. The scalar `ln_1p` of a plain
     /// draw off the RNG and the memo's batch lane agree bit for bit.
     fn start_group<R: DrawSource>(&mut self, rng: &mut R) {
-        // Reset the scratch: clear-and-refill keeps every allocation.
-        self.history.ddfs.clear();
-        self.history.op_failures = 0;
-        self.history.latent_defects = 0;
-        self.history.scrubs_completed = 0;
-        self.history.restores_completed = 0;
-        self.history.downtime_hours = 0.0;
-        self.history.log_weight = 0.0;
-        if let Some(pool) = self.spares.as_mut() {
-            pool.reset();
-        }
-        self.slots.clear();
+        self.reset_group();
         for _ in 0..self.n {
             // Sampling order per slot (ttop then ttld) matches the
             // original collect-based construction bit for bit. An
@@ -431,16 +447,47 @@ impl DesState {
                 }
                 None => f64::INFINITY,
             };
-            self.slots.push(Slot {
-                up: true,
-                born_at: 0.0,
-                forced_at: f64::NEG_INFINITY,
-                next_op,
-                defective: false,
-                next_ld,
-                clear_is_restore: false,
-            });
+            self.slots.push(Slot::fresh(next_op, next_ld));
         }
+    }
+
+    /// [`DesState::start_group`] off the caller's RNG under block
+    /// tuning. With untilted draws and Weibull TTOp and TTLd kernels,
+    /// the `2n` mission-start words are read in chunks of sixteen and
+    /// each chunk's TTLd logarithms run as one batch
+    /// ([`raidsim_dists::kernel::sample_pairs`]); the values and the
+    /// words read are the scalar loop's. Any other session takes that
+    /// loop, which the scalar tuning keeps as the oracle.
+    fn start_group_block(&mut self, rng: &mut SimRng) {
+        let batched = self.op_tilt.is_none()
+            && self.latent_tilt.is_none()
+            && self.ttld.as_ref().is_some_and(|ttld| {
+                sample_pairs(rng, &self.ttop, self.op_cut, ttld, &mut self.init)
+            });
+        if !batched {
+            return self.start_group(rng);
+        }
+        self.reset_group();
+        self.counters.samples_drawn += 2 * self.n as u64;
+        for &(next_op, next_ld) in &self.init {
+            self.slots.push(Slot::fresh(next_op, next_ld));
+        }
+    }
+
+    /// Clears the per-group scratch: clear-and-refill keeps every
+    /// allocation.
+    fn reset_group(&mut self) {
+        self.history.ddfs.clear();
+        self.history.op_failures = 0;
+        self.history.latent_defects = 0;
+        self.history.scrubs_completed = 0;
+        self.history.restores_completed = 0;
+        self.history.downtime_hours = 0.0;
+        self.history.log_weight = 0.0;
+        if let Some(pool) = self.spares.as_mut() {
+            pool.reset();
+        }
+        self.slots.clear();
     }
 
     /// Runs the event loop to the group's last operational event (or,
@@ -838,7 +885,8 @@ mod tests {
     #[test]
     fn prefetched_group_leaves_the_rng_on_the_scalar_word() {
         // The init words come straight from the RNG before the cursor
-        // begins, so only event-loop draws pass through it. Latent
+        // begins (in sixteen-word chunks under block tuning), so only
+        // event-loop draws pass through it. Latent
         // defects off: groups draw 0, 2, 4, … event-loop words (a
         // restore and a replacement lifetime per failure), so the
         // refill schedule 2, 4, 8, … meets every ending below; the base
@@ -848,9 +896,15 @@ mod tests {
             dists: TransitionDistributions::weibull_both().unwrap(),
             ..base.clone()
         };
+        // Forty drives read 80 init words, so the block path's batched
+        // init crosses four chunk boundaries.
+        let wide = RaidGroupConfig {
+            drives: 40,
+            ..base.clone()
+        };
         let scalar_tuning = SessionTuning { block_draws: false };
         let (mut no_draws, mut exact_fill, mut mid_block) = (0, 0, 0);
-        for cfg in [&oponly, &base] {
+        for cfg in [&oponly, &base, &wide] {
             let init_draws = (cfg.drives * if cfg.dists.ttld.is_some() { 2 } else { 1 }) as u64;
             let mut prefetched = DesSession::new(
                 cfg,

@@ -346,26 +346,58 @@ pub trait EngineSession: std::fmt::Debug {
     /// call — clone it to keep the history.
     fn simulate_group(&mut self, rng: &mut SimRng) -> &GroupHistory;
 
-    /// Simulates one group from a bundle's shared draw memo: exactly the
-    /// history [`EngineSession::simulate_group`] returns for the memo's
-    /// stream ([`DrawMemo::start`]).
+    /// Simulates one group from a bundle's shared draw memo and share:
+    /// exactly the history [`EngineSession::simulate_group`] returns for
+    /// the memo's stream ([`DrawMemo::start`]).
     ///
     /// The executor simulates every scenario of a bundle — scenarios
     /// that share a seed and stream mapping — against one memo per
     /// group, so the words, their `ln_1p` lane and their `powf` lanes
     /// are evaluated once per group instead of once per scenario. The
     /// memo holds only pure functions of the stream, so this is draw
-    /// for draw the scalar path. The default implementation replays the
-    /// memo's stream through [`EngineSession::simulate_group`] (correct
-    /// for any session, sharing nothing); the built-in engines read the
-    /// memo directly.
-    fn simulate_group_memo(&mut self, memo: &mut DrawMemo) -> &GroupHistory {
+    /// for draw the scalar path. It also hands every scenario of the
+    /// group the same `share`, in scenario order, so a session may reuse
+    /// what an earlier scenario's session left there for the same memo
+    /// generation ([`DrawMemo::generation`]) and leave its own work for
+    /// later ones; the timeline engine shares its operational phase this
+    /// way. The default implementation replays the memo's stream through
+    /// [`EngineSession::simulate_group`] (correct for any session,
+    /// sharing nothing); the built-in engines read the memo directly.
+    fn simulate_group_memo(
+        &mut self,
+        memo: &mut DrawMemo,
+        share: &mut BundleShare,
+    ) -> &GroupHistory {
+        let _ = share;
         let mut rng = memo.start().clone();
         self.simulate_group(&mut rng)
     }
 
     /// Work counters accumulated since the session was opened.
     fn counters(&self) -> EngineCounters;
+}
+
+/// Work the sessions of one bundle pass along while they simulate the
+/// same group from one [`DrawMemo`]
+/// ([`EngineSession::simulate_group_memo`]).
+///
+/// A scrub ladder's rungs differ only in their latent draws, so every
+/// rung would rebuild the same operational timelines from the same
+/// words. The first timeline session of a group computes them here, and
+/// every later session whose operational identity matches reads them
+/// instead. Each value is tagged with the memo generation it was read
+/// from, so nothing left from another group, or from before a
+/// [`DrawMemo::restart`], is ever reused. One share serves one memo.
+#[derive(Debug, Default)]
+pub struct BundleShare {
+    timeline: timeline::SharedOp,
+}
+
+impl BundleShare {
+    /// An empty share.
+    pub fn new() -> Self {
+        BundleShare::default()
+    }
 }
 
 /// Work counters accumulated by an [`EngineSession`].
@@ -382,7 +414,9 @@ pub struct EngineCounters {
     /// Distribution sampling calls issued by the engine (conditional
     /// and unconditional alike; composite distributions count as one
     /// call, and a [`raidsim_dists::Degenerate`] call counts even
-    /// though it consumes no RNG words).
+    /// though it consumes no RNG words). A timeline session that reads
+    /// a bundle's shared operational phase counts that phase's calls
+    /// as its own, so the count does not depend on bundling.
     pub samples_drawn: u64,
     /// Simulation events processed: discrete events handled by the
     /// event loop, or failure events swept by the timeline engine.

@@ -1,12 +1,13 @@
 use super::ddf::{self, SlotCondition};
-use super::{draw, BiasPolicy, Engine, EngineCounters, EngineSession, SessionTuning};
+use super::{draw, BiasPolicy, BundleShare, Engine, EngineCounters, EngineSession, SessionTuning};
 use crate::config::{RaidGroupConfig, Redundancy};
 use crate::events::{DdfEvent, GroupHistory};
 use raidsim_dists::kernel::{DrawSource, Tilt, NO_CUT};
 use raidsim_dists::rng::{DrawCursor, DrawMemo, SimRng};
-use raidsim_dists::{KernelCache, SampleKernel};
+use raidsim_dists::{KernelCache, LifeDistribution, SampleKernel};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::sync::Arc;
 
 /// The paper's Figure 5 sampling procedure.
 ///
@@ -124,6 +125,11 @@ impl LdChain {
             bound <= mission,
             "walk bound {bound} past the mission {mission}"
         );
+        // A walk that cannot retire a single interval reads no word;
+        // returning here skips its setup.
+        if self.clear_at > bound {
+            return;
+        }
         let cycles = rng.walk_renewal(
             ttld,
             ttscrub,
@@ -207,7 +213,7 @@ impl LdChain {
 
     /// Counts the remaining defects and scrubs between the chain's
     /// current position and the group's observation `horizon` (its last
-    /// operational event; see [`TimelineState::run_phases`]). An
+    /// operational event; see [`OpPhase::horizon`]). An
     /// untilted chain walks no further than the horizon. A tilted one
     /// walks on to the mission, so its TTLd draws — and the weight
     /// factors they carry — stay those of a whole-mission walk, but
@@ -253,16 +259,22 @@ impl LdChain {
 
 /// Persistent per-worker session for [`TimelineEngine`].
 ///
-/// Owns the simulation state ([`TimelineState`]) and, under block
-/// tuning, the prefetching [`DrawCursor`] every draw of the group reads
-/// through. As with the DES engine, the phases in [`TimelineState`] are
-/// the *only* implementation of the semantics, generic over where their
-/// words come from — the stateless [`Engine::simulate_group`] delegates
-/// through a throwaway session, and the scalar tuning runs the same
-/// phases straight off the caller's RNG.
+/// Owns the simulation state — the operational phase's parameters
+/// ([`OpSpec`]) and scratch ([`OpPhase`]), and the latent phases' state
+/// ([`LatentState`]) — and, under block tuning, the prefetching
+/// [`DrawCursor`] every draw of the group reads through. As with the
+/// DES engine, the phases are the *only* implementation of the
+/// semantics, generic over where their words come from — the stateless
+/// [`Engine::simulate_group`] delegates through a throwaway session, and
+/// the scalar tuning runs the same phases straight off the caller's RNG.
 #[derive(Debug)]
 struct TimelineSession {
-    state: TimelineState,
+    spec: OpSpec,
+    /// The operational phase of a group drawn from the caller's RNG; a
+    /// bundle's group keeps it in the bundle's share instead
+    /// ([`EngineSession::simulate_group_memo`]).
+    op: OpPhase,
+    latent: LatentState,
     /// `Some` under block tuning: every draw of the group reads through
     /// this cursor, which [`DrawCursor::finish`] rewinds so the caller's
     /// RNG ends where the scalar path leaves it. `None` is the
@@ -270,34 +282,65 @@ struct TimelineSession {
     prefetch: Option<DrawCursor>,
 }
 
-/// Everything a [`TimelineSession`] owns except its draw cursor, split
-/// out so the phases can borrow both at once.
-///
-/// Holds the lowered sampling kernels and every phase's scratch buffer
-/// (per-slot span vectors, the merged failure list, the k-way merge
-/// heap, latent-defect chains, the pairwise-condition buffer and the
-/// output history). All buffers are cleared-and-refilled per group, so
-/// the steady-state loop performs no heap allocation.
+/// Everything a group's operational phase (Figure 5 phases 1–2) depends
+/// on besides its words.
 #[derive(Debug)]
-struct TimelineState {
+struct OpSpec {
     n: usize,
     mission: f64,
-    redundancy: Redundancy,
     ttop: SampleKernel,
     ttr: SampleKernel,
-    ttld: Option<SampleKernel>,
-    ttscrub: Option<SampleKernel>,
     /// Importance-sampling tilt on TTOp draws; `None` leaves the
     /// measure unchanged (and the draws bit-identical).
     op_tilt: Option<Tilt>,
-    /// Importance-sampling tilt on TTLd draws.
-    latent_tilt: Option<Tilt>,
     /// Horizon cut for each slot's first (mission-start) TTOp draw
     /// ([`SampleKernel::horizon_cut`] at the mission). A first failure
     /// beyond the mission only ends the slot's chain, so it may read
     /// `BEYOND_HORIZON`. [`NO_CUT`] under the scalar tuning and for
     /// tilted TTOp.
     op_cut: f64,
+    /// Which other sessions compute the same phase.
+    identity: OpIdentity,
+}
+
+/// The operational identity of a session: two sessions with equal
+/// identities compute the same operational phase from the same words,
+/// draw for draw. It is decided from the configuration and the session's
+/// kernels — the slot count, the mission, the TTOp and TTR distribution
+/// trees (by allocation, the key the executor's shared [`KernelCache`]
+/// lowers them by), the op tilt and the horizon cut — never from what a
+/// scenario is called.
+#[derive(Debug, Clone)]
+struct OpIdentity {
+    drives: usize,
+    mission: u64,
+    ttop: Arc<dyn LifeDistribution>,
+    ttr: Arc<dyn LifeDistribution>,
+    op_tilt: Option<Tilt>,
+    op_cut: u64,
+}
+
+impl PartialEq for OpIdentity {
+    fn eq(&self, other: &Self) -> bool {
+        self.drives == other.drives
+            && self.mission == other.mission
+            && Arc::ptr_eq(&self.ttop, &other.ttop)
+            && Arc::ptr_eq(&self.ttr, &other.ttr)
+            && self.op_tilt == other.op_tilt
+            && self.op_cut == other.op_cut
+    }
+}
+
+/// One group's operational phase: each slot's down spans, the merged
+/// failures, and everything the latent phases read of them.
+///
+/// All buffers are cleared-and-refilled per group, so the steady-state
+/// loop performs no heap allocation.
+#[derive(Debug, Default)]
+struct OpPhase {
+    /// Slots of the last group; `timelines` may hold more (their
+    /// allocations kept for a later spec with more slots).
+    slots: usize,
     timelines: Vec<Vec<DownSpan>>,
     /// Merged `(fail, slot, restore)` events, time-ordered.
     failures: Vec<(f64, usize, f64)>,
@@ -309,13 +352,73 @@ struct TimelineState {
     /// per-group `sort_by` (and its temporary buffer) with this reused
     /// heap is bit-identical.
     merge_heap: BinaryHeap<Reverse<(u64, usize, usize)>>,
+    /// The observation horizon: the group's last operational event
+    /// within the mission, a failure or a restore completion. No DDF
+    /// rule reads a latent state past it, and a group without
+    /// operational events observes none (its horizon is −∞).
+    horizon: f64,
+    /// Restores completed within the mission.
+    restores: u64,
+    /// Down time within the mission, hours.
+    downtime: f64,
+    /// Distribution sampling calls of phase 1.
+    samples: u64,
+    /// Phase 1's log-likelihood-ratio (TTOp tilt): where the group's
+    /// log-weight stands when the latent phases start.
+    log_weight: f64,
+    /// Capacity high-water marks, for `scratch_grows`.
+    failures_cap: usize,
+    spans_cap: usize,
+}
+
+impl OpPhase {
+    /// The last group's per-slot span lists.
+    fn timelines(&self) -> &[Vec<DownSpan>] {
+        &self.timelines[..self.slots]
+    }
+}
+
+/// A bundle's shared operational phase: the phase the last timeline
+/// session computed for the current group, for every later session of
+/// the bundle with the same [`OpIdentity`].
+#[derive(Debug, Default)]
+pub(super) struct SharedOp {
+    /// The memo generation the phase was computed from; `None` while no
+    /// phase is complete.
+    generation: Option<u64>,
+    identity: Option<OpIdentity>,
+    op: OpPhase,
+    /// Words phase 1 read: where the latent phases start reading.
+    words: usize,
+}
+
+impl SharedOp {
+    /// Whether this holds `identity`'s phase of memo generation
+    /// `generation`.
+    fn holds(&self, generation: u64, identity: &OpIdentity) -> bool {
+        self.generation == Some(generation) && self.identity.as_ref() == Some(identity)
+    }
+}
+
+/// The latent phases' kernels and scratch (Figure 5 phases 3–5) and the
+/// group's output.
+///
+/// Holds the latent-defect chains, the pairwise-condition buffer and the
+/// output history; all are cleared-and-refilled per group.
+#[derive(Debug)]
+struct LatentState {
+    n: usize,
+    mission: f64,
+    redundancy: Redundancy,
+    ttld: Option<SampleKernel>,
+    ttscrub: Option<SampleKernel>,
+    /// Importance-sampling tilt on TTLd draws.
+    latent_tilt: Option<Tilt>,
     chains: Vec<LdChain>,
     conditions: Vec<SlotCondition>,
     history: GroupHistory,
-    /// Capacity high-water marks, for `scratch_grows`.
+    /// Capacity high-water mark of `history.ddfs`, for `scratch_grows`.
     ddfs_cap: usize,
-    failures_cap: usize,
-    spans_cap: usize,
     counters: EngineCounters,
 }
 
@@ -345,26 +448,34 @@ impl TimelineSession {
             NO_CUT
         };
         TimelineSession {
-            state: TimelineState {
+            spec: OpSpec {
+                n,
+                mission: cfg.mission_hours,
+                ttop,
+                ttr: kernels.lower(&dists.ttr),
+                op_tilt,
+                op_cut,
+                identity: OpIdentity {
+                    drives: n,
+                    mission: cfg.mission_hours.to_bits(),
+                    ttop: Arc::clone(&dists.ttop),
+                    ttr: Arc::clone(&dists.ttr),
+                    op_tilt,
+                    op_cut: op_cut.to_bits(),
+                },
+            },
+            op: OpPhase::default(),
+            latent: LatentState {
                 n,
                 mission: cfg.mission_hours,
                 redundancy: cfg.redundancy,
-                ttop,
-                ttr: kernels.lower(&dists.ttr),
                 ttld: dists.ttld.as_ref().map(|d| kernels.lower(d)),
                 ttscrub: dists.ttscrub.as_ref().map(|d| kernels.lower(d)),
-                op_tilt,
                 latent_tilt: bias.latent_tilt(),
-                op_cut,
-                timelines: std::iter::repeat_with(Vec::new).take(n).collect(),
-                failures: Vec::new(),
-                merge_heap: BinaryHeap::with_capacity(n),
                 chains: Vec::with_capacity(n),
                 conditions: Vec::with_capacity(n.saturating_sub(1)),
                 history: GroupHistory::default(),
                 ddfs_cap: 0,
-                failures_cap: 0,
-                spans_cap: 0,
                 counters: EngineCounters::default(),
             },
             prefetch: tuning.block_draws.then(DrawCursor::new),
@@ -374,55 +485,83 @@ impl TimelineSession {
 
 impl EngineSession for TimelineSession {
     fn simulate_group(&mut self, rng: &mut SimRng) -> &GroupHistory {
-        let state = &mut self.state;
-        match self.prefetch.as_mut() {
+        let TimelineSession {
+            spec,
+            op,
+            latent,
+            prefetch,
+        } = self;
+        match prefetch.as_mut() {
             Some(cursor) => {
                 cursor.begin(rng);
-                state.run_phases(cursor);
+                latent.run_group(spec, op, cursor);
                 cursor.finish(rng);
             }
-            None => state.run_phases(rng),
+            None => latent.run_group(spec, op, rng),
         }
-        &self.state.history
+        &self.latent.history
     }
 
-    fn simulate_group_memo(&mut self, memo: &mut DrawMemo) -> &GroupHistory {
-        self.state.run_phases(&mut memo.reader());
-        &self.state.history
+    /// Reuses the bundle's operational phase when an earlier session
+    /// with the same [`OpIdentity`] computed it from this memo
+    /// generation, and otherwise computes it into the share for later
+    /// sessions. Either way the latent phases read on from the word
+    /// phase 1 stopped at, so every word is the one a single reader of
+    /// the whole group reads.
+    fn simulate_group_memo(
+        &mut self,
+        memo: &mut DrawMemo,
+        share: &mut BundleShare,
+    ) -> &GroupHistory {
+        let shared = &mut share.timeline;
+        let generation = memo.generation();
+        if !shared.holds(generation, &self.spec.identity) {
+            shared.generation = None;
+            let mut reader = memo.reader();
+            self.latent.counters.scratch_grows += self.spec.run(&mut shared.op, &mut reader);
+            shared.words = reader.consumed();
+            if shared.identity.as_ref() != Some(&self.spec.identity) {
+                shared.identity = Some(self.spec.identity.clone());
+            }
+            shared.generation = Some(generation);
+        }
+        self.latent
+            .run(&shared.op, &mut memo.reader_at(shared.words));
+        &self.latent.history
     }
 
     fn counters(&self) -> EngineCounters {
-        self.state.counters
+        self.latent.counters
     }
 }
 
-impl TimelineState {
-    /// Simulates one group, drawing every lifetime from `rng`.
-    fn run_phases<R: DrawSource>(&mut self, rng: &mut R) {
-        let n = self.n;
+impl OpSpec {
+    /// Figure 5 phases 1–2 for one group into `op`, drawing every
+    /// lifetime from `rng`. Returns how many of `op`'s buffers grew.
+    fn run<R: DrawSource>(&self, op: &mut OpPhase, rng: &mut R) -> u64 {
         let mission = self.mission;
-
-        // The log-weight accumulates across phases 1, 3, 4 and 5, so it
-        // resets first.
-        self.history.log_weight = 0.0;
+        op.samples = 0;
+        op.log_weight = 0.0;
+        op.slots = self.n;
+        if op.timelines.len() < self.n {
+            op.timelines.resize_with(self.n, Vec::new);
+        }
 
         // Phase 1 — generate each slot's operational renewal timeline
         // ("The operating and failure times are accumulated until a
         // specified mission time is exceeded", Section 5). Each chain's
         // length is data-dependent, which is why the phases draw through
         // a prefetching cursor rather than a pre-filled block.
-        for spans in &mut self.timelines {
+        for spans in &mut op.timelines[..self.n] {
             spans.clear();
             let mut t = 0.0f64;
             // Only the draw from t = 0 may be cut: the cut is taken at
             // the mission, not at the mission minus a later start.
             let mut cut = self.op_cut;
             loop {
-                self.counters.samples_drawn += 1;
+                op.samples += 1;
                 let life = match self.op_tilt {
-                    Some(tilt) => self
-                        .ttop
-                        .sample_tilted(tilt, &mut self.history.log_weight, rng),
+                    Some(tilt) => self.ttop.sample_tilted(tilt, &mut op.log_weight, rng),
                     None => rng.plain_cut(&self.ttop, cut),
                 };
                 let fail = t + life;
@@ -430,7 +569,7 @@ impl TimelineState {
                     break;
                 }
                 cut = NO_CUT;
-                self.counters.samples_drawn += 1;
+                op.samples += 1;
                 let restore = fail + rng.plain(&self.ttr);
                 debug_assert!(
                     fail.is_finite() && restore.is_finite(),
@@ -443,77 +582,131 @@ impl TimelineState {
 
         // Phase 2 — merge failure events in time order: a stable k-way
         // merge over the (already time-ordered) per-slot span lists.
-        self.failures.clear();
-        self.merge_heap.clear();
-        for (slot, spans) in self.timelines.iter().enumerate() {
+        let timelines = &op.timelines[..self.n];
+        op.failures.clear();
+        op.merge_heap.clear();
+        for (slot, spans) in timelines.iter().enumerate() {
             if let Some(s) = spans.first() {
                 debug_assert!(
                     s.fail.to_bits() >> 63 == 0,
                     "failure times must be non-negative for bit-pattern ordering"
                 );
-                self.merge_heap.push(Reverse((s.fail.to_bits(), slot, 0)));
+                op.merge_heap.push(Reverse((s.fail.to_bits(), slot, 0)));
             }
         }
-        while let Some(Reverse((_, slot, i))) = self.merge_heap.pop() {
-            let s = self.timelines[slot][i];
-            self.failures.push((s.fail, slot, s.restore));
-            if let Some(next) = self.timelines[slot].get(i + 1) {
+        while let Some(Reverse((_, slot, i))) = op.merge_heap.pop() {
+            let s = timelines[slot][i];
+            op.failures.push((s.fail, slot, s.restore));
+            if let Some(next) = timelines[slot].get(i + 1) {
                 debug_assert!(
                     next.fail.to_bits() >> 63 == 0,
                     "failure times must be non-negative for bit-pattern ordering"
                 );
-                self.merge_heap
+                op.merge_heap
                     .push(Reverse((next.fail.to_bits(), slot, i + 1)));
             }
         }
 
-        // Phase 3 — seed the lazily-advanced latent-defect chains.
-        self.chains.clear();
-        for _ in 0..n {
-            self.chains.push(LdChain::new(
-                self.ttld.as_ref(),
-                self.ttscrub.as_ref(),
-                self.latent_tilt,
-                &mut self.counters.samples_drawn,
-                &mut self.history.log_weight,
-                rng,
-            ));
-        }
-
-        // Phase 4 — the pairwise comparisons of Figure 5.
-        self.history.ddfs.clear();
-        self.history.op_failures = self.failures.len() as u64;
-        self.history.latent_defects = 0;
-        self.history.scrubs_completed = 0;
-        self.history.restores_completed = self
-            .timelines
+        op.restores = timelines
             .iter()
             .flatten()
             .filter(|s| s.restore <= mission)
             .count() as u64;
-        self.history.downtime_hours = self
-            .timelines
+        op.downtime = timelines
             .iter()
             .flatten()
             .map(|s| s.restore.min(mission) - s.fail)
             .sum();
+        op.horizon = timelines
+            .iter()
+            .flatten()
+            .map(|s| {
+                if s.restore <= mission {
+                    s.restore
+                } else {
+                    s.fail
+                }
+            })
+            .fold(f64::NEG_INFINITY, f64::max);
+
+        let mut grows = 0;
+        if op.failures.capacity() > op.failures_cap {
+            op.failures_cap = op.failures.capacity();
+            grows += 1;
+        }
+        let spans_cap = timelines.iter().map(Vec::capacity).max().unwrap_or(0);
+        if spans_cap > op.spans_cap {
+            op.spans_cap = spans_cap;
+            grows += 1;
+        }
+        grows
+    }
+}
+
+impl LatentState {
+    /// Simulates one group, drawing every lifetime from `rng`: the
+    /// operational phase into `op`, then the latent phases.
+    fn run_group<R: DrawSource>(&mut self, spec: &OpSpec, op: &mut OpPhase, rng: &mut R) {
+        self.counters.scratch_grows += spec.run(op, rng);
+        self.run(op, rng);
+    }
+
+    /// Figure 5 phases 3–5 for the group whose operational phase is
+    /// `op`, reading on from the word after phase 1's last.
+    fn run<R: DrawSource>(&mut self, op: &OpPhase, rng: &mut R) {
+        let n = self.n;
+        let mission = self.mission;
+        let timelines = op.timelines();
+        debug_assert_eq!(
+            timelines.len(),
+            n,
+            "an operational phase of another slot count"
+        );
+
+        // The log-weight accumulates across phases 1, 3, 4 and 5, so it
+        // starts where phase 1 left it.
+        self.history.log_weight = op.log_weight;
+        self.counters.samples_drawn += op.samples;
+
+        // Phase 3 — seed the lazily-advanced latent-defect chains. A
+        // group without failures reads no latent state (its horizon is
+        // −∞), so untilted chains are not seeded at all; tilted ones
+        // are, since their draws carry weight factors.
+        self.chains.clear();
+        if !op.failures.is_empty() || self.latent_tilt.is_some() {
+            for _ in 0..n {
+                self.chains.push(LdChain::new(
+                    self.ttld.as_ref(),
+                    self.ttscrub.as_ref(),
+                    self.latent_tilt,
+                    &mut self.counters.samples_drawn,
+                    &mut self.history.log_weight,
+                    rng,
+                ));
+            }
+        }
+
+        // Phase 4 — the pairwise comparisons of Figure 5.
+        self.history.ddfs.clear();
+        self.history.op_failures = op.failures.len() as u64;
+        self.history.latent_defects = 0;
+        self.history.scrubs_completed = 0;
+        self.history.restores_completed = op.restores;
+        self.history.downtime_hours = op.downtime;
 
         let mut ddf_block_until = 0.0f64;
-        for fi in 0..self.failures.len() {
-            let (t, slot, restore) = self.failures[fi];
+        for &(t, slot, restore) in &op.failures {
             self.counters.events += 1;
             if t < ddf_block_until {
                 continue;
             }
             self.conditions.clear();
-            for j in 0..n {
+            for (j, spans) in timelines.iter().enumerate() {
                 if j == slot {
                     continue;
                 }
                 // Down if any of j's spans covers t.
-                let down = self.timelines[j]
-                    .iter()
-                    .any(|s| s.fail < t && t < s.restore);
+                let down = spans.iter().any(|s| s.fail < t && t < s.restore);
                 let cond = if down {
                     SlotCondition::Down
                 } else if self.chains[j].defective_at(
@@ -555,25 +748,10 @@ impl TimelineState {
         }
 
         // Phase 5 — finalize per-slot defect statistics up to the
-        // observation horizon: the group's last operational event within
-        // the mission, a failure or a restore completion. No DDF rule
-        // reads a latent state past it, and a group without operational
-        // events observes none (its horizon is −∞).
-        let horizon = self
-            .timelines
-            .iter()
-            .flatten()
-            .map(|s| {
-                if s.restore <= mission {
-                    s.restore
-                } else {
-                    s.fail
-                }
-            })
-            .fold(f64::NEG_INFINITY, f64::max);
+        // observation horizon.
         for chain in &mut self.chains {
             chain.finalize_counts(
-                horizon,
+                op.horizon,
                 mission,
                 self.ttld.as_ref(),
                 self.ttscrub.as_ref(),
@@ -589,15 +767,6 @@ impl TimelineState {
         self.counters.groups += 1;
         if self.history.ddfs.capacity() > self.ddfs_cap {
             self.ddfs_cap = self.history.ddfs.capacity();
-            self.counters.scratch_grows += 1;
-        }
-        if self.failures.capacity() > self.failures_cap {
-            self.failures_cap = self.failures.capacity();
-            self.counters.scratch_grows += 1;
-        }
-        let spans_cap = self.timelines.iter().map(Vec::capacity).max().unwrap_or(0);
-        if spans_cap > self.spans_cap {
-            self.spans_cap = spans_cap;
             self.counters.scratch_grows += 1;
         }
     }
@@ -806,6 +975,103 @@ mod tests {
             "endings not all covered: {no_failures} without failures, \
              {exact_fill} exact fills, {mid_block} mid-block"
         );
+    }
+
+    #[test]
+    fn failure_free_groups_seed_latent_chains_only_under_a_latent_tilt() {
+        // A group without failures observes no latent state, so plain
+        // sessions draw one TTOp word per slot and nothing else; under a
+        // latent tilt the chains are still seeded and walked, because
+        // their draws carry the group's weight.
+        let cfg = RaidGroupConfig::paper_base_case().unwrap();
+        let n = cfg.drives as u64;
+        let tilt = BiasPolicy::HazardTilt {
+            op_theta: 0.0,
+            latent_theta: 0.6,
+        };
+        let open = |bias| {
+            TimelineSession::new(
+                &cfg,
+                bias,
+                SessionTuning::default(),
+                &mut KernelCache::new(),
+            )
+        };
+        let (mut plain, mut tilted) = (open(BiasPolicy::None), open(tilt));
+        let mut failure_free = 0;
+        for seed in 0..200 {
+            let before = (plain.counters(), tilted.counters());
+            let h = plain.simulate_group(&mut stream(seed, 0)).clone();
+            let t = tilted.simulate_group(&mut stream(seed, 0)).clone();
+            // The op phase does not depend on the latent tilt.
+            assert_eq!(h.op_failures, t.op_failures, "seed {seed}");
+            if h.op_failures > 0 {
+                continue;
+            }
+            failure_free += 1;
+            assert_eq!(plain.counters().samples_drawn - before.0.samples_drawn, n);
+            assert_eq!(h.log_weight, 0.0);
+            assert_eq!((h.latent_defects, h.scrubs_completed), (0, 0));
+            let drawn = tilted.counters().samples_drawn - before.1.samples_drawn;
+            assert!(
+                drawn >= 3 * n,
+                "seed {seed}: {drawn} draws, no latent seeds"
+            );
+            assert_ne!(
+                t.log_weight, 0.0,
+                "seed {seed}: the tilted seeds' weight is lost"
+            );
+            assert_eq!((t.latent_defects, t.scrubs_completed), (0, 0));
+        }
+        assert!(failure_free > 20, "only {failure_free} failure-free groups");
+    }
+
+    #[test]
+    fn a_shared_op_phase_reproduces_the_memo_path() {
+        // Rungs of a scrub ladder share their TTOp and TTR trees, so
+        // the later ones read the first's operational phase from the
+        // share; a rung with its own TTOp tree computes its own. Each
+        // history, and every counter but `scratch_grows`, is what the
+        // rung's session returns from the memo with a share of its own.
+        use raidsim_dists::Weibull3;
+        use raidsim_hdd::scrub::ScrubPolicy;
+        let base = RaidGroupConfig::paper_base_case().unwrap();
+        let rung = |hours: f64| {
+            base.clone()
+                .with_scrub_policy(ScrubPolicy::with_characteristic_hours(hours))
+                .unwrap()
+        };
+        let mut other_ttop = rung(48.0);
+        other_ttop.dists.ttop = Arc::new(Weibull3::two_param(461_386.0, 0.9).unwrap());
+        let cfgs = [rung(336.0), other_ttop, rung(48.0), rung(12.0)];
+        // Without block draws no TTOp draw is cut, so only the TTOp
+        // tree tells the second rung's phase from the first's.
+        for block_draws in [true, false] {
+            let tuning = SessionTuning { block_draws };
+            let mut kernels = KernelCache::new();
+            let mut open = || -> Vec<TimelineSession> {
+                cfgs.iter()
+                    .map(|cfg| TimelineSession::new(cfg, BiasPolicy::None, tuning, &mut kernels))
+                    .collect()
+            };
+            let (mut bundled, mut alone) = (open(), open());
+            let (mut memo, mut share) = (DrawMemo::new(), BundleShare::new());
+            for group in 0..300 {
+                memo.begin(stream(13, group));
+                for (k, (b, a)) in bundled.iter_mut().zip(&mut alone).enumerate() {
+                    let want = a
+                        .simulate_group_memo(&mut memo, &mut BundleShare::new())
+                        .clone();
+                    let got = b.simulate_group_memo(&mut memo, &mut share);
+                    assert_eq!(got, &want, "rung {k}, group {group}, {tuning:?}");
+                }
+            }
+            for (b, a) in bundled.iter().zip(&alone) {
+                let (mut b, mut a) = (b.counters(), a.counters());
+                (b.scratch_grows, a.scratch_grows) = (0, 0);
+                assert_eq!(b, a);
+            }
+        }
     }
 
     #[test]

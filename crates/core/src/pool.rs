@@ -18,8 +18,11 @@
 //! scenario's session against it in scenario order
 //! ([`EngineSession::simulate_group_memo`]), so each stream position's
 //! `ln_1p` and `powf` are evaluated once per group, not once per
-//! scenario. A bundle of one reads its stream through the session's own
-//! draw cursor, as a single-scenario run does.
+//! scenario. The sessions also pass one [`BundleShare`] along, through
+//! which the timeline engine computes a group's operational phase once
+//! for every scenario with the same operational identity. A bundle of
+//! one reads its stream through the session's own draw cursor, as a
+//! single-scenario run does.
 //!
 //! With `threads == 1` the calling thread is the only worker and
 //! nothing is spawned. Otherwise workers are spawned once per executor
@@ -39,10 +42,11 @@
 //! checkpoint resume depends on (see [`crate::checkpoint`]).
 //!
 //! Both kinds of executor run the same per-slice loop ([`Worker`]):
-//! one [`KernelCache`] and one [`DrawMemo`] per worker, sessions keyed
-//! by scenario and kept for the executor's life, a session lookup and
-//! sink dispatch per claimed range, and per (scenario, group) the
-//! simulation (caught in stream mode) and the progress tick.
+//! one [`KernelCache`], one [`DrawMemo`] and one [`BundleShare`] per
+//! worker, sessions keyed by scenario and kept for the executor's life,
+//! a session lookup and sink dispatch per claimed range, and per
+//! (scenario, group) the simulation (caught in stream mode) and the
+//! progress tick.
 //!
 //! The handshake itself is not implemented here. It lives in
 //! [`crate::sync_model`] as pure transitions on [`PoolCore`], which this
@@ -91,7 +95,9 @@
 //! its own.
 
 use crate::config::RaidGroupConfig;
-use crate::engine::{BiasPolicy, Engine, EngineCounters, EngineSession, SessionTuning};
+use crate::engine::{
+    BiasPolicy, BundleShare, Engine, EngineCounters, EngineSession, SessionTuning,
+};
 use crate::events::{GroupHistory, QuarantinedGroup};
 use crate::run::{panic_message, BatchCursor, Progress, StreamObserver, PROGRESS_STRIDE};
 use crate::stats::{SchedulerStats, StreamStats};
@@ -259,12 +265,16 @@ fn empty_parts(n: usize) -> Vec<Part> {
     (0..n).map(|_| Part::default()).collect()
 }
 
-/// A worker's private state: one kernel cache, one draw memo, one
-/// session per scenario it has served, and its lifetime tallies.
+/// A worker's private state: one kernel cache, one draw memo and its
+/// bundle share, one session per scenario it has served, and its
+/// lifetime tallies.
 struct Worker<'a> {
     kernels: KernelCache,
     /// The current group's draws, shared by the scenarios of a bundle.
     memo: DrawMemo,
+    /// Work the scenarios of a bundle share within a group, such as the
+    /// timeline engine's operational phase.
+    share: BundleShare,
     sessions: Vec<Option<Box<dyn EngineSession + 'a>>>,
     /// Counters of sessions discarded after a quarantined panic.
     retired: EngineCounters,
@@ -281,6 +291,7 @@ impl<'a> Worker<'a> {
         Worker {
             kernels: KernelCache::new(),
             memo: DrawMemo::new(),
+            share: BundleShare::new(),
             sessions,
             retired: EngineCounters::default(),
             groups: 0,
@@ -359,7 +370,7 @@ impl<'a> Worker<'a> {
             }
             for (j, m) in bundle.clone().enumerate() {
                 let session = sessions[j].as_mut();
-                let memo = shared.then_some(&mut self.memo);
+                let memo = shared.then_some((&mut self.memo, &mut self.share));
                 if collect {
                     let history = simulate(session, memo, seed, index).clone();
                     if let Some((_, chunk)) = parts[m].chunks.last_mut() {
@@ -375,7 +386,8 @@ impl<'a> Worker<'a> {
                     // history — a panic leaves it untouched. The session
                     // may be mid-update, so it is replaced; its counters
                     // are kept. The memo may hold a half-written entry,
-                    // so it restarts from the group's first word.
+                    // so it restarts from the group's first word, which
+                    // also retires everything the share holds for it.
                     let outcome = catch_unwind(AssertUnwindSafe(|| {
                         stats.push(simulate(session, memo, seed, index));
                     }));
@@ -431,15 +443,15 @@ impl<'a> Worker<'a> {
 }
 
 /// Simulates group `index` of one scenario: from the bundle's draw memo
-/// when the group has one, else from the group's own stream.
+/// and share when the group has them, else from the group's own stream.
 fn simulate<'s>(
     session: &'s mut (dyn EngineSession + '_),
-    memo: Option<&mut DrawMemo>,
+    memo: Option<(&mut DrawMemo, &mut BundleShare)>,
     seed: u64,
     index: u64,
 ) -> &'s GroupHistory {
     match memo {
-        Some(memo) => session.simulate_group_memo(memo),
+        Some((memo, share)) => session.simulate_group_memo(memo, share),
         None => session.simulate_group(&mut stream(seed, index)),
     }
 }

@@ -13,7 +13,8 @@
 use proptest::prelude::*;
 use raidsim_core::config::RaidGroupConfig;
 use raidsim_core::engine::{
-    BiasPolicy, DesEngine, Engine, EngineCounters, EngineSession, SessionTuning, TimelineEngine,
+    BiasPolicy, BundleShare, DesEngine, Engine, EngineCounters, EngineSession, SessionTuning,
+    TimelineEngine,
 };
 use raidsim_core::events::GroupHistory;
 use raidsim_core::run::{FusedSweep, Simulator};
@@ -25,7 +26,7 @@ use raidsim_dists::{KernelCache, Weibull3};
 use raidsim_hdd::scrub::ScrubPolicy;
 use rand::Rng;
 use std::path::PathBuf;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 fn encode(stats: &StreamStats) -> Vec<u8> {
     let mut bytes = Vec::new();
@@ -33,12 +34,20 @@ fn encode(stats: &StreamStats) -> Vec<u8> {
     bytes
 }
 
+/// The paper base case, every call a clone of one configuration: its
+/// scenarios share their distribution trees, as the rungs of a CLI
+/// ladder do, so a bundle of them shares operational phases too.
+fn paper_base() -> RaidGroupConfig {
+    static BASE: OnceLock<RaidGroupConfig> = OnceLock::new();
+    BASE.get_or_init(|| RaidGroupConfig::paper_base_case().unwrap())
+        .clone()
+}
+
 /// A scrub-ladder scenario over the paper base case: the family shape
 /// real sweeps use (one knob varies, the rest of the configuration —
 /// and therefore most of the lowered kernels — is shared).
 fn ladder_scenario(label: &str, scrub_hours: f64, seed: u64) -> SweepScenario {
-    let cfg = RaidGroupConfig::paper_base_case()
-        .unwrap()
+    let cfg = paper_base()
         .with_scrub_policy(ScrubPolicy::with_characteristic_hours(scrub_hours))
         .unwrap();
     SweepScenario::new(label, cfg, seed)
@@ -63,10 +72,7 @@ fn mixed_scenario(
         Some(h) => ScrubPolicy::with_characteristic_hours(h),
         None => ScrubPolicy::Disabled,
     };
-    let mut cfg = RaidGroupConfig::paper_base_case()
-        .unwrap()
-        .with_scrub_policy(policy)
-        .unwrap();
+    let mut cfg = paper_base().with_scrub_policy(policy).unwrap();
     if let Some(beta) = ttop_beta {
         cfg.dists.ttop = Arc::new(Weibull3::two_param(461_386.0, beta).unwrap());
     }
@@ -188,7 +194,7 @@ proptest! {
 
 /// An engine whose sessions panic on one group of the scenarios with
 /// `drives` drives, after reading that group's draws — from the draw
-/// memo in a bundle, or from the RNG alone.
+/// memo (and the bundle's share) in a bundle, or from the RNG alone.
 #[derive(Debug)]
 struct PanicOnScenario {
     inner: Arc<dyn Engine>,
@@ -220,12 +226,16 @@ impl EngineSession for PanicSession<'_> {
         self.inner.simulate_group(rng)
     }
 
-    fn simulate_group_memo(&mut self, memo: &mut DrawMemo) -> &GroupHistory {
+    fn simulate_group_memo(
+        &mut self,
+        memo: &mut DrawMemo,
+        share: &mut BundleShare,
+    ) -> &GroupHistory {
         if self.hit(memo.start()) {
-            self.inner.simulate_group_memo(memo);
+            self.inner.simulate_group_memo(memo, share);
             panic!("{INJECTED}");
         }
-        self.inner.simulate_group_memo(memo)
+        self.inner.simulate_group_memo(memo, share)
     }
 
     fn counters(&self) -> EngineCounters {
@@ -340,13 +350,17 @@ impl Engine for BiasOnScenario {
     }
 }
 
-/// One bundle mixing every way a scenario reads the memo's power lanes:
-/// two β = 3 scrub rungs (their walks declare a lane they share), a
-/// β = 2 scrub rung (a second lane), a scenario with tilted TTLd draws
+/// One bundle mixing every way a scenario reads the memo's power lanes
+/// and the bundle's shared operational phase: two β = 3 scrub rungs
+/// (their walks declare a lane they share), a rung whose TTOp differs
+/// (its own operational phase, between two rungs that could share one),
+/// a β = 2 scrub rung (a second lane), a scenario with tilted TTLd draws
 /// (its TTLd chain walks draw by draw, reading TTScrub powers from the
-/// lanes the others declared) and a no-scrub rung (no walk at all). Every scenario is byte-identical to its own run alone and to
-/// the same sweep on the cursor-free scalar path, for both engines and
-/// one to three threads.
+/// lanes the others declared) and a no-scrub rung (no walk at all).
+/// Every scenario is byte-identical to its own run alone and to the
+/// same sweep on the cursor-free scalar path, for both engines and one
+/// to three threads: the rung with its own TTOp was never served the
+/// others' operational phase.
 #[test]
 fn a_mixed_bundle_matches_per_scenario_runs_and_the_scalar_path() {
     let (seed, groups) = (31u64, 150usize);
@@ -356,6 +370,7 @@ fn a_mixed_bundle_matches_per_scenario_runs_and_the_scalar_path() {
     tilted.cfg.drives = 7;
     let scenarios = vec![
         mixed_scenario("beta3_slow", Some(336.0), None, seed),
+        mixed_scenario("own_ttop", Some(336.0), Some(0.9), seed),
         rayleigh,
         tilted,
         mixed_scenario("beta3_fast", Some(24.0), None, seed),

@@ -334,6 +334,57 @@ impl DrawSource for MemoReader<'_> {
     }
 }
 
+/// Pairs [`sample_pairs`] draws per `ln_1p` batch: sixteen words.
+const PAIR_CHUNK: usize = 8;
+
+/// Draws `out.len()` pairs from `rng`: per pair, a plain draw from `a`
+/// under the horizon cut `a_cut` ([`SampleKernel::sample_cut`]), then a
+/// plain draw from `b` ([`SampleKernel::sample`]). The words read and
+/// the values returned are those of the scalar calls, bit for bit.
+///
+/// Words are read sixteen at a time, and each chunk's `b` draws take
+/// their logarithms in one [`crate::special::ln_1p_batch`] call. The
+/// `a` draws keep the scalar cut test and quantile: a draw beyond its
+/// cut needs no logarithm at all. Returns `false`, reading no word,
+/// unless both kernels are `Weibull3`.
+pub fn sample_pairs<R: Rng + ?Sized>(
+    rng: &mut R,
+    a: &SampleKernel,
+    a_cut: f64,
+    b: &SampleKernel,
+    out: &mut [(f64, f64)],
+) -> bool {
+    let (Some(a), Some(b)) = (a.weibull_draw(), b.weibull_draw()) else {
+        return false;
+    };
+    for chunk in out.chunks_mut(PAIR_CHUNK) {
+        let m = chunk.len();
+        let mut ua = [0.0; PAIR_CHUNK];
+        let mut neg_ub = [0.0; PAIR_CHUNK];
+        for (u, x) in ua[..m].iter_mut().zip(&mut neg_ub[..m]) {
+            *u = rng_f64(rng);
+            *x = -rng_f64(rng);
+        }
+        let mut ln = [0.0; PAIR_CHUNK];
+        crate::special::ln_1p_batch(&neg_ub[..m], &mut ln[..m]);
+        for ((pair, &u), &l) in chunk.iter_mut().zip(&ua[..m]).zip(&ln[..m]) {
+            pair.0 = if u >= a_cut {
+                BEYOND_HORIZON
+            } else {
+                weibull_quantile(a.gamma, a.eta, a.inv_beta, u)
+            };
+            // `-l` is `-ln_1p(-u)`, the `e` lane of `b`'s word.
+            let e = -l;
+            pair.1 = if e == 0.0 {
+                b.gamma
+            } else {
+                b.gamma + b.eta * powf(e, b.inv_beta)
+            };
+        }
+    }
+    true
+}
+
 /// The "no cut" value of [`SampleKernel::horizon_cut`]: above every
 /// uniform, so no draw is ever cut.
 pub const NO_CUT: f64 = 2.0;

@@ -506,6 +506,10 @@ pub struct DrawMemo {
     /// so a bundle's exponents are found after its first group; their
     /// declarations do not.
     lanes: Vec<PowerLane>,
+    /// Bumped by every [`DrawMemo::restart`], so a value derived from
+    /// the memo's words can tell whether they are still the ones it
+    /// read.
+    generation: u64,
 }
 
 /// One exponent's `powf(e, 1/β)` lane of a [`DrawMemo`].
@@ -536,6 +540,7 @@ impl DrawMemo {
             exps: Vec::new(),
             next_refill: FIRST_REFILL,
             lanes: Vec::new(),
+            generation: 0,
         }
     }
 
@@ -560,6 +565,15 @@ impl DrawMemo {
             lane.powers.clear();
             lane.declared = false;
         }
+        self.generation = self.generation.wrapping_add(1);
+    }
+
+    /// Changes at every [`DrawMemo::begin`] and [`DrawMemo::restart`]:
+    /// two reads of the same generation read the same group's stream
+    /// from the same memo. A caller keeping a value computed from a
+    /// memo's words records the generation beside it.
+    pub fn generation(&self) -> u64 {
+        self.generation
     }
 
     /// Declares `inv_beta`'s lane (`inv_beta != 1`) and returns its
@@ -619,6 +633,16 @@ impl DrawMemo {
     /// A reader at the group's first word.
     pub fn reader(&mut self) -> MemoReader<'_> {
         MemoReader { memo: self, pos: 0 }
+    }
+
+    /// A reader that has consumed the group's first `pos` words: it
+    /// yields exactly what a [`DrawMemo::reader`] yields after `pos`
+    /// reads. Fetches first when the memo holds fewer than `pos` words.
+    pub fn reader_at(&mut self, pos: usize) -> MemoReader<'_> {
+        while self.words.len() < pos {
+            self.fetch();
+        }
+        MemoReader { memo: self, pos }
     }
 
     /// Fetches the next batch of words and evaluates their `e` lane and

@@ -16,11 +16,14 @@
 //! extended the memo and filled its `powf` lanes. Renewal walks
 //! ([`DrawSource::walk_renewal`]) through the cursor and through memo
 //! readers, over the power lanes they declare and past the cursor's
-//! last lane, match the provided draw-by-draw loop on the bare stream. The unit-shape `powf` shortcut
-//! is pinned to its basis, a faithfully rounded `powf`.
+//! last lane, match the provided draw-by-draw loop on the bare stream.
+//! Batched mission-start pairs ([`sample_pairs`]) match their scalar
+//! draws, and a memo reader opened mid-stream ([`DrawMemo::reader_at`])
+//! reads on from there. The unit-shape `powf` shortcut is pinned to its
+//! basis, a faithfully rounded `powf`.
 
 use proptest::prelude::*;
-use raidsim_dists::kernel::{DrawSource, Forcing, MathMode, Tilt};
+use raidsim_dists::kernel::{sample_pairs, DrawSource, Forcing, MathMode, Tilt, NO_CUT};
 use raidsim_dists::rng::{DrawCursor, DrawMemo};
 use raidsim_dists::{
     CompetingRisks, Degenerate, Exponential, LifeDistribution, Lognormal, Mixture, SampleKernel,
@@ -499,6 +502,68 @@ proptest! {
         ];
         let stream = raw_stream([s.0, s.1, s.2, s.3], zero);
         assert_walks_bit_identical(&menus, &stream, &walks, restart);
+    }
+
+    /// Batched mission-start pairs (a cut draw of `a`, a plain draw of
+    /// `b`) match the scalar calls word for word, for pair counts on
+    /// both sides of the sixteen-word chunk, with a zero uniform on
+    /// either side of the first pair; a non-Weibull kernel reads no
+    /// word.
+    #[test]
+    fn batched_pairs_match_the_scalar_draws(
+        pa in weibull_params(),
+        pb in weibull_params(),
+        s in (any::<u64>(), any::<u64>(), any::<u64>(), any::<u64>()),
+        zero in 0usize..3,
+        pairs in 0usize..40,
+        uncut in any::<bool>(),
+    ) {
+        let a = SampleKernel::lower(&(Arc::new(Weibull3::new(pa.0, pa.1, pa.2).unwrap()) as Arc<dyn LifeDistribution>));
+        let b = SampleKernel::lower(&(Arc::new(Weibull3::new(pb.0, pb.1, pb.2).unwrap()) as Arc<dyn LifeDistribution>));
+        let cut = if uncut { NO_CUT } else { a.horizon_cut(pa.0 + pa.1) };
+        let mut scalar = raw_stream([s.0, s.1, s.2, s.3], zero);
+        let mut batched = scalar.clone();
+        let mut out = vec![(0.0, 0.0); pairs];
+        prop_assert!(sample_pairs(&mut batched, &a, cut, &b, &mut out));
+        for (i, &(x, y)) in out.iter().enumerate() {
+            prop_assert_eq!(x.to_bits(), a.sample_cut(cut, &mut scalar).to_bits(), "pair {} a", i);
+            prop_assert_eq!(y.to_bits(), b.sample(&mut scalar).to_bits(), "pair {} b", i);
+        }
+        prop_assert_eq!(batched.next_u64(), scalar.next_u64());
+        let other = SampleKernel::lower(&(Arc::new(Exponential::new(1e-3).unwrap()) as Arc<dyn LifeDistribution>));
+        let mut untouched = scalar.clone();
+        prop_assert!(!sample_pairs(&mut untouched, &a, cut, &other, &mut out));
+        prop_assert_eq!(untouched.next_u64(), scalar.next_u64());
+    }
+
+    /// A memo reader opened at position `k` reads what a reader from
+    /// the first word reads after `k` words, whether the memo already
+    /// fetched past `k` or not, and every restart moves the memo's
+    /// generation on.
+    #[test]
+    fn memo_readers_resume_at_any_position(
+        seed in any::<u64>(),
+        k in 0usize..60,
+        prefetched in 0usize..60,
+    ) {
+        let mut memo = DrawMemo::new();
+        memo.begin(rand::rngs::StdRng::seed_from_u64(seed));
+        let generation = memo.generation();
+        let mut first = memo.reader();
+        for _ in 0..prefetched {
+            first.next_u64();
+        }
+        let mut bare = rand::rngs::StdRng::seed_from_u64(seed);
+        for _ in 0..k {
+            bare.next_u64();
+        }
+        let mut resumed = memo.reader_at(k);
+        prop_assert_eq!(resumed.consumed(), k);
+        for _ in 0..20 {
+            prop_assert_eq!(resumed.next_u64(), bare.next_u64());
+        }
+        memo.restart();
+        prop_assert_ne!(memo.generation(), generation);
     }
 
     /// Groups made only of plain draws: every kernel variant through

@@ -7,7 +7,9 @@
 //! fired. `smoke --resume`: a killed checkpointed run must resume to
 //! the uninterrupted report. `smoke --sweep`: every rung of a fused
 //! `sweep` — whose scenarios share a seed and so share their draws —
-//! must print what `simulate` prints for that rung alone. They are
+//! must print what that rung prints alone: `simulate` for the
+//! discrete-event engine, a one-rung `sweep` for the timeline engine.
+//! They are
 //! deliberately end-to-end — CLI argument parsing, the drivers, and the
 //! report formatting all sit on the path.
 
@@ -264,14 +266,35 @@ fn value_after<'t>(line: &'t str, marker: &str) -> Option<&'t str> {
     line.find(marker).map(|i| line[i + marker.len()..].trim())
 }
 
-/// End-to-end bundling smoke (`cargo xtask smoke --sweep`): a release
-/// `sweep --scrub-hours 336,48` (plus its no-scrub rung) must print, for
-/// every rung, the same "DDFs per 1,000 groups" as `simulate --scrub H`
-/// (`--scrub off` for `no_scrub`) at the same seed and group count.
-/// The sweep's rungs share one seed, so they are simulated as one
-/// bundle over a shared draw memo; `simulate` runs each rung alone
-/// through its own draw cursor. The check compares the two binaries'
-/// outputs, independently of the library's fused path.
+/// The rungs a `sweep` report prints, as `(label, DDFs per 1,000
+/// groups)` in report order.
+fn sweep_rungs(report: &str) -> Vec<(&str, &str)> {
+    report
+        .lines()
+        .filter_map(|line| {
+            let value = value_after(line, "DDFs per 1,000 groups:")?;
+            Some((line.split_whitespace().next().unwrap_or_default(), value))
+        })
+        .collect()
+}
+
+/// End-to-end bundling smoke (`cargo xtask smoke --sweep`), two legs
+/// over a release `sweep --scrub-hours 336,48` (plus its no-scrub rung)
+/// at two threads. The sweep's rungs share one seed, so they are
+/// simulated as one bundle over a shared draw memo.
+///
+/// 1. Discrete-event engine: every rung must print the same "DDFs per
+///    1,000 groups" as `simulate --scrub H` (`--scrub off` for
+///    `no_scrub`) at the same seed and group count, which runs the rung
+///    alone through its own draw cursor.
+/// 2. Timeline engine (`--engine timeline`), whose bundled rungs also
+///    share each group's operational phase: every rung must print what
+///    a one-rung `sweep --engine timeline --scrub-hours H
+///    --skip-no-scrub` prints (`--scrub-hours ,` for `no_scrub`), a
+///    bundle of one that shares nothing.
+///
+/// Both legs compare binaries' outputs, independently of the library's
+/// fused path.
 pub fn check_sweep(root: &Path) -> Result<Vec<Finding>, String> {
     let mut findings = Vec::new();
     let finding = |message: String| Finding {
@@ -291,6 +314,7 @@ pub fn check_sweep(root: &Path) -> Result<Vec<Finding>, String> {
         let out = Command::new(&bin)
             .current_dir(root)
             .args(args)
+            .args(["--groups", SWEEP_GROUPS, "--seed", SWEEP_SEED])
             .output()
             .map_err(|e| format!("cannot spawn {}: {e}", bin.display()))?;
         Ok(if out.status.success() {
@@ -304,72 +328,81 @@ pub fn check_sweep(root: &Path) -> Result<Vec<Finding>, String> {
             ))
         })
     };
-    let sweep = match run(&[
-        "sweep",
-        "--scrub-hours",
-        "336,48",
-        "--groups",
-        SWEEP_GROUPS,
-        "--seed",
-        SWEEP_SEED,
-        "--threads",
-        "2",
-    ])? {
-        Ok(text) => text,
-        Err(message) => {
-            findings.push(finding(message));
-            return Ok(findings);
-        }
-    };
-    let mut rungs = 0;
-    for line in sweep.lines() {
-        let Some(value) = value_after(line, "DDFs per 1,000 groups:") else {
-            continue;
-        };
-        let label = line.split_whitespace().next().unwrap_or_default();
-        let scrub = match label {
-            "no_scrub" => "off".to_string(),
-            other => match other
-                .strip_prefix("scrub_")
-                .and_then(|h| h.strip_suffix('h'))
-            {
-                Some(hours) => hours.to_string(),
-                None => {
-                    findings.push(finding(format!("unexpected sweep rung `{label}`")));
-                    continue;
-                }
-            },
-        };
-        rungs += 1;
-        let alone = match run(&[
-            "simulate",
-            "--scrub",
-            &scrub,
-            "--groups",
-            SWEEP_GROUPS,
-            "--seed",
-            SWEEP_SEED,
-        ])? {
+    for engine in ["des", "timeline"] {
+        let sweep_args = [
+            "sweep",
+            "--engine",
+            engine,
+            "--scrub-hours",
+            "336,48",
+            "--threads",
+            "2",
+        ];
+        let sweep = match run(&sweep_args)? {
             Ok(text) => text,
             Err(message) => {
                 findings.push(finding(message));
                 continue;
             }
         };
-        let want = alone
-            .lines()
-            .find_map(|l| value_after(l, "DDFs per 1,000 groups over 10 years:"));
-        if want != Some(value) {
+        let rungs = sweep_rungs(&sweep);
+        for &(label, value) in &rungs {
+            let hours = match label {
+                "no_scrub" => None,
+                other => match other
+                    .strip_prefix("scrub_")
+                    .and_then(|h| h.strip_suffix('h'))
+                {
+                    Some(hours) => Some(hours),
+                    None => {
+                        findings.push(finding(format!("unexpected {engine} sweep rung `{label}`")));
+                        continue;
+                    }
+                },
+            };
+            let alone_args: Vec<&str> = match (engine, hours) {
+                ("des", h) => vec!["simulate", "--scrub", h.unwrap_or("off")],
+                (_, Some(h)) => vec![
+                    "sweep",
+                    "--engine",
+                    engine,
+                    "--scrub-hours",
+                    h,
+                    "--skip-no-scrub",
+                ],
+                (_, None) => vec!["sweep", "--engine", engine, "--scrub-hours", ","],
+            };
+            let alone = match run(&alone_args)? {
+                Ok(text) => text,
+                Err(message) => {
+                    findings.push(finding(message));
+                    continue;
+                }
+            };
+            let want = if engine == "des" {
+                alone
+                    .lines()
+                    .find_map(|l| value_after(l, "DDFs per 1,000 groups over 10 years:"))
+            } else {
+                match sweep_rungs(&alone)[..] {
+                    [(alone_label, v)] if alone_label == label => Some(v),
+                    _ => None,
+                }
+            };
+            if want != Some(value) {
+                findings.push(finding(format!(
+                    "{engine} sweep rung `{label}` printed {value} DDFs per 1,000 groups, \
+                     `{}` printed {want:?}",
+                    alone_args.join(" ")
+                )));
+            }
+        }
+        if rungs.len() != 3 {
             findings.push(finding(format!(
-                "sweep rung `{label}` printed {value} DDFs per 1,000 groups, \
-                 `simulate --scrub {scrub}` printed {want:?}"
+                "expected 3 {engine} sweep rungs (336 h, 48 h, no scrub), found {}; got:\n{sweep}",
+                rungs.len()
             )));
         }
-    }
-    if rungs != 3 {
-        findings.push(finding(format!(
-            "expected 3 sweep rungs (336 h, 48 h, no scrub), found {rungs}; got:\n{sweep}"
-        )));
     }
     Ok(findings)
 }
