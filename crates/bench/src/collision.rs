@@ -8,12 +8,11 @@
 //! rare, analytically and by Monte Carlo, so the modeling decision is
 //! quantified rather than asserted.
 
-use raidsim_dists::rng::SimRng;
+use raidsim::dists::rng::SimRng;
 use rand::RngExt as _;
-use serde::{Deserialize, Serialize};
 
 /// Parameters for a collision analysis.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CollisionModel {
     /// Drives in the group.
     pub drives: usize,
@@ -123,7 +122,7 @@ fn poisson(mean: f64, rng: &mut SimRng) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use raidsim_dists::rng::stream;
+    use raidsim::dists::rng::stream;
 
     #[test]
     fn base_case_collision_is_negligible() {
@@ -160,6 +159,21 @@ mod tests {
         assert!(
             (mc - analytic).abs() / analytic < 0.2,
             "mc = {mc}, analytic = {analytic}"
+        );
+    }
+
+    #[test]
+    fn monte_carlo_matches_analytic_at_moderate_density() {
+        let m = CollisionModel {
+            drives: 8,
+            stripes: 20_000,
+            defects_per_drive: 2.0,
+        };
+        let analytic = m.analytic_collision_probability();
+        let mc = m.simulate_collision_probability(50_000, &mut stream(4, 0));
+        assert!(
+            (analytic - mc).abs() / analytic < 0.3,
+            "a = {analytic}, mc = {mc}"
         );
     }
 

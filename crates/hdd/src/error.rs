@@ -11,15 +11,6 @@ pub enum HddError {
         /// Why the value was rejected.
         reason: String,
     },
-    /// A sector address was outside the drive's geometry.
-    SectorOutOfRange {
-        /// The requested sector.
-        sector: u64,
-        /// Total sectors on the drive.
-        total: u64,
-    },
-    /// The spare-sector pool is exhausted; the drive can no longer remap.
-    SparesExhausted,
 }
 
 impl fmt::Display for HddError {
@@ -28,13 +19,6 @@ impl fmt::Display for HddError {
             HddError::InvalidSpec { field, reason } => {
                 write!(f, "invalid drive spec field {field}: {reason}")
             }
-            HddError::SectorOutOfRange { sector, total } => {
-                write!(
-                    f,
-                    "sector {sector} out of range (drive has {total} sectors)"
-                )
-            }
-            HddError::SparesExhausted => write!(f, "spare sector pool exhausted"),
         }
     }
 }
@@ -47,12 +31,14 @@ mod tests {
 
     #[test]
     fn display_messages() {
-        let e = HddError::SectorOutOfRange {
-            sector: 10,
-            total: 5,
+        let e = HddError::InvalidSpec {
+            field: "capacity",
+            reason: "must be positive".to_string(),
         };
-        assert!(e.to_string().contains("sector 10"));
-        assert!(HddError::SparesExhausted.to_string().contains("spare"));
+        assert_eq!(
+            e.to_string(),
+            "invalid drive spec field capacity: must be positive"
+        );
     }
 
     #[test]

@@ -2,16 +2,13 @@
 //!
 //! The Elerath–Pecht model (DSN 2007) derives its four transition
 //! distributions from *physical* drive quantities: capacities, bus and
-//! media transfer rates, read-error rates per byte, and the taxonomy of
-//! failure mechanisms in the paper's Figure 3. This crate models those
-//! quantities so the simulation parameters are grounded rather than
-//! free-floating numbers:
+//! media transfer rates and read-error rates per byte. This crate models
+//! those quantities so the simulation parameters are grounded rather
+//! than free-floating numbers:
 //!
 //! * [`units`] — capacity and data-rate newtypes.
 //! * [`Interface`] and [`DriveSpec`] — drive and bus parameters for the
 //!   drives the paper discusses (144 GB Fibre Channel, 500 GB SATA).
-//! * [`failure_modes`] — the operational-failure / latent-defect
-//!   taxonomy of Figure 3, with a sampling catalog.
 //! * [`rer`] — the read-error-rate model behind Table 1 and the latent
 //!   defect (TTLd) distribution of Section 6.3.
 //! * [`restore`] — the minimum-restore-time model of Section 6.2,
@@ -19,10 +16,6 @@
 //!   group of 14; 10.4 h for a 500 GB SATA drive), and the capped
 //!   restore distribution for OS-enforced reconstruction deadlines.
 //! * [`scrub`] — the scrub-pass-time model of Section 6.4.
-//! * [`smart`] — the SMART trip model (excessive reallocations within a
-//!   window ⇒ the drive is retired as an operational failure).
-//! * [`sector`] — a sector/defect map with spare-pool remapping, used
-//!   for failure-injection tests and the scrub semantics ablation.
 //! * [`vintage`] — the published vintage populations of Figure 2.
 //!
 //! # Example
@@ -53,12 +46,9 @@ mod error;
 mod interface;
 
 pub mod catalog;
-pub mod failure_modes;
 pub mod rer;
 pub mod restore;
 pub mod scrub;
-pub mod sector;
-pub mod smart;
 pub mod units;
 pub mod vintage;
 

@@ -4,8 +4,6 @@ use proptest::prelude::*;
 use raidsim_dists::{LifeDistribution, Weibull3};
 use raidsim_hdd::restore::{minimum_restore_hours, Capped, RestoreModel};
 use raidsim_hdd::scrub::minimum_scrub_hours;
-use raidsim_hdd::sector::DefectMap;
-use raidsim_hdd::smart::{SmartConfig, SmartMonitor};
 use raidsim_hdd::units::{Capacity, DataRate};
 use raidsim_hdd::{DriveSpec, Interface};
 
@@ -112,65 +110,5 @@ proptest! {
         let full = minimum_scrub_hours(&drive, 1.0);
         let throttled = minimum_scrub_hours(&drive, frac);
         prop_assert!((throttled * frac - full).abs() < 1e-6 * full);
-    }
-
-    #[test]
-    fn defect_map_counts_are_consistent(
-        ops in proptest::collection::vec((0u64..500, any::<bool>()), 0..200),
-    ) {
-        // Random corrupt/scrub sequences: counts and states must stay
-        // coherent and no operation may panic.
-        let mut m = DefectMap::new(500, 1_000);
-        for (sector, scrub) in ops {
-            if scrub {
-                let _ = m.scrub_repair(sector);
-            } else {
-                m.corrupt(sector).unwrap();
-            }
-            prop_assert!(m.latent_defect_count() + m.remapped_count() <= 500 + m.remapped_count());
-            prop_assert_eq!(m.has_latent_defect(), m.latent_defect_count() > 0);
-        }
-        // A full scrub clears everything while spares last.
-        let before = m.latent_defect_count();
-        let repaired = m.scrub_all().unwrap();
-        prop_assert_eq!(repaired, before);
-        prop_assert!(!m.has_latent_defect());
-    }
-
-    #[test]
-    fn smart_trip_requires_threshold_events_in_window(
-        threshold in 2u32..20,
-        window in 1.0..100.0f64,
-        gaps in proptest::collection::vec(0.1..50.0f64, 1..100),
-    ) {
-        let mut m = SmartMonitor::new(SmartConfig {
-            realloc_threshold: threshold,
-            window_hours: window,
-        });
-        let mut t = 0.0;
-        let mut times: Vec<f64> = Vec::new();
-        for gap in gaps {
-            t += gap;
-            times.push(t);
-            if let Some(trip) = m.record(t) {
-                // Independently verify: `threshold` events within the
-                // window ending at the trip time.
-                let in_window = times
-                    .iter()
-                    .filter(|&&x| trip.at_hours - x <= window && x <= trip.at_hours)
-                    .count() as u32;
-                prop_assert!(in_window >= threshold,
-                    "trip with only {in_window} events in window");
-                return Ok(());
-            }
-        }
-        // No trip: verify no window ever contained `threshold` events.
-        for (i, &end) in times.iter().enumerate() {
-            let in_window = times[..=i]
-                .iter()
-                .filter(|&&x| end - x <= window)
-                .count() as u32;
-            prop_assert!(in_window < threshold, "missed trip at {end}");
-        }
     }
 }

@@ -41,25 +41,21 @@
 //!
 //! * [`dists`] — three-parameter Weibull, mixtures, competing risks,
 //!   censored fitting ([`raidsim_dists`]).
-//! * [`hdd`] — drive/bus parameters, failure-mode taxonomy,
-//!   read-error-rate and restore-time models ([`raidsim_hdd`]).
+//! * [`hdd`] — drive/bus parameters, drive catalog, read-error-rate,
+//!   restore-time and scrub-pass models ([`raidsim_hdd`]).
 //! * [`config`], [`engine`], [`run`], [`stats`], [`checkpoint`],
 //!   [`store`], [`sweep`], [`sync_model`], [`mttdl`], [`markov`],
 //!   [`closed_form`], [`events`] — the core model ([`raidsim_core`]).
 //! * [`analysis`] — mean cumulative functions, ROCOF, intervals
 //!   ([`raidsim_analysis`]).
-//! * [`workloads`] — synthetic field populations and usage profiles
-//!   ([`raidsim_workloads`]).
-//! * [`geometry`] — RAID block layouts, XOR parity, row-diagonal
-//!   (RAID-DP) double parity and stripe-collision analysis
-//!   ([`raidsim_geometry`]).
+//! * [`workloads`] — synthetic field populations and the periodic
+//!   scrub pass ([`raidsim_workloads`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub use raidsim_analysis as analysis;
 pub use raidsim_dists as dists;
-pub use raidsim_geometry as geometry;
 pub use raidsim_hdd as hdd;
 pub use raidsim_workloads as workloads;
 

@@ -13,8 +13,6 @@
 //!   population shapes (pure Weibull, competing-risk upturn,
 //!   mixture + competing risks).
 //! * [`vintage_gen`] — populations matching the Figure 2 vintages.
-//! * [`usage`] — byte-read usage profiles that drive the latent-defect
-//!   rate (Table 1), including diurnal and growth patterns.
 //! * [`scrub_schedule`] — the periodic fleet-scrub alternative to the
 //!   paper's per-defect exposure clock (the scrub-semantics ablation).
 
@@ -24,6 +22,4 @@
 
 pub mod fieldgen;
 pub mod scrub_schedule;
-pub mod study_power;
-pub mod usage;
 pub mod vintage_gen;

@@ -1,5 +1,5 @@
 //! Facade-level integration tests for the extension systems
-//! (DESIGN.md S10–S15): each is exercised end-to-end through
+//! (DESIGN.md S2 and S13–S15): each is exercised end-to-end through
 //! `raidsim::` paths the way a downstream user would.
 
 use raidsim::closed_form::{expected_ddfs_per_group, ClosedFormInputs};
@@ -11,7 +11,6 @@ use raidsim::dists::{Degenerate, LifeDistribution, Lognormal, Weibull3};
 use raidsim::hdd::scrub::ScrubPolicy;
 use raidsim::run::{FusedSweep, Simulator};
 use raidsim::sweep::SweepScenario;
-use raidsim::workloads::study_power::{achievable_precision, design_study};
 
 fn threads() -> usize {
     std::thread::available_parallelism()
@@ -120,17 +119,6 @@ fn advanced_fitting_via_facade() {
     assert!((eta - 12.0).abs() < 0.5, "eta = {eta}");
 }
 
-/// S7 extension: study power analysis sizes the paper's Figure 2
-/// studies correctly.
-#[test]
-fn study_power_via_facade() {
-    assert!(achievable_precision(992, 0.90) < 0.10);
-    let v3 = Weibull3::two_param(75_012.0, 1.4873).unwrap();
-    let plan = design_study(&v3, 6_000.0, 0.10, 0.90).unwrap();
-    assert!(plan.drives_needed > 1_000);
-    assert!(plan.expected_failure_fraction > 0.01);
-}
-
 /// S13: lognormal restore slots into the model without disturbance.
 #[test]
 fn lognormal_restore_via_facade() {
@@ -186,22 +174,4 @@ fn mixture_em_via_facade() {
         mixture_em(ts).unwrap().log_likelihood - single_weibull_log_likelihood(ts).unwrap()
     };
     assert!(gain(&mixed) > 10.0 * gain(&pure).max(1.0));
-}
-
-/// S10: the geometry substrate answers the stripe-collision question
-/// consistently between its analytic and Monte Carlo estimators.
-#[test]
-fn stripe_collision_via_facade() {
-    use raidsim::geometry::collision::CollisionModel;
-    let m = CollisionModel {
-        drives: 8,
-        stripes: 20_000,
-        defects_per_drive: 2.0,
-    };
-    let analytic = m.analytic_collision_probability();
-    let mc = m.simulate_collision_probability(50_000, &mut stream(4, 0));
-    assert!(
-        (analytic - mc).abs() / analytic < 0.3,
-        "a = {analytic}, mc = {mc}"
-    );
 }

@@ -56,10 +56,6 @@ fn facade_paths_resolve() {
     let _ = raidsim::workloads::fieldgen::Fig1Population::all();
     let _ = raidsim::analysis::mcf::normal_quantile(0.5);
     let _ = raidsim::dists::special::gamma(2.0);
-    let _ = raidsim::geometry::Raid5Layout::new(8).parity_drive(0);
-    let _ = raidsim::geometry::RowDiagonalParity::new(5).data_disks();
-    let _ = raidsim::geometry::collision::CollisionModel::paper_base_case()
-        .analytic_collision_probability();
     let _ = raidsim::analysis::trend::CrowAmsaa::fit(&[10.0, 20.0], 2, 100.0);
     let _ = raidsim::dists::Lognormal::new(0.0, 1.0, 0.5).unwrap();
     let _: raidsim::CoreError = raidsim::dists::DistError::Empty.into();

@@ -6,7 +6,7 @@ use std::path::{Path, PathBuf};
 /// lints: the crates whose code runs inside `simulate_group` or feeds
 /// it inputs. `analysis`, `cli`, and `bench` post-process results and
 /// may use wall-clock time or hash maps freely.
-pub const SIM_CRATES: [&str; 5] = ["core", "dists", "hdd", "geometry", "workloads"];
+pub const SIM_CRATES: [&str; 4] = ["core", "dists", "hdd", "workloads"];
 
 /// Finds the workspace root by walking up from the current directory
 /// looking for a `Cargo.toml` containing `[workspace]`.
