@@ -12,7 +12,8 @@ use raidsim::hdd::scrub::ScrubPolicy;
 use raidsim::mttdl::{expected_ddfs, mttdl_from_mttf, HOURS_PER_YEAR};
 use raidsim::run::{CheckpointPlan, FusedSweep, PrecisionReport, Simulator, StopCriterion};
 use raidsim::store::{FaultPlan, FaultStore, FsStore, SnapshotStore};
-use raidsim::sweep::{SweepCache, SweepScenario};
+use raidsim::sweep::{SweepCache, SweepReport, SweepScenario};
+use std::collections::BTreeSet;
 use std::fmt::Write as _;
 use std::path::Path;
 use std::sync::Arc;
@@ -109,7 +110,11 @@ pub fn usage() -> String {
      scenarios within the sweep are served from a fingerprint-keyed\n\
      result cache; --cache-dir persists the cache so a re-run (or a\n\
      sweep killed partway) warm-starts from the scenarios already\n\
-     finished.\n\
+     finished. DIR holds one image per group count and seed,\n\
+     sweep-gG-sS.cache, written durably once per sweep; each scenario\n\
+     is also exported beside it as a standalone checkpoint,\n\
+     sweep-FINGERPRINT-gG-sS.ckpt, which `merge` reads and the cache\n\
+     does not.\n\
      \n\
      rare events: --tilt-op/--tilt-latent exponentially tilt the\n\
      failure/defect draws; --force-fraction F (in (0, 0.5]) with\n\
@@ -660,6 +665,12 @@ pub fn sweep(argv: &[String]) -> Result<CmdOutput, CliError> {
         None => SweepCache::new(),
     };
     let report = fused.run_streaming_cached(groups, threads, &mut cache);
+    let export_errors = match &cache_dir {
+        Some(dir) if report.simulated > 0 => {
+            export_scenarios(Path::new(dir), &fused, groups as u64, &report)
+        }
+        _ => 0,
+    };
 
     let mut out = String::new();
     let _ = writeln!(
@@ -710,7 +721,43 @@ pub fn sweep(argv: &[String]) -> Result<CmdOutput, CliError> {
             cache.persist_errors()
         );
     }
+    if export_errors > 0 {
+        let _ = writeln!(
+            out,
+            "warning: {export_errors} scenario checkpoint export(s) failed; \
+             the cache is unaffected"
+        );
+    }
     Ok(out.into())
+}
+
+/// Leaves every cached scenario of a sweep that simulated in `dir` as
+/// a standalone fixed-mode checkpoint,
+/// `sweep-{fingerprint}-g{groups}-s{seed}.ckpt`, which `merge` reads as
+/// a one-shard run. These are exports: written without an fsync (the
+/// durable copy is the cache image) and never read by the cache.
+/// Scenarios whose identity a quarantine tainted are skipped, as the
+/// cache skips them. Returns how many writes failed.
+fn export_scenarios(dir: &Path, fused: &FusedSweep, groups: u64, report: &SweepReport) -> u64 {
+    let mut skip: BTreeSet<u64> = report
+        .quarantined
+        .iter()
+        .map(|&(k, _)| fused.scenario_fingerprint(k))
+        .collect();
+    let mut failed = 0;
+    for (k, ((_, stats), sc)) in report.results.iter().zip(fused.scenarios()).enumerate() {
+        let fingerprint = fused.scenario_fingerprint(k);
+        if !skip.insert(fingerprint) {
+            continue;
+        }
+        let driver = DriverState::fixed(groups, groups.max(1), sc.seed);
+        let bytes = SimCheckpoint::bytes_from_parts(fingerprint, &driver, stats);
+        let name = format!("sweep-{fingerprint:016x}-g{groups}-s{}.ckpt", sc.seed);
+        if std::fs::write(dir.join(name), bytes).is_err() {
+            failed += 1;
+        }
+    }
+    failed
 }
 
 /// `merge` — gather shard snapshots into the checkpoint an unsharded
@@ -1302,6 +1349,14 @@ mod tests {
                 .join("\n")
         };
         assert_eq!(rows(&cold), rows(&warm));
+        let images = std::fs::read_dir(&dir)
+            .unwrap()
+            .filter(|e| {
+                let name = e.as_ref().unwrap().file_name();
+                name.to_string_lossy().ends_with(".cache")
+            })
+            .count();
+        assert_eq!(images, 1, "one cache image for the sweep's groups and seed");
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -1209,8 +1209,10 @@ impl FusedSweep {
     /// [`SweepCache`]: scenarios whose `(fingerprint, groups, seed)`
     /// identity hits the cache replay their stored aggregate
     /// byte-for-byte instead of simulating; the rest are fused into one
-    /// job and inserted afterwards (unless quarantined — a partial
-    /// aggregate is never cached).
+    /// job and inserted afterwards, one [`SweepCache::insert_batch`]
+    /// per seed (unless quarantined — a partial aggregate is never
+    /// cached), so a persistent cache makes one durable write per
+    /// `(groups, seed)` image.
     ///
     /// Per-scenario aggregates are bit-identical to a sequential
     /// [`Simulator::run_streaming`] per scenario, whatever mixture of
@@ -1286,12 +1288,26 @@ impl FusedSweep {
         for (p, _) in &harvest.quarantine {
             tainted[*p] = true;
         }
+        // One batch per seed, so a persistent cache writes each
+        // `(groups, seed)` image once.
+        let mut seeds: Vec<u64> = planned_input
+            .iter()
+            .map(|&i| self.scenarios[i].seed)
+            .collect();
+        seeds.sort_unstable();
+        seeds.dedup();
+        for seed in seeds {
+            let batch: Vec<(u64, &StreamStats)> = planned_input
+                .iter()
+                .zip(&harvest.stats)
+                .zip(&tainted)
+                .filter(|((&i, _), &tainted)| !tainted && self.scenarios[i].seed == seed)
+                .map(|((&i, stats), _)| (keys[i], stats))
+                .collect();
+            cache.insert_batch(groups as u64, seed, &batch);
+        }
         for (p, stats) in harvest.stats.into_iter().enumerate() {
-            let i = planned_input[p];
-            if !tainted[p] {
-                cache.insert(keys[i], groups as u64, self.scenarios[i].seed, &stats);
-            }
-            results[i] = Some(stats);
+            results[planned_input[p]] = Some(stats);
         }
         for (i, p) in deferred {
             let owner = planned_input[p];

@@ -19,15 +19,24 @@
 //! clone audit in [`crate::stats`]), and the byte-equality contract is
 //! literal — what the test asserts is what the cache stores.
 //!
-//! Persistence rides the existing [`SnapshotStore`] seam: with a store
-//! attached, every insert also writes an ordinary fixed-mode
-//! [`SimCheckpoint`] named after the key, and a miss probes the store
-//! before simulating — warm-starting repeated sweeps across CLI
-//! invocations exactly like `--resume` warm-starts a single run. A
-//! stored artifact is only accepted after
+//! Persistence rides the existing [`SnapshotStore`] seam. With a store
+//! attached, every result of one `(groups, seed)` pair lives in one
+//! image, `sweep-g{groups}-s{seed}.cache`: the magic `RAIDSWP1`, then
+//! one frame per entry, each a little-endian `u64` length followed by
+//! an ordinary fixed-mode [`SimCheckpoint`] image. A sweep hands the
+//! fresh results of each `(groups, seed)` pair to one
+//! [`SweepCache::insert_batch`], which
+//! re-reads the image, merges them in and writes it once through
+//! [`SnapshotStore::write`] — one durable write per sweep, not one per
+//! scenario — and a lookup that misses memory reads the image once and
+//! serves every entry in it. Each frame keeps its own checksum and
+//! format version, and is only accepted after
 //! [`SimCheckpoint::validate_for`] and a completed-prefix check, so a
-//! foreign or truncated file degrades to a miss, never to wrong
-//! results.
+//! corrupt or older-format frame, or a torn tail, degrades to a miss
+//! for the entries it holds, never to wrong results. (A damaged length
+//! prefix loses the frames after it the same way.) Two sweeps writing
+//! one image concurrently can drop each other's entries: the cost is a
+//! later re-simulation, never a wrong result.
 //!
 //! This module is pure bookkeeping: it owns no threads, locks, or
 //! atomics (the sync-audit lint keeps it that way). The scheduling half
@@ -68,6 +77,81 @@ impl SweepScenario {
     }
 }
 
+/// Leading magic bytes of a sweep cache image. The frames after it are
+/// checkpoint images that carry their own [`crate::checkpoint::FORMAT_VERSION`],
+/// so only a change of the container layout changes this.
+const IMAGE_MAGIC: [u8; 8] = *b"RAIDSWP1";
+
+/// The persistent half of a [`SweepCache`].
+struct Persistence {
+    store: Box<dyn SnapshotStore>,
+    dir: PathBuf,
+    /// `(groups, seed)` images already read, so a lookup reads each at
+    /// most once.
+    read: Vec<(u64, u64)>,
+    /// Exact encodings read from an image that no lookup has claimed
+    /// yet, keyed like [`SweepCache`]'s memory.
+    unclaimed: BTreeMap<(u64, u64, u64), Vec<u8>>,
+}
+
+impl Persistence {
+    fn path(&self, groups: u64, seed: u64) -> PathBuf {
+        self.dir.join(format!("sweep-g{groups}-s{seed}.cache"))
+    }
+
+    /// The `(groups, seed)` image's bytes; empty when it cannot be read
+    /// (a missing image is the cold start).
+    fn read_image(&mut self, groups: u64, seed: u64) -> Vec<u8> {
+        let path = self.path(groups, seed);
+        if !self.read.contains(&(groups, seed)) {
+            self.read.push((groups, seed));
+        }
+        self.store.read(&path).unwrap_or_default()
+    }
+}
+
+/// The frames of a cache image, in order. A missing or foreign header
+/// yields none; a frame whose length runs past the end (a torn tail)
+/// ends the walk.
+fn frames(image: &[u8]) -> impl Iterator<Item = &[u8]> {
+    let mut rest = image.strip_prefix(&IMAGE_MAGIC[..]).unwrap_or_default();
+    std::iter::from_fn(move || {
+        let (len, tail) = rest.split_first_chunk::<8>()?;
+        let len = usize::try_from(u64::from_le_bytes(*len)).ok()?;
+        let frame = tail.get(..len)?;
+        rest = &tail[len..];
+        Some(frame)
+    })
+}
+
+/// The exact encoding the cache keeps of `stats`.
+fn encoded(stats: &StreamStats) -> Vec<u8> {
+    let mut bytes = Vec::new();
+    stats.encode_into(&mut bytes);
+    bytes
+}
+
+/// The image's usable entries as `(fingerprint, frame, statistics)`,
+/// in image order. A frame is usable only if it parses (checksum and
+/// format version), was stamped with the `(groups, seed)` schedule, and
+/// holds the complete group prefix; anything else is skipped, so it
+/// reads as a miss.
+fn valid_entries(image: &[u8], groups: u64, seed: u64) -> Vec<(u64, &[u8], StreamStats)> {
+    let driver = SweepCache::driver_for(groups, seed);
+    let mut entries = Vec::new();
+    for frame in frames(image) {
+        let Ok(ckpt) = SimCheckpoint::from_bytes(frame) else {
+            continue;
+        };
+        // Keyed by its own fingerprint, so this checks the schedule.
+        let valid = ckpt.validate_for(ckpt.fingerprint, &driver).is_ok();
+        if valid && ckpt.groups_done() == groups {
+            entries.push((ckpt.fingerprint, frame, ckpt.stats));
+        }
+    }
+    entries
+}
+
 /// Fingerprint-keyed result cache for sweep scenarios.
 ///
 /// Keys are `(config_fingerprint, groups, seed)` — see the module
@@ -84,8 +168,7 @@ pub struct SweepCache {
     /// `BTreeMap` (not a hash map) keeps iteration deterministic, per
     /// the workspace determinism lint.
     entries: BTreeMap<(u64, u64, u64), Vec<u8>>,
-    /// Persistence seam: the store and the directory artifacts live in.
-    store: Option<(Box<dyn SnapshotStore>, PathBuf)>,
+    store: Option<Persistence>,
     hits: u64,
     store_hits: u64,
     misses: u64,
@@ -106,78 +189,111 @@ impl SweepCache {
     /// directory must not fail a sweep that can simply re-simulate.
     pub fn with_store(store: Box<dyn SnapshotStore>, dir: PathBuf) -> Self {
         Self {
-            store: Some((store, dir)),
+            store: Some(Persistence {
+                store,
+                dir,
+                read: Vec::new(),
+                unclaimed: BTreeMap::new(),
+            }),
             ..Self::default()
         }
     }
 
-    /// The artifact name for a key — stable across invocations, one
-    /// file per experiment identity.
-    fn file_name(fingerprint: u64, groups: u64, seed: u64) -> String {
-        format!("sweep-{fingerprint:016x}-g{groups}-s{seed}.ckpt")
-    }
-
-    /// The driver schedule stamped on persisted artifacts: a fixed run
-    /// of exactly `groups` groups in one batch. Probes validate against
-    /// the same schedule, so an artifact from a different seed or group
+    /// The driver schedule stamped on persisted entries: a fixed run
+    /// of exactly `groups` groups in one batch. Reads validate against
+    /// the same schedule, so an entry from a different seed or group
     /// count is refused by the checkpoint codec itself.
     fn driver_for(groups: u64, seed: u64) -> DriverState {
         DriverState::fixed(groups, groups.max(1), seed)
     }
 
     /// Looks the key up in memory, then (on miss) in the attached
-    /// store. A store hit is validated, promoted into memory, and
-    /// counted in both [`SweepCache::store_hits`] and
-    /// [`SweepCache::hits`]; any store or validation failure is a
-    /// plain miss.
+    /// store's `(groups, seed)` image, which is read at most once. A
+    /// store hit is promoted into memory and counted in both
+    /// [`SweepCache::store_hits`] and [`SweepCache::hits`]; any store
+    /// or validation failure is a plain miss.
     pub fn lookup(&mut self, fingerprint: u64, groups: u64, seed: u64) -> Option<StreamStats> {
         let key = (fingerprint, groups, seed);
-        if let Some(bytes) = self.entries.get(&key) {
-            let stats =
-                StreamStats::decode(bytes).expect("cache entries hold validly encoded statistics");
-            self.hits += 1;
-            return Some(stats);
-        }
-        if let Some((store, dir)) = &mut self.store {
-            let path = dir.join(Self::file_name(fingerprint, groups, seed));
-            if let Ok(ckpt) = SimCheckpoint::load_from(store.as_mut(), &path) {
-                let complete = ckpt.groups_done() == groups;
-                let valid = ckpt
-                    .validate_for(fingerprint, &Self::driver_for(groups, seed))
-                    .is_ok();
-                if complete && valid {
-                    let mut bytes = Vec::new();
-                    ckpt.stats.encode_into(&mut bytes);
-                    self.entries.insert(key, bytes);
-                    self.hits += 1;
-                    self.store_hits += 1;
-                    return Some(ckpt.stats);
+        if let Some(p) = self
+            .store
+            .as_mut()
+            .filter(|_| !self.entries.contains_key(&key))
+        {
+            if !p.read.contains(&(groups, seed)) {
+                let image = p.read_image(groups, seed);
+                for (fp, _, stats) in valid_entries(&image, groups, seed) {
+                    p.unclaimed.insert((fp, groups, seed), encoded(&stats));
                 }
             }
+            if let Some(bytes) = p.unclaimed.remove(&key) {
+                self.entries.insert(key, bytes);
+                self.store_hits += 1;
+            }
         }
-        self.misses += 1;
-        None
+        let Some(bytes) = self.entries.get(&key) else {
+            self.misses += 1;
+            return None;
+        };
+        let stats =
+            StreamStats::decode(bytes).expect("cache entries hold validly encoded statistics");
+        self.hits += 1;
+        Some(stats)
     }
 
-    /// Records a freshly simulated result under its key, writing
-    /// through to the attached store if any.
+    /// Records one freshly simulated result under its key: a batch of
+    /// one (see [`SweepCache::insert_batch`]), durable on return.
+    pub fn insert(&mut self, fingerprint: u64, groups: u64, seed: u64, stats: &StreamStats) {
+        self.insert_batch(groups, seed, &[(fingerprint, stats)]);
+    }
+
+    /// Records freshly simulated results of one `(groups, seed)` pair,
+    /// each `(fingerprint, stats)`, writing through to the attached
+    /// store if any.
+    ///
+    /// The pair's image is re-read, merged with the batch's entries
+    /// (which replace same-key ones) and written once, so entries other
+    /// writers persisted meanwhile are kept. A failed write counts
+    /// every entry of the batch in [`SweepCache::persist_errors`]. An
+    /// empty batch touches no store.
     ///
     /// Callers must not insert partial results (the fused runner skips
     /// scenarios with quarantined groups, for the same reason the
     /// checkpoint writer refuses them: the statistics exclude groups
     /// the watermark counts).
-    pub fn insert(&mut self, fingerprint: u64, groups: u64, seed: u64, stats: &StreamStats) {
-        let mut bytes = Vec::new();
-        stats.encode_into(&mut bytes);
-        self.entries.insert((fingerprint, groups, seed), bytes);
-        if let Some((store, dir)) = &mut self.store {
-            let path = dir.join(Self::file_name(fingerprint, groups, seed));
-            let driver = Self::driver_for(groups, seed);
-            if SimCheckpoint::save_parts_to(store.as_mut(), &path, fingerprint, &driver, stats)
-                .is_err()
-            {
-                self.persist_errors += 1;
+    pub fn insert_batch(&mut self, groups: u64, seed: u64, batch: &[(u64, &StreamStats)]) {
+        let driver = Self::driver_for(groups, seed);
+        // The image's frames, keyed like the memory.
+        let mut frames: BTreeMap<(u64, u64, u64), Vec<u8>> = BTreeMap::new();
+        for &(fingerprint, stats) in batch {
+            let key = (fingerprint, groups, seed);
+            self.entries.insert(key, encoded(stats));
+            if self.store.is_some() {
+                let frame = SimCheckpoint::bytes_from_parts(fingerprint, &driver, stats);
+                frames.insert(key, frame);
             }
+        }
+        let fresh = frames.len() as u64;
+        let Some(p) = self.store.as_mut().filter(|_| fresh > 0) else {
+            return;
+        };
+        let old = p.read_image(groups, seed);
+        for (fp, frame, stats) in valid_entries(&old, groups, seed) {
+            let key = (fp, groups, seed);
+            if frames.contains_key(&key) {
+                continue;
+            }
+            frames.insert(key, frame.to_vec());
+            if !self.entries.contains_key(&key) {
+                p.unclaimed.insert(key, encoded(&stats));
+            }
+        }
+        let mut image = IMAGE_MAGIC.to_vec();
+        for frame in frames.values() {
+            image.extend_from_slice(&(frame.len() as u64).to_le_bytes());
+            image.extend_from_slice(frame);
+        }
+        if p.store.write(&p.path(groups, seed), &image).is_err() {
+            self.persist_errors += fresh;
         }
     }
 
@@ -207,8 +323,9 @@ impl SweepCache {
         self.misses
     }
 
-    /// Write-through failures silently absorbed (see
-    /// [`SweepCache::with_store`]).
+    /// Inserted entries whose image write failed (see
+    /// [`SweepCache::with_store`]): each is a scenario a later sweep
+    /// re-simulates.
     pub fn persist_errors(&self) -> u64 {
         self.persist_errors
     }
@@ -280,6 +397,15 @@ mod tests {
         Simulator::new(cfg).run_streaming(groups as usize, 7, 1)
     }
 
+    /// Takes the attached store back out, to hand to the "next
+    /// invocation".
+    fn store_of(cache: SweepCache) -> Box<dyn SnapshotStore> {
+        match cache.store {
+            Some(p) => p.store,
+            None => unreachable!("store was attached"),
+        }
+    }
+
     #[test]
     fn memory_hits_replay_byte_equal() {
         let mut cache = SweepCache::new();
@@ -287,10 +413,11 @@ mod tests {
         let stats = stats_of(16);
         cache.insert(0xabcd, 16, 7, &stats);
         let replay = cache.lookup(0xabcd, 16, 7).expect("inserted entry hits");
-        let (mut a, mut b) = (Vec::new(), Vec::new());
-        stats.encode_into(&mut a);
-        replay.encode_into(&mut b);
-        assert_eq!(a, b, "replayed statistics are byte-identical");
+        assert_eq!(
+            encoded(&stats),
+            encoded(&replay),
+            "replayed statistics are byte-identical"
+        );
         assert_eq!(cache.hits(), 1);
         assert_eq!(cache.misses(), 1);
         assert_eq!(cache.store_hits(), 0);
@@ -316,21 +443,14 @@ mod tests {
             let mut cache = SweepCache::with_store(Box::new(MemStore::new()), dir.clone());
             cache.insert(0xfeed, 12, 3, &stats);
             assert_eq!(cache.persist_errors(), 0);
-            // Steal the store back out to hand to the "next invocation".
-            match cache.store {
-                Some((store, _)) => store,
-                None => unreachable!("store was attached"),
-            }
+            store_of(cache)
         };
         // Second invocation: cold memory, warm store.
         let mut cache = SweepCache::with_store(backing, dir);
         let replay = cache
             .lookup(0xfeed, 12, 3)
             .expect("persisted artifact warm-starts the next invocation");
-        let (mut a, mut b) = (Vec::new(), Vec::new());
-        stats.encode_into(&mut a);
-        replay.encode_into(&mut b);
-        assert_eq!(a, b);
+        assert_eq!(encoded(&stats), encoded(&replay));
         assert_eq!(cache.store_hits(), 1);
         assert_eq!(cache.hits(), 1);
         // The artifact was promoted into memory: the next lookup does
@@ -340,24 +460,59 @@ mod tests {
     }
 
     #[test]
+    fn a_failed_image_write_counts_every_entry_it_carried() {
+        use crate::store::{FaultKind, FaultPlan, FaultStore};
+        let stats = stats_of(10);
+        // Operation 0 is the batch's re-read, 1 its write.
+        let store = FaultStore::new(MemStore::new(), FaultPlan::new().at(1, FaultKind::Enospc));
+        let mut cache = SweepCache::with_store(Box::new(store), PathBuf::from("cache"));
+        let batch: Vec<(u64, &StreamStats)> = (0..3).map(|fp| (fp, &stats)).collect();
+        cache.insert_batch(10, 5, &batch);
+        assert_eq!(
+            cache.persist_errors(),
+            3,
+            "three scenarios went unpersisted"
+        );
+        assert_eq!(cache.len(), 3, "memory still serves them");
+    }
+
+    #[test]
     fn older_format_entries_are_misses() {
         let dir = PathBuf::from("cache");
         let stats = stats_of(10);
         let mut cache = SweepCache::with_store(Box::new(MemStore::new()), dir.clone());
         cache.insert(0xbeef, 10, 5, &stats);
-        let Some((mut store, _)) = cache.store.take() else {
-            unreachable!("store was attached")
-        };
-        // An entry an older build wrote under the same name: format 2
-        // counted latent events over the whole mission.
-        let path = dir.join(SweepCache::file_name(0xbeef, 10, 5));
+        let mut store = store_of(cache);
+        // An entry an older build wrote: format 2 counted latent events
+        // over the whole mission. Restamp the image's one frame.
+        let path = dir.join("sweep-g10-s5.cache");
         let image = store.read(&path).unwrap();
-        store
-            .write(&path, &crate::checkpoint::restamped(image, 2))
-            .unwrap();
+        let frame = frames(&image).next().expect("one frame").to_vec();
+        let mut restamped = image[..16].to_vec();
+        restamped.extend_from_slice(&crate::checkpoint::restamped(frame, 2));
+        store.write(&path, &restamped).unwrap();
         let mut cache = SweepCache::with_store(store, dir);
         assert!(cache.lookup(0xbeef, 10, 5).is_none());
         assert_eq!((cache.hits(), cache.misses()), (0, 1));
+    }
+
+    #[test]
+    fn a_torn_tail_loses_only_the_frames_it_cut() {
+        let dir = PathBuf::from("cache");
+        let stats = stats_of(10);
+        let mut cache = SweepCache::with_store(Box::new(MemStore::new()), dir.clone());
+        let batch: Vec<(u64, &StreamStats)> = (0..3).map(|fp| (fp, &stats)).collect();
+        cache.insert_batch(10, 5, &batch);
+        let mut store = store_of(cache);
+        let path = dir.join("sweep-g10-s5.cache");
+        let image = store.read(&path).unwrap();
+        // Cut the last frame short by one byte.
+        store.write(&path, &image[..image.len() - 1]).unwrap();
+        let mut cache = SweepCache::with_store(store, dir);
+        assert!(cache.lookup(0, 10, 5).is_some());
+        assert!(cache.lookup(1, 10, 5).is_some());
+        assert!(cache.lookup(2, 10, 5).is_none());
+        assert_eq!((cache.store_hits(), cache.misses()), (2, 1));
     }
 
     #[test]
@@ -366,10 +521,9 @@ mod tests {
         let stats = stats_of(10);
         let mut cache = SweepCache::with_store(Box::new(MemStore::new()), dir);
         cache.insert(0xbeef, 10, 5, &stats);
-        // Same file would be probed for a different seed only if the
-        // name matched — it cannot, so this is a pure miss...
+        // Another seed names another image, so this is a pure miss...
         assert!(cache.lookup(0xbeef, 10, 6).is_none());
-        // ...and even a name collision would be refused by
+        // ...and even a frame under the wrong name would be refused by
         // `validate_for` (exercised through the checkpoint tests).
         assert_eq!(cache.misses(), 1);
     }

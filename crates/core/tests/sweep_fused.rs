@@ -8,9 +8,11 @@
 //! (scenario, group); repeated scenarios must replay from the
 //! fingerprint-keyed cache without re-simulating; and a sweep resumed
 //! in a fresh process must warm-start byte-identically from the
-//! persisted cache.
+//! persisted cache, which it writes once per sweep and reads once per
+//! warm start, and whose damaged entries only re-simulate.
 
 use proptest::prelude::*;
+use raidsim_core::checkpoint::CheckpointError;
 use raidsim_core::config::RaidGroupConfig;
 use raidsim_core::engine::{
     BiasPolicy, BundleShare, DesEngine, Engine, EngineCounters, EngineSession, SessionTuning,
@@ -19,13 +21,15 @@ use raidsim_core::engine::{
 use raidsim_core::events::GroupHistory;
 use raidsim_core::run::{FusedSweep, Simulator};
 use raidsim_core::stats::StreamStats;
-use raidsim_core::store::FsStore;
-use raidsim_core::sweep::{SweepCache, SweepScenario};
+use raidsim_core::store::{FaultKind, FaultPlan, FaultStore, FsStore, MemStore, SnapshotStore};
+use raidsim_core::sweep::{SweepCache, SweepReport, SweepScenario};
 use raidsim_dists::rng::{stream, DrawMemo, SimRng};
 use raidsim_dists::{KernelCache, Weibull3};
 use raidsim_hdd::scrub::ScrubPolicy;
 use rand::Rng;
-use std::path::PathBuf;
+use std::cell::RefCell;
+use std::path::{Path, PathBuf};
+use std::rc::Rc;
 use std::sync::{Arc, OnceLock};
 
 fn encode(stats: &StreamStats) -> Vec<u8> {
@@ -531,4 +535,157 @@ fn second_identical_sweep_is_served_entirely_from_the_cache() {
     for (k, (_, stats)) in second.results.iter().enumerate() {
         assert_eq!(encode(stats), encode(&first.results[k].1));
     }
+}
+
+/// One `MemStore` shared by several caches (successive "invocations"),
+/// counting `(reads, writes)`.
+#[derive(Clone, Default)]
+struct SharedStore(Rc<RefCell<(MemStore, u64, u64)>>);
+
+impl SharedStore {
+    fn ops(&self) -> (u64, u64) {
+        let inner = self.0.borrow();
+        (inner.1, inner.2)
+    }
+}
+
+impl SnapshotStore for SharedStore {
+    fn write(&mut self, path: &Path, bytes: &[u8]) -> Result<(), CheckpointError> {
+        let mut inner = self.0.borrow_mut();
+        inner.2 += 1;
+        inner.0.write(path, bytes)
+    }
+
+    fn write_at(&mut self, path: &Path, offset: u64, bytes: &[u8]) -> Result<(), CheckpointError> {
+        self.0.borrow_mut().0.write_at(path, offset, bytes)
+    }
+
+    fn read(&mut self, path: &Path) -> Result<Vec<u8>, CheckpointError> {
+        let mut inner = self.0.borrow_mut();
+        inner.1 += 1;
+        inner.0.read(path)
+    }
+}
+
+fn four_rung_ladder(seed: u64) -> FusedSweep {
+    FusedSweep::new(
+        [336.0, 168.0, 48.0, 12.0]
+            .iter()
+            .enumerate()
+            .map(|(k, &h)| ladder_scenario(&format!("s{k}"), h, seed))
+            .collect(),
+    )
+}
+
+/// A cold sweep of same-seed scenarios persists them with one durable
+/// write, and a warm sweep in a fresh invocation reads them back with
+/// one read.
+#[test]
+fn a_cold_sweep_writes_its_cache_once_and_a_warm_one_reads_it_once() {
+    let fused = four_rung_ladder(17);
+    let dir = PathBuf::from("cache");
+    let store = SharedStore::default();
+    let mut cache = SweepCache::with_store(Box::new(store.clone()), dir.clone());
+    let cold = fused.run_streaming_cached(30, 2, &mut cache);
+    assert_eq!(cold.simulated, 4);
+    assert_eq!(store.ops().1, 1, "one write for the whole sweep");
+
+    let before = store.ops();
+    let mut cache = SweepCache::with_store(Box::new(store.clone()), dir);
+    let warm = fused.run_streaming_cached(30, 2, &mut cache);
+    assert_eq!((warm.simulated, warm.store_hits), (0, 4));
+    assert_eq!(store.ops(), (before.0 + 1, before.1), "one read, no write");
+    for (k, (_, stats)) in warm.results.iter().enumerate() {
+        assert_eq!(encode(stats), encode(&cold.results[k].1));
+    }
+
+    // Two seeds are two images: one write and one read each.
+    let mixed = FusedSweep::new(
+        [(336.0, 23), (48.0, 23), (336.0, 29), (48.0, 29)]
+            .iter()
+            .enumerate()
+            .map(|(k, &(h, seed))| ladder_scenario(&format!("m{k}"), h, seed))
+            .collect(),
+    );
+    let store = SharedStore::default();
+    let mut cache = SweepCache::with_store(Box::new(store.clone()), PathBuf::from("cache"));
+    mixed.run_streaming_cached(30, 2, &mut cache);
+    assert_eq!(store.ops().1, 2, "one write per seed");
+    let before = store.ops();
+    let mut cache = SweepCache::with_store(Box::new(store.clone()), PathBuf::from("cache"));
+    let warm = mixed.run_streaming_cached(30, 2, &mut cache);
+    assert_eq!((warm.simulated, warm.store_hits), (0, 4));
+    assert_eq!(store.ops(), (before.0 + 2, before.1), "one read per seed");
+}
+
+/// A writer whose view of the image is stale keeps the entries another
+/// writer persisted meanwhile.
+#[test]
+fn a_stale_writer_keeps_other_writers_entries() {
+    let stats = Simulator::new(paper_base()).run_streaming(10, 5, 1);
+    let dir = PathBuf::from("cache");
+    let store = SharedStore::default();
+    let mut a = SweepCache::with_store(Box::new(store.clone()), dir.clone());
+    let mut b = SweepCache::with_store(Box::new(store.clone()), dir.clone());
+    // `b` reads the image before `a` writes it...
+    assert!(b.lookup(2, 10, 5).is_none());
+    a.insert(1, 10, 5, &stats);
+    // ...and still keeps `a`'s entry when it writes its own.
+    b.insert(2, 10, 5, &stats);
+    let mut fresh = SweepCache::with_store(Box::new(store), dir);
+    assert!(fresh.lookup(1, 10, 5).is_some());
+    assert!(fresh.lookup(2, 10, 5).is_some());
+    assert_eq!(fresh.store_hits(), 2);
+}
+
+/// A torn image write, or a corrupt image read, turns only the damaged
+/// entries into misses: they re-simulate, the rest warm-start, and
+/// every result stays byte-equal to a cold sweep.
+#[test]
+fn damaged_cache_entries_resimulate_byte_equal() {
+    let fused = four_rung_ladder(19);
+    let cold = fused.run_streaming(30, 2);
+    let dir = PathBuf::from("cache");
+    let check = |report: &SweepReport, what: &str| {
+        assert!(
+            report.store_hits > 0 && report.simulated > 0,
+            "{what}: {} from disk, {} simulated",
+            report.store_hits,
+            report.simulated
+        );
+        assert_eq!(report.store_hits + report.simulated, 4, "{what}");
+        for (k, (_, stats)) in report.results.iter().enumerate() {
+            assert_eq!(
+                encode(stats),
+                encode(&cold.results[k].1),
+                "{what}: scenario {k}"
+            );
+        }
+    };
+
+    // Torn: the cold sweep's lookup read is operation 0, the batch's
+    // re-read 1 and its write 2.
+    let store = SharedStore::default();
+    let torn = FaultStore::new(store.clone(), FaultPlan::new().at(2, FaultKind::TornRename));
+    let mut cache = SweepCache::with_store(Box::new(torn), dir.clone());
+    fused.run_streaming_cached(30, 2, &mut cache);
+    assert_eq!(
+        cache.persist_errors(),
+        4,
+        "the torn write persisted nothing"
+    );
+    let mut cache = SweepCache::with_store(Box::new(store), dir.clone());
+    check(&fused.run_streaming_cached(30, 2, &mut cache), "torn write");
+
+    // Corrupt: a clean cold sweep, then a warm one whose image read
+    // (operation 0) comes back with a flipped byte.
+    let store = SharedStore::default();
+    let mut cache = SweepCache::with_store(Box::new(store.clone()), dir.clone());
+    fused.run_streaming_cached(30, 2, &mut cache);
+    let corrupt = FaultStore::new(store, FaultPlan::new().at(0, FaultKind::ReadCorruption));
+    let mut cache = SweepCache::with_store(Box::new(corrupt), dir);
+    check(
+        &fused.run_streaming_cached(30, 2, &mut cache),
+        "corrupt read",
+    );
 }

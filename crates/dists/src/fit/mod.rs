@@ -10,12 +10,8 @@
 //! * [`mle`] — maximum-likelihood estimation, preferred for heavily
 //!   censored samples such as the vintage data of Figure 2 (e.g. 198
 //!   failures among 10,631 drives).
-//! * [`mle3`] — three-parameter MLE (profiled location), for data with a
-//!   physical minimum such as restore times.
 //! * [`mixture_em`] — two-component Weibull mixture via EM, the
 //!   quantitative form of Figure 1's "population mixture" reading.
-//! * [`weibayes`] — known-shape scale estimation for sparse-failure
-//!   vintage monitoring (including the zero-failure lower bound).
 //!
 //! [`bootstrap_ci`] wraps the estimators with nonparametric bootstrap
 //! confidence intervals, and [`ks_statistic`] provides goodness-of-fit
@@ -26,16 +22,12 @@ mod ks;
 mod mixture_em;
 mod mle;
 mod rank_regression;
-mod three_param;
-mod weibayes;
 
 pub use bootstrap::{bootstrap_ci, ParamCi};
 pub use ks::{ks_critical_value, ks_statistic};
 pub use mixture_em::{mixture_em, single_weibull_log_likelihood, FittedMixture};
 pub use mle::{exponential_mle, mle};
 pub use rank_regression::rank_regression;
-pub use three_param::{mle3, FittedWeibull3};
-pub use weibayes::weibayes;
 
 use crate::{DistError, Weibull3};
 use serde::{Deserialize, Serialize};

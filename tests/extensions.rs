@@ -4,10 +4,8 @@
 
 use raidsim::closed_form::{expected_ddfs_per_group, ClosedFormInputs};
 use raidsim::config::{RaidGroupConfig, SparePolicy};
-use raidsim::dists::empirical::Observation;
-use raidsim::dists::fit::{mle3, weibayes};
 use raidsim::dists::rng::stream;
-use raidsim::dists::{Degenerate, LifeDistribution, Lognormal, Weibull3};
+use raidsim::dists::{Degenerate, Lognormal, Weibull3};
 use raidsim::hdd::scrub::ScrubPolicy;
 use raidsim::run::{FusedSweep, Simulator};
 use raidsim::sweep::SweepScenario;
@@ -93,30 +91,6 @@ fn degenerate_distributions_script_the_engine() {
         assert_eq!(h.ddf_count(), 1);
         assert_eq!(h.ddfs[0].time, 50_000.0);
     }
-}
-
-/// S2 extensions: three-parameter and Weibayes fits through the
-/// facade.
-#[test]
-fn advanced_fitting_via_facade() {
-    let truth = Weibull3::new(6.0, 12.0, 2.0).unwrap();
-    let mut rng = stream(77, 0);
-    let data: Vec<Observation> = (0..3_000)
-        .map(|_| Observation::failure(truth.sample(&mut rng)))
-        .collect();
-    let fit3 = mle3(&data).unwrap();
-    assert!((fit3.gamma - 6.0).abs() < 0.6, "gamma = {}", fit3.gamma);
-
-    // Weibayes with the known shape recovers eta from the same data.
-    let shifted: Vec<Observation> = data
-        .iter()
-        .map(|o| Observation {
-            time: (o.time - 6.0).max(1e-6),
-            failed: o.failed,
-        })
-        .collect();
-    let eta = weibayes(&shifted, 2.0).unwrap();
-    assert!((eta - 12.0).abs() < 0.5, "eta = {eta}");
 }
 
 /// S13: lognormal restore slots into the model without disturbance.

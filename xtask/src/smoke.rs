@@ -8,12 +8,14 @@
 //! the uninterrupted report. `smoke --sweep`: every rung of a fused
 //! `sweep` — whose scenarios share a seed and so share their draws —
 //! must print what that rung prints alone: `simulate` for the
-//! discrete-event engine, a one-rung `sweep` for the timeline engine.
-//! They are
+//! discrete-event engine, a one-rung `sweep` for the timeline engine —
+//! and a `--cache-dir` rerun must replay the sweep from its one cache
+//! image. They are
 //! deliberately end-to-end — CLI argument parsing, the drivers, and the
 //! report formatting all sit on the path.
 
 use crate::Finding;
+use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::time::Duration;
@@ -278,7 +280,7 @@ fn sweep_rungs(report: &str) -> Vec<(&str, &str)> {
         .collect()
 }
 
-/// End-to-end bundling smoke (`cargo xtask smoke --sweep`), two legs
+/// End-to-end bundling smoke (`cargo xtask smoke --sweep`), three legs
 /// over a release `sweep --scrub-hours 336,48` (plus its no-scrub rung)
 /// at two threads. The sweep's rungs share one seed, so they are
 /// simulated as one bundle over a shared draw memo.
@@ -292,9 +294,15 @@ fn sweep_rungs(report: &str) -> Vec<(&str, &str)> {
 ///    a one-rung `sweep --engine timeline --scrub-hours H
 ///    --skip-no-scrub` prints (`--scrub-hours ,` for `no_scrub`), a
 ///    bundle of one that shares nothing.
+/// 3. Result cache: a timeline sweep with `--cache-dir D` over a fresh
+///    `D`, then the same command again. The rerun must print the same
+///    rungs and "0 simulated, N cache hit(s) (N from disk)", `D` must
+///    hold exactly one cache image (`*.cache`; the per-scenario
+///    `*.ckpt` files beside it are exports), and the rerun must leave
+///    every file in `D` as it was.
 ///
-/// Both legs compare binaries' outputs, independently of the library's
-/// fused path.
+/// The first two legs compare binaries' outputs, independently of the
+/// library's fused path.
 pub fn check_sweep(root: &Path) -> Result<Vec<Finding>, String> {
     let mut findings = Vec::new();
     let finding = |message: String| Finding {
@@ -404,7 +412,71 @@ pub fn check_sweep(root: &Path) -> Result<Vec<Finding>, String> {
             )));
         }
     }
+
+    let dir = root.join("target").join("xtask-smoke-sweep-cache");
+    let _ = std::fs::remove_dir_all(&dir);
+    let dir_arg = dir.display().to_string();
+    let cached = [
+        "sweep",
+        "--engine",
+        "timeline",
+        "--scrub-hours",
+        "336,48",
+        "--threads",
+        "2",
+        "--cache-dir",
+        &dir_arg,
+    ];
+    let cold = run(&cached)?;
+    let before = dir_contents(&dir);
+    let warm = run(&cached)?;
+    let after = dir_contents(&dir);
+    let _ = std::fs::remove_dir_all(&dir);
+    match (cold, warm) {
+        (Ok(cold), Ok(warm)) => {
+            let rungs = sweep_rungs(&cold);
+            if sweep_rungs(&warm) != rungs {
+                findings.push(finding(format!(
+                    "the warm rerun printed other rungs than the cold sweep:\n{cold}\n{warm}"
+                )));
+            }
+            let n = rungs.len();
+            let replayed = format!("0 simulated, {n} cache hit(s) ({n} from disk)");
+            if !warm.contains(&replayed) {
+                findings.push(finding(format!(
+                    "the warm rerun did not print `{replayed}`; got:\n{warm}"
+                )));
+            }
+            let images: Vec<&String> = before.keys().filter(|f| f.ends_with(".cache")).collect();
+            if images.len() != 1 {
+                findings.push(finding(format!(
+                    "expected one cache image in --cache-dir, found {images:?}"
+                )));
+            }
+            if after != before {
+                findings.push(finding(
+                    "the warm rerun changed files in --cache-dir".to_string(),
+                ));
+            }
+        }
+        (Err(message), _) | (_, Err(message)) => findings.push(finding(message)),
+    }
     Ok(findings)
+}
+
+/// Every file in `dir` by name, with its bytes; empty when `dir`
+/// cannot be read.
+fn dir_contents(dir: &Path) -> BTreeMap<String, Vec<u8>> {
+    let Ok(entries) = std::fs::read_dir(dir) else {
+        return BTreeMap::new();
+    };
+    entries
+        .filter_map(Result::ok)
+        .map(|e| {
+            let bytes = std::fs::read(e.path()).unwrap_or_default();
+            (e.file_name().to_string_lossy().into_owned(), bytes)
+        })
+        .collect()
 }
 
 /// Builds the release CLI and returns the binary path (so the smoke can
