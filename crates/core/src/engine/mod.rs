@@ -359,10 +359,11 @@ pub trait EngineSession: std::fmt::Debug {
     /// group the same `share`, in scenario order, so a session may reuse
     /// what an earlier scenario's session left there for the same memo
     /// generation ([`DrawMemo::generation`]) and leave its own work for
-    /// later ones; the timeline engine shares its operational phase this
-    /// way. The default implementation replays the memo's stream through
-    /// [`EngineSession::simulate_group`] (correct for any session,
-    /// sharing nothing); the built-in engines read the memo directly.
+    /// later ones; the timeline engine shares its operational phase and
+    /// its latent seeds this way. The default implementation replays the
+    /// memo's stream through [`EngineSession::simulate_group`] (correct
+    /// for any session, sharing nothing); the built-in engines read the
+    /// memo directly.
     fn simulate_group_memo(
         &mut self,
         memo: &mut DrawMemo,
@@ -385,12 +386,17 @@ pub trait EngineSession: std::fmt::Debug {
 /// rung would rebuild the same operational timelines from the same
 /// words. The first timeline session of a group computes them here, and
 /// every later session whose operational identity matches reads them
-/// instead. Each value is tagged with the memo generation it was read
-/// from, so nothing left from another group, or from before a
-/// [`DrawMemo::restart`], is ever reused. One share serves one memo.
+/// instead. The same holds for the seeds of the group's latent chains:
+/// every scrubbed rung reads them from the same words with the same
+/// TTLd kernel and TTScrub exponent, so the first such session reads
+/// them here for the others. Each value is tagged with the memo
+/// generation it was read from, so nothing left from another group, or
+/// from before a [`DrawMemo::restart`], is ever reused. One share serves
+/// one memo.
 #[derive(Debug, Default)]
 pub struct BundleShare {
     timeline: timeline::SharedOp,
+    seeds: timeline::SharedSeeds,
 }
 
 impl BundleShare {

@@ -400,6 +400,128 @@ impl SharedOp {
     }
 }
 
+/// What a session's latent seeds (Figure 5 phase 3) are a function of
+/// besides the memo's words, for sessions whose seeds a bundle can
+/// share: untilted chains with `Weibull3` TTLd and TTScrub kernels.
+///
+/// Slot `j`'s chain starts from two words: its TTLd onset, a plain draw
+/// at word `start + 2j`, and its first scrub span, a plain TTScrub draw
+/// at the next word. The onset depends on the whole TTLd kernel, the
+/// scrub word only through TTScrub's exponent: its `powf(e, 1/β)` and
+/// whether its `e` lane is 0. Each session finishes the span with its
+/// own `γ` and `η`, so rungs that differ only in their scrub scale share
+/// every seed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct SeedIdentity {
+    /// The memo word phase 3 starts reading at: the words phase 1 read.
+    start: usize,
+    /// Chains seeded: the slot count.
+    n: usize,
+    /// The TTLd kernel's `(γ, η, β, 1/β)`, as bits.
+    ttld: [u64; 4],
+    /// TTScrub's `1/β`, as bits.
+    scrub_inv_beta: u64,
+}
+
+/// A session's side of [`SeedIdentity`]: the kernel parameters its
+/// shared seeds are read and finished with.
+#[derive(Debug, Clone, Copy)]
+struct SeedSpec {
+    ttld: [u64; 4],
+    /// TTScrub's location γ, scale η and `1/β`.
+    scrub: (f64, f64, f64),
+}
+
+impl SeedSpec {
+    /// The spec of an untilted session whose TTLd and TTScrub kernels
+    /// are both `Weibull3`; `None` for every other session, which seeds
+    /// its chains draw by draw.
+    fn of(
+        ttld: Option<&SampleKernel>,
+        ttscrub: Option<&SampleKernel>,
+        latent_tilt: Option<Tilt>,
+    ) -> Option<SeedSpec> {
+        match (ttld?, ttscrub?, latent_tilt) {
+            (
+                &SampleKernel::Weibull3 {
+                    gamma,
+                    eta,
+                    beta,
+                    inv_beta,
+                },
+                &SampleKernel::Weibull3 {
+                    gamma: scrub_gamma,
+                    eta: scrub_eta,
+                    inv_beta: scrub_inv_beta,
+                    ..
+                },
+                None,
+            ) => Some(SeedSpec {
+                ttld: [gamma, eta, beta, inv_beta].map(f64::to_bits),
+                scrub: (scrub_gamma, scrub_eta, scrub_inv_beta),
+            }),
+            _ => None,
+        }
+    }
+
+    /// The identity of this spec's seeds for `n` chains read from word
+    /// `start` on.
+    fn identity(&self, start: usize, n: usize) -> SeedIdentity {
+        SeedIdentity {
+            start,
+            n,
+            ttld: self.ttld,
+            scrub_inv_beta: self.scrub.2.to_bits(),
+        }
+    }
+}
+
+/// One slot's shared latent seed: its TTLd onset and its first scrub
+/// word's power (`None` when that word's `e` lane is 0).
+type Seed = (f64, Option<f64>);
+
+/// A bundle's shared latent seeds: the seeds the last session with a
+/// [`SeedSpec`] read for the current group, for every later session of
+/// the bundle with the same [`SeedIdentity`].
+#[derive(Debug, Default)]
+pub(super) struct SharedSeeds {
+    /// The memo generation the seeds were read from; `None` while no
+    /// set is complete.
+    generation: Option<u64>,
+    identity: Option<SeedIdentity>,
+    seeds: Vec<Seed>,
+}
+
+impl SharedSeeds {
+    /// The seeds of `identity` in memo generation `generation`, read
+    /// from `memo` first unless this already holds them. The second
+    /// value counts how often the seed buffer grew.
+    fn get(
+        &mut self,
+        generation: u64,
+        identity: SeedIdentity,
+        ttld: &SampleKernel,
+        memo: &mut DrawMemo,
+    ) -> (&[Seed], u64) {
+        let mut grows = 0;
+        if self.generation != Some(generation) || self.identity != Some(identity) {
+            self.generation = None;
+            let cap = self.seeds.capacity();
+            self.seeds.clear();
+            let mut reader = memo.reader_at(identity.start);
+            for _ in 0..identity.n {
+                let onset = reader.plain(ttld);
+                let scrub = reader.next_power(f64::from_bits(identity.scrub_inv_beta));
+                self.seeds.push((onset, scrub));
+            }
+            grows = u64::from(self.seeds.capacity() > cap);
+            self.identity = Some(identity);
+            self.generation = Some(generation);
+        }
+        (&self.seeds, grows)
+    }
+}
+
 /// The latent phases' kernels and scratch (Figure 5 phases 3–5) and the
 /// group's output.
 ///
@@ -414,6 +536,8 @@ struct LatentState {
     ttscrub: Option<SampleKernel>,
     /// Importance-sampling tilt on TTLd draws.
     latent_tilt: Option<Tilt>,
+    /// `Some` when a bundle may share this session's latent seeds.
+    seed_spec: Option<SeedSpec>,
     chains: Vec<LdChain>,
     conditions: Vec<SlotCondition>,
     history: GroupHistory,
@@ -447,6 +571,9 @@ impl TimelineSession {
         } else {
             NO_CUT
         };
+        let ttld = dists.ttld.as_ref().map(|d| kernels.lower(d));
+        let ttscrub = dists.ttscrub.as_ref().map(|d| kernels.lower(d));
+        let latent_tilt = bias.latent_tilt();
         TimelineSession {
             spec: OpSpec {
                 n,
@@ -469,9 +596,10 @@ impl TimelineSession {
                 n,
                 mission: cfg.mission_hours,
                 redundancy: cfg.redundancy,
-                ttld: dists.ttld.as_ref().map(|d| kernels.lower(d)),
-                ttscrub: dists.ttscrub.as_ref().map(|d| kernels.lower(d)),
-                latent_tilt: bias.latent_tilt(),
+                seed_spec: SeedSpec::of(ttld.as_ref(), ttscrub.as_ref(), latent_tilt),
+                ttld,
+                ttscrub,
+                latent_tilt,
                 chains: Vec::with_capacity(n),
                 conditions: Vec::with_capacity(n.saturating_sub(1)),
                 history: GroupHistory::default(),
@@ -505,15 +633,19 @@ impl EngineSession for TimelineSession {
     /// Reuses the bundle's operational phase when an earlier session
     /// with the same [`OpIdentity`] computed it from this memo
     /// generation, and otherwise computes it into the share for later
-    /// sessions. Either way the latent phases read on from the word
-    /// phase 1 stopped at, so every word is the one a single reader of
-    /// the whole group reads.
+    /// sessions. A session with a [`SeedSpec`] does the same with its
+    /// latent seeds, keyed by [`SeedIdentity`]. Either way the latent
+    /// phases read on from the word the shared work stopped at, so every
+    /// word is the one a single reader of the whole group reads.
     fn simulate_group_memo(
         &mut self,
         memo: &mut DrawMemo,
         share: &mut BundleShare,
     ) -> &GroupHistory {
-        let shared = &mut share.timeline;
+        let BundleShare {
+            timeline: shared,
+            seeds,
+        } = share;
         let generation = memo.generation();
         if !shared.holds(generation, &self.spec.identity) {
             shared.generation = None;
@@ -525,8 +657,19 @@ impl EngineSession for TimelineSession {
             }
             shared.generation = Some(generation);
         }
-        self.latent
-            .run(&shared.op, &mut memo.reader_at(shared.words));
+        let op = &shared.op;
+        let latent = &mut self.latent;
+        match (latent.seed_spec, &latent.ttld) {
+            // A group without failures seeds no untilted chain.
+            (Some(spec), Some(ttld)) if !op.failures.is_empty() => {
+                let identity = spec.identity(shared.words, latent.n);
+                let (seeds, grows) = seeds.get(generation, identity, ttld, memo);
+                latent.counters.scratch_grows += grows;
+                latent.seed_shared(op, spec, seeds);
+                latent.compare(op, &mut memo.reader_at(identity.start + 2 * identity.n));
+            }
+            _ => latent.run(op, &mut memo.reader_at(shared.words)),
+        }
         &self.latent.history
     }
 
@@ -654,27 +797,13 @@ impl LatentState {
     /// Figure 5 phases 3–5 for the group whose operational phase is
     /// `op`, reading on from the word after phase 1's last.
     fn run<R: DrawSource>(&mut self, op: &OpPhase, rng: &mut R) {
-        let n = self.n;
-        let mission = self.mission;
-        let timelines = op.timelines();
-        debug_assert_eq!(
-            timelines.len(),
-            n,
-            "an operational phase of another slot count"
-        );
-
-        // The log-weight accumulates across phases 1, 3, 4 and 5, so it
-        // starts where phase 1 left it.
-        self.history.log_weight = op.log_weight;
-        self.counters.samples_drawn += op.samples;
-
+        self.begin(op);
         // Phase 3 — seed the lazily-advanced latent-defect chains. A
         // group without failures reads no latent state (its horizon is
         // −∞), so untilted chains are not seeded at all; tilted ones
         // are, since their draws carry weight factors.
-        self.chains.clear();
         if !op.failures.is_empty() || self.latent_tilt.is_some() {
-            for _ in 0..n {
+            for _ in 0..self.n {
                 self.chains.push(LdChain::new(
                     self.ttld.as_ref(),
                     self.ttscrub.as_ref(),
@@ -685,6 +814,50 @@ impl LatentState {
                 ));
             }
         }
+        self.compare(op, rng);
+    }
+
+    /// Starts the latent phases of the group whose operational phase is
+    /// `op`: no chains yet, and the log-weight and draw count where
+    /// phase 1 left them (the log-weight accumulates across phases 1, 3,
+    /// 4 and 5).
+    fn begin(&mut self, op: &OpPhase) {
+        debug_assert_eq!(
+            op.timelines().len(),
+            self.n,
+            "an operational phase of another slot count"
+        );
+        self.history.log_weight = op.log_weight;
+        self.counters.samples_drawn += op.samples;
+        self.chains.clear();
+    }
+
+    /// Phase 3 from a bundle's shared seeds, one per slot: the chains
+    /// [`LdChain::new`] seeds from the same two words per slot, with the
+    /// float ops of [`raidsim_dists::SampleKernel::sample_memo`] — a
+    /// scrub word whose `e` lane is 0 gives the span `γ`, any other
+    /// `γ + η·power`. The two draws per slot count as this session's.
+    fn seed_shared(&mut self, op: &OpPhase, spec: SeedSpec, seeds: &[Seed]) {
+        self.begin(op);
+        let (gamma, eta, _) = spec.scrub;
+        self.chains
+            .extend(seeds.iter().map(|&(onset, power)| LdChain {
+                defect_at: onset,
+                clear_at: match power {
+                    Some(power) => onset + (gamma + eta * power),
+                    None => onset + gamma,
+                },
+                created: 0,
+                scrubbed: 0,
+            }));
+        self.counters.samples_drawn += 2 * seeds.len() as u64;
+    }
+
+    /// Figure 5 phases 4–5 over the seeded chains, reading on from the
+    /// word after phase 3's last.
+    fn compare<R: DrawSource>(&mut self, op: &OpPhase, rng: &mut R) {
+        let mission = self.mission;
+        let timelines = op.timelines();
 
         // Phase 4 — the pairwise comparisons of Figure 5.
         self.history.ddfs.clear();
@@ -1071,6 +1244,167 @@ mod tests {
                 (b.scratch_grows, a.scratch_grows) = (0, 0);
                 assert_eq!(b, a);
             }
+        }
+    }
+
+    /// Rungs in bundle order: the 48 h rung reads the 336 h rung's
+    /// seeds, and the 720 h rung the 168 h rung's across three rungs that
+    /// seed draw by draw (a latent tilt, no scrub, a capped scrub); each
+    /// other rung differs from the seeds in the share in one part of
+    /// its identity — its own TTOp (its seeds start at another word),
+    /// TTScrub exponent or TTLd.
+    fn seed_identity_rungs() -> Vec<(RaidGroupConfig, BiasPolicy)> {
+        use raidsim_dists::Weibull3;
+        use raidsim_hdd::scrub::ScrubPolicy;
+        let base = RaidGroupConfig::paper_base_case().unwrap();
+        let with = |policy| base.clone().with_scrub_policy(policy).unwrap();
+        let rung = |hours| with(ScrubPolicy::with_characteristic_hours(hours));
+        let mut own_ttop = rung(336.0);
+        own_ttop.dists.ttop = Arc::new(Weibull3::two_param(461_386.0, 0.9).unwrap());
+        let mut own_ttld = rung(168.0);
+        own_ttld.dists.ttld = Some(Arc::new(Weibull3::two_param(4_000.0, 1.0).unwrap()));
+        let mut own_shape = rung(168.0);
+        own_shape.dists.ttscrub = Some(Arc::new(Weibull3::new(6.0, 168.0, 2.0).unwrap()));
+        let capped = with(ScrubPolicy::Background {
+            min_hours: 6.0,
+            characteristic_hours: 168.0,
+            max_hours: Some(150.0),
+        });
+        let tilt = BiasPolicy::HazardTilt {
+            op_theta: 0.0,
+            latent_theta: 0.6,
+        };
+        let none = BiasPolicy::None;
+        vec![
+            (rung(336.0), none),
+            (rung(48.0), none),
+            (own_ttop, none),
+            (rung(12.0), none),
+            (own_shape, none),
+            (own_ttld, none),
+            (rung(168.0), none),
+            (rung(24.0), tilt),
+            (with(ScrubPolicy::Disabled), none),
+            (capped, none),
+            (rung(720.0), none),
+        ]
+    }
+
+    #[test]
+    fn shared_latent_seeds_reproduce_the_scalar_path() {
+        // Every rung of one bundle reads the group from one memo and
+        // one share, in bundle order, and must return what its session
+        // returns from the group's own stream — a path that shares
+        // nothing — with every counter but `scratch_grows` equal.
+        let rungs = seed_identity_rungs();
+        for block_draws in [true, false] {
+            let tuning = SessionTuning { block_draws };
+            let mut kernels = KernelCache::new();
+            let mut open = || -> Vec<TimelineSession> {
+                rungs
+                    .iter()
+                    .map(|(cfg, bias)| TimelineSession::new(cfg, *bias, tuning, &mut kernels))
+                    .collect()
+            };
+            let (mut bundled, mut alone) = (open(), open());
+            let shared = bundled
+                .iter()
+                .filter(|s| s.latent.seed_spec.is_some())
+                .count();
+            assert_eq!(shared, 8, "rungs that share seeds");
+            let (mut memo, mut share) = (DrawMemo::new(), BundleShare::new());
+            for group in 0..300 {
+                memo.begin(stream(17, group));
+                for (k, (b, a)) in bundled.iter_mut().zip(&mut alone).enumerate() {
+                    let want = a.simulate_group(&mut memo.start().clone()).clone();
+                    let got = b.simulate_group_memo(&mut memo, &mut share);
+                    assert_eq!(got, &want, "rung {k}, group {group}, {tuning:?}");
+                }
+            }
+            for (k, (b, a)) in bundled.iter().zip(&alone).enumerate() {
+                let (mut b, mut a) = (b.counters(), a.counters());
+                (b.scratch_grows, a.scratch_grows) = (0, 0);
+                assert_eq!(b, a, "rung {k}, {tuning:?}");
+            }
+        }
+    }
+
+    /// A raw xoshiro stream whose second word is 0 (`u = 0`, `e = 0`):
+    /// with `s[0] = 0` and `s[3] = s[1]`, the first output
+    /// `rotl(s[0] + s[3], 23) + s[0]` is nonzero and the second is 0.
+    fn second_word_zero(s1: u64, s2: u64) -> SimRng {
+        use rand::SeedableRng;
+        let s1 = s1 | 1;
+        let mut seed = [0u8; 32];
+        for (chunk, word) in seed.chunks_exact_mut(8).zip([0, s1, s2, s1]) {
+            chunk.copy_from_slice(&word.to_le_bytes());
+        }
+        SimRng::from_seed(seed)
+    }
+
+    #[test]
+    fn a_zero_scrub_word_finishes_its_shared_seed_at_the_scrub_location() {
+        // Slot 0's scrub word is the memo's second word. Its `e` lane
+        // is 0, so `sample_memo` returns TTScrub's γ without a power,
+        // and the shared seed must give the chain that clear time too.
+        let cfg = RaidGroupConfig::paper_base_case().unwrap();
+        let n = cfg.drives;
+        let mut session = TimelineSession::new(
+            &cfg,
+            BiasPolicy::None,
+            SessionTuning::default(),
+            &mut KernelCache::new(),
+        );
+        let spec = session
+            .latent
+            .seed_spec
+            .expect("the base case shares seeds");
+        let (ttld, ttscrub) = (
+            session.latent.ttld.clone().unwrap(),
+            session.latent.ttscrub.clone().unwrap(),
+        );
+        let op = OpPhase {
+            slots: n,
+            timelines: vec![Vec::new(); n],
+            ..OpPhase::default()
+        };
+        for (s1, s2) in [(3, 5), (0x9e37_79b9_7f4a_7c15, 7), (u64::MAX, u64::MAX)] {
+            let mut memo = DrawMemo::new();
+            memo.begin(second_word_zero(s1, s2));
+            assert_eq!(memo.reader_at(1).next_u64(), 0, "the second word is 0");
+            // Seeded draw by draw, as a session outside a bundle does.
+            let (mut samples, mut log_weight) = (0, 0.0);
+            let mut reader = memo.reader();
+            let want: Vec<LdChain> = (0..n)
+                .map(|_| {
+                    LdChain::new(
+                        Some(&ttld),
+                        Some(&ttscrub),
+                        None,
+                        &mut samples,
+                        &mut log_weight,
+                        &mut reader,
+                    )
+                })
+                .collect();
+            let (gamma, _, _) = spec.scrub;
+            assert_eq!(
+                want[0].clear_at.to_bits(),
+                (want[0].defect_at + gamma).to_bits(),
+                "sample_memo's γ branch"
+            );
+            let mut shared = SharedSeeds::default();
+            let (seeds, _) = shared.get(memo.generation(), spec.identity(0, n), &ttld, &mut memo);
+            assert_eq!(seeds[0].1, None, "slot 0's scrub word has e = 0");
+            session.latent.seed_shared(&op, spec, seeds);
+            for (j, (got, want)) in session.latent.chains.iter().zip(&want).enumerate() {
+                assert_eq!(
+                    (got.defect_at.to_bits(), got.clear_at.to_bits()),
+                    (want.defect_at.to_bits(), want.clear_at.to_bits()),
+                    "slot {j}"
+                );
+            }
+            assert_eq!(samples, 2 * n as u64);
         }
     }
 

@@ -32,12 +32,14 @@ use raidsim_core::checkpoint::{DriverState, SimCheckpoint, FORMAT_VERSION};
 use raidsim_core::config::{RaidGroupConfig, Redundancy, SparePolicy, TransitionDistributions};
 use raidsim_core::engine::{BiasPolicy, DesEngine, Engine, SessionTuning, TimelineEngine};
 use raidsim_core::events::GroupHistory;
-use raidsim_core::run::Simulator;
+use raidsim_core::run::{FusedSweep, Simulator};
 use raidsim_core::stats::StreamStats;
+use raidsim_core::sweep::SweepScenario;
 use raidsim_dists::rng::stream;
 use raidsim_dists::{
     CompetingRisks, Degenerate, Exponential, LifeDistribution, Lognormal, Mixture, Weibull3,
 };
+use raidsim_hdd::scrub::ScrubPolicy;
 use std::sync::Arc;
 
 /// FNV-1a 64 over the checkpoint serialization of the streamed
@@ -325,6 +327,52 @@ fn precision_run_matches_pre_pool_golden_values() {
          confidence: 0.95, groups: 400, converged: false, criterion: GroupCap, \
          quarantined: 0 }",
     );
+}
+
+/// Pins a bundled timeline ladder: two scrub rungs and a no-scrub rung
+/// over clones of one base configuration share a seed, so the fused
+/// sweep runs them as one bundle, sharing each group's draw memo and
+/// operational phase. Captured before the bundle shared anything past
+/// the operational phase, so any bit that sharing latent work moves
+/// fails here.
+#[test]
+fn bundled_timeline_ladder_matches_golden_values() {
+    let (groups, seed) = (300usize, 42u64);
+    let cfg = base();
+    let rung = |label: &str, policy| {
+        SweepScenario::new(label, cfg.clone().with_scrub_policy(policy).unwrap(), seed)
+    };
+    let scenarios = vec![
+        rung("336h", ScrubPolicy::with_characteristic_hours(336.0)),
+        rung("none", ScrubPolicy::Disabled),
+        rung("48h", ScrubPolicy::with_characteristic_hours(48.0)),
+    ];
+    // `(full, DDF side)` per rung, in scenario order.
+    let expected = [
+        (0x07d3_d14f_5308_3bf4u64, 0x5184_cd25_8bab_2d3c),
+        (0x4d81_cbba_7bfe_39ee, 0x0d7c_78f0_1dbc_1072),
+        (0x6080_8af5_3d67_e993, 0xbcd9_5330_23ce_630d),
+    ];
+    for block_draws in [true, false] {
+        for threads in [1usize, 3] {
+            let report = FusedSweep::new(scenarios.clone())
+                .with_engine(Arc::new(TimelineEngine::new()))
+                .with_tuning(SessionTuning { block_draws })
+                .run_streaming(groups, threads);
+            assert!(report.quarantined.is_empty());
+            for ((label, stats), (want, want_ddf)) in report.results.iter().zip(expected) {
+                let got = stats_fingerprint(stats, seed, groups as u64);
+                let ddf = ddf_fingerprint(stats);
+                if std::env::var("GOLDEN_CAPTURE").is_ok() {
+                    eprintln!("bundled {label}: full {got:#018x}, ddf {ddf:#018x}");
+                    continue;
+                }
+                let at = format!("rung {label}, {threads} thread(s), block_draws {block_draws}");
+                assert_eq!(ddf, want_ddf, "{at}: DDF-side fingerprint {ddf:#018x}");
+                assert_eq!(got, want, "{at}: fingerprint {got:#018x}");
+            }
+        }
+    }
 }
 
 /// Folds `bytes` into an FNV-1a 64 state.

@@ -30,7 +30,7 @@ use rand::Rng;
 use std::cell::RefCell;
 use std::path::{Path, PathBuf};
 use std::rc::Rc;
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 
 fn encode(stats: &StreamStats) -> Vec<u8> {
     let mut bytes = Vec::new();
@@ -422,6 +422,186 @@ fn a_mixed_bundle_matches_per_scenario_runs_and_the_scalar_path() {
                         "{} scenario {k}, {threads} thread(s), block_draws {block_draws}",
                         inner.name()
                     );
+                }
+            }
+        }
+    }
+}
+
+/// Counters of every session an engine opened, by the configuration
+/// the session was opened for (its `Debug` rendering).
+type CounterLog = Arc<Mutex<Vec<(String, EngineCounters)>>>;
+
+/// An engine whose sessions log their counters into `log` when the
+/// executor drops them, so a sweep's counters can be told apart by
+/// scenario.
+#[derive(Debug)]
+struct CountingEngine {
+    inner: Arc<dyn Engine>,
+    log: CounterLog,
+}
+
+#[derive(Debug)]
+struct CountingSession<'a> {
+    inner: Box<dyn EngineSession + 'a>,
+    key: String,
+    log: CounterLog,
+}
+
+impl EngineSession for CountingSession<'_> {
+    fn simulate_group(&mut self, rng: &mut SimRng) -> &GroupHistory {
+        self.inner.simulate_group(rng)
+    }
+
+    fn simulate_group_memo(
+        &mut self,
+        memo: &mut DrawMemo,
+        share: &mut BundleShare,
+    ) -> &GroupHistory {
+        self.inner.simulate_group_memo(memo, share)
+    }
+
+    fn counters(&self) -> EngineCounters {
+        self.inner.counters()
+    }
+}
+
+impl Drop for CountingSession<'_> {
+    fn drop(&mut self) {
+        // A poisoned log means another test thread already failed; a
+        // drop must not panic on top of that.
+        if let Ok(mut log) = self.log.lock() {
+            log.push((std::mem::take(&mut self.key), self.inner.counters()));
+        }
+    }
+}
+
+impl Engine for CountingEngine {
+    fn simulate_group(&self, cfg: &RaidGroupConfig, rng: &mut SimRng) -> GroupHistory {
+        self.inner.simulate_group(cfg, rng)
+    }
+
+    fn name(&self) -> &'static str {
+        self.inner.name()
+    }
+
+    fn session_tuned_cached<'a>(
+        &'a self,
+        cfg: &'a RaidGroupConfig,
+        bias: BiasPolicy,
+        tuning: SessionTuning,
+        kernels: &mut KernelCache,
+    ) -> Box<dyn EngineSession + 'a> {
+        Box::new(CountingSession {
+            inner: self.inner.session_tuned_cached(cfg, bias, tuning, kernels),
+            key: format!("{cfg:?}"),
+            log: Arc::clone(&self.log),
+        })
+    }
+}
+
+/// One bundle whose rungs differ in every part of the timeline
+/// engine's latent-seed identity: scrub rungs that share their seeds, a
+/// rung with its own TTOp (its seeds start at another word),
+/// a TTLd with another scale, a TTScrub of another shape (exponent),
+/// and rungs that seed their chains draw by draw — a latent tilt, no
+/// scrub and a capped scrub. Each scenario's aggregate and its engine
+/// counters (all but `scratch_grows`, which depends on the order a
+/// worker meets its groups) equal its own run alone, under both
+/// tunings and at one to three threads, for both engines.
+#[test]
+fn rungs_that_differ_in_latent_seed_identity_match_their_runs_alone() {
+    let (seed, groups) = (37u64, 150usize);
+    let mut own_ttld = mixed_scenario("own_ttld", Some(168.0), None, seed);
+    own_ttld.cfg.dists.ttld = Some(Arc::new(Weibull3::two_param(4_000.0, 1.0).unwrap()));
+    let mut own_shape = mixed_scenario("own_shape", Some(168.0), None, seed);
+    own_shape.cfg.dists.ttscrub = Some(Arc::new(Weibull3::new(6.0, 168.0, 2.0).unwrap()));
+    let mut tilted = mixed_scenario("tilted", Some(24.0), None, seed);
+    tilted.cfg.drives = 7;
+    let capped = paper_base()
+        .with_scrub_policy(ScrubPolicy::Background {
+            min_hours: 6.0,
+            characteristic_hours: 168.0,
+            max_hours: Some(150.0),
+        })
+        .unwrap();
+    // In bundle order: the 48 h rung reads the 336 h rung's seeds, and
+    // the 720 h rung the 168 h rung's across three rungs that seed
+    // draw by draw; every other shared seed set is read anew.
+    let scenarios = vec![
+        mixed_scenario("336h", Some(336.0), None, seed),
+        mixed_scenario("48h", Some(48.0), None, seed),
+        mixed_scenario("own_ttop", Some(336.0), Some(0.9), seed),
+        mixed_scenario("12h", Some(12.0), None, seed),
+        own_shape,
+        own_ttld,
+        mixed_scenario("168h", Some(168.0), None, seed),
+        tilted,
+        mixed_scenario("no_scrub", None, None, seed),
+        SweepScenario::new("capped", capped, seed),
+        mixed_scenario("720h", Some(720.0), None, seed),
+    ];
+    let tilt = BiasPolicy::HazardTilt {
+        op_theta: 0.0,
+        latent_theta: 0.6,
+    };
+    let bias_of = |sc: &SweepScenario| {
+        if sc.cfg.drives == 7 {
+            tilt
+        } else {
+            BiasPolicy::None
+        }
+    };
+    let without_grows = |mut c: EngineCounters| {
+        c.scratch_grows = 0;
+        c
+    };
+    for inner in [
+        Arc::new(TimelineEngine::new()) as Arc<dyn Engine>,
+        Arc::new(DesEngine::new()),
+    ] {
+        for block_draws in [true, false] {
+            let tuning = SessionTuning { block_draws };
+            let alone: Vec<(Vec<u8>, EngineCounters)> = scenarios
+                .iter()
+                .map(|sc| {
+                    let (stats, sched) = Simulator::new(sc.cfg.clone())
+                        .with_engine(inner.clone())
+                        .with_bias(bias_of(sc))
+                        .with_tuning(tuning)
+                        .run_streaming_instrumented(groups, sc.seed, 1, &());
+                    (encode(&stats), without_grows(sched.counters))
+                })
+                .collect();
+            for threads in 1..=3 {
+                let log = CounterLog::default();
+                let engine: Arc<dyn Engine> = Arc::new(CountingEngine {
+                    inner: Arc::new(BiasOnScenario {
+                        inner: inner.clone(),
+                        drives: 7,
+                        bias: tilt,
+                    }),
+                    log: log.clone(),
+                });
+                let report = FusedSweep::new(scenarios.clone())
+                    .with_engine(engine)
+                    .with_tuning(tuning)
+                    .run_streaming(groups, threads);
+                assert!(report.quarantined.is_empty());
+                let log = log.lock().unwrap();
+                for (k, (sc, (want, want_counters))) in scenarios.iter().zip(&alone).enumerate() {
+                    let at = format!(
+                        "{} scenario {k} ({}), {threads} thread(s), block_draws {block_draws}",
+                        inner.name(),
+                        sc.label
+                    );
+                    assert_eq!(&encode(&report.results[k].1), want, "{at}");
+                    let key = format!("{:?}", sc.cfg);
+                    let mut counters = EngineCounters::default();
+                    for (_, c) in log.iter().filter(|(k, _)| *k == key) {
+                        counters.merge(*c);
+                    }
+                    assert_eq!(without_grows(counters), *want_counters, "{at}");
                 }
             }
         }

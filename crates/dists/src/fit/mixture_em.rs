@@ -1,4 +1,4 @@
-use crate::special::ln_gamma;
+use crate::special::{ln_gamma, pow_batch};
 use crate::{DistError, Mixture, Weibull3};
 use std::sync::Arc;
 
@@ -165,11 +165,15 @@ fn weighted_weibull_mle(times: &[f64], weights: Option<&[f64]>) -> Result<(f64, 
     let ln_scaled: Vec<f64> = scaled.iter().map(|t| t.ln()).collect();
     let mean_ln: f64 = (0..scaled.len()).map(|i| w(i) * ln_scaled[i]).sum::<f64>() / total;
 
-    let score = |beta: f64| -> f64 {
+    // `t^β` for every observation, evaluated as one batch per score;
+    // the sums below stay sequential, so every bit is the scalar loop's.
+    let mut powers = vec![0.0; scaled.len()];
+    let mut score = |beta: f64| -> f64 {
+        pow_batch(&scaled, beta, &mut powers);
         let mut s0 = 0.0;
         let mut s1 = 0.0;
-        for (i, (&t, &ln_t)) in scaled.iter().zip(&ln_scaled).enumerate() {
-            let tb = w(i) * t.powf(beta);
+        for (i, (&tb, &ln_t)) in powers.iter().zip(&ln_scaled).enumerate() {
+            let tb = w(i) * tb;
             s0 += tb;
             s1 += tb * ln_t;
         }

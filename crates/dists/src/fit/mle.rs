@@ -1,5 +1,6 @@
 use super::FittedWeibull;
 use crate::empirical::Observation;
+use crate::special::pow_batch;
 use crate::DistError;
 
 /// Maximum-likelihood fit of a two-parameter Weibull to right-censored
@@ -54,13 +55,17 @@ pub fn mle(data: &[Observation]) -> Result<FittedWeibull, DistError> {
 
     // Profile score: g(beta) = 1/beta + mean(ln t_F) - S1(beta)/S0(beta)
     // where S0 = sum t^beta, S1 = sum t^beta ln t over ALL observations.
-    let score = |beta: f64| -> f64 {
+    // `ln t` is fixed and `t^β` is evaluated as one batch per score;
+    // the sums stay sequential, so every bit is the scalar loop's.
+    let ln_all: Vec<f64> = all.iter().map(|t| t.ln()).collect();
+    let mut powers = vec![0.0; all.len()];
+    let mut score = |beta: f64| -> f64 {
+        pow_batch(&all, beta, &mut powers);
         let mut s0 = 0.0;
         let mut s1 = 0.0;
-        for &t in &all {
-            let tb = t.powf(beta);
+        for (&tb, &ln_t) in powers.iter().zip(&ln_all) {
             s0 += tb;
-            s1 += tb * t.ln();
+            s1 += tb * ln_t;
         }
         1.0 / beta + mean_ln_fail - s1 / s0
     };

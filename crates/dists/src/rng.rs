@@ -56,7 +56,8 @@ pub fn fill_uniforms<R: Rng + ?Sized>(rng: &mut R, out: &mut [f64]) {
     }
 }
 
-/// Largest [`DrawCursor`] refill, in RNG words.
+/// Largest [`DrawCursor`] refill, and the size of every [`DrawMemo`]
+/// fetch, in RNG words.
 const MAX_REFILL: usize = 16;
 
 /// First [`DrawCursor`] refill after [`DrawCursor::begin`], in RNG
@@ -468,8 +469,8 @@ impl Rng for DrawCursor {
 /// every scenario's session replays them through a [`MemoReader`]:
 ///
 /// * the word itself;
-/// * its `e` lane `-ln_1p(-u)`, filled in [`DrawCursor`]'s doubling
-///   batches through [`crate::special::ln_1p_batch`];
+/// * its `e` lane `-ln_1p(-u)`, filled 16 words at a time
+///   through [`crate::special::ln_1p_batch`];
 /// * one `powf(e, 1/β)` lane per distinct exponent, evaluated lazily,
 ///   by the first reader that needs a position's power, and reused by
 ///   every later one. The first renewal walk of a group
@@ -500,8 +501,6 @@ pub struct DrawMemo {
     words: Vec<u64>,
     /// `e` lane: `exps[k] = -ln_1p(-u_k)` for `words[k]`.
     exps: Vec<f64>,
-    /// Size of the next fetch.
-    next_refill: usize,
     /// One lane per distinct exponent seen. Lanes persist across groups,
     /// so a bundle's exponents are found after its first group; their
     /// declarations do not.
@@ -538,7 +537,6 @@ impl DrawMemo {
             live: placeholder,
             words: Vec::new(),
             exps: Vec::new(),
-            next_refill: FIRST_REFILL,
             lanes: Vec::new(),
             generation: 0,
         }
@@ -560,7 +558,6 @@ impl DrawMemo {
         self.live.clone_from(&self.start);
         self.words.clear();
         self.exps.clear();
-        self.next_refill = FIRST_REFILL;
         for lane in &mut self.lanes {
             lane.powers.clear();
             lane.declared = false;
@@ -645,10 +642,15 @@ impl DrawMemo {
         MemoReader { memo: self, pos }
     }
 
-    /// Fetches the next batch of words and evaluates their `e` lane and
-    /// every declared power lane.
+    /// Fetches the next [`MAX_REFILL`] words and evaluates their `e` lane
+    /// and every declared power lane.
+    ///
+    /// Unlike a cursor's refills, fetches do not start small: a memo
+    /// serves every scenario of a bundle, and one group's operational
+    /// phase and latent seeds alone read about 26 words, which a
+    /// doubling start (2, 4, 8, …) reaches only on the fourth fetch.
     fn fetch(&mut self) {
-        let n = self.next_refill;
+        let n = MAX_REFILL;
         let old = self.words.len();
         self.words.resize(old + n, 0);
         self.exps.resize(old + n, 0.0);
@@ -666,7 +668,6 @@ impl DrawMemo {
                 &mut lane.powers[old..],
             );
         }
-        self.next_refill = (n * 2).min(MAX_REFILL);
     }
 
     /// `powf(e_k, inv_beta)` for fetched position `k`, exactly as
@@ -739,6 +740,18 @@ impl MemoReader<'_> {
     #[inline]
     pub(crate) fn power(&mut self, k: usize, inv_beta: f64) -> f64 {
         self.memo.power(k, inv_beta)
+    }
+
+    /// Consumes the next word and returns its `powf(e, inv_beta)` as a
+    /// plain Weibull draw with that exponent reads it
+    /// ([`crate::SampleKernel::sample_memo`]), or `None` when its `e`
+    /// lane is 0 (the `u = 0` word the quantile maps to `γ`). A caller
+    /// holding this can finish the draw for any `γ` and `η` as
+    /// `γ + η·power`, or `γ` for `None`, with `sample_memo`'s float ops.
+    #[inline]
+    pub fn next_power(&mut self, inv_beta: f64) -> Option<f64> {
+        let k = self.advance();
+        (self.exp(k) != 0.0).then(|| self.power(k, inv_beta))
     }
 
     /// Words this reader has consumed.

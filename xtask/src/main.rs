@@ -36,7 +36,9 @@
 //! Four more commands drive the release CLI end to end: `smoke` (a
 //! streamed precision run), `smoke --resume` (kill and resume),
 //! `smoke --sweep` (every fused-sweep rung, both engines, against the
-//! rung run alone, and a `--cache-dir` warm rerun) and `torture` (injected checkpoint faults). Performance is not measured
+//! rung run alone — timeline rungs also by their exported aggregates —
+//! and a `--cache-dir` warm rerun) and `torture` (injected checkpoint
+//! faults). Performance is not measured
 //! here: the standalone `raidbench` package under `raidbench/` times
 //! the CLI and gates its results (see its README).
 //!
@@ -115,7 +117,8 @@ fn usage() -> &'static str {
        model --update     refresh BENCH_model.json after an intentional protocol change\n\
        smoke              build and run the CLI's streamed precision path end to end\n\
        smoke --resume     kill a checkpointed run mid-flight, resume it, diff the summary\n\
-       smoke --sweep      check every rung of a fused sweep, both engines, against the rung alone,\n\
+       smoke --sweep      check every rung of a fused sweep, both engines, against the rung alone\n\
+     \x20                    (timeline rungs also by their exported aggregates, byte for byte),\n\
      \x20                    and a --cache-dir rerun against the cold sweep\n\
        torture            sweep injected checkpoint faults through the release binary:\n\
      \x20                    bit-identical reports or typed refusals, double-SIGINT escape\n\

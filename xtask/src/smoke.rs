@@ -8,8 +8,9 @@
 //! the uninterrupted report. `smoke --sweep`: every rung of a fused
 //! `sweep` — whose scenarios share a seed and so share their draws —
 //! must print what that rung prints alone: `simulate` for the
-//! discrete-event engine, a one-rung `sweep` for the timeline engine —
-//! and a `--cache-dir` rerun must replay the sweep from its one cache
+//! discrete-event engine, a one-rung `sweep` for the timeline engine,
+//! whose exported aggregates must also match byte for byte — and a
+//! `--cache-dir` rerun must replay the sweep from its one cache
 //! image. They are
 //! deliberately end-to-end — CLI argument parsing, the drivers, and the
 //! report formatting all sit on the path.
@@ -290,10 +291,13 @@ fn sweep_rungs(report: &str) -> Vec<(&str, &str)> {
 ///    `no_scrub`) at the same seed and group count, which runs the rung
 ///    alone through its own draw cursor.
 /// 2. Timeline engine (`--engine timeline`), whose bundled rungs also
-///    share each group's operational phase: every rung must print what
-///    a one-rung `sweep --engine timeline --scrub-hours H
-///    --skip-no-scrub` prints (`--scrub-hours ,` for `no_scrub`), a
-///    bundle of one that shares nothing.
+///    share each group's operational phase and latent seeds: every rung
+///    must print what a one-rung `sweep --engine timeline --scrub-hours
+///    H --skip-no-scrub` prints (`--scrub-hours ,` for `no_scrub`), a
+///    bundle of one that shares nothing. Both run with `--cache-dir`,
+///    and each rung's exported `sweep-{fingerprint}-g{groups}-s{seed}.ckpt`
+///    must equal the one-rung sweep's export byte for byte, so every
+///    aggregate is compared, latent counters included.
 /// 3. Result cache: a timeline sweep with `--cache-dir D` over a fresh
 ///    `D`, then the same command again. The rerun must print the same
 ///    rungs and "0 simulated, N cache hit(s) (N from disk)", `D` must
@@ -336,8 +340,16 @@ pub fn check_sweep(root: &Path) -> Result<Vec<Finding>, String> {
             ))
         })
     };
+    // Leg 2's `--cache-dir`s: the ladder's, and one per one-rung sweep.
+    let ladder_dir = root.join("target").join("xtask-smoke-sweep-ladder");
+    let rung_dir = root.join("target").join("xtask-smoke-sweep-rung");
+    let (ladder_arg, rung_arg) = (
+        ladder_dir.display().to_string(),
+        rung_dir.display().to_string(),
+    );
     for engine in ["des", "timeline"] {
-        let sweep_args = [
+        let timeline = engine == "timeline";
+        let mut sweep_args = vec![
             "sweep",
             "--engine",
             engine,
@@ -346,6 +358,11 @@ pub fn check_sweep(root: &Path) -> Result<Vec<Finding>, String> {
             "--threads",
             "2",
         ];
+        if timeline {
+            let _ = std::fs::remove_dir_all(&ladder_dir);
+            sweep_args.extend(["--cache-dir", &ladder_arg]);
+        }
+        let ladder_exports = || exports(&ladder_dir);
         let sweep = match run(&sweep_args)? {
             Ok(text) => text,
             Err(message) => {
@@ -368,7 +385,7 @@ pub fn check_sweep(root: &Path) -> Result<Vec<Finding>, String> {
                     }
                 },
             };
-            let alone_args: Vec<&str> = match (engine, hours) {
+            let mut alone_args: Vec<&str> = match (engine, hours) {
                 ("des", h) => vec!["simulate", "--scrub", h.unwrap_or("off")],
                 (_, Some(h)) => vec![
                     "sweep",
@@ -380,6 +397,10 @@ pub fn check_sweep(root: &Path) -> Result<Vec<Finding>, String> {
                 ],
                 (_, None) => vec!["sweep", "--engine", engine, "--scrub-hours", ","],
             };
+            if timeline {
+                let _ = std::fs::remove_dir_all(&rung_dir);
+                alone_args.extend(["--cache-dir", &rung_arg]);
+            }
             let alone = match run(&alone_args)? {
                 Ok(text) => text,
                 Err(message) => {
@@ -404,6 +425,31 @@ pub fn check_sweep(root: &Path) -> Result<Vec<Finding>, String> {
                     alone_args.join(" ")
                 )));
             }
+            if timeline {
+                let alone_exports = exports(&rung_dir);
+                match alone_exports.iter().next() {
+                    Some((name, bytes)) if alone_exports.len() == 1 => {
+                        if ladder_exports().get(name) != Some(bytes) {
+                            findings.push(finding(format!(
+                                "timeline sweep rung `{label}`: the ladder's export `{name}` \
+                                 differs from `{}`'s, or is missing",
+                                alone_args.join(" ")
+                            )));
+                        }
+                    }
+                    _ => findings.push(finding(format!(
+                        "`{}` left {} exports, expected one",
+                        alone_args.join(" "),
+                        alone_exports.len()
+                    ))),
+                }
+            }
+        }
+        if timeline && ladder_exports().len() != 3 {
+            findings.push(finding(format!(
+                "expected 3 exports in the timeline ladder's --cache-dir, found {}",
+                ladder_exports().len()
+            )));
         }
         if rungs.len() != 3 {
             findings.push(finding(format!(
@@ -412,6 +458,9 @@ pub fn check_sweep(root: &Path) -> Result<Vec<Finding>, String> {
             )));
         }
     }
+
+    let _ = std::fs::remove_dir_all(&ladder_dir);
+    let _ = std::fs::remove_dir_all(&rung_dir);
 
     let dir = root.join("target").join("xtask-smoke-sweep-cache");
     let _ = std::fs::remove_dir_all(&dir);
@@ -477,6 +526,14 @@ fn dir_contents(dir: &Path) -> BTreeMap<String, Vec<u8>> {
             (e.file_name().to_string_lossy().into_owned(), bytes)
         })
         .collect()
+}
+
+/// The per-scenario exports (`*.ckpt`) in a `--cache-dir`, by name,
+/// with their bytes.
+fn exports(dir: &Path) -> BTreeMap<String, Vec<u8>> {
+    let mut files = dir_contents(dir);
+    files.retain(|name, _| name.ends_with(".ckpt"));
+    files
 }
 
 /// Builds the release CLI and returns the binary path (so the smoke can
