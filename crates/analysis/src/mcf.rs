@@ -169,52 +169,6 @@ impl McfEstimate {
 /// Panics if `p` is not in `(0, 1)`.
 pub use raidsim_dists::special::inv_std_normal as normal_quantile;
 
-/// Mean-cumulative-function curve from a pooled event-time histogram
-/// (the bounded-memory path: `raidsim_core::stats::StreamStats`
-/// exposes exactly such a histogram).
-///
-/// Returns `bins.len() + 1` points `(t, events-per-system by t)`
-/// starting at `(0, 0)`, one per bin right-edge. Relative to
-/// [`McfEstimate::from_event_times`] the step positions are quantized
-/// to bin edges and no confidence band is available (the per-system
-/// count spread is not recoverable from a pooled histogram) — use the
-/// streamed accumulator's mean/variance for interval estimates of the
-/// final value.
-///
-/// # Panics
-///
-/// Panics if `bins` is empty, `systems == 0`, or `window_hours` is not
-/// positive.
-///
-/// # Example
-///
-/// ```
-/// use raidsim_analysis::mcf::mcf_from_histogram;
-///
-/// // 2 systems, 4 bins over 100 h: three events in the second half.
-/// let curve = mcf_from_histogram(&[0, 1, 0, 2], 2, 100.0);
-/// assert_eq!(curve[0], (0.0, 0.0));
-/// assert_eq!(curve[2], (50.0, 0.5));
-/// assert_eq!(curve[4], (100.0, 1.5));
-/// ```
-pub fn mcf_from_histogram(bins: &[u64], systems: usize, window_hours: f64) -> Vec<(f64, f64)> {
-    assert!(!bins.is_empty(), "need at least one histogram bin");
-    assert!(systems > 0, "need at least one system");
-    assert!(
-        window_hours.is_finite() && window_hours > 0.0,
-        "window must be positive"
-    );
-    let width = window_hours / bins.len() as f64;
-    let mut curve = Vec::with_capacity(bins.len() + 1);
-    curve.push((0.0, 0.0));
-    let mut cumulative = 0u64;
-    for (i, &c) in bins.iter().enumerate() {
-        cumulative += c;
-        curve.push(((i + 1) as f64 * width, cumulative as f64 / systems as f64));
-    }
-    curve
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -296,26 +250,6 @@ mod tests {
         assert!((grid[10].1 - 1.0).abs() < 1e-12);
         assert!((grid[5].0 - 50.0).abs() < 1e-12);
         assert!((grid[5].1 - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn histogram_mcf_agrees_with_exact_mcf_at_bin_edges() {
-        // Events placed strictly inside bins so edge semantics cannot
-        // differ between the two estimators.
-        let events = vec![vec![12.0, 62.0], vec![37.0], vec![]];
-        let m = McfEstimate::from_event_times(&events, 100.0, 0.95);
-        let bins = [1u64, 1, 1, 0]; // 25-hour bins
-        let curve = mcf_from_histogram(&bins, 3, 100.0);
-        assert_eq!(curve.len(), 5);
-        for &(t, v) in &curve[1..] {
-            assert!((v - m.at(t)).abs() < 1e-12, "t = {t}");
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one system")]
-    fn histogram_mcf_zero_systems_panics() {
-        mcf_from_histogram(&[1, 2], 0, 100.0);
     }
 
     #[test]

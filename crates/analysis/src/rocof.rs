@@ -73,64 +73,6 @@ pub fn rocof(
         .collect()
 }
 
-/// Estimates the ROCOF from a pooled event-time histogram (the
-/// bounded-memory path: `raidsim_core::stats::StreamStats` exposes
-/// exactly such a histogram) by coalescing histogram bins into
-/// `windows` equal windows.
-///
-/// Equivalent to [`rocof`] over the same events whenever every event
-/// lies strictly inside a histogram bin: the histogram's finer bins
-/// nest inside the ROCOF windows, so no count can straddle a window
-/// boundary.
-///
-/// # Example
-///
-/// ```
-/// use raidsim_analysis::rocof::rocof_from_histogram;
-///
-/// // 10 systems, 8 bins over 100 h, events clustering late.
-/// let pts = rocof_from_histogram(&[1, 0, 0, 0, 0, 1, 1, 2], 10, 100.0, 4);
-/// assert_eq!(pts.len(), 4);
-/// assert!(pts[3].rate > pts[0].rate);
-/// ```
-///
-/// # Panics
-///
-/// Panics if `systems == 0`, `windows == 0`, `window_hours` is not
-/// positive, or `bins.len()` is not a multiple of `windows` (silent
-/// re-binning would misattribute counts).
-pub fn rocof_from_histogram(
-    bins: &[u64],
-    systems: usize,
-    window_hours: f64,
-    windows: usize,
-) -> Vec<RocofPoint> {
-    assert!(systems > 0, "need at least one system");
-    assert!(windows > 0, "need at least one window");
-    assert!(
-        window_hours.is_finite() && window_hours > 0.0,
-        "window_hours must be positive"
-    );
-    assert!(
-        !bins.is_empty() && bins.len().is_multiple_of(windows),
-        "histogram bin count {} must be a positive multiple of the window count {windows}",
-        bins.len()
-    );
-    let per_window = bins.len() / windows;
-    let width = window_hours / windows as f64;
-    bins.chunks(per_window)
-        .enumerate()
-        .map(|(i, chunk)| {
-            let c: u64 = chunk.iter().sum();
-            RocofPoint {
-                time: (i as f64 + 0.5) * width,
-                rate: c as f64 / systems as f64 / width,
-                events: c as usize,
-            }
-        })
-        .collect()
-}
-
 /// Least-squares slope of the ROCOF over time — positive means the
 /// fleet's failure intensity is increasing (non-HPP), the paper's
 /// Figure 8 observation.

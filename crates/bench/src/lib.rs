@@ -180,7 +180,7 @@ fn streamed(scenarios: Vec<SweepScenario>, groups: usize) -> Vec<(String, Stream
     report.results
 }
 
-/// Runs `scenarios` as one fused collect-mode sweep of `groups` groups
+/// Runs `scenarios` as one fused history-keeping sweep of `groups` groups
 /// each and returns their labeled per-group histories in input order.
 fn collected(scenarios: Vec<SweepScenario>, groups: usize) -> Vec<(String, SimulationResult)> {
     FusedSweep::new(scenarios).run_collect(groups, threads())

@@ -136,8 +136,9 @@ impl GroupHistory {
 }
 
 /// One group whose simulation panicked and was quarantined instead of
-/// aborting the run (streaming mode only; see the supervision notes in
-/// [`crate::run`]). The group's index is counted toward the completed
+/// aborting the run (see the supervision notes in [`crate::run`]; a
+/// stored entry point, which keeps every history, panics naming the
+/// group instead). The group's index is counted toward the completed
 /// watermark but its statistics are excluded — the final report carries
 /// the quarantine count so the omission is visible, and checkpointing
 /// is refused from then on so no resume can silently disagree.

@@ -4,9 +4,10 @@
 //! A job is a list of *slices* — `{bundle, lo, hi, first_stream}`,
 //! group `i` of a slice simulated on RNG stream
 //! `i - lo + first_stream` of the bundle's seed for every scenario of
-//! the bundle — plus a sink: stream each (scenario, group) into the
-//! scenario's [`StreamStats`] (quarantining a group whose simulation
-//! panics), or collect the histories. A *bundle* is a run of scenarios
+//! the bundle. Every (scenario, group) streams into the scenario's
+//! [`StreamStats`], a group whose simulation panics being quarantined;
+//! a stored run also records each pushed group's history in the
+//! executor's [`HistorySink`]. A *bundle* is a run of scenarios
 //! that share a seed, and so read every group from the same stream. A
 //! precision or checkpointed run publishes one single-slice job per
 //! driver batch; a plain run or a shard is one single-slice job; a
@@ -44,9 +45,9 @@
 //! Both kinds of executor run the same per-slice loop ([`Worker`]):
 //! one [`KernelCache`], one [`DrawMemo`] and one [`BundleShare`] per
 //! worker, sessions keyed by scenario and kept for the executor's life,
-//! a session lookup and sink dispatch per claimed range, and per
-//! (scenario, group) the simulation (caught in stream mode) and the
-//! progress tick.
+//! a session lookup per claimed range, and per (scenario, group) the
+//! simulation under `catch_unwind`, the push (and, for a stored run,
+//! the history record) and the progress tick.
 //!
 //! The handshake itself is not implemented here. It lives in
 //! [`crate::sync_model`] as pure transitions on [`PoolCore`], which this
@@ -64,11 +65,11 @@
 //! Determinism: which worker simulates a group cannot affect its
 //! history (per-group RNG streams), [`StreamStats`] partials are
 //! exact-integer state that merges bit-identically in any order, and
-//! collected histories are reassembled in index order.
+//! recorded histories sit in per-scenario slots indexed by stream.
 //!
 //! Failure handling is *supervised* (see DESIGN.md §17):
 //!
-//! * In stream mode, a panic while simulating one group is caught and
+//! * A panic while simulating one group is caught and
 //!   the (scenario, group) **quarantined**: its index still counts
 //!   toward the completed watermark but its statistics are excluded,
 //!   the session's counters are folded into the worker's total, the
@@ -76,16 +77,18 @@
 //!   stream, and the run continues — with the bundle's other scenarios
 //!   of the same group included.
 //! * A panic that kills a whole worker (an observer callback, session
-//!   construction, a collect-mode group) trips its
+//!   construction) trips its
 //!   [`SupervisionGuard`]: the worker's *unmerged* claimed ranges are
 //!   resubmitted through [`PoolCore::mark_lost`], and survivors redo
 //!   them at their guarded check-out ([`PoolCore::check_out`] refuses
 //!   to let a worker leave while the queue is non-empty). Aggregates
 //!   stay bit-identical because per-group RNG streams make redone work
-//!   reproduce the dead worker's results exactly. (The shared progress
-//!   counter may over-count redone groups; it feeds progress display
-//!   only.) With `threads == 1` there is no survivor, so such a panic
-//!   propagates to the caller.
+//!   reproduce the dead worker's results exactly; a redone group's
+//!   history overwrites the identical one the dead worker may have
+//!   left in the [`HistorySink`]. (The shared progress counter may
+//!   over-count redone groups; it feeds progress display only.) With
+//!   `threads == 1` there is no survivor, so such a panic propagates to
+//!   the caller.
 //! * Losing the *last* worker degenerates to the unsupervised abort:
 //!   the pool latches `panicked` and the coordinator re-raises at its
 //!   quiesce wait instead of deadlocking.
@@ -144,6 +147,59 @@ pub(crate) struct ExecCtx<'a> {
     pub done: &'a AtomicU64,
     /// Target group count reported in progress callbacks.
     pub target: u64,
+    /// Where a stored run records its histories; `None` for a streamed
+    /// run.
+    pub histories: Option<&'a HistorySink>,
+}
+
+/// One recorded history, keyed by (executor scenario, stream index).
+type HistoryRecord = (usize, u64, GroupHistory);
+
+/// The histories of a stored run: per executor scenario, one slot per
+/// stream index (a stored run simulates streams `0..n` of every
+/// scenario), filled when a worker pushed that group's statistics. A
+/// worker hands over its records once per claimed range. A survivor
+/// that redoes a dead worker's unmerged ranges fills the same slots
+/// with the same histories again, so no group is kept twice.
+pub(crate) struct HistorySink(Mutex<Vec<Vec<Option<GroupHistory>>>>);
+
+impl HistorySink {
+    /// An empty sink for `scenarios` executor scenarios.
+    pub(crate) fn new(scenarios: usize) -> Self {
+        HistorySink(Mutex::new((0..scenarios).map(|_| Vec::new()).collect()))
+    }
+
+    /// Moves `records` into their slots, leaving `records` empty.
+    fn fill(&self, records: &mut Vec<HistoryRecord>) {
+        let mut slots = self.0.lock().unwrap_or_else(PoisonError::into_inner);
+        for (scenario, index, history) in records.drain(..) {
+            let slots = &mut slots[scenario];
+            let index = index as usize;
+            if slots.len() <= index {
+                slots.resize_with(index + 1, || None);
+            }
+            slots[index] = Some(history);
+        }
+    }
+
+    /// Moves scenario `e`'s slots to scenario `order[e]`, as
+    /// [`Harvest::permuted`] does.
+    pub(crate) fn permute(&self, order: &[usize]) {
+        let mut slots = self.0.lock().unwrap_or_else(PoisonError::into_inner);
+        *slots = place(std::mem::take(&mut *slots), order);
+    }
+
+    /// Each scenario's histories in stream-index order. A slot left
+    /// empty belongs to a quarantined group, which a stored run refuses
+    /// before it reads its histories.
+    pub(crate) fn into_histories(self) -> Vec<Vec<GroupHistory>> {
+        self.0
+            .into_inner()
+            .unwrap_or_else(PoisonError::into_inner)
+            .into_iter()
+            .map(|slots| slots.into_iter().flatten().collect())
+            .collect()
+    }
 }
 
 /// Groups `[lo, hi)` of one bundle of scenarios; group `i` uses RNG
@@ -183,11 +239,8 @@ impl Slice {
 /// order.
 #[derive(Default)]
 pub(crate) struct Harvest {
-    /// Stream sink: each scenario's aggregate (empty in collect mode).
+    /// Each scenario's aggregate.
     pub stats: Vec<StreamStats>,
-    /// Collect sink: each scenario's histories in group order (empty in
-    /// stream mode).
-    pub histories: Vec<Vec<GroupHistory>>,
     /// Quarantined groups as `(scenario, group)`, the group's index
     /// being its stream index, sorted by `(scenario, index)`.
     pub quarantine: Vec<(usize, QuarantinedGroup)>,
@@ -198,11 +251,6 @@ impl Harvest {
     /// a permutation of the scenario indices.
     #[allow(clippy::unnecessary_sort_by)]
     pub(crate) fn permuted(self, order: &[usize]) -> Harvest {
-        fn place<T>(items: Vec<T>, order: &[usize]) -> Vec<T> {
-            let mut placed: Vec<(usize, T)> = order.iter().copied().zip(items).collect();
-            placed.sort_by(|a, b| a.0.cmp(&b.0));
-            placed.into_iter().map(|(_, item)| item).collect()
-        }
         let mut quarantine: Vec<_> = self
             .quarantine
             .into_iter()
@@ -211,18 +259,25 @@ impl Harvest {
         quarantine.sort_by(|a, b| (a.0, a.1.index).cmp(&(b.0, b.1.index)));
         Harvest {
             stats: place(self.stats, order),
-            histories: place(self.histories, order),
             quarantine,
         }
     }
 }
 
-/// A published job: its slices, one claim cursor per slice, and its
-/// sink.
+/// Moves `items[e]` to position `order[e]`; `order` is a permutation of
+/// the item indices. The explicit comparator keeps the float-discipline
+/// lint satisfied (see [`harvest`]).
+#[allow(clippy::unnecessary_sort_by)]
+fn place<T>(items: Vec<T>, order: &[usize]) -> Vec<T> {
+    let mut placed: Vec<(usize, T)> = order.iter().copied().zip(items).collect();
+    placed.sort_by(|a, b| a.0.cmp(&b.0));
+    placed.into_iter().map(|(_, item)| item).collect()
+}
+
+/// A published job: its slices and one claim cursor per slice.
 struct Job {
     slices: Vec<Slice>,
     cursors: Vec<BatchCursor>,
-    collect: bool,
 }
 
 impl Job {
@@ -241,12 +296,10 @@ impl Job {
 /// merged into the job's accumulator at check-out.
 #[derive(Default)]
 struct Part {
-    /// Stream sink: the aggregate, `None` until a group lands.
+    /// The aggregate, `None` until a group lands.
     stats: Option<StreamStats>,
-    /// Stream sink: groups whose simulation panicked.
+    /// Groups whose simulation panicked.
     quarantine: Vec<QuarantinedGroup>,
-    /// Collect sink: `(first index, histories)` per claimed range.
-    chunks: Vec<(u64, Vec<GroupHistory>)>,
 }
 
 impl Part {
@@ -257,7 +310,6 @@ impl Part {
             (_, None) => {}
         }
         self.quarantine.extend(other.quarantine);
-        self.chunks.extend(other.chunks);
     }
 }
 
@@ -282,6 +334,8 @@ struct Worker<'a> {
     steals: u64,
     /// Last progress stride this worker reported.
     last_bucket: u64,
+    /// A stored run's records of the range being simulated.
+    records: Vec<HistoryRecord>,
 }
 
 impl<'a> Worker<'a> {
@@ -300,6 +354,7 @@ impl<'a> Worker<'a> {
             // a resumed run does not re-report strides its checkpointed
             // prefix already covered.
             last_bucket: ctx.done.load(Ordering::Relaxed) / PROGRESS_STRIDE,
+            records: Vec::new(),
         }
     }
 
@@ -327,7 +382,7 @@ impl<'a> Worker<'a> {
             while let Some(range) = cursor.claim() {
                 claimed = true;
                 pending.push((range.start, range.end));
-                self.run_range(ctx, job.collect, slice, range, parts);
+                self.run_range(ctx, slice, range, parts);
             }
             if claimed && k > 0 {
                 self.steals += 1;
@@ -340,7 +395,6 @@ impl<'a> Worker<'a> {
     fn run_range(
         &mut self,
         ctx: &ExecCtx<'a>,
-        collect: bool,
         slice: &Slice,
         range: std::ops::Range<u64>,
         parts: &mut [Part],
@@ -350,6 +404,7 @@ impl<'a> Worker<'a> {
         // A bundle of one keeps the session's own draw cursor: without a
         // second reader the memo has nothing to share.
         let shared = bundle.len() > 1;
+        let keep = ctx.histories.is_some();
         let mut sessions: Vec<_> = bundle
             .clone()
             .map(|m| match self.sessions[m].take() {
@@ -357,12 +412,6 @@ impl<'a> Worker<'a> {
                 None => self.open(ctx, m),
             })
             .collect();
-        if collect {
-            for m in bundle.clone() {
-                let chunk = Vec::with_capacity((range.end - range.start) as usize);
-                parts[m].chunks.push((range.start, chunk));
-            }
-        }
         for i in range.clone() {
             let index = slice.stream_index(i);
             if shared {
@@ -371,27 +420,26 @@ impl<'a> Worker<'a> {
             for (j, m) in bundle.clone().enumerate() {
                 let session = sessions[j].as_mut();
                 let memo = shared.then_some((&mut self.memo, &mut self.share));
-                if collect {
-                    let history = simulate(session, memo, seed, index).clone();
-                    if let Some((_, chunk)) = parts[m].chunks.last_mut() {
-                        chunk.push(history);
-                    }
-                } else {
-                    let mission = ctx.scenarios[m].cfg.mission_hours;
-                    let stats = parts[m]
-                        .stats
-                        .get_or_insert_with(|| StreamStats::new(mission));
-                    // Unwind safety: `stats` is only mutated by `push`,
-                    // which runs after the simulation returned a complete
-                    // history — a panic leaves it untouched. The session
-                    // may be mid-update, so it is replaced; its counters
-                    // are kept. The memo may hold a half-written entry,
-                    // so it restarts from the group's first word, which
-                    // also retires everything the share holds for it.
-                    let outcome = catch_unwind(AssertUnwindSafe(|| {
-                        stats.push(simulate(session, memo, seed, index));
-                    }));
-                    if let Err(payload) = outcome {
+                let mission = ctx.scenarios[m].cfg.mission_hours;
+                let stats = parts[m]
+                    .stats
+                    .get_or_insert_with(|| StreamStats::new(mission));
+                // Unwind safety: `stats` and the records are only written
+                // after the simulation returned a complete history — a
+                // panic leaves both untouched. The session may be
+                // mid-update, so it is replaced; its counters are kept.
+                // The memo may hold a half-written entry, so it restarts
+                // from the group's first word, which also retires
+                // everything the share holds for it.
+                let outcome = catch_unwind(AssertUnwindSafe(|| {
+                    let history = simulate(session, memo, seed, index);
+                    stats.push(history);
+                    keep.then(|| history.clone())
+                }));
+                match outcome {
+                    Ok(Some(history)) => self.records.push((m, index, history)),
+                    Ok(None) => {}
+                    Err(payload) => {
                         parts[m].quarantine.push(QuarantinedGroup {
                             index,
                             message: panic_message(payload.as_ref()),
@@ -403,6 +451,9 @@ impl<'a> Worker<'a> {
                 }
                 self.tick(ctx);
             }
+        }
+        if let Some(sink) = ctx.histories {
+            sink.fill(&mut self.records);
         }
         for (m, session) in bundle.zip(sessions) {
             self.sessions[m] = Some(session);
@@ -598,7 +649,7 @@ fn serve(ctx: &ExecCtx<'_>, shared: &Shared) -> (u64, u64, EngineCounters) {
                 break;
             };
             let k = job.slice_of(start);
-            worker.run_range(ctx, job.collect, &job.slices[k], start..end, &mut parts);
+            worker.run_range(ctx, &job.slices[k], start..end, &mut parts);
         }
     }
     guard.armed = false;
@@ -626,9 +677,9 @@ impl Executor<'_, '_> {
     ///
     /// Re-raises (as a coordinator panic) when the pool lost every
     /// worker — partial losses are supervised and do not surface here.
-    /// With `threads == 1`, a panic outside a stream-mode group's
-    /// simulation propagates.
-    pub(crate) fn run(&mut self, slices: Vec<Slice>, collect: bool) -> Harvest {
+    /// With `threads == 1`, a panic outside a group's simulation
+    /// propagates.
+    pub(crate) fn run(&mut self, slices: Vec<Slice>) -> Harvest {
         let cursors = slices
             .iter()
             .map(|s| {
@@ -637,11 +688,7 @@ impl Executor<'_, '_> {
                 BatchCursor::new(s.lo, s.hi, claim)
             })
             .collect();
-        let job = Arc::new(Job {
-            slices,
-            cursors,
-            collect,
-        });
+        let job = Arc::new(Job { slices, cursors });
         let parts = match &mut self.workers {
             Workers::Serial(worker) => {
                 let mut parts = empty_parts(self.ctx.scenarios.len());
@@ -650,7 +697,7 @@ impl Executor<'_, '_> {
             }
             Workers::Pool(shared) => publish(shared, &job, self.ctx.scenarios.len()),
         };
-        harvest(self.ctx, &job, parts)
+        harvest(self.ctx, parts)
     }
 }
 
@@ -665,7 +712,6 @@ fn publish(shared: &Shared, job: &Arc<Job>, scenarios: usize) -> Vec<Part> {
     let spec = JobSpec {
         lo: job.slices.iter().map(|s| s.lo).min().unwrap_or(0),
         hi: job.slices.iter().map(|s| s.hi).max().unwrap_or(0),
-        collect: job.collect,
     };
     // Install the data plane first: workers cannot observe it until the
     // guarded publish makes the epoch visible, and no worker from the
@@ -698,31 +744,16 @@ fn publish(shared: &Shared, job: &Arc<Job>, scenarios: usize) -> Vec<Part> {
 /// float-discipline lint, which bans the `_by_key` form in simulation
 /// crates, satisfied.
 #[allow(clippy::unnecessary_sort_by)]
-fn harvest(ctx: &ExecCtx<'_>, job: &Job, parts: Vec<Part>) -> Harvest {
-    let mut out = Harvest {
-        stats: Vec::new(),
-        histories: Vec::new(),
-        quarantine: Vec::new(),
-    };
+fn harvest(ctx: &ExecCtx<'_>, parts: Vec<Part>) -> Harvest {
+    let mut out = Harvest::default();
     for (m, mut part) in parts.into_iter().enumerate() {
-        if job.collect {
-            // Claim starts are unique within a slice, and a scenario
-            // belongs to one slice.
-            part.chunks.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-            let mut histories = Vec::new();
-            for (_, mut chunk) in part.chunks {
-                histories.append(&mut chunk);
-            }
-            out.histories.push(histories);
-        } else {
-            let mission = ctx.scenarios[m].cfg.mission_hours;
-            out.stats
-                .push(part.stats.unwrap_or_else(|| StreamStats::new(mission)));
-            part.quarantine
-                .sort_unstable_by(|a, b| a.index.cmp(&b.index));
-            out.quarantine
-                .extend(part.quarantine.into_iter().map(|g| (m, g)));
-        }
+        let mission = ctx.scenarios[m].cfg.mission_hours;
+        out.stats
+            .push(part.stats.unwrap_or_else(|| StreamStats::new(mission)));
+        part.quarantine
+            .sort_unstable_by(|a, b| a.index.cmp(&b.index));
+        out.quarantine
+            .extend(part.quarantine.into_iter().map(|g| (m, g)));
     }
     out
 }
@@ -810,4 +841,60 @@ pub(crate) fn execute<'a, R>(
         }
         (result, sched)
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::engine::DesEngine;
+    use crate::run::DEFAULT_CLAIM_BATCH;
+    use std::sync::atomic::AtomicBool;
+
+    /// Panics on its first progress callback, killing the worker that
+    /// makes it.
+    struct PanicOnce(AtomicBool);
+
+    impl StreamObserver for PanicOnce {
+        fn on_progress(&self, _progress: Progress) {
+            assert!(!self.0.swap(false, Ordering::SeqCst), "injected panic");
+        }
+    }
+
+    /// A worker that dies after handing over some histories has its
+    /// unmerged ranges redone; the redo fills the same slots again, so
+    /// the run returns exactly the serial run's histories, with no
+    /// group missing or kept twice.
+    #[test]
+    fn a_history_sink_that_loses_a_worker_keeps_one_history_per_group() {
+        let cfg = RaidGroupConfig::paper_base_case().unwrap();
+        let engine = DesEngine::new();
+        let (groups, seed) = (4 * PROGRESS_STRIDE, 29);
+        let run = |threads: usize, observer: &dyn StreamObserver| {
+            let sink = HistorySink::new(1);
+            let done = AtomicU64::new(0);
+            let ctx = ExecCtx {
+                engine: &engine,
+                scenarios: vec![ScenarioRef { cfg: &cfg, seed }],
+                bias: BiasPolicy::None,
+                tuning: SessionTuning::default(),
+                threads,
+                claim_batch: DEFAULT_CLAIM_BATCH,
+                observer,
+                done: &done,
+                target: groups,
+                histories: Some(&sink),
+            };
+            let (_, sched) = execute(ctx, |exec| exec.run(vec![Slice::range(0, groups)]));
+            (sink, sched)
+        };
+        let (serial, _) = run(1, &());
+        let serial = serial.into_histories();
+        let (survived, sched) = run(3, &PanicOnce(AtomicBool::new(true)));
+        assert!(
+            sched.workers_lost >= 1,
+            "the observer panic must kill a worker"
+        );
+        assert_eq!(survived.into_histories(), serial);
+        assert_eq!(serial[0].len() as u64, groups);
+    }
 }

@@ -24,8 +24,9 @@
 //!   *which worker* simulates a group cannot change its history;
 //! * the streamed accumulator ([`StreamStats`]) is exact-integer state,
 //!   so per-worker partials merge to bit-identical totals in any order;
-//! * the stored path tags each claimed batch with its start index and
-//!   reassembles the histories in group-index order before returning.
+//! * a stored run streams like any other and records each pushed
+//!   group's history in its scenario's slot for the group's stream
+//!   index, so the histories come out in group-index order.
 //!
 //! # Entry points
 //!
@@ -41,7 +42,13 @@
 //! [`Simulator::run_checkpointed`] also runs fixed counts
 //! ([`DriverState::fixed`]), and is the only entry that checkpoints or
 //! resumes; with no plan and no resume it is the streamed precision
-//! run.
+//! run, and [`Simulator::run_until_precision`] is that run keeping its
+//! histories.
+//!
+//! Every entry point streams: each group runs under the same
+//! quarantine code at every thread count. A stored entry point returns
+//! every history or none, so it panics, naming the group, when a
+//! group's simulation panicked.
 //!
 //! # Worker lifecycle
 //!
@@ -66,7 +73,7 @@ use crate::checkpoint::{
 use crate::config::RaidGroupConfig;
 use crate::engine::{BiasPolicy, DesEngine, Engine, SessionTuning};
 use crate::events::{CheckpointDegraded, DdfKind, GroupHistory, QuarantinedGroup};
-use crate::pool::{self, ExecCtx, Executor, Harvest, ScenarioRef, Slice};
+use crate::pool::{self, ExecCtx, Executor, Harvest, HistorySink, ScenarioRef, Slice};
 use crate::stats::{SchedulerStats, StreamStats};
 use crate::store::{RetryBackoff, SnapshotStore};
 use crate::sweep::{validate_scenarios, SweepCache, SweepReport, SweepScenario};
@@ -131,10 +138,10 @@ pub trait StreamObserver: Sync {
         let _ = event;
     }
 
-    /// Called from the coordinating thread when a group's simulation
-    /// panicked and was quarantined instead of aborting the run
-    /// (streaming drivers only; see the quarantine notes on
-    /// [`QuarantinedGroup`]). Default: ignore.
+    /// Called from the coordinating thread of a precision or
+    /// checkpointed run when a group's simulation panicked and was
+    /// quarantined instead of aborting the run (see the quarantine
+    /// notes on [`QuarantinedGroup`]). Default: ignore.
     fn on_group_quarantined(&self, group: &QuarantinedGroup) {
         let _ = group;
     }
@@ -305,17 +312,30 @@ fn stream_range(
     lo: u64,
     hi: u64,
 ) -> (StreamStats, Vec<QuarantinedGroup>) {
-    let mut harvest = exec.run(vec![Slice::range(lo, hi)], false);
+    let mut harvest = exec.run(vec![Slice::range(lo, hi)]);
     let quarantine = harvest.quarantine.into_iter().map(|(_, g)| g).collect();
     (harvest.stats.swap_remove(0), quarantine)
 }
 
-/// Simulates groups `[lo, hi)` of a single-configuration executor as
-/// one job; returns the histories in group-index order.
-fn collect_range(exec: &mut Executor<'_, '_>, lo: u64, hi: u64) -> Vec<GroupHistory> {
-    exec.run(vec![Slice::range(lo, hi)], true)
-        .histories
-        .swap_remove(0)
+/// Panics naming `group`, a group of a stored run (of scenario `label`,
+/// in a sweep) whose simulation panicked: stored histories cover every
+/// group, so a stored run cannot skip one.
+fn refuse_quarantined(label: Option<&str>, group: &QuarantinedGroup) -> ! {
+    let scenario = label.map_or_else(String::new, |l| format!(" of scenario {l:?}"));
+    panic!(
+        "group {}{scenario} panicked and was quarantined; a stored run keeps every group: {}",
+        group.index, group.message
+    )
+}
+
+/// The stored precision run's observer: a quarantined group ends the
+/// run (see [`refuse_quarantined`]).
+struct RefuseQuarantine;
+
+impl StreamObserver for RefuseQuarantine {
+    fn on_group_quarantined(&self, group: &QuarantinedGroup) {
+        refuse_quarantined(None, group)
+    }
 }
 
 /// Runs batches of group simulations against one configuration.
@@ -441,14 +461,19 @@ impl Simulator {
     ///
     /// # Panics
     ///
-    /// Panics if `threads == 0`.
+    /// Panics if `threads == 0`, and, naming the group, if any group's
+    /// simulation panics.
     pub fn run_parallel(&self, groups: usize, seed: u64, threads: usize) -> SimulationResult {
-        let done = AtomicU64::new(0);
-        let (histories, _sched) = self.execute(seed, threads, &(), &done, groups as u64, |exec| {
-            collect_range(exec, 0, groups as u64)
-        });
+        let sink = HistorySink::new(1);
+        let ((_, quarantine), _sched) =
+            self.execute(seed, threads, &(), 0, groups as u64, Some(&sink), |exec| {
+                stream_range(exec, 0, groups as u64)
+            });
+        if let Some(group) = quarantine.first() {
+            refuse_quarantined(None, group);
+        }
         SimulationResult {
-            histories,
+            histories: sink.into_histories().swap_remove(0),
             mission_hours: self.cfg.mission_hours,
         }
     }
@@ -487,9 +512,8 @@ impl Simulator {
         threads: usize,
         observer: &dyn StreamObserver,
     ) -> (StreamStats, SchedulerStats) {
-        let done = AtomicU64::new(0);
         let ((stats, _quarantine), sched) =
-            self.execute(seed, threads, observer, &done, groups as u64, |exec| {
+            self.execute(seed, threads, observer, 0, groups as u64, None, |exec| {
                 stream_range(exec, 0, groups as u64)
             });
         observer.on_progress(Progress {
@@ -502,7 +526,9 @@ impl Simulator {
     /// Opens this run's executor — one scenario: this configuration on
     /// `seed`'s streams — and runs `body` against it (see
     /// `crate::pool`). A run spawns its workers once no matter how many
-    /// jobs it dispatches.
+    /// jobs it dispatches. Progress counts from `done` completed groups
+    /// toward `target`; a stored run passes the sink its histories go
+    /// to.
     ///
     /// Progress: each worker keeps its own last-reported stride bucket
     /// (`completed / PROGRESS_STRIDE`) and reports whenever the global
@@ -510,15 +536,18 @@ impl Simulator {
     /// per-worker monotone by construction. Terminal sub-stride
     /// remainders are covered by the guaranteed final callback every
     /// driver issues.
+    #[allow(clippy::too_many_arguments)]
     fn execute<R>(
         &self,
         seed: u64,
         threads: usize,
         observer: &dyn StreamObserver,
-        done: &AtomicU64,
+        done: u64,
         target: u64,
+        histories: Option<&HistorySink>,
         body: impl FnOnce(&mut Executor<'_, '_>) -> R,
     ) -> (R, SchedulerStats) {
+        let done = AtomicU64::new(done);
         let ctx = ExecCtx {
             engine: self.engine.as_ref(),
             scenarios: vec![ScenarioRef {
@@ -530,8 +559,9 @@ impl Simulator {
             threads,
             claim_batch: self.claim_batch,
             observer,
-            done,
+            done: &done,
             target,
+            histories,
         };
         pool::execute(ctx, body)
     }
@@ -631,14 +661,16 @@ impl Simulator {
     /// they are. The returned result is identical to a plain
     /// [`Simulator::run_parallel`] with the same seed and the final
     /// group count, so precision control never changes the estimand.
-    /// The statistics and [`PrecisionReport`] are identical to the
-    /// streamed precision run — [`Simulator::run_checkpointed`] with
-    /// [`DriverState::precision`] and no plan — which keeps no history.
+    /// It is the streamed precision run —
+    /// [`Simulator::run_checkpointed`] with [`DriverState::precision`],
+    /// no plan and no resume — keeping every history, so the statistics
+    /// and [`PrecisionReport`] are identical to that run's.
     ///
     /// # Panics
     ///
-    /// Panics if `target_relative` or `batch` are not positive, or
-    /// `confidence` is not in `(0, 1)`.
+    /// Panics if `target_relative` or `batch` are not positive, if
+    /// `confidence` is not in `(0, 1)`, and, naming the group, if any
+    /// group's simulation panics.
     pub fn run_until_precision(
         &self,
         target_relative: f64,
@@ -648,10 +680,6 @@ impl Simulator {
         seed: u64,
         threads: usize,
     ) -> (SimulationResult, PrecisionReport) {
-        let mut result = SimulationResult {
-            histories: Vec::new(),
-            mission_hours: self.cfg.mission_hours,
-        };
         let mut stats = StreamStats::new(self.cfg.mission_hours);
         let driver = DriverState::precision(
             target_relative,
@@ -660,31 +688,32 @@ impl Simulator {
             max_groups as u64,
             seed,
         );
-        let done = AtomicU64::new(0);
-        let (report, _sched) = self.execute(seed, threads, &(), &done, max_groups as u64, |exec| {
-            self.precision_driver(
-                &driver,
-                &mut stats,
-                &(),
-                &(),
-                &mut None,
-                &mut None,
-                0,
-                |sim, lo, hi| {
-                    // Extend deterministically: group i always uses
-                    // stream i. The histories are kept for the caller;
-                    // statistics come from the O(batch) accumulator,
-                    // never from a rescan of `result.histories`.
-                    let histories = collect_range(exec, lo, hi);
-                    let mut batch_stats = StreamStats::new(sim.cfg.mission_hours);
-                    for h in &histories {
-                        batch_stats.push(h);
-                    }
-                    result.histories.extend(histories);
-                    (batch_stats, Vec::new())
-                },
-            )
-        });
+        let observer = &RefuseQuarantine;
+        let sink = HistorySink::new(1);
+        let (report, _sched) = self.execute(
+            seed,
+            threads,
+            observer,
+            0,
+            max_groups as u64,
+            Some(&sink),
+            |exec| {
+                self.precision_driver(
+                    &driver,
+                    &mut stats,
+                    observer,
+                    &(),
+                    &mut None,
+                    &mut None,
+                    0,
+                    exec,
+                )
+            },
+        );
+        let result = SimulationResult {
+            histories: sink.into_histories().swap_remove(0),
+            mission_hours: self.cfg.mission_hours,
+        };
         (result, report)
     }
 
@@ -768,20 +797,21 @@ impl Simulator {
         };
         let seed = driver.seed;
         let max_groups = driver.max_groups;
-        let done = AtomicU64::new(stats.groups());
+        let done = stats.groups();
         let mut plan_failure = None;
-        let (report, _sched) = self.execute(seed, threads, observer, &done, max_groups, |exec| {
-            self.precision_driver(
-                &driver,
-                &mut stats,
-                observer,
-                control,
-                &mut plan,
-                &mut plan_failure,
-                fingerprint,
-                |_sim, lo, hi| stream_range(exec, lo, hi),
-            )
-        });
+        let (report, _sched) =
+            self.execute(seed, threads, observer, done, max_groups, None, |exec| {
+                self.precision_driver(
+                    &driver,
+                    &mut stats,
+                    observer,
+                    control,
+                    &mut plan,
+                    &mut plan_failure,
+                    fingerprint,
+                    exec,
+                )
+            });
         // A required checkpoint that could not be written aborts the
         // run with the write's error: the operator asked to fail fast
         // rather than continue unresumably.
@@ -819,8 +849,7 @@ impl Simulator {
     ) -> (StreamStats, Vec<QuarantinedGroup>) {
         assert!(lo <= hi, "shard range must satisfy lo <= hi");
         let span = hi - lo;
-        let done = AtomicU64::new(0);
-        let (out, _sched) = self.execute(seed, threads, observer, &done, span, |exec| {
+        let (out, _sched) = self.execute(seed, threads, observer, 0, span, None, |exec| {
             stream_range(exec, lo, hi)
         });
         observer.on_progress(Progress {
@@ -830,8 +859,8 @@ impl Simulator {
         out
     }
 
-    /// The shared precision loop. `run_batch` simulates `[lo, hi)` and
-    /// returns its aggregate; the driver merges batches into `stats`
+    /// The shared precision loop. Each batch `[lo, hi)` is one job
+    /// streamed through `exec`; the driver merges batches into `stats`
     /// and does O(1) statistics work per batch against the exact
     /// integer moments, so total statistics cost is O(groups) — not
     /// quadratic — and every caller produces bit-identical reports.
@@ -854,7 +883,7 @@ impl Simulator {
         plan: &mut Option<CheckpointPlan<'_>>,
         plan_failure: &mut Option<CheckpointError>,
         fingerprint: u64,
-        mut run_batch: impl FnMut(&Simulator, u64, u64) -> (StreamStats, Vec<QuarantinedGroup>),
+        exec: &mut Executor<'_, '_>,
     ) -> PrecisionReport {
         if driver.precision_mode {
             assert!(
@@ -954,7 +983,7 @@ impl Simulator {
             }
             let start = attempted;
             let take = driver.batch.min(driver.max_groups - attempted);
-            let (batch_stats, batch_quarantine) = run_batch(self, start, start + take);
+            let (batch_stats, batch_quarantine) = stream_range(exec, start, start + take);
             stats.merge(batch_stats);
             for group in &batch_quarantine {
                 observer.on_group_quarantined(group);
@@ -1279,7 +1308,7 @@ impl FusedSweep {
         let (harvest, sched) = if planned_input.is_empty() {
             (Harvest::default(), SchedulerStats::default())
         } else {
-            self.execute(&planned_input, groups, threads, false)
+            self.execute(&planned_input, groups, threads, None)
         };
         // A quarantined scenario's aggregate excludes groups its
         // watermark counts — refuse to cache it, exactly as the
@@ -1353,14 +1382,14 @@ impl FusedSweep {
         }
     }
 
-    /// Runs the sweep in collect mode, returning full per-group
+    /// Runs the sweep keeping every history, returning full per-group
     /// histories per scenario in input order — the fused counterpart of
     /// a per-scenario [`Simulator::run_parallel`] loop, with histories
     /// bit-identical to it. Scenarios on one seed run under **common
     /// random numbers**: every configuration sees the same per-group
     /// RNG streams, so differences between their results are the
     /// configuration effect alone (the variance reduction the ablation
-    /// experiments rely on). Collect mode does not consult the result
+    /// experiments rely on). It does not consult the result
     /// cache (it stores aggregates, not histories) and does not
     /// deduplicate.
     ///
@@ -1389,31 +1418,23 @@ impl FusedSweep {
     ///
     /// # Panics
     ///
-    /// Panics if `threads == 0`, if every worker died, or — matching
-    /// [`Simulator::run_parallel`] — if any single group's simulation
-    /// panics (collect mode has no quarantine).
+    /// Panics if `threads == 0`, if every worker died, and — matching
+    /// [`Simulator::run_parallel`] — naming the scenario and the group,
+    /// if any group's simulation panics.
     pub fn run_collect(&self, groups: usize, threads: usize) -> Vec<(String, SimulationResult)> {
         assert!(threads > 0, "need at least one thread");
-        if self.scenarios.is_empty() || groups == 0 {
-            return self
-                .scenarios
-                .iter()
-                .map(|sc| {
-                    (
-                        sc.label.clone(),
-                        SimulationResult {
-                            histories: Vec::new(),
-                            mission_hours: sc.cfg.mission_hours,
-                        },
-                    )
-                })
-                .collect();
+        let n = self.scenarios.len();
+        let sink = HistorySink::new(n);
+        if n > 0 && groups > 0 {
+            let all: Vec<usize> = (0..n).collect();
+            let (harvest, _sched) = self.execute(&all, groups, threads, Some(&sink));
+            if let Some((p, group)) = harvest.quarantine.first() {
+                refuse_quarantined(Some(&self.scenarios[*p].label), group);
+            }
         }
-        let all: Vec<usize> = (0..self.scenarios.len()).collect();
-        let (harvest, _sched) = self.execute(&all, groups, threads, true);
         self.scenarios
             .iter()
-            .zip(harvest.histories)
+            .zip(sink.into_histories())
             .map(|(sc, histories)| {
                 (
                     sc.label.clone(),
@@ -1436,13 +1457,14 @@ impl FusedSweep {
     /// [`crate::pool`]). Bundles follow the order of their first
     /// scenario. Without block draws — the scalar A/B lever of
     /// [`SessionTuning`] — every scenario is a bundle of one. The
-    /// harvest is returned indexed like `planned`.
+    /// harvest, and the records of `histories` for a stored run, are
+    /// returned indexed like `planned`.
     fn execute(
         &self,
         planned: &[usize],
         groups: usize,
         threads: usize,
-        collect: bool,
+        histories: Option<&HistorySink>,
     ) -> (Harvest, SchedulerStats) {
         let groups = groups as u64;
         let mut bundles: Vec<Vec<usize>> = Vec::new();
@@ -1487,8 +1509,12 @@ impl FusedSweep {
             observer: &(),
             done: &done,
             target: planned.len() as u64 * groups,
+            histories,
         };
-        let (harvest, sched) = pool::execute(ctx, |exec| exec.run(slices, collect));
+        let (harvest, sched) = pool::execute(ctx, |exec| exec.run(slices));
+        if let Some(sink) = histories {
+            sink.permute(&order);
+        }
         (harvest.permuted(&order), sched)
     }
 }
@@ -1777,20 +1803,6 @@ impl SimulationResult {
         }
         Ok(())
     }
-
-    /// Merges another result of the same mission into this one (e.g.
-    /// accumulating batches).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the mission lengths differ.
-    pub fn merge(&mut self, other: SimulationResult) {
-        assert_eq!(
-            self.mission_hours, other.mission_hours,
-            "cannot merge results with different missions"
-        );
-        self.histories.extend(other.histories);
-    }
 }
 
 #[cfg(test)]
@@ -1854,28 +1866,6 @@ mod tests {
         let r = sim.run_parallel(500, 21, 1);
         let expect = 1_000.0 * r.total_ddfs() as f64 / 500.0;
         assert!((r.ddfs_per_thousand_groups() - expect).abs() < 1e-9);
-    }
-
-    #[test]
-    fn merge_accumulates() {
-        let sim = Simulator::new(base());
-        let mut a = sim.run_parallel(30, 1, 1);
-        let b = sim.run_parallel(20, 2, 1);
-        let total = a.total_ddfs() + b.total_ddfs();
-        a.merge(b);
-        assert_eq!(a.groups(), 50);
-        assert_eq!(a.total_ddfs(), total);
-    }
-
-    #[test]
-    #[should_panic(expected = "different missions")]
-    fn merge_rejects_mismatched_missions() {
-        let sim = Simulator::new(base());
-        let mut a = sim.run_parallel(5, 1, 1);
-        let mut cfg = base();
-        cfg.mission_hours = 1_000.0;
-        let b = Simulator::new(cfg).run_parallel(5, 1, 1);
-        a.merge(b);
     }
 
     #[test]

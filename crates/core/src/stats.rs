@@ -349,9 +349,9 @@ impl StreamStats {
         }
     }
 
-    /// Accumulates one stored result (the bridge between the two
-    /// paths; used by the equivalence tests and for re-aggregating
-    /// small runs).
+    /// Accumulates one stored result: the statistics every run over the
+    /// same groups pushes, stored or streamed, which the equivalence
+    /// tests compare against.
     pub fn from_result(result: &SimulationResult) -> Self {
         let mut stats = Self::new(result.mission_hours);
         for h in &result.histories {

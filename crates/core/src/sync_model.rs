@@ -101,9 +101,6 @@ pub struct JobSpec {
     pub lo: u64,
     /// One past the highest group index of the job's slices.
     pub hi: u64,
-    /// `true`: collect per-batch histories; `false`: stream into the
-    /// epoch accumulators.
-    pub collect: bool,
 }
 
 /// Pure control state of the epoch handshake.
@@ -756,7 +753,6 @@ impl ModelState {
                 out.push(1);
                 push(out, spec.lo);
                 push(out, spec.hi);
-                out.push(u8::from(spec.collect));
             }
         }
         push(out, self.cursors.len() as u64);
@@ -1021,7 +1017,6 @@ impl Explorer<'_> {
                 let spec = JobSpec {
                     lo,
                     hi: slices.last().map_or(lo, |&(_, hi)| hi),
-                    collect: false,
                 };
                 let wake = state.core.publish(spec);
                 if self.scenario.mutation == Mutation::UnderCountActive {
@@ -1470,11 +1465,7 @@ mod tests {
     fn core_transitions_follow_the_handshake() {
         let mut core = PoolCore::new(2);
         assert_eq!(core.worker_poll(0), WorkerPoll::Wait);
-        let spec = JobSpec {
-            lo: 0,
-            hi: 4,
-            collect: false,
-        };
+        let spec = JobSpec { lo: 0, hi: 4 };
         assert_eq!(core.publish(spec), Wake::Work);
         assert_eq!(core.worker_poll(0), WorkerPoll::Job(spec, 1));
         assert_eq!(core.quiesce_poll(), QuiescePoll::Wait);
@@ -1490,11 +1481,7 @@ mod tests {
     #[test]
     fn panic_latch_wins_over_quiesce_and_forces_shutdown() {
         let mut core = PoolCore::new(1);
-        let _ = core.publish(JobSpec {
-            lo: 0,
-            hi: 1,
-            collect: false,
-        });
+        let _ = core.publish(JobSpec { lo: 0, hi: 1 });
         assert_eq!(core.mark_panicked(), Wake::Both);
         // Even if active were to reach zero, panic is reported first.
         let _ = core.check_out();
@@ -1506,11 +1493,7 @@ mod tests {
     #[test]
     fn std_sync_round_trips_the_protocol_serially() {
         let sync = StdSync::new(1);
-        let spec = JobSpec {
-            lo: 0,
-            hi: 2,
-            collect: true,
-        };
+        let spec = JobSpec { lo: 0, hi: 2 };
         let wake = sync.guarded(|c| c.publish(spec));
         sync.wake(wake);
         // poll_until returns immediately when the predicate holds.
@@ -1666,11 +1649,7 @@ mod tests {
         // without ever accepting it. A owes the check-out `publish`
         // armed on its behalf; its death must deliver it.
         let mut core = PoolCore::new(2);
-        let _ = core.publish(JobSpec {
-            lo: 0,
-            hi: 2,
-            collect: false,
-        });
+        let _ = core.publish(JobSpec { lo: 0, hi: 2 });
         assert_eq!(core.check_out(), CheckOutcome::Out(Wake::None)); // B
         assert_eq!(core.mark_lost(0, false, Vec::new()), Wake::Quiesced); // A
         assert_eq!(core.quiesce_poll(), QuiescePoll::Quiesced);
@@ -1683,22 +1662,14 @@ mod tests {
         // A worker that served and checked out dies while no epoch is
         // in flight: no accounting changes, no wake.
         let mut core = PoolCore::new(2);
-        let _ = core.publish(JobSpec {
-            lo: 0,
-            hi: 2,
-            collect: false,
-        });
+        let _ = core.publish(JobSpec { lo: 0, hi: 2 });
         assert_eq!(core.check_out(), CheckOutcome::Out(Wake::None));
         assert_eq!(core.check_out(), CheckOutcome::Out(Wake::Quiesced));
         core.retire();
         assert_eq!(core.mark_lost(1, false, Vec::new()), Wake::None);
         assert_eq!(core.active, 0);
         // The next epoch arms with the survivor only.
-        let _ = core.publish(JobSpec {
-            lo: 2,
-            hi: 4,
-            collect: false,
-        });
+        let _ = core.publish(JobSpec { lo: 2, hi: 4 });
         assert_eq!(core.active, 1);
     }
 
@@ -1707,11 +1678,7 @@ mod tests {
         // A dies serving while B is still checked in: no re-arm is
         // needed, because B's own check-out must inspect the queue.
         let mut core = PoolCore::new(2);
-        let _ = core.publish(JobSpec {
-            lo: 0,
-            hi: 2,
-            collect: false,
-        });
+        let _ = core.publish(JobSpec { lo: 0, hi: 2 });
         assert_eq!(core.mark_lost(1, true, vec![(0, 1)]), Wake::None);
         assert_eq!(core.epoch, 1);
         assert_eq!(core.check_out(), CheckOutcome::Redo((0, 1))); // B redoes
@@ -1726,11 +1693,7 @@ mod tests {
         // check-out would quiesce the epoch, so the epoch re-arms and
         // B serves once more to drain the queue.
         let mut core = PoolCore::new(2);
-        let _ = core.publish(JobSpec {
-            lo: 0,
-            hi: 2,
-            collect: false,
-        });
+        let _ = core.publish(JobSpec { lo: 0, hi: 2 });
         assert_eq!(core.check_out(), CheckOutcome::Out(Wake::None)); // B
         assert_eq!(core.mark_lost(1, true, vec![(0, 1)]), Wake::Work); // A
         assert_eq!(core.epoch, 2);
@@ -1746,11 +1709,7 @@ mod tests {
     #[test]
     fn mark_lost_total_loss_degenerates_to_panic_abort() {
         let mut core = PoolCore::new(1);
-        let _ = core.publish(JobSpec {
-            lo: 0,
-            hi: 1,
-            collect: false,
-        });
+        let _ = core.publish(JobSpec { lo: 0, hi: 1 });
         assert_eq!(core.mark_lost(1, true, vec![(0, 1)]), Wake::Both);
         assert!(core.panicked && core.shutdown);
         assert_eq!(core.quiesce_poll(), QuiescePoll::Panicked);

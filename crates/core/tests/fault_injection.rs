@@ -10,20 +10,23 @@
 //! decorator, so each failure is exactly reproducible from its
 //! `(kind, op index)` coordinates.
 //!
-//! The supervision half injects panics into the *engine* instead of the
-//! store: a one-shot panic in collect mode kills a pool worker and the
-//! survivors must redo its remainder bit-identically; a deterministic
-//! per-group panic in stream mode must quarantine the same group with
-//! the same aggregates at every thread count; a sticky panic (every
-//! worker that touches the group dies) must escalate to the
-//! coordinator's clean abort.
+//! The supervision half injects panics into the run instead of the
+//! store. A panic in a progress observer kills a pool worker: once, and
+//! the survivors must redo its remainder bit-identically; every time
+//! (each worker that reports progress dies), and the run must escalate
+//! to the coordinator's clean abort. A panic in the *engine* is
+//! quarantined: a deterministic per-group panic must quarantine the
+//! same group with the same aggregates at every thread count, and a
+//! stored entry point (which keeps every history) must refuse the run
+//! naming the group, at every thread count.
 
 use raidsim_core::checkpoint::{CheckpointError, DriverState, SimCheckpoint};
 use raidsim_core::config::RaidGroupConfig;
 use raidsim_core::engine::{DesEngine, Engine};
 use raidsim_core::events::{CheckpointDegraded, GroupHistory, QuarantinedGroup};
 use raidsim_core::run::{
-    CheckpointPlan, EveryGroups, FusedSweep, RunControl, Simulator, StreamObserver,
+    CheckpointPlan, EveryGroups, FusedSweep, Progress, RunControl, Simulator, StreamObserver,
+    PROGRESS_STRIDE,
 };
 use raidsim_core::store::{AttemptBudget, FaultKind, FaultPlan, FaultStore, MemStore};
 use raidsim_core::sweep::SweepScenario;
@@ -340,8 +343,7 @@ fn torn_rename_is_refused_by_the_checksum_on_load() {
 }
 
 /// An engine that panics exactly once (on its first group), then
-/// behaves identically to the inner engine — including on the redo of
-/// the group whose first attempt died.
+/// behaves identically to the inner engine.
 #[derive(Debug)]
 struct PanicOnce {
     inner: DesEngine,
@@ -370,20 +372,114 @@ impl Engine for PanicOnce {
     }
 }
 
-/// Collect-mode supervision end to end: a worker dies mid-run (one-shot
-/// engine panic), its unclaimed remainder — including the very group
-/// whose attempt died — is resubmitted to the survivors, and because
-/// every group re-derives its RNG stream from `(seed, index)`, the
-/// final result is bit-identical to an undisturbed serial run.
+/// The payload of a caught panic, rendered.
+fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
+    payload
+        .downcast_ref::<&str>()
+        .copied()
+        .map(String::from)
+        .or_else(|| payload.downcast_ref::<String>().cloned())
+        .unwrap_or_default()
+}
+
+/// The stored entry points keep every history, so an engine panic —
+/// which every streamed group runs under quarantine for — must end them
+/// with a panic naming the group, whether or not the pool has workers
+/// to spare.
 #[test]
-fn collect_mode_worker_death_redoes_the_remainder_bit_identically() {
-    let groups = 80;
+fn stored_entry_points_refuse_a_quarantined_group_at_every_thread_count() {
+    let groups = 40;
     let seed = 61;
-    let plain = Simulator::new(base()).run_parallel(groups, seed, 1);
-    let survived = Simulator::new(base())
-        .with_engine(Arc::new(PanicOnce::new()))
-        .run_parallel(groups, seed, 3);
+    // Each leg gets a fresh engine, so each arms its own one-shot panic.
+    let sim = || Simulator::new(base()).with_engine(Arc::new(PanicOnce::new()));
+    let refusal = |leg: &dyn Fn()| {
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(leg));
+        panic_text(
+            outcome
+                .expect_err("a quarantined group must end a stored run")
+                .as_ref(),
+        )
+    };
+    for threads in [1usize, 3] {
+        let messages = [
+            (
+                "run_parallel",
+                refusal(&|| drop(sim().run_parallel(groups, seed, threads))),
+            ),
+            (
+                "run_until_precision",
+                refusal(&|| drop(sim().run_until_precision(0.25, 0.95, 20, groups, seed, threads))),
+            ),
+            (
+                "run_collect",
+                refusal(&|| {
+                    let sweep = FusedSweep::new(vec![SweepScenario::new("base", base(), seed)])
+                        .with_engine(Arc::new(PanicOnce::new()));
+                    drop(sweep.run_collect(groups, threads));
+                }),
+            ),
+        ];
+        for (name, message) in &messages {
+            assert!(
+                message.starts_with("group ")
+                    && message.contains("quarantined")
+                    && message.contains("injected one-shot panic"),
+                "{name} at {threads} thread(s) must name the group, got {message:?}"
+            );
+        }
+        assert!(
+            messages[2].1.contains("of scenario \"base\""),
+            "{:?}",
+            messages[2].1
+        );
+    }
+}
+
+/// Panics in [`StreamObserver::on_progress`]: on the first call only, or
+/// (sticky) on every call. A progress callback runs on the worker that
+/// crossed a stride, outside any group's simulation, so the panic kills
+/// that worker.
+struct PanickingObserver {
+    armed: AtomicBool,
+    sticky: bool,
+}
+
+impl PanickingObserver {
+    fn new(sticky: bool) -> Self {
+        Self {
+            armed: AtomicBool::new(true),
+            sticky,
+        }
+    }
+}
+
+impl StreamObserver for PanickingObserver {
+    fn on_progress(&self, _progress: Progress) {
+        let fire = self.armed.swap(false, Ordering::SeqCst) || self.sticky;
+        assert!(!fire, "injected observer panic");
+    }
+}
+
+/// Worker-death supervision end to end: a worker dies mid-run (one-shot
+/// observer panic), its unmerged claimed ranges are resubmitted to the
+/// survivors, and because every group re-derives its RNG stream from
+/// `(seed, index)`, the final statistics are bit-identical to an
+/// undisturbed serial run. Four strides of groups make every worker
+/// cross a stride, so the panic fires on a worker, never on the
+/// coordinator's final callback.
+#[test]
+fn observer_worker_death_redoes_the_remainder_bit_identically() {
+    let groups = 4 * PROGRESS_STRIDE as usize;
+    let seed = 61;
+    let sim = Simulator::new(base());
+    let plain = sim.run_streaming(groups, seed, 1);
+    let (survived, sched) =
+        sim.run_streaming_instrumented(groups, seed, 3, &PanickingObserver::new(false));
     assert_eq!(survived, plain, "redone work diverged from the reference");
+    assert!(
+        sched.workers_lost >= 1,
+        "the observer panic must kill a worker"
+    );
 }
 
 /// An engine whose panic is *deterministic per group index*, with no
@@ -419,7 +515,7 @@ impl Engine for PanicOnMarker {
     }
 }
 
-/// Stream-mode quarantine is deterministic: the same group is
+/// Quarantine is deterministic: the same group is
 /// quarantined with the same panic message and the same surviving
 /// aggregates at every thread count — a panicking group can never make
 /// two runs of the same seed disagree.
@@ -504,24 +600,20 @@ fn quarantine_keeps_engine_counters_exact() {
     );
 }
 
-/// A sticky panic in collect mode kills every worker that touches the
-/// group; with no survivor left to resubmit to, the coordinator must
-/// abort by re-raising — a clean, classified end, not a hang.
+/// A sticky observer panic kills every worker that reports progress,
+/// and past the first stride each worker does at its next group; with
+/// no survivor left to resubmit to, the coordinator must abort by
+/// re-raising — a clean, classified end, not a hang.
 #[test]
-fn sticky_collect_mode_panic_escalates_to_a_clean_abort() {
-    let groups = 24;
+fn sticky_observer_panic_escalates_to_a_clean_abort() {
+    let groups = 4 * PROGRESS_STRIDE as usize;
     let seed = 71;
-    let sim = Simulator::new(base()).with_engine(Arc::new(PanicOnMarker::new(seed, 5)));
+    let observer = PanickingObserver::new(true);
     let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        sim.run_parallel(groups, seed, 2)
+        Simulator::new(base()).run_streaming_instrumented(groups, seed, 2, &observer)
     }));
     let payload = outcome.expect_err("total worker loss must abort the run");
-    let message = payload
-        .downcast_ref::<&str>()
-        .copied()
-        .map(String::from)
-        .or_else(|| payload.downcast_ref::<String>().cloned())
-        .unwrap_or_default();
+    let message = panic_text(payload.as_ref());
     assert!(
         message.contains("simulation worker panicked"),
         "the abort must carry the supervision message, got {message:?}"
