@@ -53,7 +53,13 @@ pub(crate) fn run(argv: &[String]) -> Result<CmdOutput, CliError> {
         return Err(CliError::Usage("missing command".into()));
     };
     let rest = &argv[1..];
+    let wants_help = rest.iter().any(|a| a == "--help" || a == "-h");
     match command.as_str() {
+        "simulate" | "sweep" | "merge" | "mttdl" | "fit" | "closedform" | "table1"
+            if wants_help =>
+        {
+            Ok(commands::usage().into())
+        }
         "simulate" => commands::simulate(rest),
         "sweep" => commands::sweep(rest),
         "merge" => commands::merge(rest),
@@ -84,6 +90,33 @@ mod tests {
         // Exit codes and checkpointing are documented.
         assert!(out.contains("exit codes"), "{out}");
         assert!(out.contains("--checkpoint"), "{out}");
+    }
+
+    #[test]
+    fn help_after_a_subcommand_prints_usage() {
+        let usage = commands::usage();
+        for line in [
+            "simulate --help",
+            "sweep -h",
+            "merge --help",
+            "mttdl -h",
+            "fit --help",
+            "closedform -h",
+            "table1 --help",
+            "simulate --groups 10 -h",
+        ] {
+            match run(&argv(line)) {
+                Ok(out) => {
+                    assert_eq!(out.text, usage, "{line}");
+                    assert!(!out.interrupted, "{line}");
+                }
+                Err(e) => panic!("{line}: {e}"),
+            }
+        }
+        assert!(matches!(
+            run(&argv("frobnicate --help")),
+            Err(CliError::Usage(_))
+        ));
     }
 
     #[test]

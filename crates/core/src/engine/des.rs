@@ -106,7 +106,10 @@ impl SparePool {
 /// the latent counters then count). The loop is two-level: each outer
 /// iteration finds the earliest operational event, and an inner loop
 /// first fires every latent event that precedes it, scanning the latent
-/// clocks alone (see `DesState::run_events`).
+/// clocks alone (see `DesState::run_events`). Under block tuning an
+/// untilted, unforced latent event reads one word for both spans it
+/// could draw and lets the slot's state pick one
+/// ([`DrawSource::plain_either`]).
 ///
 /// Sampling is lazy: a slot's next time-to-failure is drawn only when
 /// the previous period ends, exactly mirroring the sequential sampling
@@ -504,6 +507,16 @@ impl DesState {
     /// after a defect creation rewrites `next_op`, so it restarts the
     /// outer scan.
     ///
+    /// Each latent event costs one scan of `next_ld` (`earliest`'s
+    /// pairwise tree) and reads one word. Where `rng` has lanes for both
+    /// latent kernels ([`DrawSource::plain_either`]) and the session is
+    /// untilted and unforced, that word gives both the TTLd span a
+    /// defective slot would draw and the TTScrub span a clean one
+    /// would, and the slot's state selects one; the flags and counters
+    /// then change arithmetically. Otherwise the event fires through
+    /// `latent_event`. Both arms read the same word and compute the
+    /// same bits.
+    ///
     /// Latent events after the last operational event within the
     /// mission (the group's observation horizon) can change no DDF,
     /// failure, restore or downtime, so an unforced session without a
@@ -547,13 +560,38 @@ impl DesState {
                     }
                     debug_assert!(t_ld.is_finite(), "event time must be finite, got {t_ld}");
                     self.counters.events += 1;
-                    if self.latent_event(t_ld, j, rng) && self.force.is_some() {
-                        // The exposure may have put the group on the
-                        // critical boundary; a forced redraw moves the
-                        // operational clocks, so rescan them.
-                        self.force_critical(t_ld, ddf_block_until, &mut force_budget, rng);
-                        continue 'group;
-                    }
+                    // Both spans the event can draw, from one word: a
+                    // fresh TTLd if the slot is defective, its TTScrub
+                    // if clean. `None` when the draws are tilted or
+                    // forced, there is no scrub, or `rng` has no lanes
+                    // for the kernels.
+                    let spans = match (&self.ttld, &self.ttscrub) {
+                        (Some(ld), Some(scrub)) if stop_at_horizon => rng.plain_either(ld, scrub),
+                        _ => None,
+                    };
+                    let Some((ld, scrub)) = spans else {
+                        if self.latent_event(t_ld, j, rng) && self.force.is_some() {
+                            // The exposure may have put the group on the
+                            // critical boundary; a forced redraw moves the
+                            // operational clocks, so rescan them.
+                            self.force_critical(t_ld, ddf_block_until, &mut force_budget, rng);
+                            continue 'group;
+                        }
+                        continue;
+                    };
+                    // `latent_event`'s two arms as one: a defect
+                    // appears on a clean slot, or a defective slot's
+                    // defect clears, counting a scrub unless a
+                    // restoration clears it (only a defective slot has
+                    // `clear_is_restore` set).
+                    let s = &mut self.slots[j];
+                    let defective = s.defective;
+                    s.next_ld = t_ld + if defective { ld } else { scrub };
+                    self.counters.samples_drawn += 1;
+                    self.history.latent_defects += u64::from(!defective);
+                    self.history.scrubs_completed += u64::from(defective & !s.clear_is_restore);
+                    s.defective = !defective;
+                    s.clear_is_restore = false;
                 }
             }
             if t > mission {
@@ -721,17 +759,40 @@ impl DesState {
 
 /// The earliest `clock` over `slots` and its slot index, the first
 /// slot winning ties; `(INFINITY, 0)` when every clock is infinite.
+///
+/// Each latent event waits on this scan of the clock it just wrote, so
+/// its compare chain is the latent stretch's critical path. Slots are
+/// compared as a pairwise tree in blocks of four, and the blocks left
+/// to right: eight slots take three dependent compares instead of
+/// eight. A pick keeps its left operand unless the right one is
+/// strictly earlier, so ties go to the first slot as in a linear scan.
 #[inline(always)]
 fn earliest(slots: &[Slot], clock: impl Fn(&Slot) -> f64) -> (f64, usize) {
-    let mut t = f64::INFINITY;
-    let mut idx = 0;
-    for (i, s) in slots.iter().enumerate() {
-        if clock(s) < t {
-            t = clock(s);
-            idx = i;
+    #[inline(always)]
+    fn pick(a: (f64, usize), b: (f64, usize)) -> (f64, usize) {
+        if b.0 < a.0 {
+            b
+        } else {
+            a
         }
     }
-    (t, idx)
+    let at = |i: usize| (clock(&slots[i]), i);
+    let block = |i: usize| pick(pick(at(i), at(i + 1)), pick(at(i + 2), at(i + 3)));
+    let n = slots.len();
+    let (mut best, mut i) = if n >= 4 {
+        (block(0), 4)
+    } else {
+        ((f64::INFINITY, 0), 0)
+    };
+    while i + 4 <= n {
+        best = pick(best, block(i));
+        i += 4;
+    }
+    while i < n {
+        best = pick(best, at(i));
+        i += 1;
+    }
+    best
 }
 
 impl Engine for DesEngine {
@@ -765,8 +826,8 @@ impl Engine for DesEngine {
 mod tests {
     use super::*;
     use crate::config::{params, RaidGroupConfig, Redundancy, TransitionDistributions};
-    use raidsim_dists::rng::stream;
-    use raidsim_dists::{Exponential, Weibull3};
+    use raidsim_dists::rng::{stream, DrawMemo};
+    use raidsim_dists::{Exponential, LifeDistribution, Lognormal, Weibull3};
     use rand::Rng;
     use std::sync::Arc;
 
@@ -943,6 +1004,260 @@ mod tests {
             "endings not all covered: {no_draws} without draws, \
              {exact_fill} exact fills, {mid_block} mid-block"
         );
+    }
+
+    /// Runs every stream of `streams` through a block-tuned session, a
+    /// bundle memo's reader and the scalar tuning, and requires the same
+    /// history, engine counters and next word from all three. The
+    /// cursor and the memo reader have lanes, so an untilted, unforced
+    /// session with Weibull latent kernels fires its latent events
+    /// through `plain_either`; the scalar RNG has none, so every event
+    /// there takes `latent_event`. Returns the latent defects counted.
+    fn assert_select_matches_event_by_event(
+        cfg: &RaidGroupConfig,
+        bias: BiasPolicy,
+        streams: impl Iterator<Item = SimRng>,
+    ) -> u64 {
+        let session = |tuning| DesSession::new(cfg, bias, tuning, &mut KernelCache::new());
+        let mut block = session(SessionTuning::default());
+        let mut memo_session = session(SessionTuning::default());
+        let mut scalar = session(SessionTuning { block_draws: false });
+        let mut memo = DrawMemo::new();
+        let mut defects = 0;
+        for (group, rng) in streams.enumerate() {
+            let (mut a, mut b) = (rng.clone(), rng.clone());
+            let want = scalar.simulate_group(&mut b).clone();
+            defects += want.latent_defects;
+            assert_eq!(block.simulate_group(&mut a), &want, "group {group}");
+            assert_eq!(a.next_u64(), b.next_u64(), "group {group}: next word");
+            memo.begin(rng);
+            let got = memo_session.simulate_group_memo(&mut memo, &mut BundleShare::new());
+            assert_eq!(got, &want, "group {group}: memo");
+            assert_eq!(block.counters(), scalar.counters(), "group {group}");
+            assert_eq!(memo_session.counters(), scalar.counters(), "group {group}");
+        }
+        defects
+    }
+
+    #[test]
+    fn one_word_latent_select_matches_the_event_by_event_path() {
+        let base = RaidGroupConfig::paper_base_case().unwrap();
+        let weibull = |g: f64, e: f64, b: f64| -> Arc<dyn LifeDistribution> {
+            Arc::new(Weibull3::new(g, e, b).unwrap())
+        };
+        let base_dists = base.dists.clone();
+        let with = |dists: TransitionDistributions| RaidGroupConfig {
+            dists,
+            ..base.clone()
+        };
+        // DDF-heavy: fast failures and defects, slow restores and
+        // scrubs, so restorations clear defects inside a stretch.
+        let ddf_heavy = TransitionDistributions {
+            ttop: weibull(0.0, 20_000.0, 1.12),
+            ttr: weibull(6.0, 400.0, 2.0),
+            ttld: Some(weibull(0.0, 300.0, 1.0)),
+            ttscrub: Some(weibull(6.0, 600.0, 3.0)),
+        };
+        // Clocks that tie: η so small that every draw is its γ, so
+        // latent clocks tie each other and the operational clock from
+        // slots before and after it.
+        let ties = |ttr: f64| TransitionDistributions {
+            ttop: weibull(1_000.0, 1e-20, 1.12),
+            ttr: weibull(ttr, 1e-20, 2.0),
+            ttld: Some(weibull(500.0, 1e-20, 1.0)),
+            ttscrub: Some(weibull(500.0, 1e-20, 3.0)),
+        };
+        let mut cases: Vec<(&str, RaidGroupConfig, BiasPolicy)> = vec![
+            ("base case", base.clone(), BiasPolicy::None),
+            ("ties, short restore", with(ties(10.0)), BiasPolicy::None),
+            (
+                "ties, restore ties scrub",
+                with(ties(500.0)),
+                BiasPolicy::None,
+            ),
+            ("DDF-heavy", with(ddf_heavy.clone()), BiasPolicy::None),
+            (
+                "DDF-heavy, defect reset",
+                RaidGroupConfig {
+                    defect_reset_on_replacement: true,
+                    ..with(ddf_heavy.clone())
+                },
+                BiasPolicy::None,
+            ),
+            (
+                "DDF-heavy, scarce spares",
+                RaidGroupConfig {
+                    spares: SparePolicy::Finite {
+                        pool: 1,
+                        replenish_hours: 336.0,
+                    },
+                    ..with(ddf_heavy.clone())
+                },
+                BiasPolicy::None,
+            ),
+            (
+                "DDF-heavy, RAID 6",
+                RaidGroupConfig {
+                    redundancy: Redundancy::DoubleParity,
+                    ..with(ddf_heavy.clone())
+                },
+                BiasPolicy::None,
+            ),
+            (
+                "TTLd with beta != 1",
+                with(TransitionDistributions {
+                    ttld: Some(weibull(0.0, 9_259.0, 1.3)),
+                    ..base_dists.clone()
+                }),
+                BiasPolicy::None,
+            ),
+            (
+                "no scrub",
+                with(TransitionDistributions {
+                    ttscrub: None,
+                    ..base_dists.clone()
+                }),
+                BiasPolicy::None,
+            ),
+            (
+                "exponential TTLd",
+                with(TransitionDistributions {
+                    ttld: Some(Arc::new(Exponential::from_mean(9_259.0).unwrap())),
+                    ..base_dists.clone()
+                }),
+                BiasPolicy::None,
+            ),
+            (
+                "lognormal TTScrub",
+                with(TransitionDistributions {
+                    ttscrub: Some(Arc::new(Lognormal::new(6.0, 5.0, 0.5).unwrap())),
+                    ..base_dists.clone()
+                }),
+                BiasPolicy::None,
+            ),
+            (
+                "latent tilt",
+                base.clone(),
+                BiasPolicy::HazardTilt {
+                    op_theta: 0.0,
+                    latent_theta: 0.5,
+                },
+            ),
+            (
+                "operational tilt",
+                base.clone(),
+                BiasPolicy::HazardTilt {
+                    op_theta: 0.5,
+                    latent_theta: 0.0,
+                },
+            ),
+            (
+                "forced critical",
+                base.clone(),
+                BiasPolicy::ForcedCritical {
+                    fraction: 0.5,
+                    window_hours: 200.0,
+                },
+            ),
+        ];
+        for drives in [1, 2, 9, 40] {
+            cases.push((
+                "drive count",
+                RaidGroupConfig {
+                    drives,
+                    ..base.clone()
+                },
+                BiasPolicy::None,
+            ));
+        }
+        for (name, cfg, bias) in &cases {
+            let defects = assert_select_matches_event_by_event(
+                cfg,
+                *bias,
+                (0..150).map(|seed| stream(seed, 0)),
+            );
+            if cfg.dists.ttld.is_some() {
+                assert!(
+                    defects > 0,
+                    "{name} ({} drives): no latent defect",
+                    cfg.drives
+                );
+            }
+        }
+        // A stream whose first event-loop word is 0 (`u = 0`): the
+        // group's first latent event, a defect creation, draws its
+        // TTScrub span from it, and `e = 0` gives TTScrub's γ.
+        let one_drive = RaidGroupConfig {
+            drives: 1,
+            ..base.clone()
+        };
+        for cfg in [&base, &one_drive] {
+            let first_event_word = 2 * cfg.drives;
+            let zeros = [(3, 5), (0x9e37_79b9_7f4a_7c15, 7), (u64::MAX, u64::MAX)]
+                .into_iter()
+                .map(|(s1, s2)| zero_word_at(first_event_word, s1, s2));
+            assert_select_matches_event_by_event(cfg, BiasPolicy::None, zeros);
+        }
+    }
+
+    /// A raw xoshiro256++ stream whose word `k ≥ 1` is 0. A state with
+    /// `s[0] = 0` and `s[3] = s[1]` has a first output
+    /// `rotl(s[0] + s[3], 23) + s[0]` that is nonzero and a second one
+    /// that is 0; stepping that state back `k − 1` times moves the zero
+    /// to word `k`.
+    fn zero_word_at(k: usize, s1: u64, s2: u64) -> SimRng {
+        use rand::SeedableRng;
+        let s1 = s1 | 1;
+        let mut state = [0, s1, s2, s1];
+        for _ in 1..k {
+            state = xoshiro_back(state);
+        }
+        let mut seed = [0u8; 32];
+        for (chunk, word) in seed.chunks_exact_mut(8).zip(state) {
+            chunk.copy_from_slice(&word.to_le_bytes());
+        }
+        let rng = SimRng::from_seed(seed);
+        let mut probe = rng.clone();
+        for _ in 0..k {
+            probe.next_u64();
+        }
+        assert_eq!(probe.next_u64(), 0, "word {k} of the crafted stream");
+        rng
+    }
+
+    /// The xoshiro256 state one step before `a`: the inverse of
+    /// `t = s1 << 17; s2 ^= s0; s3 ^= s1; s1 ^= s2; s0 ^= s3; s2 ^= t;
+    /// s3 = rotl(s3, 45)`.
+    fn xoshiro_back(a: [u64; 4]) -> [u64; 4] {
+        let s3_mid = a[3].rotate_right(45);
+        let s0 = a[0] ^ s3_mid;
+        // a1 ^ a2 = s1 ^ (s1 << 17), solved for s1.
+        let c = a[1] ^ a[2];
+        let s1 = c ^ (c << 17) ^ (c << 34) ^ (c << 51);
+        let s2_mid = a[1] ^ s1;
+        [s0, s1, s2_mid ^ s0, s3_mid ^ s1]
+    }
+
+    #[test]
+    fn earliest_matches_a_first_index_linear_scan() {
+        let mut rng = stream(17, 0);
+        let values = [0.0, 1.0, 2.0, 3.0, f64::INFINITY];
+        for n in 1..=13 {
+            for _ in 0..200 {
+                let slots: Vec<Slot> = (0..n)
+                    .map(|_| {
+                        Slot::fresh(0.0, values[(rng.next_u64() % values.len() as u64) as usize])
+                    })
+                    .collect();
+                let mut want = (f64::INFINITY, 0);
+                for (i, s) in slots.iter().enumerate() {
+                    if s.next_ld < want.0 {
+                        want = (s.next_ld, i);
+                    }
+                }
+                assert_eq!(earliest(&slots, |s| s.next_ld), want, "{n} slots");
+            }
+        }
     }
 
     #[test]

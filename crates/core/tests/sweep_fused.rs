@@ -660,10 +660,10 @@ fn killed_sweep_resumes_from_the_persistent_cache() {
     }
 }
 
-/// Collect mode returns per-label histories bit-identical to running
-/// every configuration alone with [`Simulator::run_parallel`] under
-/// common random numbers — the contract the ablation experiments rely
-/// on.
+/// [`FusedSweep::run_collect`] returns per-label histories, recorded
+/// along the streamed path, bit-identical to running every
+/// configuration alone with [`Simulator::run_parallel`] under common
+/// random numbers — the contract the ablation experiments rely on.
 #[test]
 fn collect_mode_sweep_matches_independent_runs() {
     let (groups, seed) = (60, 11);

@@ -55,7 +55,7 @@
 //! | [`crate::CompetingRisks`] | [`SampleKernel::Competing`] | children lowered recursively; conditional delegates to the source object |
 //! | anything else | [`SampleKernel::Boxed`] | full fallback to the `dyn` methods (e.g. future empirical resampling distributions — [`crate::empirical`] currently defines estimators, not `LifeDistribution`s) |
 
-use crate::rng::{walk_lanes, DrawCursor, MemoReader, SimRng, WeibullDraw};
+use crate::rng::{either_lanes, walk_lanes, DrawCursor, MemoReader, SimRng, WeibullDraw};
 use crate::{rng_f64, special::ln_1p, DistError, LifeDistribution};
 use rand::Rng;
 use std::sync::Arc;
@@ -253,6 +253,24 @@ pub trait DrawSource: Rng {
     ) -> u64 {
         walk_plain(self, a, b, defect, clear, bound)
     }
+
+    /// Both plain draws one word can give: `Some((x, y))` with `x` what
+    /// [`DrawSource::plain`]`(a)` and `y` what `plain(b)` would each have
+    /// returned from the next word, which is consumed. A caller that
+    /// needs one of the two, chosen by its own state, reads the word
+    /// without branching on that state.
+    ///
+    /// The provided body returns `None`, consuming nothing: the source
+    /// keeps no lanes. [`DrawCursor`] and [`MemoReader`] override it from
+    /// their `e` and power lanes when both kernels are `Weibull3`,
+    /// declaring a lane for each exponent other than 1 that has none
+    /// yet, as [`DrawSource::walk_renewal`] does; they return `None` when
+    /// a kernel is not `Weibull3` or an exponent gets no lane (a cursor
+    /// keeps at most two, and none in builds without the `pow` port).
+    fn plain_either(&mut self, a: &SampleKernel, b: &SampleKernel) -> Option<(f64, f64)> {
+        let _ = (a, b);
+        None
+    }
 }
 
 /// [`DrawSource::walk_renewal`]'s loop, draw by draw.
@@ -308,6 +326,11 @@ impl DrawSource for DrawCursor {
         walk_lanes(self, a, b, defect, clear, bound)
             .unwrap_or_else(|| walk_plain(self, a, b, defect, clear, bound))
     }
+
+    #[inline(always)]
+    fn plain_either(&mut self, a: &SampleKernel, b: &SampleKernel) -> Option<(f64, f64)> {
+        either_lanes(self, a, b)
+    }
 }
 
 impl DrawSource for MemoReader<'_> {
@@ -331,6 +354,11 @@ impl DrawSource for MemoReader<'_> {
     ) -> u64 {
         walk_lanes(self, a, b, defect, clear, bound)
             .unwrap_or_else(|| walk_plain(self, a, b, defect, clear, bound))
+    }
+
+    #[inline(always)]
+    fn plain_either(&mut self, a: &SampleKernel, b: &SampleKernel) -> Option<(f64, f64)> {
+        either_lanes(self, a, b)
     }
 }
 

@@ -122,6 +122,9 @@ pub(crate) trait Lanes {
     /// Consumes the next position, fetching first when none is
     /// buffered, and returns its index.
     fn advance(&mut self) -> usize;
+
+    /// Lane `power`'s value at buffered position `i`.
+    fn at(&self, power: Power, i: usize) -> f64;
 }
 
 /// Walks a renewal chain of plain Weibull draws over `src`'s lanes —
@@ -158,6 +161,24 @@ pub(crate) fn walk_lanes<S: Lanes>(
         *clear = *defect + b.finish(exps[j], lb[j]);
         cycles += 1;
     }
+}
+
+/// One word's plain draws from `a` and `b` over `src`'s lanes —
+/// [`crate::kernel::DrawSource::plain_either`] for the cursor and the
+/// memo readers — or `None`, consuming nothing, when a kernel is not
+/// `Weibull3` or `src` has no lane for an exponent.
+#[inline(always)]
+pub(crate) fn either_lanes<S: Lanes>(
+    src: &mut S,
+    a: &crate::SampleKernel,
+    b: &crate::SampleKernel,
+) -> Option<(f64, f64)> {
+    let (a, b) = (a.weibull_draw()?, b.weibull_draw()?);
+    let pa = src.power_lane(a.inv_beta)?;
+    let pb = src.power_lane(b.inv_beta)?;
+    let i = src.advance();
+    let e = src.at(Power::Unit, i);
+    Some((a.finish(e, src.at(pa, i)), b.finish(e, src.at(pb, i))))
 }
 
 /// The lane walks' inner loop: renewal cycles `a` then `b` from
@@ -208,14 +229,16 @@ fn walk_span(
 /// the caller's stream.
 ///
 /// A renewal walk ([`crate::kernel::DrawSource::walk_renewal`]) runs a
-/// whole chain over the cursor's lanes. The first walk with an exponent
-/// `1/β ≠ 1` declares a *power lane* for it, up to two: from then on
-/// each refill also evaluates `powf(e, 1/β)` for every fetched word in
-/// one [`crate::special::pow_batch`] call, and plain Weibull draws with
-/// that exponent read their power from the lane too. Lanes outlive
+/// whole chain over the cursor's lanes, and a one-word pair of draws
+/// ([`crate::kernel::DrawSource::plain_either`], which a discrete-event
+/// loop's latent events read) finishes both draws from them. The first
+/// walk or pair with an exponent `1/β ≠ 1` declares a *power lane* for
+/// it, up to two: from then on each refill also evaluates
+/// `powf(e, 1/β)` for every fetched word in one
+/// [`crate::special::pow_batch`] call, and plain Weibull draws with that
+/// exponent read their power from the lane too. Lanes outlive
 /// [`DrawCursor::begin`], since a cursor serves one session's kernels.
-/// A cursor that never walks, such as a discrete-event loop's, keeps
-/// none.
+/// A cursor that neither walks nor reads pairs keeps none.
 ///
 /// Refills start at `FIRST_REFILL` words per [`DrawCursor::begin`]
 /// and double up to `MAX_REFILL`. Before each refill the cursor keeps
@@ -270,11 +293,10 @@ impl DrawCursor {
     }
 
     /// The declared power lane of `inv_beta`, if there is one.
-    #[inline]
+    #[inline(always)]
     fn lane_of(&self, inv_beta: f64) -> Option<usize> {
-        self.powers[..self.declared]
-            .iter()
-            .position(|(b, _)| b.to_bits() == inv_beta.to_bits())
+        let bits = inv_beta.to_bits();
+        (0..POWER_LANES).find(|&l| l < self.declared && self.powers[l].0.to_bits() == bits)
     }
 
     /// Starts drawing from `rng`'s current position, discarding any
@@ -431,6 +453,14 @@ impl Lanes for DrawCursor {
     #[inline(always)]
     fn advance(&mut self) -> usize {
         DrawCursor::advance(self)
+    }
+
+    #[inline(always)]
+    fn at(&self, power: Power, i: usize) -> f64 {
+        match power {
+            Power::Unit => self.exps[i],
+            Power::Lane(l) => self.powers[l].1[i],
+        }
     }
 }
 
@@ -791,6 +821,11 @@ impl Lanes for MemoReader<'_> {
     #[inline(always)]
     fn advance(&mut self) -> usize {
         MemoReader::advance(self)
+    }
+
+    #[inline(always)]
+    fn at(&self, power: Power, i: usize) -> f64 {
+        self.lane(power)[i]
     }
 }
 

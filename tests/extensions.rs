@@ -32,8 +32,8 @@ fn closed_form_tracks_simulation_via_facade() {
     );
 }
 
-/// A collect-mode sweep orders scrub policies correctly under common
-/// random numbers.
+/// A sweep that keeps per-label histories (`run_collect`) orders scrub
+/// policies correctly under common random numbers.
 #[test]
 fn sweep_orders_scrub_policies() {
     let mk = |eta: f64| {

@@ -537,7 +537,9 @@ fn exports(dir: &Path) -> BTreeMap<String, Vec<u8>> {
 }
 
 /// Builds the release CLI and returns the binary path (so the smoke can
-/// signal the real process, not a `cargo run` wrapper). Shared with the
+/// signal the real process, not a `cargo run` wrapper): under
+/// `$CARGO_TARGET_DIR` when it is set (relative to `root`, as cargo
+/// reads it from there), else under `root/target`. Shared with the
 /// torture harness.
 pub(crate) fn build_cli(root: &Path) -> Result<Result<PathBuf, String>, String> {
     let cargo = std::env::var("CARGO").unwrap_or_else(|_| "cargo".to_string());
@@ -554,7 +556,10 @@ pub(crate) fn build_cli(root: &Path) -> Result<Result<PathBuf, String>, String> 
     } else {
         "raidsim-cli"
     };
-    Ok(Ok(root.join("target").join("release").join(name)))
+    let target = std::env::var_os("CARGO_TARGET_DIR")
+        .filter(|dir| !dir.is_empty())
+        .map_or_else(|| root.join("target"), |dir| root.join(dir));
+    Ok(Ok(target.join("release").join(name)))
 }
 
 /// Sends SIGINT on Unix (exercising the graceful-interruption path); a
